@@ -60,8 +60,7 @@ def test_perf_fifo_queue(benchmark):
 
 
 #: Scenario exercising every kernel path — throttle verdicts, crash
-#: draws, retry delays, straggler factors — shared by both chain-walk
-#: benchmarks below.
+#: draws, retry delays, straggler factors.
 def _bench_scenario():
     from repro.faults.scenario import FaultScenario
 
@@ -75,15 +74,7 @@ def _bench_scenario():
 
 
 class _CountingEnv:
-    """Minimal consumer: monotone throttle clock + outcome counters.
-
-    Serves both walkers: ``attempt_seconds`` is the chain-major hook
-    (env draws the noise), while ``exec_noise_sigma``/``work_seconds``
-    and the ``*_wave`` hooks are the wave-major protocol (the walker
-    draws per-wave arrays).
-    """
-
-    exec_noise_sigma = 0.25
+    """Minimal consumer: monotone throttle clock + outcome counters."""
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -109,20 +100,8 @@ class _CountingEnv:
         factor *= self.kernel.straggler_factor()
         return chain.n_packed * 0.1 * factor
 
-    def work_seconds(self, chain, warm):
-        return chain.n_packed * 0.1
-
-    def is_warm_wave(self, times):
-        return [False] * len(times)
-
-    def work_seconds_wave(self, chains, warm):
-        return [c.n_packed * 0.1 for c in chains]
-
     def on_success(self, chain, launch_at, warm, exec_seconds):
         self.succeeded += 1
-
-    def on_success_wave(self, chains, times, warm, exec_s):
-        self.succeeded += len(chains)
 
     def on_crash(self, chain, launch_at, warm, exec_seconds, crash):
         return launch_at + crash.at_fraction * exec_seconds
@@ -134,13 +113,11 @@ class _CountingEnv:
         self.lost += 1
 
 
-def test_perf_dispatch_kernel_chain_throughput_scalar(benchmark):
-    """Attempt-chain arbitration rate of the chain-major (scalar) walk.
+def test_perf_dispatch_kernel_chain_throughput(benchmark):
+    """Attempt-chain arbitration rate of ``run_synchronous_chain``.
 
-    Walks 2k chains one at a time through ``run_synchronous_chain``.
-    This is the per-dispatch cost consumers that genuinely dispatch one
-    chain at a time (serving, streaming) pay; batch consumers use the
-    wave walker benchmarked below.
+    Walks 2k faulted chains one at a time — the walk streaming runs for
+    every batch. This is the ``chains_per_s`` the CI perf gate tracks.
     """
     from repro.engine import DispatchKernel
     from repro.faults.retry import ImmediateRetry
@@ -157,37 +134,6 @@ def test_perf_dispatch_kernel_chain_throughput_scalar(benchmark):
         for i in range(2_000):
             chain = kernel.new_chain(n_packed=4, retry=kernel.fresh_retry())
             kernel.run_synchronous_chain(chain, env, launch_at=float(i) * 0.01)
-        return env.succeeded + env.lost
-
-    assert benchmark(run) == 2_000
-    record_throughput(benchmark, "chains_per_s_scalar", 2_000)
-
-
-def test_perf_dispatch_kernel_chain_throughput(benchmark):
-    """Attempt-chain arbitration rate of the wave-major (batched) walk.
-
-    Same 2k chains and fault scenario as the scalar benchmark, walked in
-    waves: one array draw per decision kind per wave instead of scalar
-    draws per attempt (see ``repro.engine.wave``). This is the headline
-    ``chains_per_s`` the CI perf gate tracks — the refactor's acceptance
-    bar is >=5x the PR-9 scalar baseline of ~93k chains/s.
-    """
-    from repro.engine import DispatchKernel
-    from repro.engine.wave import dispatch_wave_jobs, run_chain_waves
-    from repro.faults.retry import ImmediateRetry
-    from repro.sim.randomness import RandomStreams
-
-    scenario = _bench_scenario()
-
-    def run():
-        rng = RandomStreams(17).spawn("kernel-bench")
-        kernel = DispatchKernel(
-            rng, scenario=scenario, retry_policy=ImmediateRetry(3),
-            mode="batched",
-        )
-        env = _CountingEnv(kernel)
-        jobs = dispatch_wave_jobs(kernel, 2_000, n_packed=4, spacing_s=0.01)
-        run_chain_waves(kernel, env, jobs)
         return env.succeeded + env.lost
 
     assert benchmark(run) == 2_000

@@ -140,9 +140,8 @@ class BurstDispatchKernel(DispatchKernel):
         interference: InterferenceModel,
         enforce_timeout: bool = True,
         telemetry: Optional["BurstInstrumentation"] = None,
-        mode: Optional[str] = None,
     ) -> None:
-        super().__init__(rng, mode=mode)
+        super().__init__(rng)
         self.sim = sim
         self.profile = profile
         self.scheduler = scheduler
@@ -281,18 +280,19 @@ class BurstDispatchKernel(DispatchKernel):
     def run(self, spec: BurstSpec, image: FunctionImage) -> RunResult:
         """Simulate the burst to completion and return its result.
 
-        In ``fluid`` mode an eligible burst (no faults, hedging, telemetry,
-        or subclass hooks — see :func:`repro.engine.fluid.fluid_ineligibility`)
-        skips the event loop and replays the pipeline's closed-form timeline
+        An eligible burst (no faults, hedging, telemetry, or subclass
+        hooks — see :func:`repro.engine.fluid.fluid_ineligibility`) skips
+        the event loop and replays the pipeline's closed-form timeline
         instead, producing a byte-identical result in O(instances) array
-        work; ineligible bursts fall back to the event-driven path.
+        work; every other burst runs on the event-driven path.
         """
-        if self.mode == "fluid":
-            from repro.engine.fluid import try_run_fluid
+        # Resolved per call: tests replace try_run_fluid to reach the
+        # event-loop reference.
+        from repro.engine.fluid import try_run_fluid
 
-            result = try_run_fluid(self, spec, image)
-            if result is not None:
-                return result
+        result = try_run_fluid(self, spec, image)
+        if result is not None:
+            return result
         self.begin(spec, image)
         self.sim.run()
         return self.collect()

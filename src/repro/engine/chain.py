@@ -41,9 +41,9 @@ class AttemptChain:
     lost: bool = False          # retries exhausted; work counted lost
     hedges_launched: int = 0
     #: Record ids in flight. Lazily allocated: most chains never hedge, so
-    #: at million-chain scale an eager per-chain set is pure GC pressure
-    #: (it measurably inflates wave-walk round times). ``None`` means
-    #: empty; use :meth:`track`/:meth:`untrack` rather than mutating.
+    #: at million-chain scale an eager per-chain set is pure GC pressure.
+    #: ``None`` means empty; use :meth:`track`/:meth:`untrack` rather than
+    #: mutating.
     active: Optional[set] = None
 
     def track(self, record_id: int) -> None:

@@ -11,24 +11,17 @@ draw, in the same order as the discrete-event path — so the result is
 array/loop work instead of O(instances · ~10) heap events.
 
 Eligibility rules and the draw-order contract are documented in
-``docs/PERFORMANCE.md``; the identity tests in
-``tests/test_kernel_modes.py`` pin fluid == batched == scalar.
+``docs/PERFORMANCE.md``; ``tests/test_kernel_modes.py`` pins the replay
+equal to the event loop, on buffered and on unbuffered draws.
 
-Two entry points:
-
-* :func:`try_run_fluid` — used by ``BurstDispatchKernel.run`` in ``fluid``
-  mode: returns a fully materialized, byte-identical :class:`RunResult`,
-  or ``None`` when the burst is ineligible (caller falls back to the
-  event loop).
-* :func:`run_fluid_aggregates` — the million-scale variant: same replay,
-  but skips per-instance record materialization and returns
-  :class:`FluidAggregates` whose count/cost/makespan match the
-  materialized result exactly (same sequential arithmetic over the same
-  floats).
+:func:`try_run_fluid` is the one entry point. ``BurstDispatchKernel.run``
+calls it for every burst and gets back a fully materialized,
+byte-identical :class:`RunResult`, or ``None`` when the burst is
+ineligible and must run on the event loop.
 
 On abort paths (billed timeout, fleet exhaustion) the fluid replay raises
 the same exception with the same message as the event-driven kernel, but
-may have consumed more prefetched RNG draws than the scalar path had at
+may have consumed more prefetched RNG draws than the event loop had at
 the abort point; a burst runs on a per-run RNG family, so this is
 unobservable outside the aborted run.
 """
@@ -37,13 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import ExpenseBreakdown, FaultStats, InstanceRecord, RunResult
+from repro.platform.metrics import InstanceRecord, RunResult
 from repro.platform.scheduler import PlacementScheduler
 
 if TYPE_CHECKING:  # annotation-only: avoid a cycle with engine.burst
@@ -113,61 +105,18 @@ def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Opt
     return None
 
 
-@dataclass(frozen=True)
-class FluidAggregates:
-    """Aggregate result of an un-materialized fluid burst.
-
-    ``expense`` / ``makespan_s`` / ``scaling_time_s`` are computed with the
-    identical sequential arithmetic the materialized path uses, so they
-    equal the corresponding :class:`RunResult` values exactly.
-    """
-
-    platform_name: str
-    app_name: str
-    concurrency: int
-    packing_degree: int
-    n_records: int
-    n_warm_starts: int
-    scaling_time_s: float
-    makespan_s: float
-    expense: ExpenseBreakdown
-    total_billed_gb_seconds: float
-
-    @property
-    def total_expense_usd(self) -> float:
-        return self.expense.total_usd
-
-
 def try_run_fluid(
     kernel: "BurstDispatchKernel", spec: "BurstSpec", image: "FunctionImage"
-):
+) -> Optional[RunResult]:
     """Run ``spec`` through the fluid replay, or ``None`` if ineligible."""
     if fluid_ineligibility(kernel, spec) is not None:
         return None
-    return _run_fluid(kernel, spec, image, materialize=True)
-
-
-def run_fluid_aggregates(
-    kernel: "BurstDispatchKernel", spec: "BurstSpec", image: "FunctionImage"
-) -> FluidAggregates:
-    """Million-scale entry point: replay without per-instance records.
-
-    Raises ``ValueError`` when the burst is ineligible — at the scales this
-    is meant for, silently falling back to the event loop would be a
-    thousand-fold slowdown, which should be an explicit caller decision.
-    """
-    reason = fluid_ineligibility(kernel, spec)
-    if reason is not None:
-        raise ValueError(f"burst is not fluid-eligible: {reason}")
-    return _run_fluid(kernel, spec, image, materialize=False)
+    return _run_fluid(kernel, spec, image)
 
 
 def _run_fluid(
-    kernel: "BurstDispatchKernel",
-    spec: "BurstSpec",
-    image: "FunctionImage",
-    materialize: bool,
-):
+    kernel: "BurstDispatchKernel", spec: "BurstSpec", image: "FunctionImage"
+) -> RunResult:
     from repro.engine.burst import FunctionTimeoutError
     from repro.faults.retry import ImmediateRetry
     from repro.engine.kernel import resolve_retry_policy
@@ -386,16 +335,12 @@ def _run_fluid(
     dyn: list[tuple[float, int, int, int]] = []  # (t, seq, kind, record id)
     dseq = 0
     DONE, WARM = 0, 1
-    n_warm = 0
     makespan = 0.0
-    last_start = 0.0
 
     def start_exec(rid: int, t: float) -> None:
-        nonlocal exec_idx, skew_cursor, dseq, makespan, last_start
+        nonlocal exec_idx, skew_cursor, dseq, makespan
         n = npacked[rid]
         exec_start[rid] = t
-        if t > last_start:
-            last_start = t
         noise = enoise[exec_idx]
         exec_idx += 1
         if skew_draws is not None:
@@ -481,7 +426,6 @@ def _run_fluid(
                     penalty_cache[n_w] = penalty_for(n_w)
                 heapq.heappush(dyn, (t + spec.warm_dispatch_s, dseq, WARM, wid))
                 dseq += 1
-                n_warm += 1
             else:
                 occupancy -= 1
 
@@ -491,60 +435,16 @@ def _run_fluid(
     kernel._pending_functions = 0
     kernel.sim._now = makespan  # observational parity with the event path
 
-    n_records = len(npacked)
-    billing = BillingModel(profile)
-
-    if materialize:
-        records = kernel._records
-        for rid in range(n_records):
-            records.append(
-                _make_record(
-                    rid, npacked[rid], invoked[rid], sched_done[rid],
-                    built_at[rid], shipped_at[rid], exec_start[rid],
-                    exec_end[rid], provisioned, warm_flag[rid],
-                )
+    records = kernel._records
+    for rid in range(len(npacked)):
+        records.append(
+            _make_record(
+                rid, npacked[rid], invoked[rid], sched_done[rid],
+                built_at[rid], shipped_at[rid], exec_start[rid],
+                exec_end[rid], provisioned, warm_flag[rid],
             )
-        return kernel.collect()
-
-    # Aggregates-only: identical sequential arithmetic, no record objects.
-    billed_gb = billing.billed_memory_mb(provisioned) / 1024.0
-    fidelity = billing.fidelity
-    rate = profile.gb_second_usd
-    compute = 0.0
-    total_gbs = 0.0
-    if fidelity.exact:
-        for rid in range(n_records):
-            es = exec_end[rid] - exec_start[rid]
-            compute += es * billed_gb * rate
-            total_gbs += es * billed_gb
-    else:
-        for rid in range(n_records):
-            es = exec_end[rid] - exec_start[rid]
-            compute += fidelity.billed_seconds(es) * billed_gb * rate
-            total_gbs += es * billed_gb
-    expense = ExpenseBreakdown(
-        compute_usd=float(compute),
-        requests_usd=float(n_records * profile.per_request_usd),
-        storage_usd=float(
-            usage.put_requests * profile.storage_put_usd
-            + usage.get_requests * profile.storage_get_usd
-        ),
-        egress_usd=float((usage.transferred_mb / 1024.0) * profile.egress_usd_per_gb),
-    )
-    kernel._stats = FaultStats()
-    kernel._stats.total_billed_gb_seconds = total_gbs
-    return FluidAggregates(
-        platform_name=profile.name,
-        app_name=app.name,
-        concurrency=spec.concurrency,
-        packing_degree=packing,
-        n_records=n_records,
-        n_warm_starts=n_warm,
-        scaling_time_s=last_start,
-        makespan_s=makespan,
-        expense=expense,
-        total_billed_gb_seconds=total_gbs,
-    )
+        )
+    return kernel.collect()
 
 
 def _make_record(

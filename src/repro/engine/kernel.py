@@ -33,34 +33,6 @@ from repro.faults.throttle import TokenBucket
 from repro.sim.randomness import RandomStreams
 
 
-#: The three dispatch execution modes (see docs/PERFORMANCE.md):
-#:
-#: * ``scalar``  — the legacy path: one RNG draw per decision, straight off
-#:   the raw numpy generators. Kept as the parity reference.
-#: * ``batched`` — identical control flow, but every stream serves scalar
-#:   draws from prefetched blocks (:class:`~repro.sim.randomness.BufferedGenerator`).
-#:   Byte-identical to ``scalar`` by construction; the default.
-#: * ``fluid``   — batched draws plus the analytic burst fast path
-#:   (:mod:`repro.engine.fluid`): eligible bursts skip the event loop
-#:   entirely and replay the pipeline's closed-form timeline columnar-ly.
-#:   Ineligible runs fall back to ``batched`` behaviour automatically.
-KERNEL_MODES = ("scalar", "batched", "fluid")
-
-#: Mode used when a consumer passes ``mode=None``.
-DEFAULT_KERNEL_MODE = "batched"
-
-
-def resolve_kernel_mode(mode: Optional[str]) -> str:
-    """Validate and default a kernel-mode selector."""
-    if mode is None:
-        return DEFAULT_KERNEL_MODE
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r} (expected one of {KERNEL_MODES})"
-        )
-    return mode
-
-
 def resolve_retry_policy(
     policy: Optional[RetryPolicy],
     scenario: Optional[FaultScenario],
@@ -174,15 +146,12 @@ class DispatchKernel:
         retry_policy: Optional[RetryPolicy] = None,
         profile_failure_rate: float = 0.0,
         metrics: Optional[Any] = None,
-        mode: Optional[str] = None,
     ) -> None:
         self.rng = rng
-        self.mode = resolve_kernel_mode(mode)
-        if self.mode != "scalar":
-            # Batched draws are byte-identical to scalar draws per stream
-            # (the BufferedGenerator contract), so flipping this on never
-            # changes a seeded run's output — only its speed.
-            rng.enable_batching()
+        # Buffered draws are byte-identical to unbuffered draws per stream
+        # (the BufferedGenerator contract), so batching changes a seeded
+        # run's speed, never its output.
+        rng.enable_batching()
         self.scenario: Optional[FaultScenario] = None
         self.injector: Optional[FaultInjector] = None
         self.bucket: Optional[TokenBucket] = None
@@ -234,7 +203,6 @@ class DispatchKernel:
             scenario=self.scenario,
             retry_policy=self.retry_policy,
             profile_failure_rate=self.profile_failure_rate,
-            mode=self.mode,
         )
 
     # ------------------------------------------------------------------ #

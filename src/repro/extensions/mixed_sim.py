@@ -137,15 +137,9 @@ class MixedBurstSimulator:
         self,
         profile: PlatformProfile,
         seed: int = 0,
-        kernel_mode: Optional[str] = None,
     ) -> None:
         self.profile = profile
         self.seed = seed
-        #: RNG mode for the dispatch kernel (``None`` → the engine default,
-        #: batched). The mixed planner overrides kernel hooks, so the fluid
-        #: closed form never applies here; scalar/batched stay
-        #: byte-identical.
-        self.kernel_mode = kernel_mode
 
     def run(self, plan: MixedPlan, repetition: int = 0) -> MixedRunResult:
         if not plan.groups:
@@ -184,7 +178,6 @@ class MixedBurstSimulator:
             interference=None,  # the mixed model replaces the homogeneous one
             enforce_timeout=False,
             model=model,
-            mode=self.kernel_mode,
         )
         # Burst-wide defaults only: noise-neutral factors, max-memory
         # provisioning (the paper's setup); group sizing is per chain.

@@ -223,7 +223,6 @@ class StreamingDispatcher:
         process: Optional[ArrivalProcess] = None,
         scenario: Optional[FaultScenario] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        kernel_mode: Optional[str] = None,
     ) -> StreamingResult:
         """Simulate ``n_requests`` arrivals under ``policy``.
 
@@ -261,7 +260,6 @@ class StreamingDispatcher:
             scenario=scenario,
             retry_policy=resolve_retry_policy(retry_policy, scenario),
             profile_failure_rate=self.profile.failure_rate,
-            mode=kernel_mode,
         )
         sim = Simulator()
         result = StreamingResult(policy=policy, n_requests=n_requests)

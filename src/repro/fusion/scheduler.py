@@ -26,7 +26,6 @@ exact vs 100 ms-rounded dollars on one set of records.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.fusion.spec import FusionGroup, FusionPlan
@@ -183,17 +182,15 @@ class FusionScheduler:
         self,
         profile: PlatformProfile,
         seed: int = 0,
-        kernel_mode: Optional[str] = None,
     ) -> None:
         self.profile = profile
         self.seed = seed
         self.billing = BillingModel(profile)
-        self.kernel_mode = kernel_mode
 
     def execute(self, plan: FusionPlan, repetition: int = 0) -> FusionRunReport:
-        result = MixedBurstSimulator(
-            self.profile, self.seed, kernel_mode=self.kernel_mode
-        ).run(plan.to_mixed_plan(), repetition)
+        result = MixedBurstSimulator(self.profile, self.seed).run(
+            plan.to_mixed_plan(), repetition
+        )
         assert result.storage is not None
         expense, bills = attribute_expense(
             plan, result.run.records, result.storage, self.billing

@@ -52,7 +52,6 @@ class ServerlessPlatform:
         seed: int = 0,
         enforce_timeout: bool = True,
         telemetry: Union[TelemetryConfig, TelemetrySession, None] = None,
-        kernel_mode: Optional[str] = "fluid",
     ) -> None:
         self.profile = profile
         self.seed = int(seed)
@@ -61,14 +60,6 @@ class ServerlessPlatform:
         #: One telemetry session spans every burst this platform runs:
         #: each burst becomes a process band in the exported Chrome trace.
         self.telemetry = resolve_session(telemetry)
-        #: RNG/dispatch mode for every burst kernel this platform builds
-        #: (see :data:`repro.engine.kernel.KERNEL_MODES`). The default
-        #: ``"fluid"`` auto-falls back to the event-driven batched path on
-        #: any burst the closed-form replay cannot represent exactly
-        #: (faults, hedging, telemetry, ... — see
-        #: :func:`repro.engine.fluid.fluid_ineligibility`), so results are
-        #: byte-identical across all three modes.
-        self.kernel_mode = kernel_mode
         self._run_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -154,7 +145,6 @@ class ServerlessPlatform:
             self.interference_model(),
             enforce_timeout=self.enforce_timeout,
             telemetry=instrumentation,
-            mode=self.kernel_mode,
         )
         return invoker.run(spec, self.image_for(spec.app))
 

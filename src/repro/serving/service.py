@@ -320,7 +320,6 @@ class ServingSimulator:
         seed: int = 0,
         telemetry: Union[TelemetryConfig, TelemetrySession, None] = None,
         remediation: Optional["RemediationLoop"] = None,
-        kernel_mode: Optional[str] = None,
     ) -> None:
         self.profile = profile
         self.app = app
@@ -332,10 +331,6 @@ class ServingSimulator:
         self.scenario = scenario
         self.retry_policy = retry_policy
         self.seed = seed
-        #: RNG mode for the dispatch kernel every run builds (``None`` →
-        #: the engine default, batched); scalar and batched runs are
-        #: byte-identical by the facade contract.
-        self.kernel_mode = kernel_mode
         #: Optional closed-loop auto-remediation (see repro.remediation):
         #: ticks inside sim time, actuating through _RemediationPort.
         self.remediation = remediation
@@ -407,7 +402,6 @@ class _ServingRun:
             scenario=scenario,
             retry_policy=resolve_retry_policy(owner.retry_policy, scenario),
             profile_failure_rate=owner.profile.failure_rate,
-            mode=owner.kernel_mode,
         )
         self.injector = self.kernel.injector
         self.throttle = self.kernel.bucket

@@ -202,7 +202,7 @@ class BufferedGenerator:
         return getattr(self._gen, name)
 
 
-#: A stream handle: a raw generator (scalar mode) or its batched facade.
+#: A stream handle: a raw generator or its batched facade.
 StreamHandle = Union[np.random.Generator, BufferedGenerator]
 
 

@@ -1,32 +1,40 @@
-"""Byte-identity of the three kernel modes (scalar / batched / fluid).
+"""Byte-identity of the dispatch fast paths against their references.
 
-The refactor's correctness contract: ``batched`` draws RNG values through
-the block-buffered facade (same floats, fewer Generator calls — see
-``tests/test_batched_draws.py`` for the facade's own identity suite) and
-``fluid`` replays eligible bursts in closed form. Neither may change a
-single bit of any result, so every test here runs the identical workload
-under two or three modes and asserts full equality — records, expense,
-fault stats, signatures — not approximate agreement.
+Every dispatch consumer runs one configuration: the kernel serves its RNG
+draws from prefetched blocks (``BufferedGenerator``) and every burst tries
+the closed-form fluid replay before the event loop. Neither may change a
+single bit of any result, so each test runs one workload on several paths
+and asserts full equality — records, expense, fault stats, signatures —
+not approximate agreement. The references exist only here:
+
+* ``scalar`` — unbuffered numpy draws, event loop only;
+* ``event-loop`` — buffered draws, event loop only;
+* ``default`` — what every caller runs.
+
+``tests/test_batched_draws.py`` pins the draw facade itself.
 """
+
+import functools
 
 import pytest
 
 from repro.chaos.auditor import InvariantAuditor
 from repro.core.models import ExecutionTimeModel
-from repro.engine.fluid import run_fluid_aggregates
+from repro.engine import DispatchKernel, fluid
 from repro.extensions.mixed import MixedPacker
 from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.extensions.streaming import StreamingPolicy
-from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy
+from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy, ImmediateRetry
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
 from repro.platform.invoker import BurstSpec
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.serving import FixedTTL, PoissonProcess, ServingSimulator, WarmPool
+from repro.sim.randomness import RandomStreams
 from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import SORT, VIDEO, XAPIAN
 
-MODES = ("scalar", "batched", "fluid")
+PATHS = ("scalar", "event-loop", "default")
 
 FAULTS = FaultScenario(
     name="modes",
@@ -37,10 +45,34 @@ FAULTS = FaultScenario(
 )
 
 
-def _burst(mode, spec, provider=AWS_LAMBDA, seed=77):
+def _on_path(path, run):
+    """Call ``run()`` on one dispatch path.
+
+    Returns its result and the number of bursts the fluid replay served.
+    """
+    real_replay = fluid.try_run_fluid
+    served = []
+
+    def replay(kernel, spec, image):
+        result = real_replay(kernel, spec, image) if path == "default" else None
+        served.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "try_run_fluid", replay)
+        if path == "scalar":
+            mp.setattr(RandomStreams, "enable_batching", lambda self, block=0: None)
+        return run(), sum(served)
+
+
+def _burst(spec, provider=AWS_LAMBDA, seed=77):
     # repetition pinned so the RNG family is independent of call order
-    platform = ServerlessPlatform(provider, seed=seed, kernel_mode=mode)
+    platform = ServerlessPlatform(provider, seed=seed)
     return platform.run_burst(spec, repetition=0)
+
+
+def _burst_on_paths(spec, **kwargs):
+    return [_on_path(path, lambda: _burst(spec, **kwargs)) for path in PATHS]
 
 
 @pytest.mark.parametrize(
@@ -53,26 +85,27 @@ def _burst(mode, spec, provider=AWS_LAMBDA, seed=77):
     ids=["plain", "packed", "waved"],
 )
 def test_clean_burst_identical_across_all_modes(spec):
-    """Fault-free bursts are fluid-eligible: all three modes must agree on
-    every field of the RunResult (dataclass equality is recursive through
-    records, expense, and fault stats)."""
-    scalar, batched, fluid = (_burst(m, spec) for m in MODES)
-    assert scalar == batched
-    assert batched == fluid
+    """Fault-free bursts take the fluid replay, which must agree with the
+    event loop on every field of the RunResult (dataclass equality is
+    recursive through records, expense, and fault stats)."""
+    (scalar, _), (event_loop, _), (default, replayed) = _burst_on_paths(spec)
+    assert replayed == 1
+    assert scalar == event_loop == default
 
 
 def test_faulted_burst_scalar_batched_identical_and_fluid_falls_back():
-    """With faults the fluid path is ineligible — mode='fluid' must fall
-    back to the event loop and still match scalar byte-for-byte."""
+    """With faults the replay is ineligible: the default path falls back
+    to the event loop and still matches the references byte for byte."""
     spec = BurstSpec(
         app=SORT,
         concurrency=800,
         scenario=FAULTS,
         retry_policy=ExponentialBackoffRetry(base_s=0.05, max_retries=3),
     )
-    scalar, batched, fluid = (_burst(m, spec) for m in MODES)
-    assert scalar.fault_stats.signature() == batched.fault_stats.signature()
-    assert scalar == batched == fluid
+    (scalar, _), (event_loop, _), (default, replayed) = _burst_on_paths(spec)
+    assert replayed == 0
+    assert scalar.fault_stats.signature() == event_loop.fault_stats.signature()
+    assert scalar == event_loop == default
     assert scalar.fault_stats.crashed_attempts > 0  # the scenario bit
 
 
@@ -83,85 +116,111 @@ def test_hedged_burst_identical_across_modes():
         scenario=FaultScenario(name="strag", straggler_rate=0.2),
         hedge=HedgePolicy(trigger_factor=1.5),
     )
-    scalar, batched, fluid = (_burst(m, spec) for m in MODES)
-    assert scalar == batched == fluid
+    (scalar, _), (event_loop, _), (default, _) = _burst_on_paths(spec)
+    assert scalar == event_loop == default
     assert scalar.fault_stats.hedged_attempts > 0
 
 
 def test_second_provider_identical_across_modes():
     spec = BurstSpec(app=VIDEO, concurrency=600, packing_degree=4)
-    results = [_burst(m, spec, provider=GOOGLE_CLOUD_FUNCTIONS) for m in MODES]
+    results = [r for r, _ in _burst_on_paths(spec, provider=GOOGLE_CLOUD_FUNCTIONS)]
     assert results[0] == results[1] == results[2]
 
 
-def test_fluid_aggregates_match_materialized_result():
-    """The million-scale aggregate replay must reproduce the materialized
-    run's totals exactly — same arithmetic over the same floats."""
-    spec = BurstSpec(app=SORT, concurrency=1500, wave_size=400)
-    platform = ServerlessPlatform(AWS_LAMBDA, seed=42, kernel_mode="batched")
-    want = platform.run_burst(spec, repetition=0)
+# --------------------------------------------------------------------- #
+# The synchronous chain walk (streaming's per-batch path).
+# --------------------------------------------------------------------- #
 
-    from repro.engine.burst import BurstDispatchKernel  # build a twin kernel
-    platform2 = ServerlessPlatform(AWS_LAMBDA, seed=42, kernel_mode="fluid")
-    # Drive the aggregates entry point through a real kernel the same way
-    # BurstInvoker does, by intercepting run(): simplest faithful route is
-    # a fluid-mode full run (byte-identical, asserted above) plus the
-    # aggregate twin for the totals.
-    got_full = platform2.run_burst(spec, repetition=0)
-    assert got_full == want
+STORMY = FaultScenario(
+    name="stormy",
+    crash_rate=0.2,
+    throttle_capacity=64,
+    throttle_refill_per_s=500.0,
+    straggler_rate=0.05,
+)
+TIGHT = FaultScenario(
+    name="tight", throttle_capacity=4, throttle_refill_per_s=10.0,
+    throttle_max_retries=2,
+)
 
-    class _Capture(Exception):
+
+class _ChainEnv:
+    """Minimal ``run_synchronous_chain`` consumer that logs every outcome."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.clock = 0.0
+        self.log = []
+        self.retries = 0
+        self.lost = 0
+
+    def throttle_clock(self, launch_at):
+        self.clock = max(self.clock, launch_at)
+        return self.clock
+
+    def on_throttled(self, chain):
         pass
 
-    captured = {}
-    orig = BurstDispatchKernel.run
+    def on_rejected(self, chain):
+        self.lost += 1
 
-    def capture(self, spec_, image):
-        captured["aggregates"] = run_fluid_aggregates(self, spec_, image)
-        raise _Capture
+    def is_warm(self, launch_at):
+        return False
 
-    BurstDispatchKernel.run = capture
-    try:
-        platform3 = ServerlessPlatform(AWS_LAMBDA, seed=42, kernel_mode="fluid")
-        with pytest.raises(_Capture):
-            platform3.run_burst(spec, repetition=0)
-    finally:
-        BurstDispatchKernel.run = orig
+    def attempt_seconds(self, chain, warm):
+        factor = self.kernel.exec_noise_factor(0.25)
+        factor *= self.kernel.straggler_factor()
+        return chain.n_packed * 0.1 * factor
 
-    agg = captured["aggregates"]
-    assert agg.n_records == want.n_instances
-    assert agg.n_warm_starts == sum(1 for r in want.records if r.warm_start)
-    assert agg.scaling_time_s == want.scaling_time
-    assert agg.makespan_s == want.service_time()
-    assert agg.expense == want.expense
-    assert agg.total_billed_gb_seconds == want.fault_stats.total_billed_gb_seconds
+    def on_success(self, chain, launch_at, warm, exec_seconds):
+        self.log.append((chain.chain_id, launch_at, exec_seconds))
+
+    def on_crash(self, chain, launch_at, warm, exec_seconds, crash):
+        return launch_at + crash.at_fraction * exec_seconds
+
+    def on_retry(self, chain, delay):
+        self.retries += 1
+
+    def on_exhausted(self, chain):
+        self.lost += 1
 
 
-def test_fluid_aggregates_rejects_ineligible_burst():
-    from repro.engine.burst import BurstDispatchKernel
+def _walk(scenario, n_chains, n_packed, spacing_s):
+    kernel = DispatchKernel(
+        RandomStreams(17).spawn("kernel-bench"),
+        scenario=scenario,
+        retry_policy=ImmediateRetry(3),
+    )
+    env = _ChainEnv(kernel)
+    for i in range(n_chains):
+        chain = kernel.new_chain(n_packed=n_packed, retry=kernel.fresh_retry())
+        kernel.run_synchronous_chain(chain, env, launch_at=i * spacing_s)
+    return kernel, env
 
-    spec = BurstSpec(app=SORT, concurrency=100, scenario=FAULTS)
 
-    class _Capture(Exception):
-        pass
+def test_faulted_chain_walk_identical_across_modes_and_conserving():
+    (_, scalar), _ = _on_path("scalar", lambda: _walk(STORMY, 2000, 4, 0.01))
+    (kernel, default), _ = _on_path("default", lambda: _walk(STORMY, 2000, 4, 0.01))
+    assert scalar.log == default.log  # float-for-float, same order
+    assert (scalar.retries, scalar.lost) == (default.retries, default.lost)
+    assert default.retries > 0
+    assert len(default.log) + default.lost == 2000
+    assert all(c.satisfied or c.lost for c in kernel.chains.values())
 
-    orig = BurstDispatchKernel.run
 
-    def capture(self, spec_, image):
-        with pytest.raises(ValueError, match="not fluid-eligible"):
-            run_fluid_aggregates(self, spec_, image)
-        raise _Capture
-
-    BurstDispatchKernel.run = capture
-    try:
-        with pytest.raises(_Capture):
-            ServerlessPlatform(AWS_LAMBDA, seed=1).run_burst(spec, repetition=0)
-    finally:
-        BurstDispatchKernel.run = orig
+def test_throttle_storm_chain_walk_identical_across_modes():
+    (k1, scalar), _ = _on_path("scalar", lambda: _walk(TIGHT, 100, 1, 0.001))
+    (k2, default), _ = _on_path("default", lambda: _walk(TIGHT, 100, 1, 0.001))
+    assert scalar.log == default.log
+    assert scalar.lost == default.lost
+    assert (k1.bucket.admitted, k1.bucket.rejected) == (
+        k2.bucket.admitted, k2.bucket.rejected
+    )
+    assert k2.bucket.rejected > 0
 
 
 # --------------------------------------------------------------------- #
-# Serving / mixed-sim / chaos-audited consumers: same modes, same bits.
+# Serving / mixed-sim / chaos-audited consumers: same bits on every path.
 # --------------------------------------------------------------------- #
 
 _EXEC = ExecutionTimeModel(
@@ -169,7 +228,7 @@ _EXEC = ExecutionTimeModel(
 )
 
 
-def _serving_run(mode, telemetry=None):
+def _serving_run(telemetry=None):
     sim = ServingSimulator(
         AWS_LAMBDA,
         XAPIAN,
@@ -177,7 +236,6 @@ def _serving_run(mode, telemetry=None):
         pool=WarmPool(FixedTTL(60.0)),
         seed=11,
         telemetry=telemetry,
-        kernel_mode=mode,
     )
     return sim.run(
         PoissonProcess(6.0),
@@ -187,19 +245,22 @@ def _serving_run(mode, telemetry=None):
 
 
 def test_serving_scalar_batched_identical():
-    assert _serving_run("scalar").signature() == _serving_run("batched").signature()
+    scalar, _ = _on_path("scalar", _serving_run)
+    default, _ = _on_path("default", _serving_run)
+    assert scalar.signature() == default.signature()
 
 
 def test_serving_chaos_audited_identical_and_clean():
-    """Mode must not change results even with a live auditor subscribed —
-    and the audited runs must be violation-free under both modes."""
+    """Buffered draws must not change results even with a live auditor
+    subscribed — and the audited runs must be violation-free on both
+    paths."""
     signatures = []
-    for mode in ("scalar", "batched"):
+    for path in ("scalar", "default"):
         session = TelemetrySession(
             TelemetryConfig(tracing=False, metrics=False, events=False)
         )
         auditor = InvariantAuditor().attach(session.bus)
-        result = _serving_run(mode, telemetry=session)
+        result, _ = _on_path(path, functools.partial(_serving_run, telemetry=session))
         report = auditor.finalize(result)
         assert report.ok, report.summary()
         assert report.events_seen > 0
@@ -208,11 +269,10 @@ def test_serving_chaos_audited_identical_and_clean():
 
 
 def test_mixed_sim_scalar_batched_identical():
-    packer = MixedPacker(AWS_LAMBDA)
-    plan = packer.pack_mixed({SORT: 60, VIDEO: 40})
+    plan = MixedPacker(AWS_LAMBDA).pack_mixed({SORT: 60, VIDEO: 40})
     results = [
-        MixedBurstSimulator(AWS_LAMBDA, seed=121, kernel_mode=m).run(plan)
-        for m in ("scalar", "batched")
+        _on_path(path, lambda: MixedBurstSimulator(AWS_LAMBDA, seed=121).run(plan))[0]
+        for path in ("scalar", "default")
     ]
     assert results[0].run == results[1].run
     assert results[0].storage == results[1].storage
