@@ -8,16 +8,20 @@ batching delay**: a request waits for its instance to fill (or a timeout).
 
 This example plans a ``(packing degree, batch timeout)`` policy for a
 Xapian-like service at several arrival rates under a p95 sojourn-time QoS,
-then validates each plan against the discrete-event stream simulation.
+then validates each plan in the serving simulator: a warm pool with a
+120 s keep-alive, billed cold-start initialization and warm idle time.
 
     python examples/streaming_service.py
 """
 
 from repro import AWS_LAMBDA, ProPack, ServerlessPlatform
-from repro.extensions.streaming import (
-    StreamingDispatcher,
-    StreamingPlanner,
+from repro.extensions.streaming import StreamingPlanner
+from repro.serving import (
+    FixedTTL,
+    PoissonProcess,
+    ServingSimulator,
     StreamingPolicy,
+    WarmPool,
 )
 from repro.workloads import XAPIAN
 
@@ -30,20 +34,27 @@ def main() -> None:
     platform = ServerlessPlatform(AWS_LAMBDA, seed=53)
     exec_model = ProPack(platform).exec_model(XAPIAN)
     planner = StreamingPlanner(AWS_LAMBDA, XAPIAN, exec_model)
-    dispatcher = StreamingDispatcher(AWS_LAMBDA, XAPIAN, exec_model, seed=53)
+
+    def serve(policy, rate, repetition=0):
+        simulator = ServingSimulator(
+            AWS_LAMBDA, XAPIAN, exec_model,
+            pool=WarmPool(FixedTTL(120.0)),
+            seed=53,
+        )
+        # Poisson arrivals over the horizon that averages N_REQUESTS.
+        return simulator.run(
+            PoissonProcess(rate), policy, N_REQUESTS / rate, repetition=repetition
+        )
 
     print(f"== Streaming {XAPIAN.name}: p95 sojourn <= {QOS_SOJOURN_S}s ==\n")
     print(f"{'rate(req/s)':>11} {'degree':>6} {'timeout(s)':>10} "
           f"{'p95 sojourn':>11} {'$/1k req':>9} {'vs solo':>8}")
     for rate in (0.5, 2.0, 8.0, 32.0):
         policy = planner.plan(arrival_rate_per_s=rate, qos_sojourn_s=QOS_SOJOURN_S)
-        result = dispatcher.run(policy, rate, N_REQUESTS)
-        solo = dispatcher.run(
-            StreamingPolicy(degree=1, batch_timeout_s=0.0), rate, N_REQUESTS,
-            repetition=1,
-        )
-        cost = result.cost_per_request_usd(AWS_LAMBDA) * 1000
-        solo_cost = solo.cost_per_request_usd(AWS_LAMBDA) * 1000
+        result = serve(policy, rate)
+        solo = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), rate, 1)
+        cost = result.cost_per_request_usd() * 1000
+        solo_cost = solo.cost_per_request_usd() * 1000
         ok = "ok" if result.p95_sojourn_s <= QOS_SOJOURN_S else "VIOLATED"
         print(f"{rate:>11.1f} {policy.degree:>6} {policy.batch_timeout_s:>10.2f} "
               f"{result.p95_sojourn_s:>9.1f}{ok:>2} {cost:>9.2f} "

@@ -125,7 +125,6 @@ def _cmd_audit(args, log) -> int:
     import numpy as np
 
     from repro.core.models import ExecutionTimeModel
-    from repro.extensions.streaming import StreamingPolicy
     from repro.faults.retry import ExponentialBackoffRetry
     from repro.faults.scenario import SCENARIOS
     from repro.platform.providers import GOOGLE_CLOUD_FUNCTIONS
@@ -139,6 +138,7 @@ def _cmd_audit(args, log) -> int:
         PoissonProcess,
         ServingConfig,
         ServingSimulator,
+        StreamingPolicy,
         WarmPool,
     )
     from repro.telemetry.config import TelemetryConfig, TelemetrySession

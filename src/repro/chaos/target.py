@@ -83,7 +83,6 @@ class ChaosServingTarget(CampaignTarget):
         import numpy as np
 
         from repro.core.models import ExecutionTimeModel
-        from repro.extensions.streaming import StreamingPolicy
         from repro.faults.retry import ExponentialBackoffRetry
         from repro.platform.providers import PROVIDERS
         from repro.resilience import (
@@ -96,6 +95,7 @@ class ChaosServingTarget(CampaignTarget):
             PoissonProcess,
             ServingConfig,
             ServingSimulator,
+            StreamingPolicy,
             WarmPool,
         )
         from repro.telemetry.config import TelemetryConfig, TelemetrySession

@@ -1,9 +1,8 @@
 """The unified dispatch engine: one attempt-chain state machine.
 
 Every dispatch path in the reproduction — one-shot bursts
-(:class:`~repro.platform.invoker.BurstInvoker`), sustained streams
-(:class:`~repro.extensions.streaming.StreamingDispatcher`), and
-long-horizon serving (:class:`~repro.serving.service.ServingSimulator`) —
+(:class:`~repro.platform.invoker.BurstInvoker`) and sustained traffic
+(:class:`~repro.serving.service.ServingSimulator`) —
 executes the same per-instance lifecycle: admission (429 throttling) →
 provisioning (cold pipeline or warm reuse) → execution (noise, stragglers,
 crash draws) → billing attribution → retry/hedge arbitration. This package

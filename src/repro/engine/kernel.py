@@ -13,7 +13,9 @@ decisions now:
   the chain's attempt counter and decorrelated-jitter feedback state;
 * :meth:`DispatchKernel.run_synchronous_chain` — the full attempt walk on
   an arithmetic clock (throttle → warm check → execute → crash → retry),
-  used by dispatch paths that do not need discrete-event interleaving.
+  for walks that need no discrete-event interleaving. No production
+  dispatch path calls it; the kernel identity tests and the
+  ``chains_per_s`` micro-benchmark do.
 
 All randomness flows through the dedicated ``RandomStreams`` labels the
 consumers already used (``exec``, ``retry``, ``fault.*``), in the same draw
@@ -323,8 +325,8 @@ class DispatchKernel:
         The full lifecycle — throttle gate, warm check, execution draw,
         crash draw, retry arbitration — without a discrete-event simulator:
         each attempt's timestamps are computed directly and the next
-        attempt's launch time is the crash time plus the retry delay. Used
-        by dispatch paths whose attempts never interleave (streaming).
+        attempt's launch time is the crash time plus the retry delay, so
+        it suits walks whose attempts never interleave.
         """
         while True:
             if self.bucket is not None:

@@ -869,14 +869,18 @@ def streaming_policies(ctx: ExperimentContext) -> FigureResult:
     """S1 (ours) — packing a sustained request stream under a sojourn QoS.
 
     For several Poisson arrival rates, plan a ``(degree, timeout)`` policy
-    with the streaming planner and validate it against the discrete-event
-    stream simulation. Cost per request falls as traffic grows (fuller
-    batches fit under the same bound).
+    with the streaming planner and validate it in the serving simulator
+    (a 120 s keep-alive pool, billed cold-start initialization and warm
+    idle time). Cost per request falls as traffic grows (fuller batches
+    fit under the same bound).
     """
-    from repro.extensions.streaming import (
-        StreamingDispatcher,
-        StreamingPlanner,
+    from repro.extensions.streaming import StreamingPlanner
+    from repro.serving import (
+        FixedTTL,
+        PoissonProcess,
+        ServingSimulator,
         StreamingPolicy,
+        WarmPool,
     )
     from repro.workloads import XAPIAN
 
@@ -890,18 +894,25 @@ def streaming_policies(ctx: ExperimentContext) -> FigureResult:
     pp = ctx.propack()
     exec_model = pp.exec_model(XAPIAN)
     planner = StreamingPlanner(AWS_LAMBDA, XAPIAN, exec_model)
-    dispatcher = StreamingDispatcher(
-        AWS_LAMBDA, XAPIAN, exec_model, seed=ctx.config.seed
-    )
     n = 400
+
+    def serve(policy, rate, repetition):
+        simulator = ServingSimulator(
+            AWS_LAMBDA,
+            XAPIAN,
+            exec_model,
+            pool=WarmPool(FixedTTL(120.0)),
+            seed=ctx.config.seed,
+        )
+        return simulator.run(
+            PoissonProcess(rate), policy, n / rate, repetition=repetition
+        )
+
     for rate in (0.5, 2.0, 8.0, 32.0):
         policy = planner.plan(arrival_rate_per_s=rate, qos_sojourn_s=qos)
-        run = dispatcher.run(policy, rate, n)
-        solo = dispatcher.run(
-            StreamingPolicy(degree=1, batch_timeout_s=0.0), rate, n, repetition=1
-        )
-        cost = run.cost_per_request_usd(AWS_LAMBDA)
-        solo_cost = solo.cost_per_request_usd(AWS_LAMBDA)
+        run = serve(policy, rate, 0)
+        solo = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), rate, 1)
+        cost = run.cost_per_request_usd()
         result.add(
             rate_per_s=rate,
             degree=policy.degree,
@@ -909,7 +920,7 @@ def streaming_policies(ctx: ExperimentContext) -> FigureResult:
             p95_sojourn_s=run.p95_sojourn_s,
             meets_qos=run.p95_sojourn_s <= qos,
             usd_per_1k_requests=cost * 1000,
-            savings_vs_solo_pct=improvement(solo_cost, cost),
+            savings_vs_solo_pct=improvement(solo.cost_per_request_usd(), cost),
         )
     return result
 
@@ -1326,7 +1337,6 @@ def selfhealing_storms(ctx: ExperimentContext) -> FigureResult:
     """
     import numpy as np
 
-    from repro.extensions.streaming import StreamingPolicy
     from repro.faults.retry import ExponentialBackoffRetry
     from repro.faults.scenario import FaultScenario
     from repro.platform.providers import GOOGLE_CLOUD_FUNCTIONS
@@ -1341,6 +1351,7 @@ def selfhealing_storms(ctx: ExperimentContext) -> FigureResult:
         PoissonProcess,
         ServingConfig,
         ServingSimulator,
+        StreamingPolicy,
         WarmPool,
     )
 

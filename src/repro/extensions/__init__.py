@@ -27,11 +27,7 @@ from repro.extensions.skewaware import (
     SkewAwareOptimizer,
     straggler_factor,
 )
-from repro.extensions.streaming import (
-    StreamingDispatcher,
-    StreamingPlanner,
-    StreamingPolicy,
-)
+from repro.extensions.streaming import StreamingPlanner, StreamingPolicy
 
 __all__ = [
     "AdaptiveProPack",
@@ -46,7 +42,6 @@ __all__ = [
     "SkewAwareExecutionModel",
     "SkewAwareOptimizer",
     "straggler_factor",
-    "StreamingDispatcher",
     "StreamingPlanner",
     "StreamingPolicy",
 ]

@@ -127,11 +127,11 @@ class ShadowVerifier:
         # Local imports: repro.serving imports nothing from this package,
         # but keeping the dependency one-directional at module-load time
         # makes the layering obvious (and cheap when the loop never fires).
-        from repro.extensions.streaming import StreamingPolicy
         from repro.resilience import ResiliencePolicy
         from repro.resilience.admission import ConcurrencyLimitAdmission
         from repro.resilience.breaker import CircuitBreakerBank
         from repro.serving.arrivals import PoissonProcess
+        from repro.serving.controller import StreamingPolicy
         from repro.serving.service import ServingSimulator
         from repro.serving.warmpool import FixedTTL, WarmPool
 

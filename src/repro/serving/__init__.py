@@ -1,10 +1,12 @@
 """Long-horizon serving: arrival processes, warm pools, SLOs, replanning.
 
 This package turns the one-shot burst substrate into a *service*: seeded
-arrival processes generate hours of traffic, a warm pool with pluggable
-keep-alive/eviction policies absorbs it, constant-memory quantile
-estimators track latency SLOs over millions of requests, and an online
-replanner adapts the packing degree and pool size as the load drifts.
+arrival processes generate hours of traffic, a ``(degree, timeout)``
+:class:`StreamingPolicy` batches it into packed dispatches, a warm pool
+with pluggable keep-alive/eviction policies absorbs them, constant-memory
+quantile estimators track latency SLOs over millions of requests, and an
+online replanner adapts the packing degree and pool size as the load
+drifts.
 See ``docs/SERVING.md``.
 """
 
@@ -17,7 +19,7 @@ from repro.serving.arrivals import (
     PoissonProcess,
     SuperposedProcess,
 )
-from repro.serving.controller import OnlineReplanner, ReplanDecision
+from repro.serving.controller import OnlineReplanner, ReplanDecision, StreamingPolicy
 from repro.serving.quantiles import P2Quantile, QuantileDigest, WindowedSLOTracker
 from repro.serving.service import (
     BacklogStats,
@@ -47,6 +49,7 @@ __all__ = [
     "SuperposedProcess",
     "OnlineReplanner",
     "ReplanDecision",
+    "StreamingPolicy",
     "P2Quantile",
     "QuantileDigest",
     "WindowedSLOTracker",

@@ -9,9 +9,7 @@ it (the property every serving A/B comparison in this repo relies on).
 
 Processes:
 
-* :class:`PoissonProcess` — homogeneous Poisson; byte-identical to the
-  inline generator :class:`~repro.extensions.streaming.StreamingDispatcher`
-  historically carried (same stream label, same draw order).
+* :class:`PoissonProcess` — homogeneous Poisson.
 * :class:`InhomogeneousPoissonProcess` — arbitrary vectorized rate function
   via Lewis-Shedler thinning.
 * :class:`DiurnalProcess` — sinusoidal day/night rate, the canonical
@@ -33,8 +31,8 @@ import numpy as np
 
 from repro.sim.randomness import RandomStreams
 
-#: Stream label used for the actual arrival draws. Kept stable so the
-#: streaming extension's refactor onto this module stayed byte-identical.
+#: Stream label used for the actual arrival draws. Kept stable: renaming it
+#: would reshuffle every seeded arrival schedule (and the serving goldens).
 ARRIVAL_STREAM = "arrivals"
 
 
@@ -62,13 +60,6 @@ class PoissonProcess(ArrivalProcess):
     @property
     def mean_rate_per_s(self) -> float:
         return self.rate_per_s
-
-    def sample_n(self, streams: RandomStreams, n: int) -> np.ndarray:
-        """The first ``n`` arrival times (count-bounded, not time-bounded)."""
-        if n < 1:
-            raise ValueError("need at least one arrival")
-        gaps = streams.stream(ARRIVAL_STREAM).exponential(1.0 / self.rate_per_s, n)
-        return np.cumsum(gaps)
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
         if horizon_s <= 0.0:

@@ -1,7 +1,9 @@
 """Online replanning: adapt the packing degree and pool size as load drifts.
 
-A static ``(degree, timeout)`` policy planned for the average rate is wrong
-twice a day under diurnal traffic — too shallow at the peak (paying for
+Every serving run dispatches under a :class:`StreamingPolicy`: pack up to
+``degree`` requests per instance, hold none longer than ``batch_timeout_s``.
+A static policy planned for the average rate is wrong twice a day under
+diurnal traffic — too shallow at the peak (paying for
 instances that batching would have merged) and too deep in the trough
 (holding requests for batches that never fill). :class:`OnlineReplanner`
 closes the loop: it re-fits the arrival rate over a sliding window of
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.models import ExecutionTimeModel, ScalingTimeModel
 from repro.core.optimizer import PackingOptimizer
@@ -28,9 +30,19 @@ from repro.platform.providers import PlatformProfile
 from repro.serving.warmpool import pool_size_for
 from repro.workloads.base import AppSpec
 
-if TYPE_CHECKING:  # imported lazily at runtime: streaming consumes
-    from repro.extensions.streaming import StreamingPolicy  # this package's
-    # arrivals module, so a module-level import here would be circular.
+
+@dataclass(frozen=True)
+class StreamingPolicy:
+    """Dispatch policy: pack up to ``degree``, wait at most ``batch_timeout_s``."""
+
+    degree: int
+    batch_timeout_s: float
+
+    def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError("degree must be >= 1")
+        if self.batch_timeout_s < 0:
+            raise ValueError("batch timeout must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,7 @@ class OnlineReplanner:
         self.pool_headroom = float(pool_headroom)
         self.min_rate_per_s = float(min_rate_per_s)
         self.joint_weight_service = float(joint_weight_service)
+        # Local import: extensions.streaming imports StreamingPolicy from here.
         from repro.extensions.streaming import StreamingPlanner
 
         self._planner = StreamingPlanner(profile, app, exec_model)
@@ -104,9 +117,7 @@ class OnlineReplanner:
         return len(self._arrivals) / self.window_s
 
     # ------------------------------------------------------------------ #
-    def _plan_for(self, rate: float) -> "StreamingPolicy":
-        from repro.extensions.streaming import StreamingPolicy
-
+    def _plan_for(self, rate: float) -> StreamingPolicy:
         policy = self._planner.plan(
             arrival_rate_per_s=rate, qos_sojourn_s=self.qos_sojourn_s
         )

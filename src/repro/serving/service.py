@@ -1,8 +1,7 @@
 """Long-horizon serving simulator: arrivals × batching × warm pool × SLOs.
 
-Where :class:`~repro.extensions.streaming.StreamingDispatcher` answers "what
-does one ``(degree, timeout)`` policy cost on a short homogeneous stream",
-:class:`ServingSimulator` drives the platform through *hours* of service:
+:class:`ServingSimulator` is the one simulator of sustained traffic, from a
+short homogeneous stream to *hours* of service:
 
 * requests arrive from any :class:`~repro.serving.arrivals.ArrivalProcess`,
 * a batch-and-pack dispatcher groups them under the current policy (which
@@ -57,7 +56,7 @@ from repro.platform.metrics import ExpenseBreakdown
 from repro.platform.providers import PlatformProfile
 from repro.resilience import NORMAL, N_PRIORITIES, ResiliencePolicy
 from repro.serving.arrivals import ArrivalProcess
-from repro.serving.controller import OnlineReplanner
+from repro.serving.controller import OnlineReplanner, StreamingPolicy
 from repro.serving.quantiles import QuantileDigest, WindowedSLOTracker
 from repro.serving.warmpool import WarmPool
 from repro.sim.engine import Simulator
@@ -66,7 +65,6 @@ from repro.telemetry.config import TelemetryConfig, TelemetrySession, resolve_se
 from repro.workloads.base import AppSpec
 
 if TYPE_CHECKING:  # annotation-only: a runtime import would be circular
-    from repro.extensions.streaming import StreamingPolicy
     from repro.remediation import RemediationLoop, RemediationReport
 
 
@@ -938,8 +936,6 @@ class _RemediationPort:
         return self._run.policy.degree
 
     def set_degree(self, degree: int) -> None:
-        from repro.extensions.streaming import StreamingPolicy
-
         run = self._run
         clamped = max(1, min(int(degree), run.max_degree))
         run.policy = StreamingPolicy(

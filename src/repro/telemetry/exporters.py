@@ -125,7 +125,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 
 
 def parse_prometheus_text(text: str) -> dict[str, float]:
-    """Parse exposition text back into ``{sample_name{labels}: value}``.
+    """Parse exposition text back into ``{metric{labels}: value}``.
 
     A deliberately small parser — enough for the round-trip tests and for
     ``propack-trace`` summaries, not a general scrape implementation.

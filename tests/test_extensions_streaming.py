@@ -1,14 +1,19 @@
-"""Tests for the streaming (sustained-arrival) packing extension."""
+"""Tests for streaming (sustained-arrival) packing: the batching policy,
+its planner, and planned policies served by the serving simulator."""
 
 import pytest
 
 from repro.core.models import ExecutionTimeModel
-from repro.extensions.streaming import (
-    StreamingDispatcher,
-    StreamingPlanner,
-    StreamingPolicy,
-)
+from repro.extensions.streaming import StreamingPlanner, StreamingPolicy
 from repro.platform.providers import AWS_LAMBDA
+from repro.serving import (
+    FixedTTL,
+    PoissonProcess,
+    ServingConfig,
+    ServingSimulator,
+    WarmPool,
+)
+from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import XAPIAN
 
 EXEC = ExecutionTimeModel(
@@ -16,13 +21,37 @@ EXEC = ExecutionTimeModel(
 )
 
 
-@pytest.fixture()
-def dispatcher():
-    return StreamingDispatcher(AWS_LAMBDA, XAPIAN, EXEC, seed=161)
+def serve(policy, rate, n_requests, repetition=0):
+    """Poisson traffic averaging ``n_requests`` under ``policy``.
+
+    Returns the result and the run's ``audit.dispatch`` events (one per
+    batch: its time, ``batch`` size and ``warm`` flag).
+    """
+    session = TelemetrySession(
+        TelemetryConfig(tracing=False, metrics=False, events=False)
+    )
+    dispatches = []
+    session.bus.subscribe(dispatches.append, kind="audit.dispatch")
+    simulator = ServingSimulator(
+        AWS_LAMBDA,
+        XAPIAN,
+        EXEC,
+        pool=WarmPool(FixedTTL(120.0)),
+        seed=161,
+        telemetry=session,
+    )
+    result = simulator.run(
+        PoissonProcess(rate), policy, n_requests / rate, repetition=repetition
+    )
+    return result, dispatches
+
+
+def mean_batch_size(result):
+    return result.n_requests / result.n_dispatches
 
 
 # --------------------------------------------------------------------- #
-# Policy and dispatcher mechanics
+# Policy and batching mechanics
 # --------------------------------------------------------------------- #
 
 def test_policy_validation():
@@ -32,70 +61,56 @@ def test_policy_validation():
         StreamingPolicy(degree=1, batch_timeout_s=-1.0)
 
 
-def test_dispatcher_input_validation(dispatcher):
-    policy = StreamingPolicy(degree=2, batch_timeout_s=1.0)
-    with pytest.raises(ValueError):
-        dispatcher.run(policy, arrival_rate_per_s=0.0, n_requests=10)
-    with pytest.raises(ValueError):
-        dispatcher.run(policy, arrival_rate_per_s=1.0, n_requests=0)
-
-
-def test_every_request_is_served(dispatcher):
+def test_batches_never_exceed_degree():
     policy = StreamingPolicy(degree=4, batch_timeout_s=2.0)
-    result = dispatcher.run(policy, arrival_rate_per_s=5.0, n_requests=200)
-    assert len(result.sojourn_times) == 200
-    assert sum(result.batch_sizes) == 200
-
-
-def test_batches_never_exceed_degree(dispatcher):
-    policy = StreamingPolicy(degree=4, batch_timeout_s=2.0)
-    result = dispatcher.run(policy, arrival_rate_per_s=10.0, n_requests=300)
-    assert max(result.batch_sizes) <= 4
+    result, dispatches = serve(policy, rate=10.0, n_requests=300)
+    assert max(e.get("batch") for e in dispatches) <= 4
     # Heavy traffic fills most batches.
-    assert result.mean_batch_size > 2.5
+    assert mean_batch_size(result) > 2.5
 
 
-def test_timeout_flushes_partial_batches(dispatcher):
+def test_timeout_flushes_partial_batches():
     """At a trickle arrival rate, the timeout dispatches undersized batches."""
     policy = StreamingPolicy(degree=8, batch_timeout_s=0.5)
-    result = dispatcher.run(policy, arrival_rate_per_s=0.2, n_requests=40)
-    assert result.mean_batch_size < 2.0
+    result, _ = serve(policy, rate=0.2, n_requests=40)
+    assert mean_batch_size(result) < 2.0
 
 
-def test_degree_one_has_no_batching_delay(dispatcher):
+def test_degree_one_has_no_batching_delay():
     policy = StreamingPolicy(degree=1, batch_timeout_s=0.0)
-    result = dispatcher.run(policy, arrival_rate_per_s=2.0, n_requests=100)
+    result, _ = serve(policy, rate=2.0, n_requests=100)
     # Sojourn = start latency + ET(1) (±noise); no queueing for a batch.
     floor = EXEC.predict(1)
-    assert result.mean_sojourn_s < floor * 1.2 + dispatcher.cold_start_s
+    assert result.p95_sojourn_s < floor * 1.2 + ServingConfig().cold_start_s
 
 
-def test_warm_reuse_avoids_cold_starts(dispatcher):
+def test_cold_starts_confined_to_ramp_up():
+    """The keep-alive pool grows to the stream's concurrency once; after
+    that ramp-up every dispatch lands on a warm instance."""
     policy = StreamingPolicy(degree=2, batch_timeout_s=1.0)
-    result = dispatcher.run(policy, arrival_rate_per_s=5.0, n_requests=200)
-    assert result.cold_starts < 5  # first batch cold, then warm reuse
+    rate, n_requests = 5.0, 2000
+    result, dispatches = serve(policy, rate, n_requests)
+    horizon_s = n_requests / rate
+    cold_at = [e.time for e in dispatches if not e.get("warm")]
+    assert len(cold_at) == result.cold_dispatches > 0
+    assert max(cold_at) < 0.1 * horizon_s
+    assert result.cold_start_fraction < 0.1
 
 
-def test_packing_cuts_cost_per_request(dispatcher):
-    solo = dispatcher.run(
-        StreamingPolicy(degree=1, batch_timeout_s=0.0), 5.0, 200
-    )
-    packed = dispatcher.run(
+def test_packing_cuts_cost_per_request():
+    solo, _ = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), 5.0, 200)
+    packed, _ = serve(
         StreamingPolicy(degree=8, batch_timeout_s=3.0), 5.0, 200, repetition=1
     )
-    assert packed.cost_per_request_usd(AWS_LAMBDA) < 0.5 * solo.cost_per_request_usd(
-        AWS_LAMBDA
-    )
+    assert packed.cost_per_request_usd() < 0.5 * solo.cost_per_request_usd()
 
 
-def test_packing_adds_batching_latency(dispatcher):
-    solo = dispatcher.run(
-        StreamingPolicy(degree=1, batch_timeout_s=0.0), 2.0, 150
-    )
-    packed = dispatcher.run(
+def test_packing_adds_batching_latency():
+    solo, _ = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), 2.0, 150)
+    packed, _ = serve(
         StreamingPolicy(degree=10, batch_timeout_s=10.0), 2.0, 150, repetition=1
     )
-    assert packed.mean_sojourn_s > solo.mean_sojourn_s
+    assert packed.p50_sojourn_s > solo.p50_sojourn_s
 
 
 # --------------------------------------------------------------------- #
@@ -127,11 +142,11 @@ def test_planner_bound_validation():
         planner.plan(arrival_rate_per_s=1.0, qos_sojourn_s=0.0)
 
 
-def test_planned_policy_meets_qos_in_simulation(dispatcher):
+def test_planned_policy_meets_qos_in_simulation():
     """The analytic plan must hold up in the discrete-event simulation."""
     planner = StreamingPlanner(AWS_LAMBDA, XAPIAN, EXEC)
     rate, bound = 8.0, 25.0
     policy = planner.plan(arrival_rate_per_s=rate, qos_sojourn_s=bound)
     assert policy.degree > 1  # the bound leaves room to pack
-    result = dispatcher.run(policy, arrival_rate_per_s=rate, n_requests=400)
+    result, _ = serve(policy, rate=rate, n_requests=400)
     assert result.p95_sojourn_s <= bound

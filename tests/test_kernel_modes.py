@@ -23,13 +23,18 @@ from repro.core.models import ExecutionTimeModel
 from repro.engine import DispatchKernel, fluid
 from repro.extensions.mixed import MixedPacker
 from repro.extensions.mixed_sim import MixedBurstSimulator
-from repro.extensions.streaming import StreamingPolicy
 from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy, ImmediateRetry
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
 from repro.platform.invoker import BurstSpec
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
-from repro.serving import FixedTTL, PoissonProcess, ServingSimulator, WarmPool
+from repro.serving import (
+    FixedTTL,
+    PoissonProcess,
+    ServingSimulator,
+    StreamingPolicy,
+    WarmPool,
+)
 from repro.sim.randomness import RandomStreams
 from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import SORT, VIDEO, XAPIAN
@@ -128,7 +133,8 @@ def test_second_provider_identical_across_modes():
 
 
 # --------------------------------------------------------------------- #
-# The synchronous chain walk (streaming's per-batch path).
+# The synchronous chain walk (no production caller; the chains_per_s
+# micro-benchmark times it).
 # --------------------------------------------------------------------- #
 
 STORMY = FaultScenario(
@@ -228,12 +234,14 @@ _EXEC = ExecutionTimeModel(
 )
 
 
-def _serving_run(telemetry=None):
+def _serving_run(telemetry=None, scenario=None, retry_policy=None):
     sim = ServingSimulator(
         AWS_LAMBDA,
         XAPIAN,
         _EXEC,
         pool=WarmPool(FixedTTL(60.0)),
+        scenario=scenario,
+        retry_policy=retry_policy,
         seed=11,
         telemetry=telemetry,
     )
@@ -244,10 +252,28 @@ def _serving_run(telemetry=None):
     )
 
 
-def test_serving_scalar_batched_identical():
-    scalar, _ = _on_path("scalar", _serving_run)
-    default, _ = _on_path("default", _serving_run)
+@pytest.mark.parametrize(
+    "faults",
+    [
+        {},
+        {
+            "scenario": FAULTS,
+            "retry_policy": ExponentialBackoffRetry(base_s=0.05, max_retries=3),
+        },
+    ],
+    ids=["clean", "faulted"],
+)
+def test_serving_scalar_batched_identical(faults):
+    """Serving is the one sustained-traffic path: buffered draws must match
+    unbuffered ones on its batching loop and on its crash, straggler and
+    retry path."""
+    run = functools.partial(_serving_run, **faults)
+    scalar, _ = _on_path("scalar", run)
+    default, _ = _on_path("default", run)
     assert scalar.signature() == default.signature()
+    if faults:
+        assert default.resilience.crashes > 0
+        assert default.resilience.retries > 0
 
 
 def test_serving_chaos_audited_identical_and_clean():

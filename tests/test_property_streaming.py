@@ -1,15 +1,20 @@
-"""Property-based tests on the streaming dispatcher's invariants."""
+"""Property-based tests on streaming packing: the serving simulator's
+fault-free batching loop and the planner's policies."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.models import ExecutionTimeModel
-from repro.extensions.streaming import (
-    StreamingDispatcher,
-    StreamingPlanner,
-    StreamingPolicy,
-)
+from repro.extensions.streaming import StreamingPlanner
 from repro.platform.providers import AWS_LAMBDA
+from repro.serving import (
+    FixedTTL,
+    PoissonProcess,
+    ServingSimulator,
+    StreamingPolicy,
+    WarmPool,
+)
+from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import XAPIAN
 
 EXEC = ExecutionTimeModel(
@@ -25,18 +30,30 @@ EXEC = ExecutionTimeModel(
 )
 @settings(max_examples=40, deadline=None)
 def test_streaming_conservation_and_bounds(degree, timeout, rate, n):
-    dispatcher = StreamingDispatcher(AWS_LAMBDA, XAPIAN, EXEC, seed=171)
+    session = TelemetrySession(
+        TelemetryConfig(tracing=False, metrics=False, events=False)
+    )
+    batches = []
+    session.bus.subscribe(
+        lambda event: batches.append(event.get("batch")), kind="audit.dispatch"
+    )
+    simulator = ServingSimulator(
+        AWS_LAMBDA,
+        XAPIAN,
+        EXEC,
+        pool=WarmPool(FixedTTL(120.0)),
+        seed=171,
+        telemetry=session,
+    )
     policy = StreamingPolicy(degree=degree, batch_timeout_s=timeout)
-    result = dispatcher.run(policy, rate, n)
-    # Every request served exactly once.
-    assert len(result.sojourn_times) == n
-    assert sum(result.batch_sizes) == n
+    result = simulator.run(PoissonProcess(rate), policy, n / rate)
     # No batch exceeds the policy degree; no empty batches.
-    assert all(1 <= b <= degree for b in result.batch_sizes)
-    # Sojourn is at least the (noise-adjusted) solo execution time.
-    assert min(result.sojourn_times) > EXEC.predict(1) * 0.9
-    # Billing is positive and bounded by worst-case instance time.
-    assert result.billed_gb_seconds > 0
+    assert all(1 <= b <= degree for b in batches)
+    # Every arrival is batched once and served once.
+    assert sum(batches) == result.n_requests == result.digest.count
+    assert result.n_completed == result.n_requests
+    # Whatever was served was billed.
+    assert (result.exec_gb_seconds > 0) == (result.n_requests > 0)
 
 
 @given(

@@ -32,11 +32,6 @@ def test_poisson_rejects_bad_horizon():
         PoissonProcess(1.0).sample(rng(), 0.0)
 
 
-def test_sample_n_rejects_zero():
-    with pytest.raises(ValueError):
-        PoissonProcess(1.0).sample_n(rng(), 0)
-
-
 def test_diurnal_validation():
     with pytest.raises(ValueError):
         DiurnalProcess(0.0)
@@ -72,7 +67,7 @@ def test_thinning_rejects_underestimated_dominating_rate():
 
 
 # --------------------------------------------------------------------- #
-# Determinism and byte-compatibility
+# Determinism
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize(
@@ -111,17 +106,6 @@ def test_samples_sorted_and_in_horizon(process):
     assert np.all(np.diff(times) >= 0.0)
     assert times[0] >= 0.0
     assert times[-1] < 300.0
-
-
-def test_sample_n_matches_historical_inline_generator():
-    """The exact draw the streaming dispatcher historically inlined."""
-    rate, n = 5.0, 500
-    old = RandomStreams(161).spawn("stream/r0")
-    expected = np.cumsum(old.stream("arrivals").exponential(1.0 / rate, n))
-    new = RandomStreams(161).spawn("stream/r0")
-    got = PoissonProcess(rate).sample_n(new, n)
-    np.testing.assert_array_equal(got, expected)
-    assert len(got) == n
 
 
 # --------------------------------------------------------------------- #
