@@ -100,7 +100,7 @@ class InterferenceProfiler:
                 overhead_usd += result.expense.total_usd
                 overhead_gbs += (
                     result.mean_exec_seconds
-                    * result.records[0].provisioned_mb
+                    * int(result.table.provisioned_mb[0])
                     / 1024.0
                 )
                 overhead_wall += result.service_time()

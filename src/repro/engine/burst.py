@@ -34,7 +34,13 @@ from repro.interference.model import InterferenceModel
 from repro.platform.billing import BillingModel
 from repro.platform.container import ContainerPipeline
 from repro.platform.instance import FunctionInstance
-from repro.platform.metrics import FaultStats, InstanceRecord, RunResult
+from repro.platform.metrics import (
+    FaultStats,
+    InstanceRecord,
+    RecordTable,
+    RunResult,
+    sequential_sum,
+)
 from repro.platform.providers import PlatformProfile
 from repro.platform.scheduler import PlacementScheduler
 from repro.platform.storage import ObjectStore
@@ -237,45 +243,60 @@ class BurstDispatchKernel(DispatchKernel):
         for t in self.correlated_event_times():
             self.sim.schedule(t, self._correlated_event)
 
-    def collect(self) -> RunResult:
-        """Assemble the result after the simulation has drained.
+    def collect(self, table: Optional[RecordTable] = None) -> RunResult:
+        """Bill the burst and assemble its result; every burst ends here.
 
-        Timestamps are normalized to the burst's own invocation instant so
-        a burst submitted mid-simulation reports the same metrics as one
-        submitted at t=0.
+        The fluid replay passes the record table it wrote (its burst starts
+        at t=0). After the event loop, ``table`` is None: the kernel's
+        records are normalized to the burst's own invocation instant, so a
+        burst submitted mid-simulation reports the same metrics as one
+        submitted at t=0, and converted to a table once.
         """
-        if self._invoked_at:
-            offset = self._invoked_at
-            for record in self._records:
-                record.invoked_at -= offset
-                for field_name in ("sched_done", "built_at", "shipped_at",
-                                   "exec_start", "exec_end"):
-                    value = getattr(record, field_name)
-                    if value is not None:
-                        setattr(record, field_name, value - offset)
-            self._invoked_at = 0.0
+        records = None
+        if table is None:
+            records = self._records
+            if self._invoked_at:
+                offset = self._invoked_at
+                for record in records:
+                    record.invoked_at -= offset
+                    for field_name in ("sched_done", "built_at", "shipped_at",
+                                       "exec_start", "exec_end"):
+                        value = getattr(record, field_name)
+                        if value is not None:
+                            setattr(record, field_name, value - offset)
+                self._invoked_at = 0.0
+            table = RecordTable.from_records(records)
         billing = BillingModel(self.profile)
-        expense = billing.burst_expense(self._records, self.store.usage)
-        self._finalize_stats(billing)
+        expense = billing.burst_expense(table, self.store.usage)
+        self._finalize_stats(billing, table)
         return RunResult(
             platform_name=self.profile.name,
             app_name=self._spec.app.name,
             concurrency=self._spec.concurrency,
             packing_degree=self._spec.packing_degree,
-            records=self._records,
+            records=records,
             expense=expense,
             lost_functions=self._lost_functions,
             fault_stats=self._stats,
+            table=table,
         )
 
-    def _finalize_stats(self, billing: BillingModel) -> None:
-        for r in self._records:
-            if r.exec_start is None or r.exec_end is None:
-                continue
-            gbs = r.exec_seconds * billing.billed_memory_mb(r.provisioned_mb) / 1024.0
-            self._stats.total_billed_gb_seconds += gbs
-            if r.failed or r.timed_out or r.cancelled:
-                self._stats.wasted_billed_gb_seconds += gbs
+    def _finalize_stats(self, billing: BillingModel, table: RecordTable) -> None:
+        """Billed and wasted GB-seconds of the executed attempts, summed in
+        record order."""
+        seconds = table.exec_end - table.exec_start  # NaN where either is unset
+        executed = ~np.isnan(seconds)
+        gbs = (
+            seconds[executed]
+            * billing.billed_memory_mb_array(table.provisioned_mb[executed])
+            / 1024.0
+        )
+        wasted = (table.failed | table.timed_out | table.cancelled)[executed]
+        stats = self._stats
+        stats.total_billed_gb_seconds = sequential_sum(gbs, stats.total_billed_gb_seconds)
+        stats.wasted_billed_gb_seconds = sequential_sum(
+            gbs[wasted], stats.wasted_billed_gb_seconds
+        )
 
     def run(self, spec: BurstSpec, image: FunctionImage) -> RunResult:
         """Simulate the burst to completion and return its result.

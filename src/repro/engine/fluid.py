@@ -15,9 +15,11 @@ Eligibility rules and the draw-order contract are documented in
 equal to the event loop, on buffered and on unbuffered draws.
 
 :func:`try_run_fluid` is the one entry point. ``BurstDispatchKernel.run``
-calls it for every burst and gets back a fully materialized,
-byte-identical :class:`RunResult`, or ``None`` when the burst is
-ineligible and must run on the event loop.
+calls it for every burst and gets back a byte-identical
+:class:`RunResult`, or ``None`` when the burst is ineligible and must run
+on the event loop. The replay writes the burst's records straight into a
+:class:`~repro.platform.metrics.RecordTable` and hands it to
+``BurstDispatchKernel.collect``, which bills the burst on both paths.
 
 On abort paths (billed timeout, fleet exhaustion) the fluid replay raises
 the same exception with the same message as the event-driven kernel, but
@@ -30,12 +32,18 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import InstanceRecord, RunResult
+from repro.platform.metrics import (
+    InstanceRecord,
+    RecordTable,
+    RunResult,
+    sequential_sum,
+)
 from repro.platform.scheduler import PlacementScheduler
 
 if TYPE_CHECKING:  # annotation-only: avoid a cycle with engine.burst
@@ -173,9 +181,10 @@ def _run_fluid(
     works = [base_build * z for z in bnoise]
 
     # Placement completions: request k costs base + search * k, serially.
-    sched = np.cumsum(
+    sched_arr = np.cumsum(
         scheduler.base_cost_s + scheduler.search_cost_s * np.arange(cold, dtype=np.float64)
-    ).tolist()
+    )
+    sched = sched_arr.tolist()
 
     # Build completions: k-slot FIFO recursion over a finish-time heap.
     slots = pipeline.builder.servers
@@ -189,14 +198,16 @@ def _run_fluid(
             built[i] = works[i]
         heapq.heapify(finish)
         for i in range(slots, cold):
-            t = heapq.heappop(finish)
-            b = t + works[i]
+            b = finish[0] + works[i]
             built[i] = b
-            heapq.heappush(finish, b)
+            heapq.heapreplace(finish, b)
 
-    # Ship-ready instants; stable sort matches the sim's FIFO tie-breaking.
-    ready = [(max(sched[i], built[i]), i) for i in range(cold)]
-    ready.sort()
+    # Ship-ready instants in FIFO order; the stable sort keeps chain order
+    # on ties, as the sim's event sequence numbers do.
+    ready_at = np.maximum(sched_arr, built)
+    order = np.argsort(ready_at, kind="stable")
+    ready_t = ready_at[order].tolist()
+    ready_i = order.tolist()
 
     # Shipping: processor-sharing replay (exact virtual-time arithmetic of
     # ProcessorSharingResource). Equal transfer sizes => FIFO completions.
@@ -215,7 +226,7 @@ def _run_fluid(
     done = 0
     inf = math.inf
     while done < cold:
-        t_arr = ready[ai][0] if ai < cold else inf
+        t_arr = ready_t[ai] if ai < cold else inf
         if t_arr < next_comp:
             # submit: advance vtime, admit, reschedule
             if active > 0:
@@ -235,7 +246,7 @@ def _run_fluid(
                 vtime += (t - vupd) * (cap_ps / active)
             vupd = t
             ship_t[done] = t
-            ship_i[done] = ready[head][1]
+            ship_i[done] = ready_i[head]
             head += 1
             done += 1
             active -= 1
@@ -246,8 +257,8 @@ def _run_fluid(
                 next_comp = t + remaining_v * active / cap_ps
             else:
                 next_comp = inf
-    pipeline.network.bytes_shipped_mb = _repeat_add(
-        pipeline.network.bytes_shipped_mb, w_ship, cold
+    pipeline.network.bytes_shipped_mb = sequential_sum(
+        np.full(cold, w_ship), pipeline.network.bytes_shipped_mb
     )
     pipeline.network._uplink.total_jobs += cold
     pipeline.builder.total_jobs += cold
@@ -314,15 +325,16 @@ def _run_fluid(
     )
     fleet_cap = len(pool.servers) * per_server
 
-    # Per-record output columns, indexed by record id (creation order).
-    invoked = [0.0] * cold
+    # Per-record output columns, indexed by record id: the cold chains,
+    # then each warm reuse as it is dispatched. An attempt starts executing
+    # the instant it arrives (a warm one when its dispatch delay ends), so
+    # its exec_start is its shipped_at; a warm one is invoked and placed
+    # at its dispatch, and built when it arrives.
     sched_done = sched[:]
     built_at = built[:]
     shipped_at: list[float] = [0.0] * cold
-    exec_start: list[float] = [0.0] * cold
     exec_end: list[float] = [0.0] * cold
     npacked = npacked_cold[:]
-    warm_flag = [False] * cold
 
     # ------------------------------------------------------------------ #
     # Master replay: merge placements (+occupancy), ship completions
@@ -330,55 +342,28 @@ def _run_fluid(
     # ------------------------------------------------------------------ #
     occupancy = 0
     exec_idx = 0            # cursor into the prefetched exec-noise draws
-    pi = 0                  # next placement
+    # Exhausting the fleet takes more than fleet_cap placements: with no
+    # more cold chains than that, the placement events change nothing.
+    pi = 0 if cold > fleet_cap else cold   # next placement
     si = 0                  # next ship completion
-    dyn: list[tuple[float, int, int, int]] = []  # (t, seq, kind, record id)
+    # Scheduled events as (t, seq, record id), ordered by (t, seq) like the
+    # simulator's agenda: execution completions in a heap, warm starts in
+    # a FIFO. A warm start fires warm_dispatch_s after the completion that
+    # dispatched it, and completions fire in time order, so warm starts
+    # fire in the order they were queued.
+    done_q: list[tuple[float, int, int]] = []
+    warm_q: deque[tuple[float, int, int]] = deque()
     dseq = 0
-    DONE, WARM = 0, 1
+    warm_s = spec.warm_dispatch_s
     makespan = 0.0
 
-    def start_exec(rid: int, t: float) -> None:
-        nonlocal exec_idx, skew_cursor, dseq, makespan
-        n = npacked[rid]
-        exec_start[rid] = t
-        noise = enoise[exec_idx]
-        exec_idx += 1
-        if skew_draws is not None:
-            seg = skew_draws[skew_cursor:skew_cursor + n]
-            skew_cursor += n
-            skew = float(seg.max())
-        else:
-            skew = 1.0
-        duration = (
-            modeled_cache[n] * noise * overhead * skew * penalty_cache[n]
-        )
-        if enforce and duration > cap_exec:
-            end = t + cap_exec
-            exec_end[rid] = end
-            record = _make_record(
-                rid, n, invoked[rid], sched_done[rid], built_at[rid],
-                shipped_at[rid], t, end, provisioned, warm_flag[rid],
-            )
-            record.timed_out = True
-            bill = BillingModel(profile)
-            billed = bill.instance_compute_usd(record) + profile.per_request_usd
-            raise FunctionTimeoutError(
-                f"{app.name}: instance {rid} would run "
-                f"{duration:.0f}s > platform cap {cap_exec:.0f}s "
-                f"(packing degree {n})",
-                record=record,
-                billed_usd=billed,
-            )
-        end = t + duration
-        if end > makespan:
-            makespan = end
-        heapq.heappush(dyn, (end, dseq, DONE, rid))
-        dseq += 1
-
-    while pi < cold or si < cold or dyn:
+    while pi < cold or si < cold or done_q or warm_q:
         tp = sched[pi] if pi < cold else inf
         ts = ship_t[si] if si < cold else inf
-        td = dyn[0][0] if dyn else inf
+        td = done_q[0][0] if done_q else inf
+        tw = warm_q[0][0] if warm_q else inf
+        if tw < td:
+            td = tw
         if tp <= ts and tp <= td:
             # Placement completes: the pool allocates one more slot.
             if occupancy >= fleet_cap:
@@ -388,18 +373,18 @@ def _run_fluid(
                 )
             occupancy += 1
             pi += 1
-        elif ts <= td:
+            continue
+        if ts <= td:
+            # A cold container arrives and starts executing.
             rid = ship_i[si]
-            shipped_at[rid] = ts
+            t = ts
             si += 1
-            start_exec(rid, ts)
+        elif warm_q and (not done_q or warm_q[0] < done_q[0]):
+            # A warm reuse's dispatch delay ends and it starts executing.
+            t, _s, rid = warm_q.popleft()
+            built_at[rid] = t
         else:
-            t, _s, kind, rid = heapq.heappop(dyn)
-            if kind == WARM:
-                built_at[rid] = t
-                shipped_at[rid] = t
-                start_exec(rid, t)
-                continue
+            t, _s, rid = heapq.heappop(done_q)
             # Execution done: account I/O, then reuse warm or release.
             exec_end[rid] = t
             n = npacked[rid]
@@ -414,20 +399,63 @@ def _run_fluid(
                 pending -= n_w
                 wid = len(npacked)
                 npacked.append(n_w)
-                invoked.append(t)
                 sched_done.append(t)
                 built_at.append(0.0)
                 shipped_at.append(0.0)
-                exec_start.append(0.0)
                 exec_end.append(0.0)
-                warm_flag.append(True)
                 if n_w not in modeled_cache:
                     modeled_cache[n_w] = modeled_for(n_w)
                     penalty_cache[n_w] = penalty_for(n_w)
-                heapq.heappush(dyn, (t + spec.warm_dispatch_s, dseq, WARM, wid))
+                warm_q.append((t + warm_s, dseq, wid))
                 dseq += 1
             else:
                 occupancy -= 1
+            continue
+        shipped_at[rid] = t
+
+        # Execution start (identical op order to _start_execution).
+        n = npacked[rid]
+        noise = enoise[exec_idx]
+        exec_idx += 1
+        if skew_draws is not None:
+            skew = float(skew_draws[skew_cursor:skew_cursor + n].max())
+            skew_cursor += n
+        else:
+            skew = 1.0
+        duration = (
+            modeled_cache[n] * noise * overhead * skew * penalty_cache[n]
+        )
+        if enforce and duration > cap_exec:
+            warm = rid >= cold
+            record = InstanceRecord(
+                instance_id=rid,
+                n_packed=n,
+                invoked_at=sched_done[rid] if warm else 0.0,
+                sched_done=sched_done[rid],
+                built_at=built_at[rid],
+                shipped_at=t,
+                exec_start=t,
+                exec_end=t + cap_exec,
+                provisioned_mb=provisioned,
+                warm_start=warm,
+                timed_out=True,
+            )
+            billed = (
+                BillingModel(profile).instance_compute_usd(record)
+                + profile.per_request_usd
+            )
+            raise FunctionTimeoutError(
+                f"{app.name}: instance {rid} would run "
+                f"{duration:.0f}s > platform cap {cap_exec:.0f}s "
+                f"(packing degree {n})",
+                record=record,
+                billed_usd=billed,
+            )
+        end = t + duration
+        if end > makespan:
+            makespan = end
+        heapq.heappush(done_q, (end, dseq, rid))
+        dseq += 1
 
     usage.put_requests = puts
     usage.get_requests = gets
@@ -435,47 +463,31 @@ def _run_fluid(
     kernel._pending_functions = 0
     kernel.sim._now = makespan  # observational parity with the event path
 
-    records = kernel._records
-    for rid in range(len(npacked)):
-        records.append(
-            _make_record(
-                rid, npacked[rid], invoked[rid], sched_done[rid],
-                built_at[rid], shipped_at[rid], exec_start[rid],
-                exec_end[rid], provisioned, warm_flag[rid],
-            )
+    n_rec = len(npacked)
+    ids = np.arange(n_rec)
+    placed = np.array(sched_done)
+    started = np.array(shipped_at)
+    no = np.zeros(n_rec, dtype=bool)
+    return kernel.collect(
+        RecordTable(
+            instance_id=ids,
+            n_packed=npacked,
+            invoked_at=np.where(ids < cold, 0.0, placed),
+            sched_done=placed,
+            built_at=built_at,
+            shipped_at=started,
+            exec_start=started,
+            exec_end=exec_end,
+            provisioned_mb=np.full(n_rec, provisioned),
+            warm_start=ids >= cold,
+            attempt=np.ones(n_rec, dtype=np.int64),
+            failed=no,
+            timed_out=no,
+            correlated=no,
+            persistent_fault=no,
+            hedged=no,
+            cancelled=no,
+            throttled_attempts=np.zeros(n_rec, dtype=np.int64),
+            retry_delay_s=np.zeros(n_rec),
         )
-    return kernel.collect()
-
-
-def _make_record(
-    rid: int,
-    n_packed: int,
-    invoked_at: float,
-    sched_done: float,
-    built_at: float,
-    shipped_at: float,
-    exec_start: float,
-    exec_end: float,
-    provisioned: int,
-    warm: bool,
-) -> InstanceRecord:
-    return InstanceRecord(
-        instance_id=rid,
-        n_packed=n_packed,
-        invoked_at=invoked_at,
-        sched_done=sched_done,
-        built_at=built_at,
-        shipped_at=shipped_at,
-        exec_start=exec_start,
-        exec_end=exec_end,
-        provisioned_mb=provisioned,
-        warm_start=warm,
     )
-
-
-def _repeat_add(start: float, addend: float, count: int) -> float:
-    """``count`` sequential float additions (matches the event path's sum)."""
-    total = start
-    for _ in range(count):
-        total += addend
-    return total

@@ -29,7 +29,7 @@ from repro.faults.retry import ImmediateRetry
 from repro.platform.billing import BillingModel
 from repro.platform.container import ContainerPipeline
 from repro.platform.instance import FunctionInstance
-from repro.platform.metrics import InstanceRecord, RunResult
+from repro.platform.metrics import InstanceRecord, RecordTable, RunResult
 from repro.platform.providers import PlatformProfile
 from repro.platform.scheduler import PlacementScheduler
 from repro.platform.storage import ObjectStore, StorageUsage
@@ -189,14 +189,14 @@ class MixedBurstSimulator:
         kernel.begin_plan(spec, plan)
         sim.run()
 
-        records = kernel._records
-        expense = BillingModel(self.profile).burst_expense(records, store.usage)
+        table = RecordTable.from_records(kernel._records)
         run = RunResult(
             platform_name=self.profile.name,
             app_name="+".join(sorted(plan.functions_packed())),
             concurrency=total_functions,
             packing_degree=0,  # heterogeneous — degree varies per group
-            records=records,
-            expense=expense,
+            records=kernel._records,
+            expense=BillingModel(self.profile).burst_expense(table, store.usage),
+            table=table,
         )
         return MixedRunResult(run=run, plan=plan, storage=store.usage)

@@ -15,15 +15,27 @@ Serverless Costs on Public Platforms" on top: duration rounding (per-ms vs
 100 ms), a minimum billed duration, and a CPU-share throttling multiplier.
 The default fidelity is exact — billed seconds == executed seconds,
 byte-for-byte — so every pre-existing expense stays identical.
+
+A burst is billed over its :class:`~repro.platform.metrics.RecordTable`:
+each row is rounded on its own (throttle → floor → ceil, the same float
+ops as :meth:`BillingFidelity.billed_seconds`), then the rows are summed
+in record order. An aggregate is never rounded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
-from repro.platform.metrics import ExpenseBreakdown, InstanceRecord
+import numpy as np
+
+from repro.platform.metrics import (
+    ExpenseBreakdown,
+    InstanceRecord,
+    RecordTable,
+    sequential_sum,
+)
 from repro.platform.providers import PlatformProfile
 from repro.platform.storage import StorageUsage
 
@@ -92,6 +104,19 @@ class BillingFidelity:
             billed = units * self.granularity_s
         return billed
 
+    def billed_seconds_array(self, exec_seconds: np.ndarray) -> np.ndarray:
+        """:meth:`billed_seconds` of every element, with the same float ops."""
+        if (exec_seconds < 0.0).any():
+            raise ValueError("executed seconds must be non-negative")
+        billed = exec_seconds
+        if self.throttle_multiplier != 1.0:
+            billed = billed * self.throttle_multiplier
+        if self.min_billed_s > 0.0:
+            billed = np.where(billed < self.min_billed_s, self.min_billed_s, billed)
+        if self.granularity_s > 0.0:
+            billed = np.ceil(billed / self.granularity_s - 1e-9) * self.granularity_s
+        return billed
+
 
 #: The idealized schedule every seeded golden was recorded under.
 EXACT_BILLING = BillingFidelity()
@@ -118,6 +143,13 @@ class BillingModel:
         increments = -(-requested_mb // step)  # ceil division
         return int(increments * step)
 
+    def billed_memory_mb_array(self, requested_mb: np.ndarray) -> np.ndarray:
+        """:meth:`billed_memory_mb` of every element."""
+        if (requested_mb <= 0).any():
+            raise ValueError("requested memory must be positive")
+        step = self.profile.min_billed_memory_mb
+        return -(-requested_mb // step) * step
+
     def billed_seconds(self, exec_seconds: float) -> float:
         """Executed → billed duration under this model's fidelity."""
         return self.fidelity.billed_seconds(exec_seconds)
@@ -125,6 +157,12 @@ class BillingModel:
     def instance_compute_usd(self, record: InstanceRecord) -> float:
         billed_gb = self.billed_memory_mb(record.provisioned_mb) / 1024.0
         billed_s = self.fidelity.billed_seconds(record.exec_seconds)
+        return billed_s * billed_gb * self.profile.gb_second_usd
+
+    def compute_usd_per_instance(self, table: RecordTable) -> np.ndarray:
+        """:meth:`instance_compute_usd` of every row, with the same float ops."""
+        billed_gb = self.billed_memory_mb_array(table.provisioned_mb) / 1024.0
+        billed_s = self.fidelity.billed_seconds_array(table.exec_seconds())
         return billed_s * billed_gb * self.profile.gb_second_usd
 
     def keepalive_usd(self, idle_gb_seconds: float) -> float:
@@ -170,11 +208,16 @@ class BillingModel:
 
     def burst_expense(
         self,
-        records: list[InstanceRecord],
+        records: Union[RecordTable, Sequence[InstanceRecord]],
         storage: StorageUsage,
     ) -> ExpenseBreakdown:
-        compute = sum(self.instance_compute_usd(r) for r in records)
-        requests = len(records) * self.profile.per_request_usd
+        """Line items of one burst; compute is billed per record, in order."""
+        table = (
+            records if isinstance(records, RecordTable)
+            else RecordTable.from_records(records)
+        )
+        compute = sequential_sum(self.compute_usd_per_instance(table))
+        requests = len(table) * self.profile.per_request_usd
         storage_usd = (
             storage.put_requests * self.profile.storage_put_usd
             + storage.get_requests * self.profile.storage_get_usd

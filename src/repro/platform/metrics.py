@@ -12,12 +12,19 @@ Timing definitions (all relative to the burst invocation instant ``t=0``):
 Expense covers execution GB-seconds, per-request fees, storage operations,
 and (on providers that charge it) networking egress — queueing/scaling delay
 is never billed (paper Sec. 2.3).
+
+A burst's records are stored once, as the columns of a :class:`RecordTable`;
+billing and every burst statistic run over those columns. Totals are added
+left to right in record order (:func:`sequential_sum`), the order of a
+per-record loop, so a column total equals the record-by-record one to the
+last bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +118,97 @@ class InstanceRecord:
         return phases
 
 
+def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right.
+
+    This is the order of Python's ``sum`` and of a ``+=`` loop, float op
+    for float op. ``np.sum`` adds pairwise, which changes the last bits.
+    """
+    if start:
+        values = np.concatenate(((start,), values))
+    return float(np.cumsum(values)[-1]) if len(values) else float(start)
+
+
+#: Column dtype for each :class:`InstanceRecord` field annotation.
+_DTYPES = {"int": np.int64, "bool": np.bool_, "float": np.float64,
+           "Optional[float]": np.float64}
+#: The record fields, in declaration order; one table column each.
+RECORD_FIELDS = tuple(f.name for f in fields(InstanceRecord))
+_COLUMN_DTYPES = tuple(_DTYPES[f.type] for f in fields(InstanceRecord))
+#: Timestamps an unfinished record leaves unset (``None``; NaN in a column).
+_OPTIONAL_FIELDS = tuple(
+    f.name for f in fields(InstanceRecord) if f.type.startswith("Optional")
+)
+_record_row = attrgetter(*RECORD_FIELDS)
+
+
+class RecordTable:
+    """A burst's instance records as columns.
+
+    One read-only numpy array per :class:`InstanceRecord` field, all of
+    the same length, row ``i`` being record ``i``. An unset timestamp is
+    NaN. Columns that hold the same values may share one array.
+    """
+
+    __slots__ = RECORD_FIELDS
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        n = len(columns["instance_id"])
+        for name, dtype in zip(RECORD_FIELDS, _COLUMN_DTYPES):
+            column = np.asarray(columns[name], dtype=dtype)
+            if len(column) != n:
+                raise ValueError(f"column {name} has {len(column)} rows, expected {n}")
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records: Sequence[InstanceRecord]) -> "RecordTable":
+        rows = list(map(_record_row, records))
+        columns = zip(*rows) if rows else [()] * len(RECORD_FIELDS)
+        return cls(**{
+            name: np.array(values, dtype=dtype)
+            for name, dtype, values in zip(RECORD_FIELDS, _COLUMN_DTYPES, columns)
+        })
+
+    def to_records(self) -> list[InstanceRecord]:
+        """The rows as records, equal field for field to what was stored."""
+        columns = []
+        for name in RECORD_FIELDS:
+            column = getattr(self, name)
+            values = column.tolist()
+            if name in _OPTIONAL_FIELDS and np.isnan(column).any():
+                values = [None if v != v else v for v in values]
+            columns.append(values)
+        return list(map(InstanceRecord, *columns))
+
+    def __len__(self) -> int:
+        return len(self.instance_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordTable):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in RECORD_FIELDS
+        )
+
+    def __repr__(self) -> str:
+        return f"RecordTable({len(self)} records)"
+
+    def exec_seconds(self) -> np.ndarray:
+        """``exec_end - exec_start`` per record; every record must have run."""
+        seconds = self.exec_end - self.exec_start
+        unset = np.isnan(seconds)
+        if unset.any():
+            rid = int(self.instance_id[np.argmax(unset)])
+            raise ValueError(f"instance {rid} never executed")
+        return seconds
+
+    def successful(self) -> np.ndarray:
+        """Mask of attempts that completed (not crashed, timed out or cancelled)."""
+        return ~(self.failed | self.timed_out | self.cancelled)
+
+
 @dataclass(frozen=True)
 class ExpenseBreakdown:
     """Dollar expense of a burst or serving run, by billing line item.
@@ -197,23 +295,66 @@ class FaultStats:
         )
 
 
-@dataclass
+@dataclass(init=False)
 class RunResult:
-    """Everything measured from one burst execution."""
+    """Everything measured from one burst execution.
+
+    The records are stored once, in :attr:`table`, and every statistic
+    here reads its columns. :attr:`records` is the same rows as a list of
+    :class:`InstanceRecord`, built on first read and cached; a result
+    constructed from a ``records`` list keeps that list as its view.
+    Equality compares every field of every record (through the tables).
+    """
 
     platform_name: str
     app_name: str
     concurrency: int
     packing_degree: int
-    records: list[InstanceRecord] = field(default_factory=list)
-    expense: ExpenseBreakdown = ZERO_EXPENSE
-    lost_functions: int = 0  # functions whose every retry attempt crashed
-    fault_stats: FaultStats = field(default_factory=FaultStats)
+    table: RecordTable
+    expense: ExpenseBreakdown
+    lost_functions: int  # functions whose every retry attempt crashed
+    fault_stats: FaultStats
+
+    def __init__(
+        self,
+        platform_name: str,
+        app_name: str,
+        concurrency: int,
+        packing_degree: int,
+        records: Optional[list[InstanceRecord]] = None,
+        expense: ExpenseBreakdown = ZERO_EXPENSE,
+        lost_functions: int = 0,
+        fault_stats: Optional[FaultStats] = None,
+        table: Optional[RecordTable] = None,
+    ) -> None:
+        """Build from ``records``, from ``table``, or from both when they
+        hold the same rows (the list then serves as the records view)."""
+        if table is None:
+            records = [] if records is None else records
+            table = RecordTable.from_records(records)
+        elif records is not None and len(records) != len(table):
+            raise ValueError(f"{len(records)} records for a {len(table)}-row table")
+        self.platform_name = platform_name
+        self.app_name = app_name
+        self.concurrency = concurrency
+        self.packing_degree = packing_degree
+        self.table = table
+        self.expense = expense
+        self.lost_functions = lost_functions
+        self.fault_stats = fault_stats if fault_stats is not None else FaultStats()
+        self._records = records
 
     # ------------------------------------------------------------------ #
     @property
+    def records(self) -> list[InstanceRecord]:
+        """The records as objects, built from the table on first read."""
+        if self._records is None:
+            self._records = self.table.to_records()
+        return self._records
+
+    @property
     def n_instances(self) -> int:
-        return len(self.records)
+        return len(self.table)
 
     @property
     def successful_records(self) -> list[InstanceRecord]:
@@ -226,24 +367,29 @@ class RunResult:
 
     @property
     def n_failed_attempts(self) -> int:
-        return sum(1 for r in self.records if r.failed or r.timed_out)
+        return int(np.count_nonzero(self.table.failed | self.table.timed_out))
 
     @property
     def observed_failure_rate(self) -> float:
         """Failed attempts per executed attempt (drives adaptive packing)."""
-        executed = [r for r in self.records if r.exec_start is not None]
+        executed = int(np.count_nonzero(~np.isnan(self.table.exec_start)))
         if not executed:
             return 0.0
-        return self.n_failed_attempts / len(executed)
+        return self.n_failed_attempts / executed
 
     def _starts(self) -> np.ndarray:
-        return np.asarray([r.exec_start for r in self.records], dtype=float)
+        starts = self.table.exec_start
+        unset = np.isnan(starts)
+        if unset.any():
+            rid = int(self.table.instance_id[np.argmax(unset)])
+            raise ValueError(f"instance {rid} never started")
+        return starts
 
     def _ends(self) -> np.ndarray:
-        ok = self.successful_records
-        if not ok:
+        ok = self.table.successful()
+        if not ok.any():
             raise ValueError("no instance completed successfully")
-        return np.asarray([r.exec_end for r in ok], dtype=float)
+        return self.table.exec_end if ok.all() else self.table.exec_end[ok]
 
     @property
     def scaling_time(self) -> float:
@@ -263,12 +409,12 @@ class RunResult:
 
     @property
     def mean_exec_seconds(self) -> float:
-        return float(np.mean([r.exec_seconds for r in self.records]))
+        return float(np.mean(self.table.exec_seconds()))
 
     @property
     def function_hours(self) -> float:
         """Sum of instance execution times, in hours (paper Fig. 12)."""
-        return float(sum(r.exec_seconds for r in self.records)) / 3600.0
+        return sequential_sum(self.table.exec_seconds()) / 3600.0
 
     def breakdown(self) -> dict[str, float]:
         """Mean per-instance scheduling / start-up / shipping delays."""

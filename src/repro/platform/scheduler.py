@@ -14,6 +14,7 @@ quadratic in the burst size — the dominant term of the paper's Eq. 2.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.cluster.server import ServerPool
@@ -45,7 +46,7 @@ class PlacementScheduler:
         self.pool = pool
         self.base_cost_s = base_cost_s
         self.search_cost_s = search_cost_s
-        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._queue: deque[tuple[int, int, Callable[..., None], tuple]] = deque()
         self._busy = False
         self.placements_made = 0
         self._search_hist = None
@@ -78,7 +79,7 @@ class PlacementScheduler:
             self._busy = False
             return
         self._busy = True
-        cores, memory_mb, callback, args = self._queue.pop(0)
+        cores, memory_mb, callback, args = self._queue.popleft()
         search_time = self.base_cost_s + self.search_cost_s * self.placements_made
         if self._search_hist is not None:
             self._search_hist.observe(search_time)

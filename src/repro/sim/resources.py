@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -50,7 +51,7 @@ class FifoResource:
         self.sim = sim
         self.servers = servers
         self.name = name
-        self._queue: list[_FifoJob] = []
+        self._queue: deque[_FifoJob] = deque()
         self._busy = 0
         self.total_jobs = 0
 
@@ -80,7 +81,7 @@ class FifoResource:
     def _finish(self, job: _FifoJob) -> None:
         self._busy -= 1
         if self._queue:
-            self._start(self._queue.pop(0))
+            self._start(self._queue.popleft())
         job.callback(*job.args)
 
 

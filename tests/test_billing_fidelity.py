@@ -9,11 +9,18 @@ rounds the result *up*.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy
+from repro.faults.scenario import FaultScenario
+from repro.platform.base import ServerlessPlatform
 from repro.platform.billing import EXACT_BILLING, BillingFidelity, BillingModel
-from repro.platform.providers import AWS_LAMBDA
+from repro.platform.invoker import BurstSpec
+from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
+from repro.workloads import XAPIAN
 
 
 # --------------------------------------------------------------------- #
@@ -161,3 +168,83 @@ def test_default_model_bills_exactly():
 def test_explicit_fidelity_overrides_the_profile():
     model = BillingModel(AWS_LAMBDA, fidelity=BillingFidelity(granularity_s=1.0))
     assert model.billed_seconds(0.2) == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------- #
+# column billing against the per-record loops it replaced
+# --------------------------------------------------------------------- #
+ROUNDED = AWS_LAMBDA.with_overrides(
+    billing_granularity_s=0.1, min_billed_duration_s=0.1, cpu_throttle_multiplier=1.25
+)
+GCF_COARSE = GOOGLE_CLOUD_FUNCTIONS.with_overrides(
+    billing_granularity_s=1.0, min_billed_duration_s=0.5
+)
+CLEAN = BurstSpec(app=XAPIAN, concurrency=600, packing_degree=2)
+FAULTED_HEDGED = replace(
+    CLEAN,
+    concurrency=400,
+    scenario=FaultScenario(name="bill", crash_rate=0.1, straggler_rate=0.2),
+    retry_policy=ExponentialBackoffRetry(base_s=0.05, max_retries=3),
+    hedge=HedgePolicy(trigger_factor=1.5),
+)
+
+
+def _per_record_gb_seconds(billing, records):
+    """Billed and wasted GB-seconds, one record at a time, in record order."""
+    total = wasted = 0.0
+    for r in records:
+        if r.exec_start is None or r.exec_end is None:
+            continue
+        gbs = r.exec_seconds * billing.billed_memory_mb(r.provisioned_mb) / 1024.0
+        total += gbs
+        if r.failed or r.timed_out or r.cancelled:
+            wasted += gbs
+    return total, wasted
+
+
+@pytest.mark.parametrize(
+    "profile", [AWS_LAMBDA, ROUNDED, GCF_COARSE], ids=["exact", "rounded", "gcf-1s"]
+)
+@pytest.mark.parametrize("spec", [CLEAN, FAULTED_HEDGED], ids=["clean", "faulted-hedged"])
+def test_column_bill_equals_the_per_record_loop(profile, spec):
+    """Each record is rounded on its own, then summed left to right: the
+    column bill and fault totals equal the per-record loops exactly."""
+    result = ServerlessPlatform(profile, seed=41).run_burst(spec, repetition=0)
+    billing = BillingModel(profile)
+    records = result.records
+    assert result.expense.compute_usd == sum(
+        billing.instance_compute_usd(r) for r in records
+    )
+    assert result.expense.requests_usd == len(records) * profile.per_request_usd
+    total, wasted = _per_record_gb_seconds(billing, records)
+    assert result.fault_stats.total_billed_gb_seconds == total
+    assert result.fault_stats.wasted_billed_gb_seconds == wasted
+    if spec.scenario is not None:
+        assert wasted > 0.0
+        assert result.fault_stats.hedged_attempts > 0
+    if not billing.fidelity.exact:
+        executed_usd = sum(
+            r.exec_seconds * billing.billed_memory_mb(r.provisioned_mb) / 1024.0
+            for r in records
+        ) * profile.gb_second_usd
+        assert result.expense.compute_usd > executed_usd
+
+
+@pytest.mark.parametrize(
+    "fidelity",
+    [
+        EXACT_BILLING,
+        BillingFidelity(granularity_s=0.1),
+        BillingFidelity(min_billed_s=0.25),
+        BillingFidelity(throttle_multiplier=1.3),
+        BillingFidelity(granularity_s=0.1, min_billed_s=0.1, throttle_multiplier=1.25),
+        BillingFidelity(granularity_s=1.0, min_billed_s=0.5),
+    ],
+)
+def test_billed_seconds_array_equals_the_scalar_schedule(fidelity):
+    samples = [0.0, 1e-9, 0.05, 0.1, 0.2, 0.25, 0.3, 0.30000000000000004, 0.9999,
+               1.0, 7.25, 863.0001] + [i * 0.0137 for i in range(200)]
+    billed = fidelity.billed_seconds_array(np.array(samples))
+    assert billed.tolist() == [fidelity.billed_seconds(x) for x in samples]
+    with pytest.raises(ValueError, match="non-negative"):
+        fidelity.billed_seconds_array(np.array([1.0, -0.1]))

@@ -80,20 +80,32 @@ def _burst_on_paths(spec, **kwargs):
     return [_on_path(path, lambda: _burst(spec, **kwargs)) for path in PATHS]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        BurstSpec(app=SORT, concurrency=500),
-        BurstSpec(app=VIDEO, concurrency=1000, packing_degree=8),
-        BurstSpec(app=SORT, concurrency=2000, wave_size=300),
-    ],
-    ids=["plain", "packed", "waved"],
+#: Rounded billing: every record's bill is throttled, floored and rounded
+#: up on its own before the records are summed.
+ROUNDED = AWS_LAMBDA.with_overrides(
+    billing_granularity_s=0.1,
+    min_billed_duration_s=0.1,
+    cpu_throttle_multiplier=1.25,
 )
-def test_clean_burst_identical_across_all_modes(spec):
+
+
+@pytest.mark.parametrize(
+    "spec, provider",
+    [
+        (BurstSpec(app=SORT, concurrency=500), AWS_LAMBDA),
+        (BurstSpec(app=VIDEO, concurrency=1000, packing_degree=8), AWS_LAMBDA),
+        (BurstSpec(app=SORT, concurrency=2000, wave_size=300), AWS_LAMBDA),
+        (BurstSpec(app=SORT, concurrency=2000, packing_degree=3, wave_size=300), ROUNDED),
+    ],
+    ids=["plain", "packed", "waved", "rounded"],
+)
+def test_clean_burst_identical_across_all_modes(spec, provider):
     """Fault-free bursts take the fluid replay, which must agree with the
     event loop on every field of the RunResult (dataclass equality is
     recursive through records, expense, and fault stats)."""
-    (scalar, _), (event_loop, _), (default, replayed) = _burst_on_paths(spec)
+    (scalar, _), (event_loop, _), (default, replayed) = _burst_on_paths(
+        spec, provider=provider
+    )
     assert replayed == 1
     assert scalar == event_loop == default
 
