@@ -191,8 +191,13 @@ def test_perf_burst_scale_c1e4(benchmark):
 
 
 def test_perf_burst_scale_c1e5(benchmark):
-    """The refactor's absolute budget: C=1e5 end-to-end within 5 s."""
-    run_once(benchmark, _scale_burst, 100_000)
+    """The refactor's absolute budget: C=1e5 end-to-end within 5 s.
+
+    Three rounds, averaged: the perf-smoke gate requires the
+    fluid_chains_per_s derived here, so one round's clock noise should
+    not decide it.
+    """
+    benchmark.pedantic(_scale_burst, args=(100_000,), rounds=3, iterations=1)
     wall = record_wall(benchmark, "burst_c1e5_wall_s")
     assert 0.0 < wall <= 5.0, f"C=1e5 burst took {wall:.2f}s (budget 5s)"
     record_throughput(benchmark, "fluid_chains_per_s", 100_000)

@@ -291,7 +291,7 @@ class BurstDispatchKernel(DispatchKernel):
             * billing.billed_memory_mb_array(table.provisioned_mb[executed])
             / 1024.0
         )
-        wasted = (table.failed | table.timed_out | table.cancelled)[executed]
+        wasted = ~table.successful()[executed]  # crashed, timed out or cancelled
         stats = self._stats
         stats.total_billed_gb_seconds = sequential_sum(gbs, stats.total_billed_gb_seconds)
         stats.wasted_billed_gb_seconds = sequential_sum(

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -346,24 +345,15 @@ def _run_fluid(
     # more cold chains than that, the placement events change nothing.
     pi = 0 if cold > fleet_cap else cold   # next placement
     si = 0                  # next ship completion
-    # Scheduled events as (t, seq, record id), ordered by (t, seq) like the
-    # simulator's agenda: execution completions in a heap, warm starts in
-    # a FIFO. A warm start fires warm_dispatch_s after the completion that
-    # dispatched it, and completions fire in time order, so warm starts
-    # fire in the order they were queued.
-    done_q: list[tuple[float, int, int]] = []
-    warm_q: deque[tuple[float, int, int]] = deque()
+    dyn: list[tuple[float, int, int, int]] = []  # (t, seq, kind, record id)
     dseq = 0
-    warm_s = spec.warm_dispatch_s
+    DONE, WARM = 0, 1
     makespan = 0.0
 
-    while pi < cold or si < cold or done_q or warm_q:
+    while pi < cold or si < cold or dyn:
         tp = sched[pi] if pi < cold else inf
         ts = ship_t[si] if si < cold else inf
-        td = done_q[0][0] if done_q else inf
-        tw = warm_q[0][0] if warm_q else inf
-        if tw < td:
-            td = tw
+        td = dyn[0][0] if dyn else inf
         if tp <= ts and tp <= td:
             # Placement completes: the pool allocates one more slot.
             if occupancy >= fleet_cap:
@@ -379,38 +369,38 @@ def _run_fluid(
             rid = ship_i[si]
             t = ts
             si += 1
-        elif warm_q and (not done_q or warm_q[0] < done_q[0]):
-            # A warm reuse's dispatch delay ends and it starts executing.
-            t, _s, rid = warm_q.popleft()
-            built_at[rid] = t
         else:
-            t, _s, rid = heapq.heappop(done_q)
-            # Execution done: account I/O, then reuse warm or release.
-            exec_end[rid] = t
-            n = npacked[rid]
-            puts += n
-            gets += n
-            transferred += shared_mb + private_mb * n
-            if io_mb > 0.0:
-                transferred += io_mb * n
-                puts += n
-            if pending > 0:
-                n_w = packing if pending >= packing else pending
-                pending -= n_w
-                wid = len(npacked)
-                npacked.append(n_w)
-                sched_done.append(t)
-                built_at.append(0.0)
-                shipped_at.append(0.0)
-                exec_end.append(0.0)
-                if n_w not in modeled_cache:
-                    modeled_cache[n_w] = modeled_for(n_w)
-                    penalty_cache[n_w] = penalty_for(n_w)
-                warm_q.append((t + warm_s, dseq, wid))
-                dseq += 1
+            t, _s, kind, rid = heapq.heappop(dyn)
+            if kind == WARM:
+                # A warm reuse's dispatch delay ends; it starts executing.
+                built_at[rid] = t
             else:
-                occupancy -= 1
-            continue
+                # Execution done: account I/O, then reuse warm or release.
+                exec_end[rid] = t
+                n = npacked[rid]
+                puts += n
+                gets += n
+                transferred += shared_mb + private_mb * n
+                if io_mb > 0.0:
+                    transferred += io_mb * n
+                    puts += n
+                if pending > 0:
+                    n_w = packing if pending >= packing else pending
+                    pending -= n_w
+                    wid = len(npacked)
+                    npacked.append(n_w)
+                    sched_done.append(t)
+                    built_at.append(0.0)
+                    shipped_at.append(0.0)
+                    exec_end.append(0.0)
+                    if n_w not in modeled_cache:
+                        modeled_cache[n_w] = modeled_for(n_w)
+                        penalty_cache[n_w] = penalty_for(n_w)
+                    heapq.heappush(dyn, (t + spec.warm_dispatch_s, dseq, WARM, wid))
+                    dseq += 1
+                else:
+                    occupancy -= 1
+                continue
         shipped_at[rid] = t
 
         # Execution start (identical op order to _start_execution).
@@ -454,7 +444,7 @@ def _run_fluid(
         end = t + duration
         if end > makespan:
             makespan = end
-        heapq.heappush(done_q, (end, dseq, rid))
+        heapq.heappush(dyn, (end, dseq, DONE, rid))
         dseq += 1
 
     usage.put_requests = puts

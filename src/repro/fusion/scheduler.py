@@ -104,22 +104,22 @@ def _group_for_record(plan_groups: list[FusionGroup], record: InstanceRecord) ->
 
 def attribute_expense(
     plan: FusionPlan,
-    records: list[InstanceRecord],
+    run: RunResult,
     storage: StorageUsage,
     billing: BillingModel,
 ) -> tuple[ExpenseBreakdown, tuple[TenantBill, ...]]:
-    """Bill the run under ``billing`` and split every line item by tenant.
+    """Bill ``run`` under ``billing`` and split every line item by tenant.
 
     Compute and the per-instance request fee split by each tenant's memory
     footprint share *of that instance*; the run-wide storage and egress
     charges split by I/O footprint (``count × io_mb``) across the plan.
     """
-    expense = billing.burst_expense(records, storage)
+    expense = billing.burst_expense(run.table, storage)
     groups = plan.instance_groups()
 
     compute: dict[str, float] = {}
     requests: dict[str, float] = {}
-    for record in records:
+    for record in run.records:
         group = _group_for_record(groups, record)
         weights = group.tenant_weights()
         scale = sum(weights.values())
@@ -166,7 +166,7 @@ def rebill(report: FusionRunReport, profile: PlatformProfile) -> FusionRunReport
     """
     billing = BillingModel(profile)
     expense, bills = attribute_expense(
-        report.plan, report.run.records, report.storage, billing
+        report.plan, report.run, report.storage, billing
     )
     run = replace(report.run, expense=expense)
     return FusionRunReport(
@@ -193,7 +193,7 @@ class FusionScheduler:
         )
         assert result.storage is not None
         expense, bills = attribute_expense(
-            plan, result.run.records, result.storage, self.billing
+            plan, result.run, result.storage, self.billing
         )
         run = replace(result.run, expense=expense)
         return FusionRunReport(

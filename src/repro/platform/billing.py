@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -208,14 +208,10 @@ class BillingModel:
 
     def burst_expense(
         self,
-        records: Union[RecordTable, Sequence[InstanceRecord]],
+        table: RecordTable,
         storage: StorageUsage,
     ) -> ExpenseBreakdown:
         """Line items of one burst; compute is billed per record, in order."""
-        table = (
-            records if isinstance(records, RecordTable)
-            else RecordTable.from_records(records)
-        )
         compute = sequential_sum(self.compute_usd_per_instance(table))
         requests = len(table) * self.profile.per_request_usd
         storage_usd = (

@@ -16,13 +16,14 @@ is never billed (paper Sec. 2.3).
 A burst's records are stored once, as the columns of a :class:`RecordTable`;
 billing and every burst statistic run over those columns. Totals are added
 left to right in record order (:func:`sequential_sum`), the order of a
-per-record loop, so a column total equals the record-by-record one to the
-last bit.
+per-record ``+=`` loop, so a column total equals that loop's to the last
+bit on every Python version.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import compress
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -121,8 +122,9 @@ class InstanceRecord:
 def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
     """``start + values[0] + values[1] + ...``, added left to right.
 
-    This is the order of Python's ``sum`` and of a ``+=`` loop, float op
-    for float op. ``np.sum`` adds pairwise, which changes the last bits.
+    This is the order of a ``+=`` loop, float op for float op. ``np.sum``
+    adds pairwise and Python's ``sum`` (since 3.12) compensates; either
+    can change the last bits.
     """
     if start:
         values = np.concatenate(((start,), values))
@@ -360,10 +362,7 @@ class RunResult:
     def successful_records(self) -> list[InstanceRecord]:
         """Attempts that completed; service metrics are computed over these
         (failed attempts are still billed — see the billing model)."""
-        return [
-            r for r in self.records
-            if not (r.failed or r.timed_out or r.cancelled)
-        ]
+        return list(compress(self.records, self.table.successful().tolist()))
 
     @property
     def n_failed_attempts(self) -> int:

@@ -189,6 +189,18 @@ FAULTED_HEDGED = replace(
 )
 
 
+def _per_record_compute_usd(billing, records):
+    """The compute bill, one record at a time, added in record order.
+
+    A ``+=`` loop, not builtin ``sum``: since Python 3.12 ``sum``
+    compensates its float additions, so it is no left-to-right reference.
+    """
+    total = 0.0
+    for r in records:
+        total += billing.instance_compute_usd(r)
+    return total
+
+
 def _per_record_gb_seconds(billing, records):
     """Billed and wasted GB-seconds, one record at a time, in record order."""
     total = wasted = 0.0
@@ -212,9 +224,7 @@ def test_column_bill_equals_the_per_record_loop(profile, spec):
     result = ServerlessPlatform(profile, seed=41).run_burst(spec, repetition=0)
     billing = BillingModel(profile)
     records = result.records
-    assert result.expense.compute_usd == sum(
-        billing.instance_compute_usd(r) for r in records
-    )
+    assert result.expense.compute_usd == _per_record_compute_usd(billing, records)
     assert result.expense.requests_usd == len(records) * profile.per_request_usd
     total, wasted = _per_record_gb_seconds(billing, records)
     assert result.fault_stats.total_billed_gb_seconds == total

@@ -117,5 +117,5 @@ def test_attribution_detects_plan_record_drift():
     wrong = FusionPlan(bundles=((FusionGroup((("a", SORT, 1),)), 7),))
     with pytest.raises(RuntimeError, match="drifted"):
         attribute_expense(
-            wrong, report.run.records, report.storage, BillingModel(AWS_LAMBDA)
+            wrong, report.run, report.storage, BillingModel(AWS_LAMBDA)
         )

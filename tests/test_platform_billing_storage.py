@@ -3,7 +3,7 @@
 import pytest
 
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import InstanceRecord
+from repro.platform.metrics import InstanceRecord, RecordTable
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.platform.storage import ObjectStore, StorageUsage
 from repro.workloads import SORT, VIDEO
@@ -47,7 +47,7 @@ def test_burst_expense_line_items():
     billing = BillingModel(AWS_LAMBDA)
     records = [make_record() for _ in range(3)]
     storage = StorageUsage(put_requests=3, get_requests=3, transferred_mb=300.0)
-    expense = billing.burst_expense(records, storage)
+    expense = billing.burst_expense(RecordTable.from_records(records), storage)
     assert expense.requests_usd == pytest.approx(3 * AWS_LAMBDA.per_request_usd)
     assert expense.storage_usd == pytest.approx(
         3 * AWS_LAMBDA.storage_put_usd + 3 * AWS_LAMBDA.storage_get_usd
@@ -61,7 +61,7 @@ def test_burst_expense_line_items():
 def test_gcf_charges_egress():
     billing = BillingModel(GOOGLE_CLOUD_FUNCTIONS)
     storage = StorageUsage(put_requests=0, get_requests=0, transferred_mb=1024.0)
-    expense = billing.burst_expense([], storage)
+    expense = billing.burst_expense(RecordTable.from_records([]), storage)
     assert expense.egress_usd == pytest.approx(
         GOOGLE_CLOUD_FUNCTIONS.egress_usd_per_gb
     )

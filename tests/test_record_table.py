@@ -3,7 +3,9 @@
 ``RecordTable`` holds one numpy column per ``InstanceRecord`` field; the
 burst statistics read those columns. These tests pin the round trip
 records → table → records, and every column statistic against the
-per-record formula it replaced (kept here as the reference).
+per-record formula it replaced (kept here as the reference). Sums in the
+references are ``+=`` loops: builtin ``sum`` compensates its float
+additions since Python 3.12, so it is not a left-to-right reference.
 """
 
 import dataclasses
@@ -92,7 +94,10 @@ def _mean_exec_seconds(records):
 
 
 def _function_hours(records):
-    return float(sum(r.exec_seconds for r in records)) / 3600.0
+    total = 0.0
+    for r in records:
+        total += r.exec_seconds
+    return total / 3600.0
 
 
 def _outcome(fn, *args):
