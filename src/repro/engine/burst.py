@@ -198,12 +198,14 @@ class BurstDispatchKernel(DispatchKernel):
         self.store.record_instance(self._spec.app, record.n_packed)
 
     # ------------------------------------------------------------------ #
-    def begin(self, spec: BurstSpec, image: FunctionImage) -> None:
-        """Enqueue the burst's invocations at the current simulation time.
+    def _configure(self, spec: BurstSpec, image: Optional[FunctionImage]) -> int:
+        """Bind ``spec`` to this kernel and return its cold-chain count.
 
-        Does not drive the simulation — callers sharing one simulator
-        across bursts (see :mod:`repro.platform.multitenant`) call
-        ``begin`` per burst, run the simulator once, then ``collect``.
+        Every burst is set up here — by :meth:`begin`, by the fluid replay
+        and by heterogeneous dispatchers: the retry policy, the fault
+        scenario, the provisioned-memory check and the number of chains
+        provisioned cold (every instance, or at most ``wave_size``). No
+        event is scheduled and no random draw is made.
         """
         self._spec = spec
         self._image = image
@@ -231,8 +233,18 @@ class BurstDispatchKernel(DispatchKernel):
                 f"maximum {self.profile.max_memory_mb} MB"
             )
         self._provisioned = provisioned
-        remaining = spec.concurrency
         self._instances: dict[int, Optional[FunctionInstance]] = {}
+        return cold
+
+    def begin(self, spec: BurstSpec, image: FunctionImage) -> None:
+        """Enqueue the burst's invocations at the current simulation time.
+
+        Does not drive the simulation — callers sharing one simulator
+        across bursts (see :mod:`repro.platform.multitenant`) call
+        ``begin`` per burst, run the simulator once, then ``collect``.
+        """
+        cold = self._configure(spec, image)
+        remaining = spec.concurrency
         for _ in range(cold):
             n_packed = min(spec.packing_degree, remaining)
             remaining -= n_packed
@@ -407,7 +419,7 @@ class BurstDispatchKernel(DispatchKernel):
     # ------------------------------------------------------------------ #
     # Execution, faults, and completion
     # ------------------------------------------------------------------ #
-    def _cpu_share_penalty(self, record: InstanceRecord) -> float:
+    def _cpu_share_penalty(self, n_packed: int, provisioned_mb: int) -> float:
         """Memory-proportional CPU (Lambda semantics).
 
         Providers scale an instance's CPU share with its provisioned
@@ -420,8 +432,8 @@ class BurstDispatchKernel(DispatchKernel):
         the burst provisions maximum memory (the paper's setup).
         """
         mem_per_core = self.profile.max_memory_mb / self.profile.cores_per_instance
-        need_mb = record.n_packed * mem_per_core
-        actual = max(1.0, need_mb / record.provisioned_mb)
+        need_mb = n_packed * mem_per_core
+        actual = max(1.0, need_mb / provisioned_mb)
         calibrated = max(1.0, need_mb / self.profile.max_memory_mb)
         return actual / calibrated
 
@@ -459,7 +471,7 @@ class BurstDispatchKernel(DispatchKernel):
             * self.exec_noise_factor(self.profile.exec_noise_sigma)
             * self._spec.exec_overhead
             * self._skew_factor(record.n_packed)
-            * self._cpu_share_penalty(record)
+            * self._cpu_share_penalty(record.n_packed, record.provisioned_mb)
         )
         duration *= self.straggler_factor()
         cap = self.profile.max_execution_seconds
@@ -467,23 +479,11 @@ class BurstDispatchKernel(DispatchKernel):
             if self.injector is not None:
                 self._schedule_timeout(instance, record, chain)
                 return
-            # Lambda bills a timed-out attempt for the full execution cap;
-            # record the charge before aborting the run.
-            record.exec_end = record.exec_start + cap
-            record.timed_out = True
+            error = self._timeout_error(record, duration)
             self._release_instance(instance)
             if self._tel is not None:
                 self._tel.on_exec_end(record, "timeout")
-            billing = BillingModel(self.profile)
-            billed = billing.instance_compute_usd(record) + self.profile.per_request_usd
-            raise FunctionTimeoutError(
-                f"{self._spec.app.name}: instance {record.instance_id} would run "
-                f"{duration:.0f}s > platform cap "
-                f"{cap:.0f}s "
-                f"(packing degree {record.n_packed})",
-                record=record,
-                billed_usd=billed,
-            )
+            raise error
         if self.injector is not None:
             decision = self.chain_crash_decision(chain)
             if decision is not None:
@@ -505,6 +505,31 @@ class BurstDispatchKernel(DispatchKernel):
         self._inflight[record.instance_id] = (event, instance, record)
         self._maybe_schedule_hedge(chain, record, duration)
 
+    def _timeout_error(
+        self, record: InstanceRecord, duration: float
+    ) -> FunctionTimeoutError:
+        """The abort of an attempt whose ``duration`` exceeds the cap.
+
+        Lambda bills a timed-out attempt for the full execution cap: the
+        record is marked timed out, ending one cap after its start, and
+        the error carries that charge. The event loop and the fluid replay
+        both raise it.
+        """
+        cap = self.profile.max_execution_seconds
+        record.exec_end = record.exec_start + cap
+        record.timed_out = True
+        billed = (
+            BillingModel(self.profile).instance_compute_usd(record)
+            + self.profile.per_request_usd
+        )
+        return FunctionTimeoutError(
+            f"{self._spec.app.name}: instance {record.instance_id} would run "
+            f"{duration:.0f}s > platform cap {cap:.0f}s "
+            f"(packing degree {record.n_packed})",
+            record=record,
+            billed_usd=billed,
+        )
+
     def _maybe_schedule_hedge(
         self, chain: AttemptChain, record: InstanceRecord, duration: float
     ) -> None:
@@ -521,7 +546,7 @@ class BurstDispatchKernel(DispatchKernel):
         reference = (
             self._modeled_exec_seconds(record)
             * self._spec.exec_overhead
-            * self._cpu_share_penalty(record)
+            * self._cpu_share_penalty(record.n_packed, record.provisioned_mb)
         )
         threshold = hedge.trigger_seconds(reference)
         if duration <= threshold:

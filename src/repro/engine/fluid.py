@@ -21,11 +21,14 @@ on the event loop. The replay writes the burst's records straight into a
 :class:`~repro.platform.metrics.RecordTable` and hands it to
 ``BurstDispatchKernel.collect``, which bills the burst on both paths.
 
-On abort paths (billed timeout, fleet exhaustion) the fluid replay raises
-the same exception with the same message as the event-driven kernel, but
-may have consumed more prefetched RNG draws than the event loop had at
-the abort point; a burst runs on a per-run RNG family, so this is
-unobservable outside the aborted run.
+The replay shares the kernel's set-up (``_configure``), its CPU-share
+penalty (``_cpu_share_penalty``) and its billed-timeout abort
+(``_timeout_error``) with the event loop. On abort paths (billed timeout,
+fleet exhaustion) it raises the same exception as the event-driven kernel
+— a timeout with the same message, bill and record — but may have
+consumed more prefetched RNG draws than the event loop had at the abort
+point; a burst runs on a per-run RNG family, so this is unobservable
+outside the aborted run.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.platform.billing import BillingModel
 from repro.platform.metrics import (
     InstanceRecord,
     RecordTable,
@@ -124,40 +126,13 @@ def try_run_fluid(
 def _run_fluid(
     kernel: "BurstDispatchKernel", spec: "BurstSpec", image: "FunctionImage"
 ) -> RunResult:
-    from repro.engine.burst import FunctionTimeoutError
-    from repro.faults.retry import ImmediateRetry
-    from repro.engine.kernel import resolve_retry_policy
-
     profile = kernel.profile
     pipeline = kernel.pipeline
     scheduler = kernel.scheduler
     rng = kernel.rng
-
-    # ------------------------------------------------------------------ #
-    # Mirror begin()'s configuration side effects.
-    # ------------------------------------------------------------------ #
-    kernel._spec = spec
-    kernel._image = image
+    cold = kernel._configure(spec, image)  # the set-up begin() runs
     n_inst = spec.n_instances
-    cold = n_inst if spec.wave_size is None else min(n_inst, spec.wave_size)
-    kernel._concurrency_level = cold
-    kernel._invoked_at = 0.0
-    kernel.retry_policy = resolve_retry_policy(
-        spec.retry_policy,
-        spec.scenario,
-        platform_default=ImmediateRetry(profile.max_retries),
-    )
-    kernel._retry_policy = kernel.fresh_retry()
-    kernel.configure_faults(None, profile.failure_rate)
-
-    provisioned = spec.provisioned_mb or profile.max_memory_mb
-    if provisioned > profile.max_memory_mb:
-        raise ValueError(
-            f"provisioned memory {provisioned} MB exceeds the platform "
-            f"maximum {profile.max_memory_mb} MB"
-        )
-    kernel._provisioned = provisioned
-    kernel._instances = {}
+    provisioned = kernel._provisioned
 
     # Per-chain packing: every cold chain gets the full packing degree
     # except possibly the last (when cold == n_inst takes the remainder).
@@ -270,15 +245,10 @@ def _run_fluid(
     def modeled_for(n: int) -> float:
         return kernel.interference.execution_seconds(spec.app, n, cold)
 
-    def penalty_for(n: int) -> float:
-        mem_per_core = profile.max_memory_mb / profile.cores_per_instance
-        need_mb = n * mem_per_core
-        actual = max(1.0, need_mb / provisioned)
-        calibrated = max(1.0, need_mb / profile.max_memory_mb)
-        return actual / calibrated
-
     modeled_cache = {n: modeled_for(n) for n in set(npacked_cold) | {packing}}
-    penalty_cache = {n: penalty_for(n) for n in modeled_cache}
+    penalty_cache = {
+        n: kernel._cpu_share_penalty(n, provisioned) for n in modeled_cache
+    }
     overhead = spec.exec_overhead
     cap_exec = profile.max_execution_seconds
     enforce = kernel.enforce_timeout
@@ -395,7 +365,9 @@ def _run_fluid(
                     exec_end.append(0.0)
                     if n_w not in modeled_cache:
                         modeled_cache[n_w] = modeled_for(n_w)
-                        penalty_cache[n_w] = penalty_for(n_w)
+                        penalty_cache[n_w] = kernel._cpu_share_penalty(
+                            n_w, provisioned
+                        )
                     heapq.heappush(dyn, (t + spec.warm_dispatch_s, dseq, WARM, wid))
                     dseq += 1
                 else:
@@ -417,29 +389,19 @@ def _run_fluid(
         )
         if enforce and duration > cap_exec:
             warm = rid >= cold
-            record = InstanceRecord(
-                instance_id=rid,
-                n_packed=n,
-                invoked_at=sched_done[rid] if warm else 0.0,
-                sched_done=sched_done[rid],
-                built_at=built_at[rid],
-                shipped_at=t,
-                exec_start=t,
-                exec_end=t + cap_exec,
-                provisioned_mb=provisioned,
-                warm_start=warm,
-                timed_out=True,
-            )
-            billed = (
-                BillingModel(profile).instance_compute_usd(record)
-                + profile.per_request_usd
-            )
-            raise FunctionTimeoutError(
-                f"{app.name}: instance {rid} would run "
-                f"{duration:.0f}s > platform cap {cap_exec:.0f}s "
-                f"(packing degree {n})",
-                record=record,
-                billed_usd=billed,
+            raise kernel._timeout_error(
+                InstanceRecord(
+                    instance_id=rid,
+                    n_packed=n,
+                    invoked_at=sched_done[rid] if warm else 0.0,
+                    sched_done=sched_done[rid],
+                    built_at=built_at[rid],
+                    shipped_at=t,
+                    exec_start=t,
+                    provisioned_mb=provisioned,
+                    warm_start=warm,
+                ),
+                duration,
             )
         end = t + duration
         if end > makespan:

@@ -8,7 +8,9 @@ image), and the instance executes for the group's interference-model
 makespan plus execution noise.
 
 The lifecycle itself (placement ∥ build → ship → execute) is the shared
-:class:`~repro.engine.burst.BurstDispatchKernel`; this module only
+:class:`~repro.engine.burst.BurstDispatchKernel` on the datacenter
+:func:`~repro.platform.base.burst_substrate` builds, set up by its
+``_configure`` and billed by its ``collect``; this module only
 overrides its heterogeneity hooks — per-group union images, the mixed
 interference model, per-member store accounting — and leaves cluster
 occupancy untouched (groups never return capacity mid-burst, matching the
@@ -17,21 +19,16 @@ planner's all-at-once execution model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.cluster.network import NetworkFabric
 from repro.cluster.registry import FunctionImage
-from repro.cluster.server import ServerPool
 from repro.engine.burst import BurstDispatchKernel, BurstSpec
 from repro.extensions.mixed import MixedGroup, MixedInterferenceModel, MixedPlan
-from repro.faults.retry import ImmediateRetry
-from repro.platform.billing import BillingModel
-from repro.platform.container import ContainerPipeline
+from repro.platform.base import burst_substrate
 from repro.platform.instance import FunctionInstance
-from repro.platform.metrics import InstanceRecord, RecordTable, RunResult
+from repro.platform.metrics import InstanceRecord, RunResult
 from repro.platform.providers import PlatformProfile
-from repro.platform.scheduler import PlacementScheduler
 from repro.platform.storage import ObjectStore, StorageUsage
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -95,15 +92,8 @@ class _MixedBurstKernel(BurstDispatchKernel):
         ``spec`` carries only burst-wide defaults (app name, noise-neutral
         factors); sizing comes from the plan's heterogeneous groups.
         """
-        self._spec = spec
-        self._image = None
+        self._configure(spec, None)
         self._concurrency_level = len(plan.groups)
-        self._invoked_at = self.sim.now
-        # Inherited failure handling (dormant on fault-free profiles).
-        self.retry_policy = ImmediateRetry(self.profile.max_retries)
-        self._retry_policy = self.fresh_retry()
-        self._provisioned = self.profile.max_memory_mb
-        self._instances = {}
         for group in plan.groups:
             chain = self.new_chain(n_packed=group.size, payload=group)
             self._admit(chain, attempt=1, retry_delay=0.0)
@@ -146,25 +136,7 @@ class MixedBurstSimulator:
             raise ValueError("cannot execute an empty plan")
         rng = RandomStreams(self.seed).spawn(f"mixed/r{repetition}")
         sim = Simulator()
-        pool = ServerPool(
-            self.profile.fleet_servers,
-            self.profile.server_cores,
-            self.profile.server_memory_mb,
-        )
-        network = NetworkFabric(sim, self.profile.uplink_gbps)
-        scheduler = PlacementScheduler(
-            sim, pool, self.profile.sched_base_s, self.profile.sched_search_s
-        )
-        pipeline = ContainerPipeline(
-            sim,
-            network,
-            rng,
-            build_slots=self.profile.build_slots,
-            build_rate_mb_s=self.profile.build_rate_mb_s,
-            build_base_s=self.profile.build_base_s,
-            ship_overhead_mb=self.profile.ship_overhead_mb,
-            build_cache_factor=self.profile.build_cache_factor,
-        )
+        scheduler, pipeline = burst_substrate(self.profile, sim, rng)
         model = MixedInterferenceModel(self.profile.isolation_penalty)
         store = ObjectStore()
         total_functions = sum(g.size for g in plan.groups)
@@ -188,15 +160,9 @@ class MixedBurstSimulator:
         )
         kernel.begin_plan(spec, plan)
         sim.run()
-
-        table = RecordTable.from_records(kernel._records)
-        run = RunResult(
-            platform_name=self.profile.name,
+        run = replace(
+            kernel.collect(),
             app_name="+".join(sorted(plan.functions_packed())),
-            concurrency=total_functions,
             packing_degree=0,  # heterogeneous — degree varies per group
-            records=kernel._records,
-            expense=BillingModel(self.profile).burst_expense(table, store.usage),
-            table=table,
         )
         return MixedRunResult(run=run, plan=plan, storage=store.usage)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.fusion.spec import FusionGroup, FusionPlan
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RunResult
+from repro.platform.metrics import ExpenseBreakdown, RunResult
 from repro.platform.providers import PlatformProfile
 from repro.platform.storage import StorageUsage
 
@@ -89,14 +89,16 @@ class FusionRunReport:
         raise KeyError(f"no bill for tenant {tenant!r}")
 
 
-def _group_for_record(plan_groups: list[FusionGroup], record: InstanceRecord) -> FusionGroup:
-    """Map a record back to its composition via the deterministic
+def _group_for_instance(
+    plan_groups: list[FusionGroup], instance_id: int, n_packed: int
+) -> FusionGroup:
+    """Map an instance back to its composition via the deterministic
     expansion order (fault-free mixed bursts create one chain per group,
     ids assigned in order)."""
-    group = plan_groups[record.instance_id]
-    if group.size != record.n_packed:
+    group = plan_groups[instance_id]
+    if group.size != n_packed:
         raise RuntimeError(
-            f"instance {record.instance_id} packed {record.n_packed} functions "
+            f"instance {instance_id} packed {n_packed} functions "
             f"but its plan group holds {group.size} — plan/record order drifted"
         )
     return group
@@ -114,16 +116,20 @@ def attribute_expense(
     footprint share *of that instance*; the run-wide storage and egress
     charges split by I/O footprint (``count × io_mb``) across the plan.
     """
-    expense = billing.burst_expense(run.table, storage)
+    table = run.table
+    expense = billing.burst_expense(table, storage)
     groups = plan.instance_groups()
 
     compute: dict[str, float] = {}
     requests: dict[str, float] = {}
-    for record in run.records:
-        group = _group_for_record(groups, record)
+    for instance_id, n_packed, instance_compute in zip(
+        table.instance_id.tolist(),
+        table.n_packed.tolist(),
+        billing.compute_usd_per_instance(table).tolist(),
+    ):
+        group = _group_for_instance(groups, instance_id, n_packed)
         weights = group.tenant_weights()
         scale = sum(weights.values())
-        instance_compute = billing.instance_compute_usd(record)
         for tenant, weight in weights.items():
             share = weight / scale
             compute[tenant] = compute.get(tenant, 0.0) + instance_compute * share

@@ -14,7 +14,7 @@ code").
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cluster.network import NetworkFabric
 from repro.cluster.registry import FunctionImage, ImageRegistry
@@ -31,6 +31,10 @@ from repro.sim.randomness import RandomStreams
 from repro.telemetry.config import TelemetryConfig, TelemetrySession, resolve_session
 from repro.workloads.base import AppSpec
 
+if TYPE_CHECKING:  # annotation-only: the sharded scheduler is imported on use
+    from repro.platform.scheduler_decentralized import DecentralizedScheduler
+    from repro.telemetry.metrics import MetricsRegistry
+
 #: No-op probe used for application-independent scaling measurements.
 PROBE_APP = AppSpec(
     name="noop-probe",
@@ -41,6 +45,76 @@ PROBE_APP = AppSpec(
     pressure_per_gb=0.0,
     description="empty function used to probe platform scaling behaviour",
 )
+
+
+def interference_model(profile: PlatformProfile) -> InterferenceModel:
+    """The homogeneous interference model of ``profile``'s instances."""
+    return InterferenceModel(
+        cores=profile.cores_per_instance,
+        isolation_penalty=profile.isolation_penalty,
+        concurrency_leak=profile.concurrency_leak,
+    )
+
+
+def registered_image(registry: ImageRegistry, app: AppSpec) -> FunctionImage:
+    """The image registered for ``app``, registering it on first use."""
+    if app.name not in registry:
+        registry.register(
+            FunctionImage(
+                name=app.name,
+                code_mb=app.code_mb,
+                runtime_mb=app.runtime_mb,
+                dependencies_mb=app.dependencies_mb,
+            )
+        )
+    return registry.get(app.name)
+
+
+def burst_substrate(
+    profile: PlatformProfile,
+    sim: Simulator,
+    rng: RandomStreams,
+    metrics: Optional["MetricsRegistry"] = None,
+) -> tuple[Union[PlacementScheduler, "DecentralizedScheduler"], ContainerPipeline]:
+    """The datacenter every burst runs on: placement ∥ build → ship.
+
+    Builds ``profile``'s server pool, its placement scheduler (serial, or
+    sharded when ``scheduler_shards > 1``), the shipping uplink and the
+    container pipeline on ``sim``. The scheduler owns the pool and the
+    pipeline the uplink (``pipeline.network``). ``rng`` draws the build
+    noise; ``metrics`` (a telemetry registry) observes the serial
+    scheduler.
+    """
+    pool = ServerPool(
+        profile.fleet_servers, profile.server_cores, profile.server_memory_mb
+    )
+    network = NetworkFabric(sim, profile.uplink_gbps)
+    if profile.scheduler_shards > 1:
+        from repro.platform.scheduler_decentralized import DecentralizedScheduler
+
+        scheduler = DecentralizedScheduler(
+            sim,
+            pool,
+            profile.sched_base_s,
+            profile.sched_search_s,
+            shards=profile.scheduler_shards,
+            sync_cost_s=profile.sched_sync_s,
+        )
+    else:
+        scheduler = PlacementScheduler(
+            sim, pool, profile.sched_base_s, profile.sched_search_s, metrics=metrics
+        )
+    pipeline = ContainerPipeline(
+        sim,
+        network,
+        rng,
+        build_slots=profile.build_slots,
+        build_rate_mb_s=profile.build_rate_mb_s,
+        build_base_s=profile.build_base_s,
+        ship_overhead_mb=profile.ship_overhead_mb,
+        build_cache_factor=profile.build_cache_factor,
+    )
+    return scheduler, pipeline
 
 
 class ServerlessPlatform:
@@ -65,23 +139,10 @@ class ServerlessPlatform:
     # ------------------------------------------------------------------ #
     def image_for(self, app: AppSpec) -> FunctionImage:
         """The registered image for ``app`` (auto-registering on first use)."""
-        if app.name not in self.registry:
-            self.registry.register(
-                FunctionImage(
-                    name=app.name,
-                    code_mb=app.code_mb,
-                    runtime_mb=app.runtime_mb,
-                    dependencies_mb=app.dependencies_mb,
-                )
-            )
-        return self.registry.get(app.name)
+        return registered_image(self.registry, app)
 
     def interference_model(self) -> InterferenceModel:
-        return InterferenceModel(
-            cores=self.profile.cores_per_instance,
-            isolation_penalty=self.profile.isolation_penalty,
-            concurrency_leak=self.profile.concurrency_leak,
-        )
+        return interference_model(self.profile)
 
     # ------------------------------------------------------------------ #
     def run_burst(self, spec: BurstSpec, repetition: Optional[int] = None) -> RunResult:
@@ -93,40 +154,11 @@ class ServerlessPlatform:
             f"{spec.app.name}/C{spec.concurrency}/P{spec.packing_degree}/r{repetition}"
         )
         sim = Simulator()
-        pool = ServerPool(
-            self.profile.fleet_servers,
-            self.profile.server_cores,
-            self.profile.server_memory_mb,
-        )
-        network = NetworkFabric(sim, self.profile.uplink_gbps)
-        if self.profile.scheduler_shards > 1:
-            from repro.platform.scheduler_decentralized import DecentralizedScheduler
-
-            scheduler = DecentralizedScheduler(
-                sim,
-                pool,
-                self.profile.sched_base_s,
-                self.profile.sched_search_s,
-                shards=self.profile.scheduler_shards,
-                sync_cost_s=self.profile.sched_sync_s,
-            )
-        else:
-            scheduler = PlacementScheduler(
-                sim,
-                pool,
-                self.profile.sched_base_s,
-                self.profile.sched_search_s,
-                metrics=self.telemetry.registry if self.telemetry else None,
-            )
-        pipeline = ContainerPipeline(
+        scheduler, pipeline = burst_substrate(
+            self.profile,
             sim,
-            network,
             rng,
-            build_slots=self.profile.build_slots,
-            build_rate_mb_s=self.profile.build_rate_mb_s,
-            build_base_s=self.profile.build_base_s,
-            ship_overhead_mb=self.profile.ship_overhead_mb,
-            build_cache_factor=self.profile.build_cache_factor,
+            metrics=self.telemetry.registry if self.telemetry else None,
         )
         instrumentation = None
         if self.telemetry is not None:

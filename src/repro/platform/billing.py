@@ -150,10 +150,6 @@ class BillingModel:
         step = self.profile.min_billed_memory_mb
         return -(-requested_mb // step) * step
 
-    def billed_seconds(self, exec_seconds: float) -> float:
-        """Executed → billed duration under this model's fidelity."""
-        return self.fidelity.billed_seconds(exec_seconds)
-
     def instance_compute_usd(self, record: InstanceRecord) -> float:
         billed_gb = self.billed_memory_mb(record.provisioned_mb) / 1024.0
         billed_s = self.fidelity.billed_seconds(record.exec_seconds)
@@ -194,7 +190,7 @@ class BillingModel:
         Fidelity rounding is per *invocation*, so it cannot be applied to
         an already-aggregated GB-seconds total; serving paths that want
         rounded billing must round per dispatch before aggregating (see
-        :meth:`billed_seconds`).
+        :meth:`BillingFidelity.billed_seconds`).
         """
         if egress_gb < 0.0:
             raise ValueError("egress GB must be non-negative")

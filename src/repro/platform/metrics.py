@@ -63,27 +63,6 @@ class InstanceRecord:
             raise ValueError(f"instance {self.instance_id} never executed")
         return self.exec_end - self.exec_start
 
-    @property
-    def scheduling_delay(self) -> float:
-        assert self.sched_done is not None
-        return self.sched_done - self.invoked_at
-
-    @property
-    def startup_delay(self) -> float:
-        """Build completion relative to invocation (builds start at invoke)."""
-        assert self.built_at is not None
-        return self.built_at - self.invoked_at
-
-    @property
-    def shipping_delay(self) -> float:
-        """Transfer time from ship-ready (built AND placed) to arrival."""
-        assert (
-            self.shipped_at is not None
-            and self.built_at is not None
-            and self.sched_done is not None
-        )
-        return self.shipped_at - max(self.built_at, self.sched_done)
-
     def phase_durations(self) -> dict[str, float]:
         """Per-phase time breakdown, honouring the module's timing rules.
 

@@ -20,15 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cluster.network import NetworkFabric
-from repro.cluster.registry import FunctionImage, ImageRegistry
-from repro.cluster.server import ServerPool
-from repro.interference.model import InterferenceModel
-from repro.platform.container import ContainerPipeline
+from repro.cluster.registry import ImageRegistry
+from repro.platform.base import burst_substrate, interference_model, registered_image
 from repro.platform.invoker import BurstInvoker, BurstSpec
 from repro.platform.metrics import RunResult
 from repro.platform.providers import PlatformProfile
-from repro.platform.scheduler import PlacementScheduler
 from repro.platform.storage import ObjectStore
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -76,34 +72,8 @@ class SharedFleet:
         self.enforce_timeout = enforce_timeout
         self.sim = Simulator()
         self._root_rng = RandomStreams(seed)
-        self.pool = ServerPool(
-            profile.fleet_servers, profile.server_cores, profile.server_memory_mb
-        )
-        self.network = NetworkFabric(self.sim, profile.uplink_gbps)
-        if profile.scheduler_shards > 1:
-            from repro.platform.scheduler_decentralized import DecentralizedScheduler
-
-            self.scheduler = DecentralizedScheduler(
-                self.sim,
-                self.pool,
-                profile.sched_base_s,
-                profile.sched_search_s,
-                shards=profile.scheduler_shards,
-                sync_cost_s=profile.sched_sync_s,
-            )
-        else:
-            self.scheduler = PlacementScheduler(
-                self.sim, self.pool, profile.sched_base_s, profile.sched_search_s
-            )
-        self.pipeline = ContainerPipeline(
-            self.sim,
-            self.network,
-            self._root_rng.spawn("pipeline"),
-            build_slots=profile.build_slots,
-            build_rate_mb_s=profile.build_rate_mb_s,
-            build_base_s=profile.build_base_s,
-            ship_overhead_mb=profile.ship_overhead_mb,
-            build_cache_factor=profile.build_cache_factor,
+        self.scheduler, self.pipeline = burst_substrate(
+            profile, self.sim, self._root_rng.spawn("pipeline")
         )
         self.registry = ImageRegistry()
         self._submissions: list[_Submission] = []
@@ -111,19 +81,6 @@ class SharedFleet:
         self._ran = False
 
     # ------------------------------------------------------------------ #
-    def _image_for(self, spec: BurstSpec) -> FunctionImage:
-        app = spec.app
-        if app.name not in self.registry:
-            self.registry.register(
-                FunctionImage(
-                    name=app.name,
-                    code_mb=app.code_mb,
-                    runtime_mb=app.runtime_mb,
-                    dependencies_mb=app.dependencies_mb,
-                )
-            )
-        return self.registry.get(app.name)
-
     def submit(self, tenant: str, spec: BurstSpec, at_time: float = 0.0) -> None:
         """Queue a tenant's burst to begin at ``at_time``."""
         if self._ran:
@@ -148,11 +105,7 @@ class SharedFleet:
         if not self._submissions:
             raise ValueError("no bursts submitted")
         self._ran = True
-        interference = InterferenceModel(
-            cores=self.profile.cores_per_instance,
-            isolation_penalty=self.profile.isolation_penalty,
-            concurrency_leak=self.profile.concurrency_leak,
-        )
+        interference = interference_model(self.profile)
         for submission in self._submissions:
             invoker = BurstInvoker(
                 self.sim,
@@ -167,7 +120,7 @@ class SharedFleet:
             submission.invoker = invoker
             self.sim.schedule_at(
                 submission.at_time, invoker.begin, submission.spec,
-                self._image_for(submission.spec),
+                registered_image(self.registry, submission.spec.app),
             )
         self.sim.run()
         results = {s.tenant: s.invoker.collect() for s in self._submissions}

@@ -52,8 +52,9 @@ class BurstInstrumentation:
         self.tracer = tracer
         self.bus = bus
         self.registry = registry
+        self._now = lambda: sim.now  # bus events are published untraced too
         if tracer is not None:
-            tracer.bind_clock(lambda: sim.now)
+            tracer.bind_clock(self._now)
             self.pid = tracer.new_process(name)
         self._roots: dict[int, Span] = {}
         self._phases: dict[int, dict[str, Span]] = {}
@@ -171,20 +172,20 @@ class BurstInstrumentation:
             histograms = self._m["phases"]
             for phase, seconds in record.phase_durations().items():
                 histograms[phase].observe(seconds)
+        if outcome in ("crash", "timeout") and self.bus is not None:
+            self.bus.publish(
+                f"instance.{outcome}",
+                self._now(),
+                instance=record.instance_id,
+                attempt=record.attempt,
+                correlated=record.correlated,
+            )
         if self.tracer is None:
             return
         self._end_phase(record, "exec")
         root = self._roots.pop(record.instance_id, None)
         if root is not None:
             self.tracer.end_span(root, outcome=outcome)
-        if outcome in ("crash", "timeout") and self.bus is not None:
-            self.bus.publish(
-                f"instance.{outcome}",
-                self.tracer.now,
-                instance=record.instance_id,
-                attempt=record.attempt,
-                correlated=record.correlated,
-            )
 
     def on_cancelled_before_exec(self, record) -> None:
         """A hedge twin won while this copy was still in the cold pipeline."""
@@ -212,9 +213,9 @@ class BurstInstrumentation:
                 "retry", "fault", track=chain_id,
                 attempt=next_attempt, delay_s=delay,
             )
-        if self.bus is not None and self.tracer is not None:
+        if self.bus is not None:
             self.bus.publish(
-                "chain.retry", self.tracer.now,
+                "chain.retry", self._now(),
                 chain=chain_id, attempt=next_attempt, delay_s=delay,
             )
 
@@ -235,9 +236,9 @@ class BurstInstrumentation:
             self._m["lost"].inc(n_packed)
         if self.tracer is not None:
             self.tracer.instant("lost", "fault", track=chain_id, n_packed=n_packed)
-        if self.bus is not None and self.tracer is not None:
+        if self.bus is not None:
             self.bus.publish(
-                "chain.lost", self.tracer.now, chain=chain_id, n_packed=n_packed
+                "chain.lost", self._now(), chain=chain_id, n_packed=n_packed
             )
 
 
@@ -265,7 +266,7 @@ class ServingInstrumentation:
         self.tracer = tracer
         self.bus = bus
         self._registry = registry
-        self._now = lambda: sim.now  # audit events may run untraced
+        self._now = lambda: sim.now  # bus events are published untraced too
         # Audit short-circuit: hooks fire per dispatch/arrival (hot loop),
         # so "did anyone subscribe to audit.*?" is answered once here and
         # re-derived only when the bus's subscription set changes — not
@@ -274,7 +275,7 @@ class ServingInstrumentation:
         self._audit_on = False
         self._refresh_audit_gate()
         if tracer is not None:
-            tracer.bind_clock(lambda: sim.now)
+            tracer.bind_clock(self._now)
             self.pid = tracer.new_process(name)
         self._dispatches: dict[int, Span] = {}
         self._m: dict[str, object] = {}
@@ -450,9 +451,9 @@ class ServingInstrumentation:
             self._m["crashes"]["correlated" if correlated else "independent"].inc()
         if self.tracer is not None:
             self._end_dispatch(dispatch_id, "crash")
-        if self.bus is not None and self.tracer is not None:
+        if self.bus is not None:
             self.bus.publish(
-                "dispatch.crash", self.tracer.now,
+                "dispatch.crash", self._now(),
                 dispatch=dispatch_id, correlated=correlated,
                 domain=-1 if domain is None else domain,
             )
@@ -476,8 +477,8 @@ class ServingInstrumentation:
             self._audit("audit.fail", batch=batch_size)
         if self._m:
             self._m["failed"].inc(batch_size)
-        if self.bus is not None and self.tracer is not None:
-            self.bus.publish("batch.failed", self.tracer.now, batch=batch_size)
+        if self.bus is not None:
+            self.bus.publish("batch.failed", self._now(), batch=batch_size)
 
     def on_tick(self, backlog: int, violation_fraction: float) -> None:
         # Per-wave gate refresh: the control tick is the run's heartbeat,
@@ -505,5 +506,5 @@ class ServingInstrumentation:
             ).inc()
         if self.tracer is not None:
             self.tracer.instant(f"remediation-{stage}", "remediation", **fields)
-        if self.bus is not None and self.tracer is not None:
-            self.bus.publish(f"remediation.{stage}", self.tracer.now, **fields)
+        if self.bus is not None:
+            self.bus.publish(f"remediation.{stage}", self._now(), **fields)

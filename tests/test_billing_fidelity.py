@@ -156,18 +156,18 @@ def test_profile_knobs_flow_into_the_billing_model():
     )
     model = BillingModel(rounded)
     assert model.fidelity == BillingFidelity(granularity_s=0.1, min_billed_s=0.1)
-    assert model.billed_seconds(0.123) == pytest.approx(0.2)
+    assert model.fidelity.billed_seconds(0.123) == pytest.approx(0.2)
 
 
 def test_default_model_bills_exactly():
     model = BillingModel(AWS_LAMBDA)
     for value in (0.0, 0.123456789, 42.000000001):
-        assert model.billed_seconds(value) == value
+        assert model.fidelity.billed_seconds(value) == value
 
 
 def test_explicit_fidelity_overrides_the_profile():
     model = BillingModel(AWS_LAMBDA, fidelity=BillingFidelity(granularity_s=1.0))
-    assert model.billed_seconds(0.2) == pytest.approx(1.0)
+    assert model.fidelity.billed_seconds(0.2) == pytest.approx(1.0)
 
 
 # --------------------------------------------------------------------- #

@@ -7,7 +7,9 @@ from repro.extensions.mixed import MixedPacker
 from repro.extensions.mixed_sim import MixedBurstSimulator, _group_image
 from repro.extensions.mixed import MixedGroup
 from repro.platform.base import ServerlessPlatform
+from repro.platform.billing import BillingModel
 from repro.platform.providers import AWS_LAMBDA
+from repro.platform.scheduler_decentralized import DecentralizedScheduler
 from repro.workloads import SMITH_WATERMAN, SORT, STATELESS_COST, VIDEO
 
 
@@ -79,3 +81,33 @@ def test_mixed_sim_deterministic(packer):
     b = MixedBurstSimulator(AWS_LAMBDA, seed=5).run(plan)
     assert a.service_time == b.service_time
     assert a.expense_usd == b.expense_usd
+
+
+def test_mixed_sim_reports_billed_gb_seconds(packer, simulator):
+    """The run ends in the kernel's collect, so its fault stats carry the
+    billed GB-seconds of its records, added in record order."""
+    result = simulator.run(packer.pack_mixed({SORT: 30, VIDEO: 20, STATELESS_COST: 50}))
+    billing = BillingModel(AWS_LAMBDA)
+    expected = 0.0
+    for r in result.run.records:
+        expected += r.exec_seconds * billing.billed_memory_mb(r.provisioned_mb) / 1024.0
+    stats = result.run.fault_stats
+    assert stats.total_billed_gb_seconds == expected > 0.0
+    assert stats.wasted_billed_gb_seconds == 0.0
+
+
+def test_mixed_sim_places_through_the_sharded_scheduler(packer, monkeypatch):
+    """A profile with scheduler shards runs mixed plans on the same sharded
+    control plane as every other burst."""
+    shards_seen = []
+    place = DecentralizedScheduler.request_placement
+
+    def spy(self, *args):
+        shards_seen.append(self.shards)
+        return place(self, *args)
+
+    monkeypatch.setattr(DecentralizedScheduler, "request_placement", spy)
+    plan = packer.pack_mixed({SORT: 30, STATELESS_COST: 50})
+    sharded = AWS_LAMBDA.with_overrides(scheduler_shards=4)
+    result = MixedBurstSimulator(sharded, seed=121).run(plan)
+    assert shards_seen == [4] * result.run.n_instances

@@ -34,21 +34,28 @@ def test_execution_is_byte_deterministic():
     assert r1.run.records != r3.run.records
 
 
+#: The legacy 100 ms schedule: every instance's bill is rounded on its own.
+ROUNDED = AWS_LAMBDA.with_overrides(
+    billing_granularity_s=0.1, min_billed_duration_s=0.1
+)
+
+
 def test_bills_sum_to_the_expense_breakdown():
-    report = FusionScheduler(AWS_LAMBDA, seed=3).execute(two_tenant_plan())
-    assert check_tenant_billing_attribution(
-        report.expense_usd, report.bills
-    ) == []
-    assert sum(b.total_usd for b in report.bills) == pytest.approx(
-        report.expense_usd, rel=1e-12
-    )
-    # Component-wise conservation, not just the total.
-    assert sum(b.compute_usd for b in report.bills) == pytest.approx(
-        report.expense.compute_usd, rel=1e-12
-    )
-    assert sum(b.requests_usd for b in report.bills) == pytest.approx(
-        report.expense.requests_usd, rel=1e-12
-    )
+    for profile in (AWS_LAMBDA, ROUNDED):
+        report = FusionScheduler(profile, seed=3).execute(two_tenant_plan())
+        assert check_tenant_billing_attribution(
+            report.expense_usd, report.bills
+        ) == []
+        assert sum(b.total_usd for b in report.bills) == pytest.approx(
+            report.expense_usd, rel=1e-12
+        )
+        # Component-wise conservation, not just the total.
+        assert sum(b.compute_usd for b in report.bills) == pytest.approx(
+            report.expense.compute_usd, rel=1e-12
+        )
+        assert sum(b.requests_usd for b in report.bills) == pytest.approx(
+            report.expense.requests_usd, rel=1e-12
+        )
 
 
 def test_single_tenant_gets_the_whole_bill():
@@ -79,10 +86,7 @@ def test_attribution_follows_memory_footprint():
 def test_rebill_changes_dollars_not_dynamics():
     plan = two_tenant_plan()
     exact = FusionScheduler(AWS_LAMBDA, seed=11).execute(plan)
-    rounded_profile = AWS_LAMBDA.with_overrides(
-        billing_granularity_s=0.1, min_billed_duration_s=0.1
-    )
-    rounded = rebill(exact, rounded_profile)
+    rounded = rebill(exact, ROUNDED)
     # Same records, same timings — only the dollars moved, and only up.
     assert rounded.run.records == exact.run.records
     assert rounded.service_time == exact.service_time
@@ -98,12 +102,9 @@ def test_rebill_changes_dollars_not_dynamics():
 
 def test_rebill_matches_direct_execution_under_that_profile():
     plan = two_tenant_plan()
-    rounded_profile = AWS_LAMBDA.with_overrides(
-        billing_granularity_s=0.1, min_billed_duration_s=0.1
-    )
-    direct = FusionScheduler(rounded_profile, seed=5).execute(plan)
+    direct = FusionScheduler(ROUNDED, seed=5).execute(plan)
     rebilled = rebill(
-        FusionScheduler(AWS_LAMBDA, seed=5).execute(plan), rounded_profile
+        FusionScheduler(AWS_LAMBDA, seed=5).execute(plan), ROUNDED
     )
     assert rebilled.expense == direct.expense
     assert rebilled.bills == direct.bills

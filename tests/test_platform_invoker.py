@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import fluid
 from repro.platform.base import ServerlessPlatform
 from repro.platform.invoker import BurstSpec, FunctionTimeoutError
 from repro.platform.providers import AWS_LAMBDA
@@ -107,6 +108,62 @@ def test_timeout_enforced():
         platform.run_burst(BurstSpec(app=app, concurrency=8, packing_degree=8))
 
 
+def _timeout_abort(profile, spec, seed, path):
+    """The billed-timeout abort of ``spec`` on the fluid replay or the
+    event loop, and whether the replay ran."""
+    replayed = []
+    replay = fluid._run_fluid
+
+    def traced_replay(kernel, spec, image):
+        replayed.append(True)
+        return replay(kernel, spec, image)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "_run_fluid", traced_replay)
+        if path == "event-loop":
+            mp.setattr(fluid, "try_run_fluid", lambda kernel, spec, image: None)
+        with pytest.raises(FunctionTimeoutError) as excinfo:
+            ServerlessPlatform(profile, seed=seed).run_burst(spec, repetition=0)
+    return excinfo.value, bool(replayed)
+
+
+@pytest.mark.parametrize(
+    "profile, spec, seed, warm",
+    [
+        (
+            AWS_LAMBDA,
+            BurstSpec(
+                app=make_synthetic(base_seconds=800.0, mem_mb=1024, pressure_per_gb=0.5),
+                concurrency=8,
+                packing_degree=8,
+            ),
+            1,
+            False,
+        ),
+        (
+            # A skewed warm reuse is the first attempt to outrun this cap.
+            AWS_LAMBDA.with_overrides(max_execution_seconds=150.0),
+            BurstSpec(
+                app=SORT, concurrency=80, packing_degree=2, wave_size=4, skew_cv=0.3
+            ),
+            5,
+            True,
+        ),
+    ],
+    ids=["cold", "warm"],
+)
+def test_timeout_abort_identical_on_both_paths(profile, spec, seed, warm):
+    """The fluid replay and the event loop abort with the same message,
+    the same bill and an equal record."""
+    replayed, on_replay = _timeout_abort(profile, spec, seed, "fluid")
+    looped, on_loop = _timeout_abort(profile, spec, seed, "event-loop")
+    assert on_replay and not on_loop
+    assert str(replayed) == str(looped)
+    assert replayed.billed_usd == looped.billed_usd > 0.0
+    assert replayed.record == looped.record
+    assert replayed.record.timed_out and replayed.record.warm_start is warm
+
+
 def test_timeout_can_be_disabled():
     app = make_synthetic(base_seconds=800.0, mem_mb=1024, pressure_per_gb=0.5)
     platform = ServerlessPlatform(AWS_LAMBDA, seed=1, enforce_timeout=False)
@@ -137,8 +194,9 @@ def test_warm_records_skip_pipeline(platform):
     for r in result.records:
         if r.warm_start:
             # Warm dispatch pays only the small dispatch latency, no pipeline.
-            assert r.startup_delay == pytest.approx(spec_warm_latency)
-            assert r.shipping_delay == pytest.approx(0.0)
+            phases = r.phase_durations()
+            assert phases["build"] == pytest.approx(spec_warm_latency)
+            assert phases["ship"] == pytest.approx(0.0)
 
 
 def test_waves_serialize_service_time(platform):
@@ -202,8 +260,9 @@ def test_warm_records_are_flagged_and_skip_build_and_ship(platform):
         # Build and ship collapse to the same instant: the container is
         # already on the worker, so the record never enters the pipeline.
         assert r.built_at == r.shipped_at
-        assert r.scheduling_delay == pytest.approx(0.0)
-        assert r.shipping_delay == pytest.approx(0.0)
+        phases = r.phase_durations()
+        assert phases["sched"] == pytest.approx(0.0)
+        assert phases["ship"] == pytest.approx(0.0)
         # Execution starts one warm dispatch after invocation.
         assert r.exec_start - r.invoked_at == pytest.approx(
             BurstSpec(app=STATELESS_COST, concurrency=1).warm_dispatch_s

@@ -5,6 +5,8 @@ trace of a C=1000 burst must reproduce the paper's scaling time (start of
 the last instance's execution) exactly from the exported spans.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,17 +91,18 @@ def test_telemetry_does_not_perturb_results():
     assert bare.expense.total_usd == observed.expense.total_usd
 
 
+CHAOS = FaultScenario(
+    name="chaos", crash_rate=0.3, persistent_fraction=0.2, straggler_rate=0.1,
+)
+
+
 def test_faulty_burst_traces_every_outcome():
-    scenario = FaultScenario(
-        name="chaos", crash_rate=0.3, persistent_fraction=0.2,
-        straggler_rate=0.1,
-    )
     platform = ServerlessPlatform(
         AWS_LAMBDA, seed=SEED, telemetry=TelemetryConfig()
     )
     result = platform.run_burst(
         BurstSpec(
-            app=SORT, concurrency=200, packing_degree=2, scenario=scenario,
+            app=SORT, concurrency=200, packing_degree=2, scenario=CHAOS,
             retry_policy=ExponentialBackoffRetry(max_retries=3),
         )
     )
@@ -116,6 +119,21 @@ def test_faulty_burst_traces_every_outcome():
     # every record, including failed attempts, produced a closed root span
     roots = platform.telemetry.tracer.finished("instance")
     assert len(roots) == len(result.records)
+
+
+def test_burst_bus_events_do_not_depend_on_tracing():
+    """Crash, retry and lost-chain events reach the bus with tracing off."""
+    spec = BurstSpec(app=SORT, concurrency=200, packing_degree=2, scenario=CHAOS)
+    logs = []
+    for tracing in (True, False):
+        platform = ServerlessPlatform(
+            AWS_LAMBDA, seed=SEED, telemetry=TelemetryConfig(tracing=tracing)
+        )
+        platform.run_burst(spec)
+        logs.append(platform.telemetry.events_jsonl())
+    assert logs[0] == logs[1]
+    kinds = {json.loads(line)["kind"] for line in logs[0].splitlines()}
+    assert kinds == {"instance.crash", "chain.retry", "chain.lost"}
 
 
 # --------------------------------------------------------------------- #
@@ -263,8 +281,8 @@ def test_trace_recorder_public_api_preserved():
     assert sum(recorder.summary().values()) == 3
 
 
-def test_remediation_loop_instrumented():
-    """A remediated run exports per-stage counters and bus events."""
+def _remediated_serving(telemetry):
+    """A faulted serving run under the remediation loop."""
     from repro.remediation import RemediationConfig, RemediationLoop
 
     config = ServingConfig(qos_sojourn_s=45.0)
@@ -290,7 +308,7 @@ def test_remediation_loop_instrumented():
         scenario=scenario,
         retry_policy=ExponentialBackoffRetry(max_retries=3),
         seed=SEED,
-        telemetry=TelemetryConfig(),
+        telemetry=telemetry,
         remediation=RemediationLoop(RemediationConfig(
             tick_interval_s=60.0, shadow_horizon_s=120.0
         )),
@@ -301,6 +319,12 @@ def test_remediation_loop_instrumented():
         PoissonProcess(1.5), StreamingPolicy(degree=4, batch_timeout_s=2.0),
         900.0,
     )
+    return sim, run, events
+
+
+def test_remediation_loop_instrumented():
+    """A remediated run exports per-stage counters and bus events."""
+    sim, run, events = _remediated_serving(TelemetryConfig())
     rep = run.remediation
     assert rep is not None and rep.n_applied > 0
     samples = parse_prometheus_text(sim.telemetry.prometheus_text())
@@ -321,3 +345,14 @@ def test_remediation_loop_instrumented():
         for e in events if e.kind == "dispatch.crash"
     ]
     assert crash_domains and all(d is not None for d in crash_domains)
+
+
+def test_serving_bus_events_do_not_depend_on_tracing():
+    """Crash, failed-batch and remediation events reach the bus with
+    tracing off, so the bus-fed poison detector sees the same crashes."""
+    traced, _, _ = _remediated_serving(TelemetryConfig())
+    untraced, _, untraced_events = _remediated_serving(TelemetryConfig(tracing=False))
+    assert untraced.telemetry.tracer is None
+    assert untraced.telemetry.events_jsonl() == traced.telemetry.events_jsonl()
+    kinds = {e.kind for e in untraced_events}
+    assert {"dispatch.crash", "batch.failed", "remediation.apply"} <= kinds
