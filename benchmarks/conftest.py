@@ -24,10 +24,13 @@ from repro.experiments.runner import ExperimentContext
 #: one-glance answer to "did this PR slow the simulator down?".
 BENCH_RESULTS: dict[str, float] = {}
 
-#: Serving-day throughput numbers (requests/s of simulated traffic and
-#: wall time for the SV1/SH1 sweeps), populated by ``test_serving.py`` /
-#: ``test_selfhealing.py`` and written to ``BENCH_serving.json`` — the
-#: macro counterpart of the dispatch-primitive trajectory.
+#: Serving throughput numbers (requests/s of simulated traffic and wall
+#: time of the SV1, OV1, SH1 and CH1 sweeps), populated by
+#: ``test_serving.py``, ``test_serving_overload.py``, ``test_selfhealing.py``
+#: and ``test_chaos.py`` and written to ``BENCH_serving.json`` — the macro
+#: counterpart of the dispatch-primitive trajectory. The file is rewritten
+#: with only the keys the pytest session produced, so regenerate it from
+#: one pytest session that runs all four.
 BENCH_SERVING: dict[str, float] = {}
 
 #: Platform-side fusion numbers (fused vs unfused cost per 1k functions

@@ -20,7 +20,7 @@ from repro.serving.arrivals import (
     SuperposedProcess,
 )
 from repro.serving.controller import OnlineReplanner, ReplanDecision, StreamingPolicy
-from repro.serving.quantiles import P2Quantile, QuantileDigest, WindowedSLOTracker
+from repro.serving.quantiles import QuantileDigest, WindowedSLOTracker
 from repro.serving.service import (
     BacklogStats,
     ResilienceReport,
@@ -50,7 +50,6 @@ __all__ = [
     "OnlineReplanner",
     "ReplanDecision",
     "StreamingPolicy",
-    "P2Quantile",
     "QuantileDigest",
     "WindowedSLOTracker",
     "BacklogStats",

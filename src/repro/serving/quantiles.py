@@ -1,131 +1,53 @@
-"""Constant-memory latency statistics for million-request horizons.
+"""Latency statistics for million-request horizons.
 
-A multi-hour serving run produces far too many sojourn samples to hold in
-memory and sort at the end. :class:`P2Quantile` implements the P² algorithm
-(Jain & Chlamtáč, CACM 1985): five markers track a single quantile online
-in O(1) space, staying within a couple of percent of the exact order
-statistic for smooth distributions. :class:`QuantileDigest` bundles the
-p50/p95/p99 markers a serving report needs, and :class:`WindowedSLOTracker`
-counts SLO violations in bounded time buckets so "which hour of the day
+:class:`QuantileDigest` keeps every sojourn of a run in one float64 column
+(8 MB per million sojourns) and computes exact nearest-rank quantiles when
+they are read; a serving run reads them only after it ends.
+:class:`WindowedSLOTracker` stays online instead: brownout, AIMD admission
+and remediation read its trailing-window violation rate mid-run, so it
+counts SLO violations in bounded time buckets and "which hour of the day
 breached" survives the run without retaining samples.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² algorithm.
-
-    The first five observations are stored exactly; from the sixth on,
-    five markers (min, p/2, p, (1+p)/2, max) are nudged toward their ideal
-    rank positions with piecewise-parabolic interpolation.
-    """
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = float(p)
-        self.count = 0
-        self._initial: list[float] = []
-        self._q: list[float] = []    # marker heights
-        self._n: list[float] = []    # marker positions (1-based ranks)
-        self._np: list[float] = []   # desired marker positions
-        self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self.count += 1
-        if self.count <= 5:
-            self._initial.append(x)
-            if self.count == 5:
-                self._initial.sort()
-                self._q = list(self._initial)
-                self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                p = self.p
-                self._np = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-            return
-        q, n, np_, dn = self._q, self._n, self._np, self._dn
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x < q[1]:
-            k = 0
-        elif x < q[2]:
-            k = 1
-        elif x < q[3]:
-            k = 2
-        elif x <= q[4]:
-            k = 3
-        else:
-            q[4] = x
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            np_[i] += dn[i]
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                sign = 1.0 if d >= 0.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, sign)
-                n[i] += sign
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (exact while count <= 5)."""
-        if self.count == 0:
-            raise ValueError("no observations")
-        if self.count <= 5:
-            ordered = sorted(self._initial)
-            rank = max(1, math.ceil(self.p * len(ordered)))
-            return ordered[rank - 1]
-        return self._q[2]
+import numpy as np
 
 
 class QuantileDigest:
-    """The p50/p95/p99 bundle a latency report needs, in O(1) space."""
+    """Every sojourn of a run in one float64 column; quantiles on read.
 
-    DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
+    A quantile is computed when it is read, by one rank rule: *nearest
+    rank*, the ⌈p·n⌉-th smallest value (NumPy's ``inverted_cdf`` method).
+    Values are kept in an ``array('d')``, so a million sojourns take 8 MB;
+    no NumPy view of it is kept, because the array cannot grow while one
+    exists.
+    """
 
-    def __init__(self, quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> None:
-        self._estimators = {p: P2Quantile(p) for p in quantiles}
-        self.count = 0
+    def __init__(self) -> None:
+        self._values = array("d")
 
     def add(self, x: float) -> None:
-        self.count += 1
-        for est in self._estimators.values():
-            est.add(x)
+        self._values.append(x)
+
+    @property
+    def count(self) -> int:
+        return len(self._values)
 
     def quantile(self, p: float) -> float:
-        return self._estimators[p].value
-
-    def summary(self) -> dict[str, float]:
-        return {
-            f"p{int(round(p * 100))}": est.value
-            for p, est in self._estimators.items()
-        }
+        """The ⌈p·n⌉-th smallest value added so far."""
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {p}")
+        if not self._values:
+            raise ValueError("no observations")
+        column = np.array(self._values, dtype=float)
+        return float(
+            np.quantile(column, p, method="inverted_cdf", overwrite_input=True)
+        )
 
 
 @dataclass
@@ -161,7 +83,10 @@ class WindowedSLOTracker:
     def record(self, completed_at: float, sojourn_s: float) -> None:
         if completed_at < 0.0:
             raise ValueError("completion time must be non-negative")
-        bucket = self._buckets.setdefault(int(completed_at // self.bucket_s), _Bucket())
+        idx = int(completed_at // self.bucket_s)
+        bucket = self._buckets.get(idx)
+        if bucket is None:
+            bucket = self._buckets[idx] = _Bucket()
         bucket.count += 1
         bucket.sojourn_sum += sojourn_s
         self.total += 1

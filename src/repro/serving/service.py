@@ -11,9 +11,12 @@ short homogeneous stream to *hours* of service:
   — warm hits pay a millisecond dispatch, cold starts pay the sandbox
   latency *and* billed initialization (the index/model load runs inside the
   handler, so providers charge it),
-* sojourn times feed constant-memory P² quantile estimators and a windowed
-  SLO tracker, so a million-request day needs no sample retention,
-* billing threads warm-idle time through
+* sojourn times fill one column, read as exact nearest-rank quantiles
+  after the run, and feed a windowed SLO tracker that controllers read
+  mid-run,
+* every attempt is billed once through the profile's
+  :class:`~repro.platform.billing.BillingFidelity` (execution plus billed
+  init), and billing threads warm-idle time through
   :meth:`~repro.platform.billing.BillingModel.serving_expense` at the
   provisioned-concurrency rate.
 
@@ -336,9 +339,8 @@ class ServingSimulator:
         #: exported trace and resilience components register their metrics
         #: into the session registry (see docs/OBSERVABILITY.md).
         self.telemetry = resolve_session(telemetry)
-        self._billed_gb = (
-            BillingModel(profile).billed_memory_mb(profile.max_memory_mb) / 1024.0
-        )
+        self._billing = BillingModel(profile)
+        self._billed_gb = self._billing.billed_memory_mb(profile.max_memory_mb) / 1024.0
 
     def run(
         self,
@@ -639,17 +641,28 @@ class _ServingRun:
         if self.tel is not None:
             self.tel.on_dispatch(dispatch_id, chain.n_packed, warm, domain)
 
-    def _bill(self, ad: _ActiveDispatch, exec_seconds: float) -> float:
-        """Billed GB-seconds of one attempt (init is billed on cold starts)."""
-        billed_s = self.costs.billed_seconds(exec_seconds, ad.warm)
+    def _bill(
+        self, ad: _ActiveDispatch, exec_seconds: float, wasted: bool = False
+    ) -> float:
+        """Bill one attempt and return its billed seconds.
+
+        The provider rounds each invocation, so the profile's
+        :class:`~repro.platform.billing.BillingFidelity` rounds once per
+        attempt, over execution plus billed init (cold starts only).
+        """
+        billed_s = self.owner._billing.fidelity.billed_seconds(
+            self.costs.billed_seconds(exec_seconds, ad.warm)
+        )
         gb_s = billed_s * self.owner._billed_gb
         self.result.exec_gb_seconds += gb_s
-        return gb_s
+        if wasted:
+            self.result.resilience.wasted_gb_seconds += gb_s
+        return billed_s
 
     def on_complete(self, dispatch_id: int) -> None:
         ad = self.active.pop(dispatch_id)
         now = self.sim.now
-        self._bill(ad, ad.exec_time)
+        billed_s = self._bill(ad, ad.exec_time)
         self.pool.release(now)
         if ad.domain is not None and self.breakers is not None:
             self.breakers.record(ad.domain, True, now)
@@ -664,7 +677,7 @@ class _ServingRun:
                 dispatch_id,
                 sojourns,
                 exec_s=ad.exec_time,
-                billed_s=self.costs.billed_seconds(ad.exec_time, ad.warm),
+                billed_s=billed_s,
             )
         self.requests_in_flight -= ad.chain.n_packed
         self.pump_blocked()
@@ -679,9 +692,7 @@ class _ServingRun:
             )
         if self.tel is not None:
             self.tel.on_crash(dispatch_id, correlated=False, domain=ad.domain)
-        executed = max(0.0, now - ad.exec_start)
-        gb_s = self._bill(ad, executed)
-        self.result.resilience.wasted_gb_seconds += gb_s
+        self._bill(ad, max(0.0, now - ad.exec_start), wasted=True)
         if persistent and ad.domain is not None:
             self.poisoned_at.setdefault(ad.domain, now)
             if self.breakers is not None:
@@ -754,8 +765,7 @@ class _ServingRun:
             if self.tel is not None:
                 self.tel.on_crash(dispatch_id, correlated=True, domain=ad.domain)
             executed = max(0.0, min(now, ad.exec_start + ad.exec_time) - ad.exec_start)
-            gb_s = self._bill(ad, executed)
-            self.result.resilience.wasted_gb_seconds += gb_s
+            self._bill(ad, executed, wasted=True)
             if ad.domain is not None and self.breakers is not None:
                 self.breakers.record(ad.domain, False, now)
             self.retry_or_fail(ad.chain)
@@ -798,12 +808,11 @@ class _ServingRun:
     def execute(self) -> ServingResult:
         owner, cfg, result = self.owner, self.cfg, self.result
         if len(self.arrivals) == 0:
-            result.expense = BillingModel(owner.profile).serving_expense(0.0, 0, 0.0)
+            result.expense = owner._billing.serving_expense(0.0, 0, 0.0)
             if self.remedy is not None:
                 result.remediation = self.remedy.report
             return result
-        for t in self.arrivals:
-            self.sim.schedule_at(float(t), self.on_arrival, float(t))
+        self.sim.schedule_sorted(self.arrivals, self.on_arrival)
         ticking = (
             owner.controller is not None
             or self.brownout is not None
@@ -857,7 +866,7 @@ class _ServingRun:
         if self.brownout is not None:
             result.resilience.brownout_escalations = self.brownout.escalations
             result.resilience.brownout_max_level = self.brownout.max_level_seen
-        result.expense = BillingModel(owner.profile).serving_expense(
+        result.expense = owner._billing.serving_expense(
             result.exec_gb_seconds,
             result.n_dispatches,
             result.idle_gb_seconds,

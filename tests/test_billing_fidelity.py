@@ -14,12 +14,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.propack import ProPack
+from repro.extensions.streaming import StreamingPlanner
 from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
 from repro.platform.billing import EXACT_BILLING, BillingFidelity, BillingModel
 from repro.platform.invoker import BurstSpec
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
+from repro.serving import (
+    DiurnalProcess,
+    HybridHistogram,
+    ServingConfig,
+    ServingSimulator,
+    WarmPool,
+)
 from repro.workloads import XAPIAN
 
 
@@ -258,3 +267,51 @@ def test_billed_seconds_array_equals_the_scalar_schedule(fidelity):
     assert billed.tolist() == [fidelity.billed_seconds(x) for x in samples]
     with pytest.raises(ValueError, match="non-negative"):
         fidelity.billed_seconds_array(np.array([1.0, -0.1]))
+
+
+# --------------------------------------------------------------------- #
+# serving: one rounding per attempt
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def serving_day_slice():
+    """600 s of a diurnal Xapian day on a hybrid-histogram pool, per profile."""
+    exec_model = ProPack(ServerlessPlatform(AWS_LAMBDA, seed=2023)).exec_model(XAPIAN)
+    policy = StreamingPlanner(AWS_LAMBDA, XAPIAN, exec_model).plan(
+        arrival_rate_per_s=10.0, qos_sojourn_s=30.0
+    )
+
+    def run(profile):
+        simulator = ServingSimulator(
+            profile, XAPIAN, exec_model,
+            pool=WarmPool(HybridHistogram()),
+            config=ServingConfig(qos_sojourn_s=30.0),
+            seed=2023,
+        )
+        return simulator.run(
+            DiurnalProcess(10.0, amplitude=0.7, period_s=3000.0), policy, 600.0
+        )
+
+    return run
+
+
+def test_serving_bills_every_attempt_at_the_minimum(serving_day_slice):
+    """A floor far above any attempt bills each dispatch at the floor."""
+    floored = AWS_LAMBDA.with_overrides(min_billed_duration_s=1e4)
+    result = serving_day_slice(floored)
+    billed_gb = BillingModel(floored).billed_memory_mb(floored.max_memory_mb) / 1024.0
+    expected = 0.0
+    for _ in range(result.n_dispatches):
+        expected += 1e4 * billed_gb
+    assert result.resilience.crashes == 0
+    assert result.n_dispatches == 265
+    assert result.exec_gb_seconds == expected == 26_500_000.0
+
+
+def test_rounded_profile_raises_the_serving_bill(serving_day_slice):
+    exact = serving_day_slice(AWS_LAMBDA)
+    rounded = serving_day_slice(AWS_LAMBDA.with_overrides(
+        billing_granularity_s=1.0, min_billed_duration_s=1.0, cpu_throttle_multiplier=1.5
+    ))
+    assert exact.expense.compute_usd == 0.7203218996417456
+    assert rounded.n_dispatches == exact.n_dispatches == 265
+    assert rounded.expense.compute_usd > exact.expense.compute_usd

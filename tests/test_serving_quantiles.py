@@ -1,42 +1,67 @@
-"""Tests for the P² streaming quantiles and the windowed SLO tracker."""
+"""Tests for the exact sojourn quantiles and the windowed SLO tracker."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.serving.quantiles import P2Quantile, QuantileDigest, WindowedSLOTracker
+from repro.serving.quantiles import QuantileDigest, WindowedSLOTracker
+
+
+def _digest(xs):
+    digest = QuantileDigest()
+    for x in xs:
+        digest.add(x)
+    return digest
+
+
+def _nearest_rank(xs, p):
+    return sorted(xs)[math.ceil(p * len(xs)) - 1]
 
 
 # --------------------------------------------------------------------- #
-# P² estimator
+# Exact digest: nearest rank, the ceil(p*n)-th smallest value
 # --------------------------------------------------------------------- #
 
 def test_rejects_bad_quantile():
+    digest = _digest([1.0, 2.0])
     with pytest.raises(ValueError):
-        P2Quantile(0.0)
+        digest.quantile(0.0)
     with pytest.raises(ValueError):
-        P2Quantile(1.0)
+        digest.quantile(1.5)
+    assert digest.quantile(1.0) == 2.0
 
 
 def test_value_requires_observations():
     with pytest.raises(ValueError):
-        P2Quantile(0.5).value
+        QuantileDigest().quantile(0.5)
 
 
 def test_small_counts_are_exact_order_statistics():
-    est = P2Quantile(0.5)
-    est.add(30.0)
-    assert est.value == 30.0
-    est.add(10.0)
-    assert est.value == 10.0  # ceil(0.5*2) = 1st of sorted
-    est.add(20.0)
-    assert est.value == 20.0
+    digest = QuantileDigest()
+    digest.add(30.0)
+    assert digest.quantile(0.5) == 30.0
+    digest.add(10.0)
+    assert digest.quantile(0.5) == 10.0  # ceil(0.5*2) = 1st of sorted
+    digest.add(20.0)
+    assert digest.quantile(0.5) == 20.0
 
 
 def test_five_observations_exact():
-    est = P2Quantile(0.95)
-    for x in (5.0, 1.0, 4.0, 2.0, 3.0):
-        est.add(x)
-    assert est.value == 5.0  # ceil(0.95*5) = 5th of sorted
+    digest = _digest((5.0, 1.0, 4.0, 2.0, 3.0))
+    assert digest.quantile(0.95) == 5.0  # ceil(0.95*5) = 5th of sorted
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 50_000])
+def test_quantile_is_the_nearest_rank(n, ties):
+    gen = np.random.default_rng(n)
+    draws = gen.integers(0, 5, n) if ties else gen.exponential(1.0, n)
+    xs = draws.astype(float).tolist()
+    digest = _digest(xs)
+    assert digest.count == n
+    for p in (0.5, 0.95, 0.99):
+        assert digest.quantile(p) == _nearest_rank(xs, p)
 
 
 @pytest.mark.parametrize(
@@ -48,46 +73,29 @@ def test_five_observations_exact():
     ],
     ids=["uniform-p50", "exponential-p95", "normal-p99"],
 )
-def test_p2_within_two_percent_of_exact_on_a_million_samples(p, sampler):
-    gen = np.random.default_rng(2023)
-    samples = sampler(gen, 1_000_000)
-    est = P2Quantile(p)
-    for x in samples.tolist():
-        est.add(x)
-    exact = float(np.quantile(samples, p))
-    assert est.value == pytest.approx(exact, rel=0.02)
-    assert est.count == 1_000_000
+def test_digest_is_exact_on_a_million_samples(p, sampler):
+    samples = sampler(np.random.default_rng(2023), 1_000_000).tolist()
+    digest = _digest(samples)
+    assert digest.quantile(p) == _nearest_rank(samples, p)
+    assert digest.count == 1_000_000
 
 
 def test_constant_stream_converges_to_the_constant():
-    est = P2Quantile(0.99)
-    for _ in range(1000):
-        est.add(7.0)
-    assert est.value == pytest.approx(7.0)
+    digest = _digest([7.0] * 1000)
+    for p in (0.5, 0.95, 0.99):
+        assert digest.quantile(p) == 7.0
 
-
-def test_markers_stay_ordered_under_adversarial_input():
-    est = P2Quantile(0.95)
-    # Alternating extremes stress the parabolic adjustment.
-    for i in range(10_000):
-        est.add(float(i % 7) * (-1.0 if i % 2 else 1.0))
-    assert est._q == sorted(est._q)
-
-
-# --------------------------------------------------------------------- #
-# Digest
-# --------------------------------------------------------------------- #
 
 def test_digest_tracks_default_quantiles():
-    digest = QuantileDigest()
-    gen = np.random.default_rng(5)
-    xs = gen.exponential(1.0, 50_000)
-    for x in xs.tolist():
+    xs = np.random.default_rng(5).exponential(1.0, 50_000).tolist()
+    digest = _digest(xs[:20_000])
+    assert digest.quantile(0.99) == _nearest_rank(xs[:20_000], 0.99)
+    # A read copies the column, so the digest still grows afterwards.
+    for x in xs[20_000:]:
         digest.add(x)
     assert digest.count == 50_000
-    for p in QuantileDigest.DEFAULT_QUANTILES:
-        assert digest.quantile(p) == pytest.approx(float(np.quantile(xs, p)), rel=0.05)
-    assert set(digest.summary()) == {"p50", "p95", "p99"}
+    for p in (0.5, 0.95, 0.99):
+        assert digest.quantile(p) == _nearest_rank(xs, p)
 
 
 # --------------------------------------------------------------------- #

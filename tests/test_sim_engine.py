@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.trace import TraceRecorder
 
 
 def test_initial_clock_is_zero():
@@ -197,3 +202,98 @@ def test_small_agenda_never_compacts():
     assert sim._cancelled_live == 8
     sim.run()
     assert sim.events_processed == 2
+
+
+# --------------------------------------------------------------------- #
+# schedule_sorted: a pre-sorted stream, one heap entry at a time
+# --------------------------------------------------------------------- #
+
+#: Times on a coarse grid, so streams, pre-scheduled events and zero-delay
+#: children tie often.
+_GRID = st.integers(min_value=0, max_value=12)
+
+
+@given(
+    stream=st.lists(_GRID, max_size=25).map(sorted),
+    before=st.lists(_GRID, max_size=6),
+    after=st.lists(_GRID, max_size=6),
+    doomed=st.lists(_GRID, max_size=8),
+    spawning=st.sets(st.integers(min_value=0, max_value=24)),
+)
+@settings(max_examples=200, deadline=None)
+def test_schedule_sorted_runs_as_if_scheduled_up_front(
+    stream, before, after, doomed, spawning
+):
+    def execute(up_front):
+        # With no compaction floor, cancelling the doomed events rebuilds
+        # the heap while the stream is still pending.
+        sim = Simulator(compact_min_events=0)
+        log = []
+        fired = itertools.count()
+
+        def note(label):
+            log.append((sim.now, label))
+
+        def on_stream(t):
+            i = next(fired)
+            log.append((sim.now, f"stream{i}@{t}"))
+            if i in spawning:
+                sim.schedule(0.0, note, f"child{i}")
+            if i == 0:
+                for event in victims:
+                    event.cancel()
+
+        for k, g in enumerate(before):
+            sim.schedule_at(g * 0.5, note, f"before{k}")
+        times = [g * 0.5 for g in stream]
+        if up_front:
+            for t in times:
+                sim.schedule_at(t, on_stream, t)
+        else:
+            sim.schedule_sorted(times, on_stream)
+        for k, g in enumerate(after):
+            sim.schedule_at(g * 0.5, note, f"after{k}")
+        victims = [
+            sim.schedule_at(100.0 + g, note, f"doomed{k}") for k, g in enumerate(doomed)
+        ]
+        with TraceRecorder(sim) as recorder:
+            sim.run()
+        executed = [(e.time, e.seq, e.callback) for e in recorder.entries]
+        return log, executed, sim.events_processed
+
+    assert execute(up_front=False) == execute(up_front=True)
+
+
+def test_schedule_sorted_keeps_one_stream_entry_on_the_heap():
+    sim = Simulator()
+    depths = []
+    sim.schedule_sorted([1.0, 1.0, 2.0, 3.0], lambda t: depths.append(len(sim._heap)))
+    assert len(sim._heap) == 1
+    sim.run()
+    assert depths == [1, 1, 1, 0]
+
+
+def test_schedule_sorted_rejects_decreasing_times():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_sorted([1.0, 3.0, 2.0], lambda t: None)
+    assert sim.peek() is None
+
+
+def test_schedule_sorted_rejects_a_start_in_the_past():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_sorted([1.5, 3.0], lambda t: None)
+    hits = []
+    sim.schedule_sorted([2.0, 3.0], hits.append)  # starting at now is fine
+    sim.run()
+    assert hits == [2.0, 3.0]
+
+
+def test_schedule_sorted_empty_is_a_no_op():
+    sim = Simulator()
+    sim.schedule_sorted([], lambda t: None)
+    assert sim.peek() is None
+    assert sim.schedule(1.0, lambda: None).seq == 0
