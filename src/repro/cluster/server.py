@@ -55,42 +55,59 @@ class ServerPool:
     identical instances, while keeping the interesting cost (the *search*
     itself, charged by the scheduler) explicit rather than emergent from
     bin-packing detail.
+
+    A :class:`Server` is created the first time the cursor reaches its
+    index; until then the index is an empty server of the pool's shape.
+    So building a pool costs nothing per server, and a burst pays only for
+    the servers it touches.
     """
 
     def __init__(self, n_servers: int, cores_per_server: int, memory_mb_per_server: int) -> None:
         if n_servers < 1:
             raise ValueError("need at least one server")
-        self.servers = [
-            Server(i, cores_per_server, memory_mb_per_server) for i in range(n_servers)
-        ]
+        self.n_servers = n_servers
+        self.cores_per_server = cores_per_server
+        self.memory_mb_per_server = memory_mb_per_server
+        self._touched: dict[int, Server] = {}
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self.servers)
+        return self.n_servers
 
     @property
     def busy_servers(self) -> int:
-        return sum(1 for s in self.servers if s.busy)
+        return sum(1 for s in self._touched.values() if s.busy)
 
     @property
     def total_instances(self) -> int:
-        return sum(s.instances for s in self.servers)
+        return sum(s.instances for s in self._touched.values())
 
     def find_placement(self, cores: int, memory_mb: int) -> Optional[Server]:
         """First-fit from a moving cursor; ``None`` if the fleet is full."""
-        n = len(self.servers)
+        if cores > self.cores_per_server or memory_mb > self.memory_mb_per_server:
+            # Fits no server, not even an empty one.
+            return None
+        n = self.n_servers
+        touched = self._touched
         for offset in range(n):
-            server = self.servers[(self._cursor + offset) % n]
-            if server.can_host(cores, memory_mb):
-                self._cursor = (self._cursor + offset + 1) % n
-                return server
+            i = (self._cursor + offset) % n
+            server = touched.get(i)
+            if server is None:
+                # An untouched server is empty, and the request fits one.
+                server = touched[i] = Server(
+                    i, self.cores_per_server, self.memory_mb_per_server
+                )
+            elif not server.can_host(cores, memory_mb):
+                continue
+            self._cursor = (i + 1) % n
+            return server
         return None
 
     def place(self, cores: int, memory_mb: int) -> Server:
         server = self.find_placement(cores, memory_mb)
         if server is None:
             raise RuntimeError(
-                f"fleet exhausted: {len(self.servers)} servers, "
+                f"fleet exhausted: {self.n_servers} servers, "
                 f"{self.total_instances} instances placed"
             )
         server.allocate(cores, memory_mb)

@@ -288,11 +288,11 @@ def _run_fluid(
     # servers means exhaustion occurs exactly when occupancy hits the
     # fleet-wide slot count.
     pool = scheduler.pool
-    srv = pool.servers[0]
     per_server = min(
-        srv.cores // profile.cores_per_instance, srv.memory_mb // provisioned
+        pool.cores_per_server // profile.cores_per_instance,
+        pool.memory_mb_per_server // provisioned,
     )
-    fleet_cap = len(pool.servers) * per_server
+    fleet_cap = len(pool) * per_server
 
     # Per-record output columns, indexed by record id: the cold chains,
     # then each warm reuse as it is dispatched. An attempt starts executing
@@ -328,7 +328,7 @@ def _run_fluid(
             # Placement completes: the pool allocates one more slot.
             if occupancy >= fleet_cap:
                 raise RuntimeError(
-                    f"fleet exhausted: {len(pool.servers)} servers, "
+                    f"fleet exhausted: {len(pool)} servers, "
                     f"{occupancy} instances placed"
                 )
             occupancy += 1

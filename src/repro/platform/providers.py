@@ -86,6 +86,22 @@ class PlatformProfile:
     server_cores: int = 96
     server_memory_mb: int = 786432
 
+    def __post_init__(self) -> None:
+        # A burst provisions at most max_memory_mb per instance, so these
+        # checks let every legal burst's instance fit an empty server.
+        if self.fleet_servers < 1:
+            raise ValueError(f"fleet_servers must be >= 1 (got {self.fleet_servers})")
+        if self.cores_per_instance > self.server_cores:
+            raise ValueError(
+                f"cores_per_instance ({self.cores_per_instance}) exceeds "
+                f"server_cores ({self.server_cores})"
+            )
+        if self.max_memory_mb > self.server_memory_mb:
+            raise ValueError(
+                f"max_memory_mb ({self.max_memory_mb}) exceeds "
+                f"server_memory_mb ({self.server_memory_mb})"
+            )
+
     def with_overrides(self, **kwargs: object) -> "PlatformProfile":
         """A copy with selected coefficients replaced (for ablations)."""
         return replace(self, **kwargs)

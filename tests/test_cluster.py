@@ -1,7 +1,12 @@
 """Tests for the datacenter substrate: servers, network, image registry."""
 
-import pytest
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import server as server_module
 from repro.cluster.network import NetworkFabric
 from repro.cluster.registry import FunctionImage, ImageRegistry
 from repro.cluster.server import Server, ServerPool
@@ -64,6 +69,114 @@ def test_pool_first_fit_skips_full_servers():
 def test_pool_requires_servers():
     with pytest.raises(ValueError):
         ServerPool(0, 1, 1)
+
+
+class _EagerPool:
+    """Reference: every server built up front, first-fit over the list."""
+
+    def __init__(self, n_servers, cores_per_server, memory_mb_per_server):
+        self.servers = [
+            Server(i, cores_per_server, memory_mb_per_server) for i in range(n_servers)
+        ]
+        self._cursor = 0
+
+    @property
+    def busy_servers(self):
+        return sum(1 for s in self.servers if s.busy)
+
+    @property
+    def total_instances(self):
+        return sum(s.instances for s in self.servers)
+
+    def place(self, cores, memory_mb):
+        n = len(self.servers)
+        for offset in range(n):
+            server = self.servers[(self._cursor + offset) % n]
+            if server.can_host(cores, memory_mb):
+                self._cursor = (self._cursor + offset + 1) % n
+                server.allocate(cores, memory_mb)
+                return server
+        raise RuntimeError(
+            f"fleet exhausted: {len(self.servers)} servers, "
+            f"{self.total_instances} instances placed"
+        )
+
+
+def _outcome(pool, cores, memory_mb):
+    """The server ``place`` chose, or its "fleet exhausted" message."""
+    try:
+        return pool.place(cores, memory_mb)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+_OPS = st.lists(
+    st.one_of(
+        # Requests up to 10 cores / 80 MB: some fit no server at all.
+        st.tuples(st.just("place"), st.integers(1, 10), st.integers(1, 80)),
+        # Release the k-th earlier placement (mod their number), if live.
+        st.tuples(st.just("release"), st.integers(0, 10**6), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_servers=st.integers(1, 6),
+    cores=st.integers(1, 8),
+    memory_mb=st.integers(1, 64),
+    ops=_OPS,
+)
+def test_lazy_pool_places_exactly_like_an_eager_pool(n_servers, cores, memory_mb, ops):
+    lazy = ServerPool(n_servers, cores, memory_mb)
+    eager = _EagerPool(n_servers, cores, memory_mb)
+    placed = []  # [lazy server, eager server, cores, memory_mb, live]
+    for op, a, b in ops:
+        if op == "place":
+            got, want = _outcome(lazy, a, b), _outcome(eager, a, b)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.server_id == want.server_id
+                placed.append([got, want, a, b, True])
+        elif placed:
+            entry = placed[a % len(placed)]
+            if entry[4]:
+                entry[0].release(entry[2], entry[3])
+                entry[1].release(entry[2], entry[3])
+                entry[4] = False
+        assert len(lazy) == n_servers
+        assert lazy.total_instances == eager.total_instances
+        assert lazy.busy_servers == eager.busy_servers
+
+
+def test_pool_construction_does_not_depend_on_fleet_size(monkeypatch):
+    # Smallest fleet first: a pool that built every server would fail on
+    # it long before trying 10**12.
+    for n in (10**4, 10**12):
+        tracemalloc.start()
+        try:
+            pool = ServerPool(n, 96, 786432)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert len(pool) == n
+
+    built = []
+
+    def counting_server(server_id, *shape):
+        built.append(server_id)
+        return Server(server_id, *shape)
+
+    monkeypatch.setattr(server_module, "Server", counting_server)
+    assert [pool.place(6, 10240).server_id for _ in range(5)] == [0, 1, 2, 3, 4]
+    assert built == [0, 1, 2, 3, 4]
+    assert pool.find_placement(97, 10240) is None
+    assert pool.find_placement(6, 786433) is None
+    assert built == [0, 1, 2, 3, 4]
+    assert pool.total_instances == 5 and pool.busy_servers == 5
 
 
 # --------------------------------------------------------------------- #

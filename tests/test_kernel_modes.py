@@ -144,6 +144,58 @@ def test_second_provider_identical_across_modes():
     assert results[0] == results[1] == results[2]
 
 
+def _fleet_outcome(path, profile, spec):
+    """``spec`` on ``profile`` down one path: its result (or the message of
+    the RuntimeError it raised), and whether the fluid replay ran it."""
+    replays = []
+    real_run = fluid._run_fluid
+
+    def run_fluid(*args):
+        replays.append(True)
+        return real_run(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "_run_fluid", run_fluid)
+        try:
+            result, _ = _on_path(path, lambda: _burst(spec, provider=profile))
+        except RuntimeError as exc:
+            result = str(exc)
+    return result, bool(replays)
+
+
+@pytest.mark.parametrize("concurrency", [20, 100])
+@pytest.mark.parametrize("n_servers", [1, 2, 4])
+def test_fleet_exhaustion_identical_on_both_paths(n_servers, concurrency):
+    """A server hosts 16 max-memory SORT instances (96 cores, 6 each): a
+    fleet of n servers runs C <= 16n and otherwise aborts at the same
+    placement, with the same message, on the replay and the event loop."""
+    profile = AWS_LAMBDA.with_overrides(fleet_servers=n_servers)
+    spec = BurstSpec(app=SORT, concurrency=concurrency)
+    loop, replayed_loop = _fleet_outcome("event-loop", profile, spec)
+    replay, replayed = _fleet_outcome("default", profile, spec)
+    assert (replayed_loop, replayed) == (False, True)
+    assert loop == replay
+    if concurrency <= 16 * n_servers:
+        assert replay.n_instances == concurrency
+    else:
+        assert replay == (
+            f"fleet exhausted: {n_servers} servers, {16 * n_servers} instances placed"
+        )
+
+
+@pytest.mark.parametrize(
+    "concurrency, packing_degree", [(1000, 1), (5000, 8)], ids=["c1000", "c5000-p8"]
+)
+def test_bigger_fleet_changes_nothing(concurrency, packing_degree):
+    spec = BurstSpec(app=SORT, concurrency=concurrency, packing_degree=packing_degree)
+    huge = AWS_LAMBDA.with_overrides(fleet_servers=10**6)
+    for path in ("event-loop", "default"):
+        (default_fleet, _), (huge_fleet, _) = (
+            _on_path(path, lambda p=p: _burst(spec, provider=p)) for p in (AWS_LAMBDA, huge)
+        )
+        assert default_fleet == huge_fleet
+
+
 # --------------------------------------------------------------------- #
 # The synchronous chain walk (no production caller; the chains_per_s
 # micro-benchmark times it).

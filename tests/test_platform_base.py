@@ -1,7 +1,10 @@
 """Tests for the ServerlessPlatform facade and provider profiles."""
 
+import dataclasses
+
 import pytest
 
+from repro.funcx import funcx_profile
 from repro.platform.base import PROBE_APP, ServerlessPlatform
 from repro.platform.invoker import BurstSpec
 from repro.platform.providers import (
@@ -9,6 +12,7 @@ from repro.platform.providers import (
     AZURE_FUNCTIONS,
     GOOGLE_CLOUD_FUNCTIONS,
     PROVIDERS,
+    PlatformProfile,
 )
 from repro.workloads import SORT, STATELESS_COST, VIDEO
 
@@ -37,6 +41,34 @@ def test_profile_with_overrides_is_a_copy():
     assert modified.build_slots == 1
     assert AWS_LAMBDA.build_slots != 1
     assert modified.name == AWS_LAMBDA.name
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"fleet_servers": 0}, "fleet_servers"),
+        ({"server_cores": 4}, "server_cores"),
+        ({"cores_per_instance": 97}, "cores_per_instance"),
+        ({"server_memory_mb": 8192}, "server_memory_mb"),
+        ({"max_memory_mb": 786433}, "max_memory_mb"),
+    ],
+    ids=["no-servers", "small-server-cores", "big-instance-cores",
+         "small-server-memory", "big-instance-memory"],
+)
+def test_profile_whose_servers_cannot_host_an_instance_is_rejected(overrides, field):
+    """A profile whose empty server cannot host its largest instance would
+    only fail at its first burst, as "fleet exhausted" with 0 instances
+    placed; it fails at construction instead, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        AWS_LAMBDA.with_overrides(**overrides)
+    fields = dataclasses.asdict(AWS_LAMBDA) | overrides
+    with pytest.raises(ValueError, match=field):
+        PlatformProfile(**fields)
+
+
+def test_every_shipped_profile_constructs():
+    for profile in (*PROVIDERS.values(), funcx_profile()):
+        assert profile.with_overrides() == profile
 
 
 def test_image_auto_registration(platform):
