@@ -120,12 +120,28 @@ class BurstSpec:
             )
         if self.wave_size is not None and self.wave_size < 1:
             raise ValueError("wave_size must be >= 1")
+        if self.provisioned_mb is not None and self.provisioned_mb < 1:
+            raise ValueError(f"provisioned_mb must be >= 1 (got {self.provisioned_mb})")
+        # NaN passes every comparison below, so finiteness is checked first.
+        for name in ("build_factor", "ship_factor", "exec_overhead",
+                     "warm_dispatch_s", "extra_io_mb_per_function", "skew_cv"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if self.skew_cv < 0.0:
             raise ValueError("skew_cv must be non-negative")
-        if self.build_factor <= 0.0 or self.ship_factor <= 0.0:
-            raise ValueError("build/ship factors must be positive")
+        for name in ("build_factor", "ship_factor"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive (got {getattr(self, name)})")
         if self.exec_overhead < 1.0:
             raise ValueError("exec_overhead must be >= 1.0")
+        if self.warm_dispatch_s < 0.0:
+            raise ValueError(f"warm_dispatch_s must be >= 0 (got {self.warm_dispatch_s})")
+        if self.extra_io_mb_per_function < 0.0:
+            raise ValueError(
+                "extra_io_mb_per_function must be >= 0 "
+                f"(got {self.extra_io_mb_per_function})"
+            )
 
     @property
     def n_instances(self) -> int:

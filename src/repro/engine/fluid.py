@@ -2,13 +2,27 @@
 
 An eligible burst (no fault scenario, hedging, telemetry, or subclass
 hooks) is a *deterministic* pipeline given its RNG draws: placement times
-are a cumulative sum, container builds are a k-slot FIFO recursion,
+are a cumulative sum, container builds are a k-slot FIFO recursion, and
 shipping is processor sharing of equal-sized transfers (which completes in
-FIFO order), and execution/warm-wave reuse is a small event-merge. This
-module replays that arithmetic directly — float-op for float-op, draw for
-draw, in the same order as the discrete-event path — so the result is
-**byte-identical** to the event-driven kernel while doing O(instances)
-array/loop work instead of O(instances · ~10) heap events.
+FIFO order). This module replays that arithmetic directly — float-op for
+float-op, draw for draw, in the same order as the discrete-event path — so
+the result is **byte-identical** to the event-driven kernel while doing
+O(instances) array/loop work instead of O(instances · ~10) heap events.
+
+The execution phase takes one of two shapes, picked by the burst itself:
+
+* **Cold** (every instance provisioned cold — no ``wave_size``, or one of
+  at least the instance count): nothing but the ship completions starts
+  an execution, so the k-th start is the k-th ship completion. Durations,
+  completions, store I/O, the fleet-occupancy check and the timeout abort
+  are array arithmetic (:func:`_execute_cold`), with no event merge.
+* **Waved**: finished instances are reused warm, and a warm start takes
+  its exec-noise draw between cold starts, so the replay merges
+  placements, ship completions, execution completions and warm starts
+  through one heap (:func:`_merge_waved`).
+
+The build recursion and the shipping loop stay Python loops on both: each
+is a sequential float recurrence that numpy cannot replay bit for bit.
 
 Eligibility rules and the draw-order contract are documented in
 ``docs/PERFORMANCE.md``; ``tests/test_kernel_modes.py`` pins the replay
@@ -126,21 +140,32 @@ def try_run_fluid(
 def _run_fluid(
     kernel: "BurstDispatchKernel", spec: "BurstSpec", image: "FunctionImage"
 ) -> RunResult:
-    profile = kernel.profile
+    cold = kernel._configure(spec, image)  # the set-up begin() runs
+    pipeline = _replay_pipeline(kernel, spec, image, cold)
+    # Only a waved burst reuses instances warm, which takes an event merge.
+    if cold < spec.n_instances:
+        table, makespan = _merge_waved(kernel, spec, *pipeline)
+    else:
+        table, makespan = _execute_cold(kernel, spec, *pipeline)
+    kernel._pending_functions = 0
+    kernel.sim._now = makespan  # observational parity with the event path
+    return kernel.collect(table)
+
+
+def _replay_pipeline(
+    kernel: "BurstDispatchKernel",
+    spec: "BurstSpec",
+    image: "FunctionImage",
+    cold: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Placement ∥ build → ship for the ``cold`` chains.
+
+    Returns each chain's placement and build completion times, and the
+    ship completions in the order they happen: chain ``order[k]``'s
+    container arrives k-th, at ``ship_t[k]``.
+    """
     pipeline = kernel.pipeline
     scheduler = kernel.scheduler
-    rng = kernel.rng
-    cold = kernel._configure(spec, image)  # the set-up begin() runs
-    n_inst = spec.n_instances
-    provisioned = kernel._provisioned
-
-    # Per-chain packing: every cold chain gets the full packing degree
-    # except possibly the last (when cold == n_inst takes the remainder).
-    packing = spec.packing_degree
-    npacked_cold = [packing] * cold
-    if cold == n_inst:
-        npacked_cold[-1] = spec.concurrency - packing * (cold - 1)
-    pending = spec.concurrency - sum(npacked_cold)
 
     # ------------------------------------------------------------------ #
     # Draw order contract, step 1: one "build" noise draw per cold chain,
@@ -149,46 +174,41 @@ def _run_fluid(
     base_build = pipeline.build_seconds(image, spec.build_factor)
     bsig = pipeline.build_noise_sigma
     if bsig > 0.0:
-        bnoise = np.exp(rng.stream("build").normal(0.0, bsig, cold)).tolist()
+        bnoise = np.exp(kernel.rng.stream("build").normal(0.0, bsig, cold))
+        works = (base_build * bnoise).tolist()
     else:
-        bnoise = [1.0] * cold
-    works = [base_build * z for z in bnoise]
+        works = [base_build] * cold
 
     # Placement completions: request k costs base + search * k, serially.
-    sched_arr = np.cumsum(
+    sched = np.cumsum(
         scheduler.base_cost_s + scheduler.search_cost_s * np.arange(cold, dtype=np.float64)
     )
-    sched = sched_arr.tolist()
 
-    # Build completions: k-slot FIFO recursion over a finish-time heap.
+    # Build completions: k-slot FIFO recursion over a finish-time heap; the
+    # first ``slots`` builds start at t=0.
     slots = pipeline.builder.servers
-    built: list[float] = [0.0] * cold
-    if cold <= slots:
-        for i in range(cold):
-            built[i] = works[i]
-    else:
+    built_t = works[:]
+    if cold > slots:
         finish = works[:slots]
-        for i in range(slots):
-            built[i] = works[i]
         heapq.heapify(finish)
         for i in range(slots, cold):
             b = finish[0] + works[i]
-            built[i] = b
+            built_t[i] = b
             heapq.heapreplace(finish, b)
+    built = np.array(built_t)
 
     # Ship-ready instants in FIFO order; the stable sort keeps chain order
     # on ties, as the sim's event sequence numbers do.
-    ready_at = np.maximum(sched_arr, built)
+    ready_at = np.maximum(sched, built)
     order = np.argsort(ready_at, kind="stable")
     ready_t = ready_at[order].tolist()
-    ready_i = order.tolist()
 
     # Shipping: processor-sharing replay (exact virtual-time arithmetic of
-    # ProcessorSharingResource). Equal transfer sizes => FIFO completions.
+    # ProcessorSharingResource). Equal transfer sizes => FIFO completions,
+    # so the k-th container to arrive is the k-th to become ready.
     w_ship = pipeline.ship_size_mb(image, spec.ship_factor)
     cap_ps = pipeline.network._uplink.capacity
-    ship_t: list[float] = [0.0] * cold   # completion time, in pop order
-    ship_i: list[int] = [0] * cold       # chain index, in pop order
+    ship_t: list[float] = [0.0] * cold   # completion times, in FIFO order
     fv: list[float] = [0.0] * cold       # finish virtual times (FIFO ring)
     head = 0
     tail = 0
@@ -220,7 +240,6 @@ def _run_fluid(
                 vtime += (t - vupd) * (cap_ps / active)
             vupd = t
             ship_t[done] = t
-            ship_i[done] = ready_i[head]
             head += 1
             done += 1
             active -= 1
@@ -238,41 +257,173 @@ def _run_fluid(
     pipeline.builder.total_jobs += cold
     pipeline.containers_built += cold
     scheduler.placements_made += cold
+    return sched, built, order, ship_t
 
-    # ------------------------------------------------------------------ #
-    # Execution model constants (identical op order to _start_execution).
-    # ------------------------------------------------------------------ #
-    def modeled_for(n: int) -> float:
-        return kernel.interference.execution_seconds(spec.app, n, cold)
 
-    modeled_cache = {n: modeled_for(n) for n in set(npacked_cold) | {packing}}
-    penalty_cache = {
-        n: kernel._cpu_share_penalty(n, provisioned) for n in modeled_cache
-    }
-    overhead = spec.exec_overhead
-    cap_exec = profile.max_execution_seconds
-    enforce = kernel.enforce_timeout
+def _execute_cold(
+    kernel: "BurstDispatchKernel",
+    spec: "BurstSpec",
+    sched: np.ndarray,
+    built: np.ndarray,
+    order: np.ndarray,
+    ship_t: list[float],
+) -> tuple[RecordTable, float]:
+    """The execution phase of a burst with no warm reuse, as array arithmetic.
 
-    # Draw order contract, step 2: "exec" noise, one draw per execution
-    # start, in execution-start event order (prefetched — i.i.d. draws, so
-    # the k-th stream value goes to the k-th execution start).
-    esig = profile.exec_noise_sigma
-    if esig > 0.0:
-        enoise = np.exp(rng.stream("exec").normal(0.0, esig, n_inst)).tolist()
+    Every instance runs cold, so an execution starts at each ship completion
+    and nothing else is scheduled: the k-th start is chain ``order[k]``'s,
+    at ``ship_t[k]``, and the completions come in end-time order, ties going
+    to the earlier start (the heap's sequence number). Each step below is
+    the event loop's, float op for float op.
+    """
+    cold = len(order)
+    packing = spec.packing_degree
+    last_packed = spec.concurrency - packing * (cold - 1)
+    modeled, penalty = _exec_model(kernel, spec)
+    enoise, skew_draws = _exec_draws(kernel, spec)
+    started = np.array(ship_t)
+    # The last chain may pack fewer functions; ``odd`` is its start index.
+    odd = None
+    if last_packed != packing:
+        odd = int(np.flatnonzero(order == cold - 1)[0])
+
+    # Durations, multiplied left to right as in _start_execution. A factor
+    # that is exactly 1.0 (no noise, no overhead, no skew, a full CPU share)
+    # changes no bit and is skipped.
+    if enoise is None:
+        duration = np.full(cold, modeled[packing])
     else:
-        enoise = [1.0] * n_inst
-
-    # Draw order contract, step 3: "skew" lognormal blocks, n_packed draws
-    # per execution start, in execution-start event order.
-    skew_cv = spec.skew_cv
-    if skew_cv > 0.0:
-        ssig = float(np.sqrt(np.log1p(skew_cv * skew_cv)))
-        skew_draws = rng.stream("skew").lognormal(
-            -0.5 * ssig * ssig, ssig, spec.concurrency
+        duration = modeled[packing] * enoise
+    if spec.exec_overhead != 1.0:
+        duration = duration * spec.exec_overhead
+    skew = None
+    if skew_draws is not None:
+        # Each start's skew is the max of its own block of n_packed draws.
+        offsets = np.arange(0, packing * cold, packing)
+        if odd is not None:
+            offsets[odd + 1:] += last_packed - packing
+        skew = np.maximum.reduceat(skew_draws, offsets)
+        duration = duration * skew
+    if penalty[packing] != 1.0:
+        duration = duration * penalty[packing]
+    if odd is not None:
+        duration[odd] = (
+            modeled[last_packed]
+            * (1.0 if enoise is None else float(enoise[odd]))
+            * spec.exec_overhead
+            * (1.0 if skew is None else float(skew[odd]))
+            * penalty[last_packed]
         )
+    ends = started + duration
+
+    # Aborts, in event order: the first start that outruns the cap, and
+    # the first placement that finds the fleet full. A placement completes
+    # before a start or a completion at the same instant.
+    timeout = None
+    if kernel.enforce_timeout:
+        over = duration > kernel.profile.max_execution_seconds
+        if np.count_nonzero(over):
+            timeout = int(over.argmax())
+    fleet_cap = _fleet_capacity(kernel)
+    if cold > fleet_cap:
+        # Occupancy at placement k: k placed, less the executions that
+        # ended strictly before it.
+        live = np.arange(cold) - np.searchsorted(np.sort(ends), sched, "left")
+        full = live >= fleet_cap
+        if full.any():
+            k = int(full.argmax())
+            if timeout is None or sched[k] <= started[timeout]:
+                raise _fleet_exhausted(kernel, int(live[k]))
+    if timeout is not None:
+        rid = int(order[timeout])
+        t = ship_t[timeout]
+        raise kernel._timeout_error(
+            InstanceRecord(
+                instance_id=rid,
+                n_packed=last_packed if rid == cold - 1 else packing,
+                invoked_at=0.0,
+                sched_done=float(sched[rid]),
+                built_at=float(built[rid]),
+                shipped_at=t,
+                exec_start=t,
+                provisioned_mb=kernel._provisioned,
+                warm_start=False,
+            ),
+            float(duration[timeout]),
+        )
+
+    # Object-store accounting: each completion adds its instance's transfer
+    # (and then its extra I/O), in completion order. Only the last chain's
+    # terms can differ, so only its rank among the completions matters: the
+    # instances that end before it, and those that end with it but started
+    # earlier.
+    app = spec.app
+    shared_mb = app.io_mb * app.io_shared_fraction
+    private_mb = app.io_mb * (1.0 - app.io_shared_fraction)
+    io_mb = spec.extra_io_mb_per_function
+    if io_mb > 0.0:
+        terms = np.full((cold, 2), (shared_mb + private_mb * packing, io_mb * packing))
     else:
-        skew_draws = None
+        terms = np.full((cold, 1), shared_mb + private_mb * packing)
+    if odd is not None:
+        end = ends[odd]
+        rank = int(np.count_nonzero(ends < end) + np.count_nonzero(ends[:odd] == end))
+        terms[rank, 0] = shared_mb + private_mb * last_packed
+        if io_mb > 0.0:
+            terms[rank, 1] = io_mb * last_packed
+    usage = kernel.store.usage
+    usage.transferred_mb = sequential_sum(terms.ravel(), usage.transferred_mb)
+    usage.get_requests += spec.concurrency
+    usage.put_requests += spec.concurrency * (2 if io_mb > 0.0 else 1)
+
+    n_packed = np.full(cold, packing, dtype=np.int64)
+    if odd is not None:
+        n_packed[-1] = last_packed
+    shipped_at = np.empty(cold)
+    shipped_at[order] = started
+    exec_end = np.empty(cold)
+    exec_end[order] = ends
+    table = _record_table(
+        kernel._provisioned,
+        n_packed=n_packed,
+        sched_done=sched,
+        built_at=built,
+        shipped_at=shipped_at,
+        exec_end=exec_end,
+    )
+    return table, float(ends.max())
+
+
+def _merge_waved(
+    kernel: "BurstDispatchKernel",
+    spec: "BurstSpec",
+    sched_arr: np.ndarray,
+    built: np.ndarray,
+    order: np.ndarray,
+    ship_t: list[float],
+) -> tuple[RecordTable, float]:
+    """The execution phase of a waved burst: an event merge.
+
+    Finished instances are reused warm for the functions the cold chains
+    leave. A warm start takes the next exec-noise draw when its dispatch
+    delay ends, interleaved with the cold starts, so the starts come from
+    merging placements (+occupancy), ship completions (cold starts),
+    execution completions and warm starts in event order.
+    """
+    cold = len(order)
+    packing = spec.packing_degree
+    pending = spec.concurrency - packing * cold
+    provisioned = kernel._provisioned
+    modeled, penalty = _exec_model(kernel, spec)
+    enoise, skew_draws = _exec_draws(kernel, spec)
+    noise_draws = enoise.tolist() if enoise is not None else [1.0] * spec.n_instances
     skew_cursor = 0
+    overhead = spec.exec_overhead
+    cap_exec = kernel.profile.max_execution_seconds
+    enforce = kernel.enforce_timeout
+    fleet_cap = _fleet_capacity(kernel)
+    sched = sched_arr.tolist()
+    ready_i = order.tolist()
 
     # Object-store accounting, accumulated in completion order.
     app = spec.app
@@ -284,31 +435,17 @@ def _run_fluid(
     puts = usage.put_requests
     gets = usage.get_requests
 
-    # Fleet capacity: uniform instance shapes + first-fit over uniform
-    # servers means exhaustion occurs exactly when occupancy hits the
-    # fleet-wide slot count.
-    pool = scheduler.pool
-    per_server = min(
-        pool.cores_per_server // profile.cores_per_instance,
-        pool.memory_mb_per_server // provisioned,
-    )
-    fleet_cap = len(pool) * per_server
-
     # Per-record output columns, indexed by record id: the cold chains,
     # then each warm reuse as it is dispatched. An attempt starts executing
     # the instant it arrives (a warm one when its dispatch delay ends), so
     # its exec_start is its shipped_at; a warm one is invoked and placed
     # at its dispatch, and built when it arrives.
     sched_done = sched[:]
-    built_at = built[:]
+    built_at = built.tolist()
     shipped_at: list[float] = [0.0] * cold
     exec_end: list[float] = [0.0] * cold
-    npacked = npacked_cold[:]
+    npacked = [packing] * cold
 
-    # ------------------------------------------------------------------ #
-    # Master replay: merge placements (+occupancy), ship completions
-    # (cold execution starts), execution completions, and warm starts.
-    # ------------------------------------------------------------------ #
     occupancy = 0
     exec_idx = 0            # cursor into the prefetched exec-noise draws
     # Exhausting the fleet takes more than fleet_cap placements: with no
@@ -319,6 +456,7 @@ def _run_fluid(
     dseq = 0
     DONE, WARM = 0, 1
     makespan = 0.0
+    inf = math.inf
 
     while pi < cold or si < cold or dyn:
         tp = sched[pi] if pi < cold else inf
@@ -327,16 +465,13 @@ def _run_fluid(
         if tp <= ts and tp <= td:
             # Placement completes: the pool allocates one more slot.
             if occupancy >= fleet_cap:
-                raise RuntimeError(
-                    f"fleet exhausted: {len(pool)} servers, "
-                    f"{occupancy} instances placed"
-                )
+                raise _fleet_exhausted(kernel, occupancy)
             occupancy += 1
             pi += 1
             continue
         if ts <= td:
             # A cold container arrives and starts executing.
-            rid = ship_i[si]
+            rid = ready_i[si]
             t = ts
             si += 1
         else:
@@ -363,11 +498,6 @@ def _run_fluid(
                     built_at.append(0.0)
                     shipped_at.append(0.0)
                     exec_end.append(0.0)
-                    if n_w not in modeled_cache:
-                        modeled_cache[n_w] = modeled_for(n_w)
-                        penalty_cache[n_w] = kernel._cpu_share_penalty(
-                            n_w, provisioned
-                        )
                     heapq.heappush(dyn, (t + spec.warm_dispatch_s, dseq, WARM, wid))
                     dseq += 1
                 else:
@@ -377,16 +507,14 @@ def _run_fluid(
 
         # Execution start (identical op order to _start_execution).
         n = npacked[rid]
-        noise = enoise[exec_idx]
+        noise = noise_draws[exec_idx]
         exec_idx += 1
         if skew_draws is not None:
             skew = float(skew_draws[skew_cursor:skew_cursor + n].max())
             skew_cursor += n
         else:
             skew = 1.0
-        duration = (
-            modeled_cache[n] * noise * overhead * skew * penalty_cache[n]
-        )
+        duration = modeled[n] * noise * overhead * skew * penalty[n]
         if enforce and duration > cap_exec:
             warm = rid >= cold
             raise kernel._timeout_error(
@@ -412,34 +540,109 @@ def _run_fluid(
     usage.put_requests = puts
     usage.get_requests = gets
     usage.transferred_mb = transferred
-    kernel._pending_functions = 0
-    kernel.sim._now = makespan  # observational parity with the event path
 
-    n_rec = len(npacked)
-    ids = np.arange(n_rec)
+    ids = np.arange(len(npacked))
     placed = np.array(sched_done)
-    started = np.array(shipped_at)
-    no = np.zeros(n_rec, dtype=bool)
-    return kernel.collect(
-        RecordTable(
-            instance_id=ids,
-            n_packed=npacked,
-            invoked_at=np.where(ids < cold, 0.0, placed),
-            sched_done=placed,
-            built_at=built_at,
-            shipped_at=started,
-            exec_start=started,
-            exec_end=exec_end,
-            provisioned_mb=np.full(n_rec, provisioned),
-            warm_start=ids >= cold,
-            attempt=np.ones(n_rec, dtype=np.int64),
-            failed=no,
-            timed_out=no,
-            correlated=no,
-            persistent_fault=no,
-            hedged=no,
-            cancelled=no,
-            throttled_attempts=np.zeros(n_rec, dtype=np.int64),
-            retry_delay_s=np.zeros(n_rec),
+    table = _record_table(
+        provisioned,
+        n_packed=npacked,
+        invoked_at=np.where(ids < cold, 0.0, placed),
+        sched_done=placed,
+        built_at=built_at,
+        shipped_at=np.array(shipped_at),
+        exec_end=exec_end,
+        warm_start=ids >= cold,
+    )
+    return table, makespan
+
+
+def _exec_model(
+    kernel: "BurstDispatchKernel", spec: "BurstSpec"
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Modeled execution seconds and CPU-share penalty per packing degree.
+
+    An instance packs the full degree, except the last one (cold or warm),
+    which packs what is left.
+    """
+    last_packed = spec.concurrency - spec.packing_degree * (spec.n_instances - 1)
+    degrees = {spec.packing_degree, last_packed}
+    cold = kernel._concurrency_level
+    modeled = {
+        n: kernel.interference.execution_seconds(spec.app, n, cold) for n in degrees
+    }
+    penalty = {n: kernel._cpu_share_penalty(n, kernel._provisioned) for n in degrees}
+    return modeled, penalty
+
+
+def _exec_draws(
+    kernel: "BurstDispatchKernel", spec: "BurstSpec"
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """The execution phase's draws, prefetched (``None``: factor 1.0).
+
+    Draw order contract, step 2: "exec" noise, one draw per execution
+    start, in execution-start event order (i.i.d. draws, so the k-th
+    stream value goes to the k-th start). Step 3: "skew" lognormal blocks,
+    n_packed draws per execution start, in execution-start event order.
+    """
+    enoise = None
+    esig = kernel.profile.exec_noise_sigma
+    if esig > 0.0:
+        enoise = np.exp(kernel.rng.stream("exec").normal(0.0, esig, spec.n_instances))
+    skew_draws = None
+    if spec.skew_cv > 0.0:
+        ssig = float(np.sqrt(np.log1p(spec.skew_cv * spec.skew_cv)))
+        skew_draws = kernel.rng.stream("skew").lognormal(
+            -0.5 * ssig * ssig, ssig, spec.concurrency
         )
+    return enoise, skew_draws
+
+
+def _fleet_capacity(kernel: "BurstDispatchKernel") -> int:
+    """Instances the fleet holds at once.
+
+    Uniform instance shapes + first-fit over uniform servers means
+    exhaustion occurs exactly when occupancy hits the fleet-wide slot count.
+    """
+    pool = kernel.scheduler.pool
+    return len(pool) * min(
+        pool.cores_per_server // kernel.profile.cores_per_instance,
+        pool.memory_mb_per_server // kernel._provisioned,
+    )
+
+
+def _fleet_exhausted(kernel: "BurstDispatchKernel", occupancy: int) -> RuntimeError:
+    """The abort of a placement that finds every server full."""
+    return RuntimeError(
+        f"fleet exhausted: {len(kernel.scheduler.pool)} servers, "
+        f"{occupancy} instances placed"
+    )
+
+
+def _record_table(provisioned: int, **columns) -> RecordTable:
+    """A replayed burst's records from its per-record columns.
+
+    Every record is a fault-free first attempt that starts executing the
+    instant its container arrives, so ``exec_start`` is ``shipped_at``. A
+    record is cold, invoked at t=0, unless ``warm_start`` and
+    ``invoked_at`` say otherwise.
+    """
+    n_rec = len(columns["n_packed"])
+    no = np.zeros(n_rec, dtype=bool)
+    zero = np.zeros(n_rec)
+    columns.setdefault("invoked_at", zero)
+    columns.setdefault("warm_start", no)
+    return RecordTable(
+        instance_id=np.arange(n_rec),
+        exec_start=columns["shipped_at"],
+        provisioned_mb=np.full(n_rec, provisioned),
+        attempt=np.ones(n_rec, dtype=np.int64),
+        failed=no,
+        timed_out=no,
+        correlated=no,
+        persistent_fault=no,
+        hedged=no,
+        cancelled=no,
+        throttled_attempts=np.zeros(n_rec, dtype=np.int64),
+        retry_delay_s=zero,
+        **columns,
     )

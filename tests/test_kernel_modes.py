@@ -17,6 +17,8 @@ not approximate agreement. The references exist only here:
 import functools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.auditor import InvariantAuditor
 from repro.core.models import ExecutionTimeModel
@@ -26,8 +28,8 @@ from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy, ImmediateRetry
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
-from repro.platform.invoker import BurstSpec
-from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
+from repro.platform.invoker import BurstSpec, FunctionTimeoutError
+from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS, PROVIDERS
 from repro.serving import (
     FixedTTL,
     PoissonProcess,
@@ -38,6 +40,7 @@ from repro.serving import (
 from repro.sim.randomness import RandomStreams
 from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import SORT, VIDEO, XAPIAN
+from repro.workloads.synthetic import make_synthetic
 
 PATHS = ("scalar", "event-loop", "default")
 
@@ -96,8 +99,17 @@ ROUNDED = AWS_LAMBDA.with_overrides(
         (BurstSpec(app=VIDEO, concurrency=1000, packing_degree=8), AWS_LAMBDA),
         (BurstSpec(app=SORT, concurrency=2000, wave_size=300), AWS_LAMBDA),
         (BurstSpec(app=SORT, concurrency=2000, packing_degree=3, wave_size=300), ROUNDED),
+        # a partial last chain, with its own block of skew draws
+        (BurstSpec(app=SORT, concurrency=997, packing_degree=7, skew_cv=0.5), AWS_LAMBDA),
+        (
+            BurstSpec(
+                app=VIDEO, concurrency=3001, packing_degree=8,
+                extra_io_mb_per_function=2.5,
+            ),
+            AWS_LAMBDA,
+        ),
     ],
-    ids=["plain", "packed", "waved", "rounded"],
+    ids=["plain", "packed", "waved", "rounded", "skewed", "io"],
 )
 def test_clean_burst_identical_across_all_modes(spec, provider):
     """Fault-free bursts take the fluid replay, which must agree with the
@@ -144,9 +156,10 @@ def test_second_provider_identical_across_modes():
     assert results[0] == results[1] == results[2]
 
 
-def _fleet_outcome(path, profile, spec):
-    """``spec`` on ``profile`` down one path: its result (or the message of
-    the RuntimeError it raised), and whether the fluid replay ran it."""
+def _outcome(path, profile, spec, seed=77):
+    """``spec`` on ``profile`` down one path, and whether the fluid replay
+    ran it. The outcome is the result, or the type and message of the
+    error raised; a billed timeout adds its bill and record."""
     replays = []
     real_run = fluid._run_fluid
 
@@ -157,10 +170,12 @@ def _fleet_outcome(path, profile, spec):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fluid, "_run_fluid", run_fluid)
         try:
-            result, _ = _on_path(path, lambda: _burst(spec, provider=profile))
-        except RuntimeError as exc:
-            result = str(exc)
-    return result, bool(replays)
+            outcome, _ = _on_path(path, lambda: _burst(spec, provider=profile, seed=seed))
+        except FunctionTimeoutError as exc:
+            outcome = (type(exc), str(exc), exc.billed_usd, exc.record)
+        except (RuntimeError, ValueError) as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, bool(replays)
 
 
 @pytest.mark.parametrize("concurrency", [20, 100])
@@ -171,16 +186,32 @@ def test_fleet_exhaustion_identical_on_both_paths(n_servers, concurrency):
     placement, with the same message, on the replay and the event loop."""
     profile = AWS_LAMBDA.with_overrides(fleet_servers=n_servers)
     spec = BurstSpec(app=SORT, concurrency=concurrency)
-    loop, replayed_loop = _fleet_outcome("event-loop", profile, spec)
-    replay, replayed = _fleet_outcome("default", profile, spec)
+    loop, replayed_loop = _outcome("event-loop", profile, spec)
+    replay, replayed = _outcome("default", profile, spec)
     assert (replayed_loop, replayed) == (False, True)
     assert loop == replay
     if concurrency <= 16 * n_servers:
         assert replay.n_instances == concurrency
     else:
         assert replay == (
-            f"fleet exhausted: {n_servers} servers, {16 * n_servers} instances placed"
+            RuntimeError,
+            f"fleet exhausted: {n_servers} servers, {16 * n_servers} instances placed",
         )
+
+
+@pytest.mark.parametrize("concurrency", [40, 100])
+def test_fleet_slots_reused_identical_on_both_paths(concurrency):
+    """More placements than the one server's 16 slots, spread out enough
+    (0.5 s more search per request) that completions free a slot in time
+    for each: the replay must count the freed slots as the event loop
+    does, and neither path runs out."""
+    profile = AWS_LAMBDA.with_overrides(fleet_servers=1, sched_search_s=0.5)
+    spec = BurstSpec(app=XAPIAN, concurrency=concurrency)
+    loop, replayed_loop = _outcome("event-loop", profile, spec)
+    replay, replayed = _outcome("default", profile, spec)
+    assert (replayed_loop, replayed) == (False, True)
+    assert replay == loop
+    assert replay.n_instances == concurrency > 16
 
 
 @pytest.mark.parametrize(
@@ -194,6 +225,106 @@ def test_bigger_fleet_changes_nothing(concurrency, packing_degree):
             _on_path(path, lambda p=p: _burst(spec, provider=p)) for p in (AWS_LAMBDA, huge)
         )
         assert default_fleet == huge_fleet
+
+
+@st.composite
+def _sampled_bursts(draw):
+    """A fault-free burst at the edges the replay handles: C=1, P=C, one
+    warm instance, partial last chains, skew, extra I/O, small memory,
+    rounded billing, fleets of one or two servers that may run out, and
+    execution caps that may abort."""
+    concurrency = draw(st.integers(1, 300))
+    # Small random degrees too: a large one mostly outruns the 900 s cap.
+    packing = draw(
+        st.sampled_from([1, concurrency])
+        | st.integers(1, min(concurrency, 12))
+        | st.integers(1, concurrency)
+    )
+    n_instances = -(-concurrency // packing)
+    spec = BurstSpec(
+        app=draw(st.sampled_from([SORT, VIDEO, XAPIAN])),
+        concurrency=concurrency,
+        packing_degree=packing,
+        wave_size=draw(st.sampled_from([None, 1]) | st.integers(1, n_instances + 2)),
+        skew_cv=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        extra_io_mb_per_function=draw(st.sampled_from([0.0, 2.5])),
+        provisioned_mb=draw(st.sampled_from([None, 2048])),
+    )
+    overrides = {}
+    if draw(st.booleans()):
+        overrides.update(
+            billing_granularity_s=0.1,
+            min_billed_duration_s=0.1,
+            cpu_throttle_multiplier=1.25,
+        )
+    fleet = draw(st.sampled_from([None, 1, 2]))
+    if fleet is not None:
+        overrides["fleet_servers"] = fleet
+        search = draw(st.sampled_from([None, 0.3, 0.5, 2.0]))
+        if search is not None:
+            overrides["sched_search_s"] = search
+    # Most bursts run to the end; some hit a tight execution cap.
+    cap = draw(st.sampled_from([None, None, None, 5.0, 30.0, 100.0]))
+    if cap is not None:
+        overrides["max_execution_seconds"] = cap
+    profile = PROVIDERS[draw(st.sampled_from(sorted(PROVIDERS)))]
+    return profile.with_overrides(**overrides), spec, draw(st.integers(0, 2**16))
+
+
+#: No placement, build or noise latency: every container arrives at the
+#: same instant, and with a pressure-free app the partial last chain runs
+#: as long as the full ones, so every instance ends at the same instant.
+#: Ties go to the earlier start (the heap's sequence number), and the last
+#: chain's place in that order moves the store total's last bits.
+TIED = GOOGLE_CLOUD_FUNCTIONS.with_overrides(
+    exec_noise_sigma=0.0,
+    sched_base_s=0.0,
+    sched_search_s=0.0,
+    build_base_s=0.0,
+    build_rate_mb_s=float("inf"),
+)
+FLAT = make_synthetic(pressure_per_gb=0.0, io_mb=10.0, io_shared_fraction=0.97)
+TIED_BURST = (TIED, BurstSpec(app=FLAT, concurrency=251, packing_degree=3), 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sampled_bursts())
+# The one server runs out at the 25th placement, after 8 completions have
+# freed their slots.
+@example(
+    case=(
+        AWS_LAMBDA.with_overrides(fleet_servers=1, sched_search_s=0.04),
+        BurstSpec(app=XAPIAN, concurrency=200, skew_cv=1.0),
+        5,
+    )
+)
+# GCF bills egress on the store total, whose terms here are inexact: a
+# total summed in another order shows in the expense.
+@example(
+    case=(
+        GOOGLE_CLOUD_FUNCTIONS,
+        BurstSpec(app=XAPIAN, concurrency=250, packing_degree=3),
+        5,
+    )
+)
+@example(case=TIED_BURST)
+def test_replay_equals_event_loop_on_sampled_bursts(case):
+    """The replay returns what the event loop returns, or raises what it
+    raises: the same exception type and message, and for a billed timeout
+    the same bill and record."""
+    profile, spec, seed = case
+    loop, replayed_loop = _outcome("event-loop", profile, spec, seed)
+    replay, replayed = _outcome("default", profile, spec, seed)
+    assert (replayed_loop, replayed) == (False, True)
+    assert replay == loop
+
+
+def test_tied_burst_ends_every_instance_at_once():
+    """The tie example above still ties, so it keeps testing the order."""
+    profile, spec, seed = TIED_BURST
+    result, _ = _outcome("default", profile, spec, seed)
+    assert len(result.table) == 84
+    assert len(set(result.table.exec_end.tolist())) == 1
 
 
 # --------------------------------------------------------------------- #

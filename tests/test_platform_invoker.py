@@ -44,6 +44,33 @@ def test_spec_rejects_exec_overhead_below_one():
         BurstSpec(app=SORT, concurrency=10, exec_overhead=0.9)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("provisioned_mb", 0),
+        ("provisioned_mb", -512),
+        ("warm_dispatch_s", -5.0),
+        ("warm_dispatch_s", float("inf")),
+        ("extra_io_mb_per_function", -3.0),
+        ("extra_io_mb_per_function", float("nan")),
+        ("skew_cv", float("nan")),
+        ("skew_cv", float("inf")),
+        ("build_factor", float("nan")),
+        ("ship_factor", float("nan")),
+        ("ship_factor", float("inf")),
+        ("exec_overhead", float("nan")),
+        ("exec_overhead", float("inf")),
+    ],
+)
+def test_spec_rejects_values_the_two_paths_disagree_on(field, value):
+    """Each of these used to construct: ``provisioned_mb=0`` was billed at
+    the platform maximum, a negative one or a negative ``warm_dispatch_s``
+    failed on one path and not the other, NaN passed every comparison,
+    and a negative extra I/O was silently ignored."""
+    with pytest.raises(ValueError, match=field):
+        BurstSpec(app=SORT, concurrency=10, wave_size=2, **{field: value})
+
+
 def test_spec_instance_count_ceils():
     assert BurstSpec(app=SORT, concurrency=10, packing_degree=3).n_instances == 4
     assert BurstSpec(app=SORT, concurrency=9, packing_degree=3).n_instances == 3
