@@ -17,7 +17,8 @@ owns that lifecycle *once*:
 * :class:`~repro.engine.burst.BurstDispatchKernel` — the event-driven
   cold-start pipeline (placement ∥ build → ship → execute) driven by the
   :class:`~repro.sim.engine.Simulator`, with wave-mode warm reuse,
-  hedging, and billed-timeout abortion.
+  hedging, and billed-timeout abortion; each burst chain carries a
+  :class:`~repro.engine.burst.ChainWork` saying what it runs.
 
 Layering: ``repro.engine`` sits *below* its consumers. It may import
 ``sim``, ``faults``, ``cluster``, ``interference``, ``telemetry`` and
@@ -26,7 +27,7 @@ Layering: ``repro.engine`` sits *below* its consumers. It may import
 layering gate).
 """
 
-from repro.engine.burst import BurstDispatchKernel
+from repro.engine.burst import BurstDispatchKernel, ChainWork
 from repro.engine.chain import AttemptChain
 from repro.engine.kernel import (
     DispatchCosts,
@@ -39,6 +40,7 @@ from repro.engine.kernel import (
 __all__ = [
     "AttemptChain",
     "BurstDispatchKernel",
+    "ChainWork",
     "DispatchCosts",
     "DispatchKernel",
     "SyncAttemptEnv",

@@ -10,22 +10,25 @@ correlated crash events.
 
 All retry/fault/throttle arbitration is inherited from
 :class:`~repro.engine.kernel.DispatchKernel`; this module adds the
-event-driven driver and the burst-specific accounting. Consumer-specific
-variation points are template hooks (``_modeled_exec_seconds``,
-``_image_for``, ``_make_instance`` / ``_release_instance``,
-``_record_completion``) so heterogeneous dispatchers — e.g. the
-mixed-packing simulator — reuse the identical lifecycle without forking it.
+event-driven driver and the burst-specific accounting. What a chain runs
+is data, not behaviour: each chain carries a :class:`ChainWork` — the
+image it builds and ships, its noise-free execution seconds, and the
+``(app, functions)`` pairs whose I/O a successful attempt stores. A
+homogeneous burst derives one record per packing degree; heterogeneous
+dispatchers — e.g. the mixed-packing simulator — hand :meth:`begin` one
+record per chain and run the identical lifecycle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cluster.registry import FunctionImage
+from repro.cluster.server import Server
 from repro.engine.chain import AttemptChain
 from repro.engine.kernel import DispatchKernel, resolve_retry_policy
 from repro.faults.retry import HedgePolicy, ImmediateRetry, RetryPolicy
@@ -33,7 +36,6 @@ from repro.faults.scenario import FaultScenario
 from repro.interference.model import InterferenceModel
 from repro.platform.billing import BillingModel
 from repro.platform.container import ContainerPipeline
-from repro.platform.instance import FunctionInstance
 from repro.platform.metrics import (
     FaultStats,
     InstanceRecord,
@@ -148,6 +150,26 @@ class BurstSpec:
         return math.ceil(self.concurrency / self.packing_degree)
 
 
+@dataclass(frozen=True)
+class ChainWork:
+    """What one attempt chain runs, as data every attempt reads.
+
+    ``image`` is the container each attempt builds and ships,
+    ``exec_seconds`` the noise-free modeled execution time of one attempt,
+    and ``outputs`` the ``(app, functions)`` pairs whose I/O a successful
+    attempt stores: one pair for a homogeneous chain, one per member app
+    for a mixed or fused group.
+    """
+
+    image: FunctionImage
+    exec_seconds: float
+    outputs: tuple[tuple[AppSpec, int], ...]
+
+    @property
+    def n_packed(self) -> int:
+        return sum(count for _, count in self.outputs)
+
+
 class BurstDispatchKernel(DispatchKernel):
     """Executes one :class:`BurstSpec` on a fresh simulation."""
 
@@ -179,55 +201,22 @@ class BurstDispatchKernel(DispatchKernel):
         self._lost_functions = 0
         self._stats = FaultStats()
         self._record_chain: dict[int, AttemptChain] = {}
-        self._inflight: dict[int, tuple] = {}  # record id -> (event, instance, record)
+        self._inflight: dict[int, tuple] = {}  # record id -> (event, server, record)
 
-    # ------------------------------------------------------------------ #
-    # Template hooks (overridden by heterogeneous dispatchers)
-    # ------------------------------------------------------------------ #
-    def _image_for(self, record: InstanceRecord) -> FunctionImage:
-        """The container image one attempt builds and ships."""
-        return self._image
-
-    def _modeled_exec_seconds(self, record: InstanceRecord) -> float:
-        """Noise-free modeled execution time of one attempt."""
-        return self.interference.execution_seconds(
-            self._spec.app, record.n_packed, self._concurrency_level
-        )
-
-    def _make_instance(self, server, record: InstanceRecord) -> Optional[FunctionInstance]:
-        """Claim placed resources for one attempt (None = untracked)."""
-        return FunctionInstance(
-            instance_id=record.instance_id,
-            app=self._spec.app,
-            n_packed=record.n_packed,
-            server=server,
-            provisioned_mb=record.provisioned_mb,
-            cores=self.profile.cores_per_instance,
-        )
-
-    def _release_instance(self, instance: Optional[FunctionInstance]) -> None:
-        """Return an attempt's resources to the pool."""
-        instance.release()
-
-    def _record_completion(self, record: InstanceRecord) -> None:
-        """Account one successful attempt's I/O in the object store."""
-        self.store.record_instance(self._spec.app, record.n_packed)
-
-    # ------------------------------------------------------------------ #
     def _configure(self, spec: BurstSpec, image: Optional[FunctionImage]) -> int:
         """Bind ``spec`` to this kernel and return its cold-chain count.
 
-        Every burst is set up here — by :meth:`begin`, by the fluid replay
-        and by heterogeneous dispatchers: the retry policy, the fault
-        scenario, the provisioned-memory check and the number of chains
-        provisioned cold (every instance, or at most ``wave_size``). No
-        event is scheduled and no random draw is made.
+        Every burst is set up here — by :meth:`begin` and by the fluid
+        replay: the retry policy, the fault scenario, the provisioned-memory
+        check and the number of chains provisioned cold (every instance, or
+        at most ``wave_size``). A homogeneous burst (``image`` given) also
+        gets its chain records, one per packing degree: an instance packs
+        the full degree, except the last one, cold or warm, which packs
+        what is left. No event is scheduled and no random draw is made.
         """
         self._spec = spec
-        self._image = image
         n_inst = spec.n_instances
         cold = n_inst if spec.wave_size is None else min(n_inst, spec.wave_size)
-        self._concurrency_level = cold
         self._invoked_at = self.sim.now
 
         self.retry_policy = resolve_retry_policy(
@@ -249,24 +238,47 @@ class BurstDispatchKernel(DispatchKernel):
                 f"maximum {self.profile.max_memory_mb} MB"
             )
         self._provisioned = provisioned
-        self._instances: dict[int, Optional[FunctionInstance]] = {}
+        self._servers: dict[int, Server] = {}  # record id -> placement, until it ships
+        self._work_by_degree: dict[int, ChainWork] = {}
+        if image is not None:
+            last = spec.concurrency - spec.packing_degree * (n_inst - 1)
+            for n in (spec.packing_degree, last):
+                self._work_by_degree[n] = ChainWork(
+                    image,
+                    self.interference.execution_seconds(spec.app, n, cold),
+                    ((spec.app, n),),
+                )
         return cold
 
-    def begin(self, spec: BurstSpec, image: FunctionImage) -> None:
+    def begin(
+        self, spec: BurstSpec, work: Union[FunctionImage, Sequence[ChainWork]]
+    ) -> None:
         """Enqueue the burst's invocations at the current simulation time.
+
+        ``work`` is a homogeneous burst's image, from which the kernel
+        derives its chains, or one :class:`ChainWork` per chain: the burst
+        then runs exactly those chains, all cold, and ``spec`` supplies
+        only the burst-wide settings (see
+        :mod:`repro.extensions.mixed_sim`).
 
         Does not drive the simulation — callers sharing one simulator
         across bursts (see :mod:`repro.platform.multitenant`) call
         ``begin`` per burst, run the simulator once, then ``collect``.
         """
-        cold = self._configure(spec, image)
-        remaining = spec.concurrency
-        for _ in range(cold):
-            n_packed = min(spec.packing_degree, remaining)
-            remaining -= n_packed
-            chain = self.new_chain(n_packed=n_packed)
+        if isinstance(work, FunctionImage):
+            cold = self._configure(spec, work)
+            remaining = spec.concurrency
+            work = []
+            for _ in range(cold):
+                n_packed = min(spec.packing_degree, remaining)
+                remaining -= n_packed
+                work.append(self._work_by_degree[n_packed])
+            self._pending_functions = remaining
+        else:
+            self._configure(spec, None)
+        for chain_work in work:
+            chain = self.new_chain(n_packed=chain_work.n_packed, payload=chain_work)
             self._admit(chain, attempt=1, retry_delay=0.0)
-        self._pending_functions = remaining
 
         for t in self.correlated_event_times():
             self.sim.schedule(t, self._correlated_event)
@@ -327,13 +339,14 @@ class BurstDispatchKernel(DispatchKernel):
         )
 
     def run(self, spec: BurstSpec, image: FunctionImage) -> RunResult:
-        """Simulate the burst to completion and return its result.
+        """Simulate a homogeneous burst to completion and return its result.
 
-        An eligible burst (no faults, hedging, telemetry, or subclass
-        hooks — see :func:`repro.engine.fluid.fluid_ineligibility`) skips
-        the event loop and replays the pipeline's closed-form timeline
-        instead, producing a byte-identical result in O(instances) array
-        work; every other burst runs on the event-driven path.
+        An eligible burst (no faults, hedging or telemetry, on a fresh
+        datacenter — see :func:`repro.engine.fluid.fluid_ineligibility`)
+        skips the event loop and replays the pipeline's closed-form
+        timeline instead, producing a byte-identical result in
+        O(instances) array work; every other burst runs on the
+        event-driven path.
         """
         # Resolved per call: tests replace try_run_fluid to reach the
         # event-loop reference.
@@ -398,15 +411,15 @@ class BurstDispatchKernel(DispatchKernel):
             self.profile.cores_per_instance, self._provisioned, self._placed, record
         )
         self.pipeline.build(
-            self._image_for(record), self._built, record,
+            chain.payload.image, self._built, record,
             build_factor=self._spec.build_factor,
         )
 
-    def _placed(self, server, record: InstanceRecord) -> None:
+    def _placed(self, server: Server, record: InstanceRecord) -> None:
         record.sched_done = self.sim.now
         if self._tel is not None:
             self._tel.on_placed(record)
-        self._instances[record.instance_id] = self._make_instance(server, record)
+        self._servers[record.instance_id] = server
         self._maybe_ship(record)
 
     def _built(self, record: InstanceRecord) -> None:
@@ -422,7 +435,7 @@ class BurstDispatchKernel(DispatchKernel):
         if self._tel is not None:
             self._tel.on_ship_begin(record)
         self.pipeline.ship(
-            self._image_for(record), self._shipped, record,
+            self._chain_for(record).payload.image, self._shipped, record,
             ship_factor=self._spec.ship_factor,
         )
 
@@ -430,7 +443,7 @@ class BurstDispatchKernel(DispatchKernel):
         record.shipped_at = self.sim.now
         if self._tel is not None:
             self._tel.on_shipped(record)
-        self._start_execution(self._instances.pop(record.instance_id), record)
+        self._start_execution(self._servers.pop(record.instance_id), record)
 
     # ------------------------------------------------------------------ #
     # Execution, faults, and completion
@@ -465,9 +478,12 @@ class BurstDispatchKernel(DispatchKernel):
     def _chain_for(self, record: InstanceRecord) -> AttemptChain:
         return self._record_chain[record.instance_id]
 
-    def _start_execution(
-        self, instance: Optional[FunctionInstance], record: InstanceRecord
-    ) -> None:
+    def _release(self, server: Server) -> None:
+        """Free an attempt's server slot. Every instance of a burst has one
+        shape: the profile's cores per instance and the provisioned MB."""
+        server.release(self.profile.cores_per_instance, self._provisioned)
+
+    def _start_execution(self, server: Server, record: InstanceRecord) -> None:
         chain = self._chain_for(record)
         if chain.satisfied:
             # A hedge twin already delivered this group's result while this
@@ -475,7 +491,7 @@ class BurstDispatchKernel(DispatchKernel):
             record.cancelled = True
             record.exec_start = record.exec_end = self.sim.now
             chain.untrack(record.instance_id)
-            self._release_instance(instance)
+            self._release(server)
             if self._tel is not None:
                 self._tel.on_cancelled_before_exec(record)
             return
@@ -483,7 +499,7 @@ class BurstDispatchKernel(DispatchKernel):
         if self._tel is not None:
             self._tel.on_exec_begin(record)
         duration = (
-            self._modeled_exec_seconds(record)
+            chain.payload.exec_seconds
             * self.exec_noise_factor(self.profile.exec_noise_sigma)
             * self._spec.exec_overhead
             * self._skew_factor(record.n_packed)
@@ -493,10 +509,10 @@ class BurstDispatchKernel(DispatchKernel):
         cap = self.profile.max_execution_seconds
         if self.enforce_timeout and duration > cap:
             if self.injector is not None:
-                self._schedule_timeout(instance, record, chain)
+                self._schedule_timeout(server, record)
                 return
             error = self._timeout_error(record, duration)
-            self._release_instance(instance)
+            self._release(server)
             if self._tel is not None:
                 self._tel.on_exec_end(record, "timeout")
             raise error
@@ -505,8 +521,8 @@ class BurstDispatchKernel(DispatchKernel):
             if decision is not None:
                 record.persistent_fault = chain.poisoned
                 crash_after = duration * decision.at_fraction
-                event = self.sim.schedule(crash_after, self._exec_failed, instance, record)
-                self._inflight[record.instance_id] = (event, instance, record)
+                event = self.sim.schedule(crash_after, self._exec_failed, server, record)
+                self._inflight[record.instance_id] = (event, server, record)
                 return
         elif self.profile.failure_rate > 0.0:
             fail_stream = self.rng.stream("failure")
@@ -514,11 +530,11 @@ class BurstDispatchKernel(DispatchKernel):
                 # Crash at a uniform point of the execution; the partial run
                 # is billed (providers charge failed attempts), then retried.
                 crash_after = duration * float(fail_stream.random())
-                event = self.sim.schedule(crash_after, self._exec_failed, instance, record)
-                self._inflight[record.instance_id] = (event, instance, record)
+                event = self.sim.schedule(crash_after, self._exec_failed, server, record)
+                self._inflight[record.instance_id] = (event, server, record)
                 return
-        event = self.sim.schedule(duration, self._exec_done, instance, record)
-        self._inflight[record.instance_id] = (event, instance, record)
+        event = self.sim.schedule(duration, self._exec_done, server, record)
+        self._inflight[record.instance_id] = (event, server, record)
         self._maybe_schedule_hedge(chain, record, duration)
 
     def _timeout_error(
@@ -560,7 +576,7 @@ class BurstDispatchKernel(DispatchKernel):
         # The hedge trigger compares against the *modeled* (noise-free)
         # execution time, the quantity a real controller would know.
         reference = (
-            self._modeled_exec_seconds(record)
+            chain.payload.exec_seconds
             * self._spec.exec_overhead
             * self._cpu_share_penalty(record.n_packed, record.provisioned_mb)
         )
@@ -580,25 +596,18 @@ class BurstDispatchKernel(DispatchKernel):
         self._stats.hedged_attempts += 1
         self._admit(chain, attempt=primary.attempt, retry_delay=0.0, hedged=True)
 
-    def _schedule_timeout(
-        self,
-        instance: Optional[FunctionInstance],
-        record: InstanceRecord,
-        chain: AttemptChain,
-    ) -> None:
+    def _schedule_timeout(self, server: Server, record: InstanceRecord) -> None:
         """The attempt runs to the cap, is billed in full, then handled."""
         cap = self.profile.max_execution_seconds
-        event = self.sim.schedule(cap, self._exec_timed_out, instance, record)
-        self._inflight[record.instance_id] = (event, instance, record)
+        event = self.sim.schedule(cap, self._exec_timed_out, server, record)
+        self._inflight[record.instance_id] = (event, server, record)
 
-    def _exec_timed_out(
-        self, instance: Optional[FunctionInstance], record: InstanceRecord
-    ) -> None:
+    def _exec_timed_out(self, server: Server, record: InstanceRecord) -> None:
         self._inflight.pop(record.instance_id, None)
         record.exec_end = self.sim.now
         record.timed_out = True
         self._stats.timed_out_attempts += 1
-        self._release_instance(instance)
+        self._release(server)
         chain = self._chain_for(record)
         chain.untrack(record.instance_id)
         if self._tel is not None:
@@ -626,20 +635,18 @@ class BurstDispatchKernel(DispatchKernel):
             entry = self._inflight.get(rid)
             if entry is None:
                 continue
-            event, instance, record = entry
+            event, server, record = entry
             if record.timed_out or record.failed:
                 continue
             event.cancel()
             record.correlated = True
-            self._exec_failed(instance, record)
+            self._exec_failed(server, record)
 
-    def _exec_failed(
-        self, instance: Optional[FunctionInstance], record: InstanceRecord
-    ) -> None:
+    def _exec_failed(self, server: Server, record: InstanceRecord) -> None:
         self._inflight.pop(record.instance_id, None)
         record.exec_end = self.sim.now
         record.failed = True
-        self._release_instance(instance)  # the crash destroys the container
+        self._release(server)  # the crash destroys the container
         self._stats.crashed_attempts += 1
         if record.correlated:
             self._stats.correlated_crashes += 1
@@ -676,9 +683,7 @@ class BurstDispatchKernel(DispatchKernel):
         else:
             self.sim.schedule(delay, self._admit, chain, record.attempt + 1, delay)
 
-    def _exec_done(
-        self, instance: Optional[FunctionInstance], record: InstanceRecord
-    ) -> None:
+    def _exec_done(self, server: Server, record: InstanceRecord) -> None:
         self._inflight.pop(record.instance_id, None)
         record.exec_end = self.sim.now
         chain = self._chain_for(record)
@@ -686,7 +691,7 @@ class BurstDispatchKernel(DispatchKernel):
         if chain.satisfied:
             # Lost a hedge race after executing fully; billed, no result.
             record.cancelled = True
-            self._release_instance(instance)
+            self._release(server)
             if self._tel is not None:
                 self._tel.on_exec_end(record, "cancelled")
             return
@@ -696,15 +701,16 @@ class BurstDispatchKernel(DispatchKernel):
         if record.hedged:
             self._stats.hedge_wins += 1
         self._cancel_twins(chain, record)
-        self._record_completion(record)
+        for app, count in chain.payload.outputs:
+            self.store.record_instance(app, count)
         io_mb = self._spec.extra_io_mb_per_function
         if io_mb > 0.0:
             self.store.usage.transferred_mb += io_mb * record.n_packed
             self.store.usage.put_requests += record.n_packed
         if self._pending_functions > 0:
-            self._reuse_warm(instance)
+            self._reuse_warm(server)
         else:
-            self._release_instance(instance)
+            self._release(server)
 
     def _cancel_twins(self, chain: AttemptChain, winner: InstanceRecord) -> None:
         """Abandon the losing copies of a hedged group (billed for elapsed
@@ -713,43 +719,36 @@ class BurstDispatchKernel(DispatchKernel):
             entry = self._inflight.pop(rid, None)
             if entry is None:
                 continue  # still in the pipeline; cancels in _start_execution
-            event, instance, record = entry
+            event, server, record = entry
             event.cancel()
             record.cancelled = True
             record.exec_end = self.sim.now
             chain.untrack(rid)
-            self._release_instance(instance)
+            self._release(server)
             if self._tel is not None:
                 self._tel.on_exec_end(record, "cancelled")
 
-    def _reuse_warm(self, instance: FunctionInstance) -> None:
+    def _reuse_warm(self, server: Server) -> None:
+        """Run the next functions on a finished instance's warm slot."""
         n_packed = min(self._spec.packing_degree, self._pending_functions)
         self._pending_functions -= n_packed
         record = InstanceRecord(
             instance_id=len(self._records),
             n_packed=n_packed,
             invoked_at=self.sim.now,
-            provisioned_mb=instance.provisioned_mb,
+            provisioned_mb=self._provisioned,
             warm_start=True,
         )
         record.sched_done = self.sim.now
-        chain = self.new_chain(n_packed=n_packed)
+        chain = self.new_chain(n_packed=n_packed, payload=self._work_by_degree[n_packed])
         chain.track(record.instance_id)
         self._record_chain[record.instance_id] = chain
-        warm = FunctionInstance(
-            instance_id=record.instance_id,
-            app=instance.app,
-            n_packed=n_packed,
-            server=instance.server,
-            provisioned_mb=instance.provisioned_mb,
-            cores=instance.cores,
-        )
         self._records.append(record)
         if self._tel is not None:
             self._tel.on_invoked(record, warm=True)
-        self.sim.schedule(self._spec.warm_dispatch_s, self._warm_start, warm, record)
+        self.sim.schedule(self._spec.warm_dispatch_s, self._warm_start, server, record)
 
-    def _warm_start(self, instance: FunctionInstance, record: InstanceRecord) -> None:
+    def _warm_start(self, server: Server, record: InstanceRecord) -> None:
         record.built_at = self.sim.now
         record.shipped_at = self.sim.now
-        self._start_execution(instance, record)
+        self._start_execution(server, record)

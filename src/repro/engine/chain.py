@@ -20,8 +20,10 @@ from repro.faults.retry import RetryPolicy
 class AttemptChain:
     """One packed group / batch across all its attempts (retries, hedges).
 
-    ``payload`` is consumer-defined (e.g. the list of queued requests a
-    serving batch carries); the kernel never inspects it. ``retry`` is the
+    ``payload`` is consumer-defined: a burst chain's
+    :class:`~repro.engine.burst.ChainWork`, which the burst kernel reads,
+    or the list of queued requests a serving batch carries, which no
+    kernel inspects. ``retry`` is the
     chain-scoped policy instance (serving/streaming refresh one per chain);
     bursts instead share a burst-scoped policy and pass it explicitly to
     :meth:`~repro.engine.kernel.DispatchKernel.next_retry_delay`.

@@ -1,10 +1,10 @@
 """The fluid burst fast path: closed-form pipeline replay, no event loop.
 
-An eligible burst (no fault scenario, hedging, telemetry, or subclass
-hooks) is a *deterministic* pipeline given its RNG draws: placement times
-are a cumulative sum, container builds are a k-slot FIFO recursion, and
-shipping is processor sharing of equal-sized transfers (which completes in
-FIFO order). This module replays that arithmetic directly — float-op for
+An eligible burst (no fault scenario, hedging or telemetry, on a fresh
+datacenter) is a *deterministic* pipeline given its RNG draws: placement
+times are a cumulative sum, container builds are a k-slot FIFO
+recursion, and shipping is processor sharing of equal-sized transfers
+(which completes in FIFO order). This module replays that arithmetic directly — float-op for
 float-op, draw for draw, in the same order as the discrete-event path — so
 the result is **byte-identical** to the event-driven kernel while doing
 O(instances) array/loop work instead of O(instances · ~10) heap events.
@@ -35,14 +35,20 @@ on the event loop. The replay writes the burst's records straight into a
 :class:`~repro.platform.metrics.RecordTable` and hands it to
 ``BurstDispatchKernel.collect``, which bills the burst on both paths.
 
-The replay shares the kernel's set-up (``_configure``), its CPU-share
-penalty (``_cpu_share_penalty``) and its billed-timeout abort
-(``_timeout_error``) with the event loop. On abort paths (billed timeout,
-fleet exhaustion) it raises the same exception as the event-driven kernel
-— a timeout with the same message, bill and record — but may have
-consumed more prefetched RNG draws than the event loop had at the abort
-point; a burst runs on a per-run RNG family, so this is unobservable
-outside the aborted run.
+The replay shares the kernel's set-up (``_configure``, which derives the
+burst's chain records: one per packing degree, with its modeled execution
+seconds), its CPU-share penalty (``_cpu_share_penalty``) and its
+billed-timeout abort (``_timeout_error``) with the event loop. On abort
+paths (billed timeout, fleet exhaustion) it raises the same exception as
+the event-driven kernel — a timeout with the same message, bill and
+record — but may have consumed more prefetched RNG draws than the event
+loop had at the abort point; a burst runs on a per-run RNG family, so
+this is unobservable outside the aborted run.
+
+The replay takes homogeneous bursts only. Mixed and fused bursts enter
+the event loop through ``BurstDispatchKernel.begin`` with one chain
+record per group: their union images differ in size, and the shipping
+stage's recurrence assumes equal transfers.
 """
 
 from __future__ import annotations
@@ -65,36 +71,13 @@ if TYPE_CHECKING:  # annotation-only: avoid a cycle with engine.burst
     from repro.cluster.registry import FunctionImage
     from repro.engine.burst import BurstDispatchKernel, BurstSpec
 
-#: Template hooks and lifecycle methods that must be un-overridden for the
-#: closed-form replay to be faithful to what the event loop would do.
-_REQUIRED_BASE_METHODS = (
-    "_image_for",
-    "_modeled_exec_seconds",
-    "_make_instance",
-    "_release_instance",
-    "_record_completion",
-    "_admit",
-    "_placed",
-    "_built",
-    "_maybe_ship",
-    "_shipped",
-    "_start_execution",
-    "_exec_done",
-    "_reuse_warm",
-    "_warm_start",
-    "begin",
-    "collect",
-)
-
-
 def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Optional[str]:
     """Why this burst cannot take the fluid path (``None`` = eligible).
 
-    The rules are conservative: anything that injects extra draws, extra
-    events, or consumer-specific behaviour into the lifecycle falls back
-    to the event-driven path, which is always correct.
+    The rules are conservative: anything that injects extra draws or extra
+    events into the lifecycle, or a datacenter another burst has touched,
+    falls back to the event-driven path, which is always correct.
     """
-    from repro.engine.burst import BurstDispatchKernel
     from repro.platform.container import ContainerPipeline
 
     if spec.scenario is not None:
@@ -105,9 +88,6 @@ def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Opt
         return "profile failure rate > 0"
     if kernel._tel is not None:
         return "telemetry instrumentation attached"
-    for name in _REQUIRED_BASE_METHODS:
-        if getattr(type(kernel), name) is not getattr(BurstDispatchKernel, name):
-            return f"subclass overrides {name}"
     if type(kernel.scheduler) is not PlacementScheduler:
         return "non-serial placement scheduler"
     if kernel.scheduler._search_hist is not None:
@@ -279,7 +259,7 @@ def _execute_cold(
     cold = len(order)
     packing = spec.packing_degree
     last_packed = spec.concurrency - packing * (cold - 1)
-    modeled, penalty = _exec_model(kernel, spec)
+    modeled, penalty = _exec_model(kernel)
     enoise, skew_draws = _exec_draws(kernel, spec)
     started = np.array(ship_t)
     # The last chain may pack fewer functions; ``odd`` is its start index.
@@ -414,7 +394,7 @@ def _merge_waved(
     packing = spec.packing_degree
     pending = spec.concurrency - packing * cold
     provisioned = kernel._provisioned
-    modeled, penalty = _exec_model(kernel, spec)
+    modeled, penalty = _exec_model(kernel)
     enoise, skew_draws = _exec_draws(kernel, spec)
     noise_draws = enoise.tolist() if enoise is not None else [1.0] * spec.n_instances
     skew_cursor = 0
@@ -557,20 +537,15 @@ def _merge_waved(
 
 
 def _exec_model(
-    kernel: "BurstDispatchKernel", spec: "BurstSpec"
+    kernel: "BurstDispatchKernel",
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Modeled execution seconds and CPU-share penalty per packing degree.
 
-    An instance packs the full degree, except the last one (cold or warm),
-    which packs what is left.
+    The seconds are those of the chain records ``_configure`` derived, the
+    ones the event loop's chains carry.
     """
-    last_packed = spec.concurrency - spec.packing_degree * (spec.n_instances - 1)
-    degrees = {spec.packing_degree, last_packed}
-    cold = kernel._concurrency_level
-    modeled = {
-        n: kernel.interference.execution_seconds(spec.app, n, cold) for n in degrees
-    }
-    penalty = {n: kernel._cpu_share_penalty(n, kernel._provisioned) for n in degrees}
+    modeled = {n: work.exec_seconds for n, work in kernel._work_by_degree.items()}
+    penalty = {n: kernel._cpu_share_penalty(n, kernel._provisioned) for n in modeled}
     return modeled, penalty
 
 

@@ -9,25 +9,22 @@ makespan plus execution noise.
 
 The lifecycle itself (placement ∥ build → ship → execute) is the shared
 :class:`~repro.engine.burst.BurstDispatchKernel` on the datacenter
-:func:`~repro.platform.base.burst_substrate` builds, set up by its
-``_configure`` and billed by its ``collect``; this module only
-overrides its heterogeneity hooks — per-group union images, the mixed
-interference model, per-member store accounting — and leaves cluster
-occupancy untouched (groups never return capacity mid-burst, matching the
-planner's all-at-once execution model).
+:func:`~repro.platform.base.burst_substrate` builds. This module only
+describes the chains: one :class:`~repro.engine.burst.ChainWork` per
+group — its union image, its mixed-model makespan, its members' I/O —
+built once per distinct group and handed to the kernel's ``begin``. A
+group's instance frees its slot when it finishes, as every burst's does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.cluster.registry import FunctionImage
-from repro.engine.burst import BurstDispatchKernel, BurstSpec
+from repro.engine.burst import BurstDispatchKernel, BurstSpec, ChainWork
 from repro.extensions.mixed import MixedGroup, MixedInterferenceModel, MixedPlan
 from repro.platform.base import burst_substrate
-from repro.platform.instance import FunctionInstance
-from repro.platform.metrics import InstanceRecord, RunResult
+from repro.platform.metrics import RunResult
 from repro.platform.providers import PlatformProfile
 from repro.platform.storage import ObjectStore, StorageUsage
 from repro.sim.engine import Simulator
@@ -58,7 +55,7 @@ class MixedRunResult:
 
     run: RunResult
     plan: MixedPlan
-    storage: Optional[StorageUsage] = None
+    storage: StorageUsage
 
     @property
     def service_time(self) -> float:
@@ -73,51 +70,22 @@ class MixedRunResult:
         return self.run.expense.total_usd
 
 
-class _MixedBurstKernel(BurstDispatchKernel):
-    """Burst kernel specialized for heterogeneous (multi-app) groups.
-
-    Each chain's payload is its :class:`MixedGroup`. Instances are not
-    tracked or released: the mixed planner models one synchronous wave, so
-    server occupancy stays claimed for the whole burst (releasing it would
-    perturb later placements).
-    """
-
-    def __init__(self, *args, model: MixedInterferenceModel, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._model = model
-
-    def begin_plan(self, spec: BurstSpec, plan: MixedPlan) -> None:
-        """Enqueue every group of ``plan`` at the current simulation time.
-
-        ``spec`` carries only burst-wide defaults (app name, noise-neutral
-        factors); sizing comes from the plan's heterogeneous groups.
-        """
-        self._configure(spec, None)
-        self._concurrency_level = len(plan.groups)
-        for group in plan.groups:
-            chain = self.new_chain(n_packed=group.size, payload=group)
-            self._admit(chain, attempt=1, retry_delay=0.0)
-        self._pending_functions = 0
-
-    # --- heterogeneity hooks ------------------------------------------ #
-    def _group_for(self, record: InstanceRecord) -> MixedGroup:
-        return self._record_chain[record.instance_id].payload
-
-    def _image_for(self, record: InstanceRecord) -> FunctionImage:
-        return _group_image(self._group_for(record))
-
-    def _modeled_exec_seconds(self, record: InstanceRecord) -> float:
-        return self._model.instance_execution_seconds(self._group_for(record))
-
-    def _make_instance(self, server, record: InstanceRecord) -> Optional[FunctionInstance]:
-        return None  # occupancy stays claimed; see class docstring
-
-    def _release_instance(self, instance: Optional[FunctionInstance]) -> None:
-        pass
-
-    def _record_completion(self, record: InstanceRecord) -> None:
-        for app, count in self._group_for(record).members:
-            self.store.record_instance(app, count)
+def _chain_works(plan: MixedPlan, model: MixedInterferenceModel) -> list[ChainWork]:
+    """One chain record per group of ``plan``, in plan order; equal groups
+    share one record, so each distinct group's image and makespan are
+    computed once."""
+    works: dict[MixedGroup, ChainWork] = {}
+    chains = []
+    for group in plan.groups:
+        work = works.get(group)
+        if work is None:
+            work = works[group] = ChainWork(
+                _group_image(group),
+                model.instance_execution_seconds(group),
+                group.members,
+            )
+        chains.append(work)
+    return chains
 
 
 class MixedBurstSimulator:
@@ -140,16 +108,15 @@ class MixedBurstSimulator:
         model = MixedInterferenceModel(self.profile.isolation_penalty)
         store = ObjectStore()
         total_functions = sum(g.size for g in plan.groups)
-        kernel = _MixedBurstKernel(
+        kernel = BurstDispatchKernel(
             sim,
             self.profile,
             scheduler,
             pipeline,
             store,
             rng,
-            interference=None,  # the mixed model replaces the homogeneous one
+            interference=None,  # each chain carries its mixed-model makespan
             enforce_timeout=False,
-            model=model,
         )
         # Burst-wide defaults only: noise-neutral factors, max-memory
         # provisioning (the paper's setup); group sizing is per chain.
@@ -158,7 +125,7 @@ class MixedBurstSimulator:
             concurrency=total_functions,
             packing_degree=1,
         )
-        kernel.begin_plan(spec, plan)
+        kernel.begin(spec, _chain_works(plan, model))
         sim.run()
         run = replace(
             kernel.collect(),

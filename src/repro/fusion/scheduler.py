@@ -4,9 +4,10 @@ Execution reuses the exact engine path mixed-app plans already take: the
 :class:`~repro.fusion.spec.FusionPlan` expands to a
 :class:`~repro.extensions.mixed.MixedPlan` and runs through
 :class:`~repro.extensions.mixed_sim.MixedBurstSimulator` — i.e. the shared
-:class:`~repro.engine.burst.BurstDispatchKernel` with the heterogeneity
-hooks — so fused runs are byte-deterministic per seed and inherit the
-placement scheduler, container pipeline, and billing treatment unchanged.
+:class:`~repro.engine.burst.BurstDispatchKernel`, handed one chain record
+per fused instance — so fused runs are byte-deterministic per seed and
+inherit the placement scheduler, container pipeline, and billing
+treatment unchanged.
 
 What fusion adds on top is the *ledger*: every instance record is mapped
 back to its fusion group (``instance_id`` indexes the plan's deterministic
@@ -197,7 +198,6 @@ class FusionScheduler:
         result = MixedBurstSimulator(self.profile, self.seed).run(
             plan.to_mixed_plan(), repetition
         )
-        assert result.storage is not None
         expense, bills = attribute_expense(
             plan, result.run, result.storage, self.billing
         )

@@ -8,7 +8,6 @@ A :class:`ServerlessPlatform` glues together the datacenter substrate
 * :mod:`~repro.platform.scheduler` — the placement scheduler whose
   per-request search cost grows with outstanding placements.
 * :mod:`~repro.platform.container` — container/microVM build + ship pipeline.
-* :mod:`~repro.platform.instance` — function-instance execution model.
 * :mod:`~repro.platform.billing` — provider billing (GB-seconds, requests,
   storage, networking egress where the provider charges it).
 * :mod:`~repro.platform.storage` — S3-like object store accounting.

@@ -15,6 +15,7 @@ claims about the real providers' internals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -87,6 +88,22 @@ class PlatformProfile:
     server_memory_mb: int = 786432
 
     def __post_init__(self) -> None:
+        # Coefficients the replay and the event loop read differently when
+        # out of range (a negative delay, a NaN noise sigma) are rejected
+        # here. NaN passes every comparison, so finiteness is checked
+        # first; zero costs and an infinite build rate stay legal.
+        for name in ("sched_base_s", "sched_search_s", "build_base_s",
+                     "ship_overhead_mb", "exec_noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0 (got {value})")
+        if not self.max_execution_seconds > 0.0:  # also false for NaN
+            raise ValueError(
+                f"max_execution_seconds must be > 0 (got {self.max_execution_seconds})"
+            )
+        for name in ("cores_per_instance", "max_memory_mb"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
         # A burst provisions at most max_memory_mb per instance, so these
         # checks let every legal burst's instance fit an empty server.
         if self.fleet_servers < 1:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.profiler import ScalingProfiler
-from repro.extensions.mixed import MixedPacker
+from repro.extensions.mixed import MixedPacker, MixedPlan
 from repro.extensions.mixed_sim import MixedBurstSimulator, _group_image
 from repro.extensions.mixed import MixedGroup
 from repro.platform.base import ServerlessPlatform
@@ -111,3 +111,18 @@ def test_mixed_sim_places_through_the_sharded_scheduler(packer, monkeypatch):
     sharded = AWS_LAMBDA.with_overrides(scheduler_shards=4)
     result = MixedBurstSimulator(sharded, seed=121).run(plan)
     assert shards_seen == [4] * result.run.n_instances
+
+
+def test_mixed_groups_free_their_slots_when_they_finish():
+    """A finished group's instance frees its server slot, as every burst's
+    does. One server hosts 16 max-memory instances; the 17th placement
+    comes after the first groups have finished, so the run completes, and
+    since a placement's time depends only on how many came before it, the
+    run equals the same plan's on the full fleet."""
+    plan = MixedPlan(groups=[MixedGroup(((STATELESS_COST, 2),))] * 20, segregated=True)
+    slow = AWS_LAMBDA.with_overrides(sched_search_s=2.0)
+    one_server = MixedBurstSimulator(slow.with_overrides(fleet_servers=1), seed=3).run(plan)
+    full_fleet = MixedBurstSimulator(slow, seed=3).run(plan)
+    assert one_server.run.n_instances == 20
+    assert one_server.run == full_fleet.run
+    assert one_server.storage == full_fleet.storage

@@ -66,6 +66,33 @@ def test_profile_whose_servers_cannot_host_an_instance_is_rejected(overrides, fi
         PlatformProfile(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sched_base_s", -1.0),
+        ("sched_search_s", float("inf")),
+        ("build_base_s", -1.0),
+        ("ship_overhead_mb", -1000.0),
+        ("exec_noise_sigma", float("nan")),
+        ("max_execution_seconds", float("nan")),
+        ("cores_per_instance", 0),
+        ("max_memory_mb", 0),
+    ],
+)
+def test_profile_coefficient_out_of_range_is_rejected(field, value):
+    """A coefficient the fluid replay and the event loop would read
+    differently fails at construction, naming the field: a negative
+    placement or build cost returns a result on the replay but cannot be
+    scheduled on the event loop, a NaN noise sigma runs noise-free on one
+    path and never executes on the other, a NaN cap silently disables the
+    timeout, and an instance with no cores or memory divides by zero."""
+    with pytest.raises(ValueError, match=field):
+        AWS_LAMBDA.with_overrides(**{field: value})
+    fields = dataclasses.asdict(AWS_LAMBDA) | {field: value}
+    with pytest.raises(ValueError, match=field):
+        PlatformProfile(**fields)
+
+
 def test_every_shipped_profile_constructs():
     for profile in (*PROVIDERS.values(), funcx_profile()):
         assert profile.with_overrides() == profile

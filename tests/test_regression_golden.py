@@ -165,6 +165,44 @@ def test_golden_overload_resilience_exact():
     assert rep.retry_egress_gb == pytest.approx(4.1015625, abs=1e-12)
 
 
+def test_golden_fusion_exact():
+    """One seeded fused-fleet run, pinned to the last bit.
+
+    Platform-side fusion runs every fused group as one chain of the shared
+    burst kernel, and the tenant ledger splits the bill by footprint, so
+    the instance layout, the timings, every expense line and each tenant's
+    share must reproduce exactly. Any drift in how mixed and fused chains
+    are built, placed, executed or billed lands here first.
+    """
+    from repro.fusion import FusedFleet, mix_demands
+    from repro.workloads import ALL_APPS
+
+    fleet = FusedFleet(AWS_LAMBDA.with_overrides(billing_granularity_s=0.1), seed=7)
+    for tenant, app, count in mix_demands("trio", 2000):
+        fleet.submit(tenant, ALL_APPS[app], count)
+    report = fleet.run("fusion").report
+    assert (report.plan.n_instances, report.plan.fused_instances) == (1937, 1500)
+    assert len(report.run.table) == 1937
+    assert report.service_time == 402.7988699977116
+    assert report.scaling_time == 303.8935200000001
+    expense = report.expense
+    assert (
+        expense.compute_usd, expense.requests_usd, expense.storage_usd,
+        expense.egress_usd, expense.keepalive_usd,
+    ) == (32.52536505060001, 0.0003874, 0.0351, 0.0, 0.0)
+    assert [
+        (b.tenant, b.functions, b.compute_usd, b.requests_usd, b.storage_usd, b.egress_usd)
+        for b in report.bills
+    ] == [
+        ("analytics", 2000, 23.152417946534367, 0.0002681236673773966,
+         0.019636363636363636, 0.0),
+        ("api", 3000, 2.275937885199998, 3.7400000000000035e-05,
+         0.0044181818181818185, 0.0),
+        ("media", 1500, 7.097009218865676, 8.187633262259968e-05,
+         0.011045454545454546, 0.0),
+    ]
+
+
 def test_golden_remediation_timeline_exact():
     """One seeded self-healing run, its full timeline pinned exactly.
 
