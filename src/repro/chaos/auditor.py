@@ -140,25 +140,25 @@ class InvariantAuditor:
     # ------------------------------------------------------------------ #
     def _wrap(self, handler):
         def observe(event) -> None:
-            self.report.events_seen += 1
-            self._check_monotonic(event)
+            # Every event counts once and gets the sim-time monotonicity
+            # check inline, before its kind's handler runs.
+            report = self.report
+            report.events_seen += 1
+            report.checks_run += 1
+            time, last = event.time, self._last_time
+            if last is not None and time + EPS < last:
+                self._violate(
+                    "sim-time-monotonic",
+                    time,
+                    f"event {event.kind!r} at t={time:g} after t={last:g}",
+                )
+            self._last_time = time
             handler(event)
 
         return observe
 
     def _violate(self, invariant: str, time: float, message: str) -> None:
         self.report.violations.append(Violation(invariant, time, message))
-
-    def _check_monotonic(self, event) -> None:
-        self.report.checks_run += 1
-        if self._last_time is not None and event.time + EPS < self._last_time:
-            self._violate(
-                "sim-time-monotonic",
-                event.time,
-                f"event {event.kind!r} at t={event.time:g} after "
-                f"t={self._last_time:g}",
-            )
-        self._last_time = event.time
 
     # ------------------------------------------------------------------ #
     def _on_arrival(self, event) -> None:

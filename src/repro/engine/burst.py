@@ -478,6 +478,15 @@ class BurstDispatchKernel(DispatchKernel):
     def _chain_for(self, record: InstanceRecord) -> AttemptChain:
         return self._record_chain[record.instance_id]
 
+    def record_chain_ids(self) -> list[int]:
+        """The id of the chain each attempt record ran, in record order.
+
+        Chains get ids in the order :meth:`begin` creates them, so a burst
+        begun with one :class:`ChainWork` per plan group reads each
+        record's group here; a retry or hedge runs its chain again.
+        """
+        return [self._record_chain[i].chain_id for i in range(len(self._records))]
+
     def _release(self, server: Server) -> None:
         """Free an attempt's server slot. Every instance of a burst has one
         shape: the profile's cores per instance and the provisioned MB."""
@@ -612,7 +621,7 @@ class BurstDispatchKernel(DispatchKernel):
         chain.untrack(record.instance_id)
         if self._tel is not None:
             self._tel.on_exec_end(record, "timeout")
-        self.store.record_failed_attempt(self._spec.app, record.n_packed)
+        self._refetched_inputs(chain)
         if self._spec.scenario is not None and not self._spec.scenario.retry_timeouts:
             if not chain.active and not chain.satisfied and not chain.lost:
                 chain.lost = True
@@ -650,14 +659,23 @@ class BurstDispatchKernel(DispatchKernel):
         self._stats.crashed_attempts += 1
         if record.correlated:
             self._stats.correlated_crashes += 1
-        # The attempt fetched its inputs before dying; a retry re-pays the
-        # transfer (and the egress fee, on providers that charge one).
-        self.store.record_failed_attempt(self._spec.app, record.n_packed)
         chain = self._chain_for(record)
+        self._refetched_inputs(chain)
         chain.untrack(record.instance_id)
         if self._tel is not None:
             self._tel.on_exec_end(record, "crash")
         self._retry_or_lose(chain, record)
+
+    def _refetched_inputs(self, chain: AttemptChain) -> None:
+        """Charge a failed attempt's inputs, per member app of its chain.
+
+        The attempt fetched its inputs before dying; a retry re-pays the
+        transfer (and the egress fee, on providers that charge one). A mixed
+        or fused chain fetched each member app's inputs, as its successful
+        attempt would have stored each app's outputs.
+        """
+        for app, count in chain.payload.outputs:
+            self.store.record_failed_attempt(app, count)
 
     def _retry_or_lose(self, chain: AttemptChain, record: InstanceRecord) -> None:
         if chain.satisfied or chain.lost:

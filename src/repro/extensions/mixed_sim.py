@@ -50,12 +50,15 @@ class MixedRunResult:
 
     ``storage`` keeps the run's object-store usage so the same records can
     be re-billed post hoc under a different billing fidelity (dynamics are
-    billing-independent; see ``repro.fusion``).
+    billing-independent; see ``repro.fusion``). ``record_groups`` gives,
+    per record in record order, the index into ``plan.groups`` of the
+    group it ran; a retried group has more than one record.
     """
 
     run: RunResult
     plan: MixedPlan
     storage: StorageUsage
+    record_groups: tuple[int, ...]
 
     @property
     def service_time(self) -> float:
@@ -132,4 +135,7 @@ class MixedBurstSimulator:
             app_name="+".join(sorted(plan.functions_packed())),
             packing_degree=0,  # heterogeneous — degree varies per group
         )
-        return MixedRunResult(run=run, plan=plan, storage=store.usage)
+        return MixedRunResult(
+            run=run, plan=plan, storage=store.usage,
+            record_groups=tuple(kernel.record_chain_ids()),  # one chain per group
+        )

@@ -10,10 +10,11 @@ inherit the placement scheduler, container pipeline, and billing
 treatment unchanged.
 
 What fusion adds on top is the *ledger*: every instance record is mapped
-back to its fusion group (``instance_id`` indexes the plan's deterministic
-expansion order) and its charges are attributed to tenants proportionally
-— compute and request fees by memory-footprint share of the instance,
-storage and egress by I/O-footprint share of the run. The attribution is
+back to its fusion group (the run reports the chain each record ran, and
+chains follow the plan's deterministic expansion order, so a retried
+attempt maps to its group too) and its charges are attributed to tenants
+proportionally — compute and request fees by memory-footprint share of the
+instance, storage and egress by I/O-footprint share of the run. The attribution is
 conservative by construction: per-tenant bills sum to the run's expense
 breakdown, which :func:`repro.chaos.invariants.check_tenant_billing_attribution`
 audits.
@@ -27,6 +28,7 @@ exact vs 100 ms-rounded dollars on one set of records.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.fusion.spec import FusionGroup, FusionPlan
@@ -56,13 +58,18 @@ class TenantBill:
 
 @dataclass
 class FusionRunReport:
-    """A fused run's measurements plus its per-tenant ledger."""
+    """A fused run's measurements plus its per-tenant ledger.
+
+    ``record_groups`` is each record's index into
+    :meth:`FusionPlan.instance_groups`, in record order.
+    """
 
     plan: FusionPlan
     run: RunResult
     storage: StorageUsage
     expense: ExpenseBreakdown
     bills: tuple[TenantBill, ...]
+    record_groups: tuple[int, ...]
 
     @property
     def service_time(self) -> float:
@@ -91,16 +98,16 @@ class FusionRunReport:
 
 
 def _group_for_instance(
-    plan_groups: list[FusionGroup], instance_id: int, n_packed: int
+    plan_groups: list[FusionGroup], group_index: int, instance_id: int, n_packed: int
 ) -> FusionGroup:
-    """Map an instance back to its composition via the deterministic
-    expansion order (fault-free mixed bursts create one chain per group,
-    ids assigned in order)."""
-    group = plan_groups[instance_id]
-    if group.size != n_packed:
+    """The plan group instance ``instance_id`` ran, the ``group_index``-th
+    of the deterministic expansion order, checked against its size."""
+    group = plan_groups[group_index] if group_index < len(plan_groups) else None
+    if group is None or group.size != n_packed:
+        holds = "no group" if group is None else f"{group.size} functions"
         raise RuntimeError(
             f"instance {instance_id} packed {n_packed} functions "
-            f"but its plan group holds {group.size} — plan/record order drifted"
+            f"but its plan group holds {holds} — plan/record order drifted"
         )
     return group
 
@@ -110,25 +117,36 @@ def attribute_expense(
     run: RunResult,
     storage: StorageUsage,
     billing: BillingModel,
+    record_groups: Optional[Sequence[int]] = None,
 ) -> tuple[ExpenseBreakdown, tuple[TenantBill, ...]]:
     """Bill ``run`` under ``billing`` and split every line item by tenant.
 
     Compute and the per-instance request fee split by each tenant's memory
     footprint share *of that instance*; the run-wide storage and egress
     charges split by I/O footprint (``count × io_mb``) across the plan.
+    ``record_groups`` maps each record to its index in
+    :meth:`FusionPlan.instance_groups` (a run reports it); ``None`` means
+    record ``i`` ran group ``i``, which holds only when no attempt retried.
     """
     table = run.table
     expense = billing.burst_expense(table, storage)
     groups = plan.instance_groups()
+    if record_groups is None:
+        record_groups = range(len(table))
+    if len(record_groups) != len(table):
+        raise ValueError(
+            f"{len(record_groups)} record groups for {len(table)} records"
+        )
 
     compute: dict[str, float] = {}
     requests: dict[str, float] = {}
-    for instance_id, n_packed, instance_compute in zip(
+    for instance_id, group_index, n_packed, instance_compute in zip(
         table.instance_id.tolist(),
+        record_groups,
         table.n_packed.tolist(),
         billing.compute_usd_per_instance(table).tolist(),
     ):
-        group = _group_for_instance(groups, instance_id, n_packed)
+        group = _group_for_instance(groups, group_index, instance_id, n_packed)
         weights = group.tenant_weights()
         scale = sum(weights.values())
         for tenant, weight in weights.items():
@@ -173,12 +191,12 @@ def rebill(report: FusionRunReport, profile: PlatformProfile) -> FusionRunReport
     """
     billing = BillingModel(profile)
     expense, bills = attribute_expense(
-        report.plan, report.run, report.storage, billing
+        report.plan, report.run, report.storage, billing, report.record_groups
     )
     run = replace(report.run, expense=expense)
     return FusionRunReport(
         plan=report.plan, run=run, storage=report.storage,
-        expense=expense, bills=bills,
+        expense=expense, bills=bills, record_groups=report.record_groups,
     )
 
 
@@ -199,10 +217,10 @@ class FusionScheduler:
             plan.to_mixed_plan(), repetition
         )
         expense, bills = attribute_expense(
-            plan, result.run, result.storage, self.billing
+            plan, result.run, result.storage, self.billing, result.record_groups
         )
         run = replace(result.run, expense=expense)
         return FusionRunReport(
             plan=plan, run=run, storage=result.storage,
-            expense=expense, bills=bills,
+            expense=expense, bills=bills, record_groups=result.record_groups,
         )

@@ -31,8 +31,9 @@ class QuantileDigest:
     def __init__(self) -> None:
         self._values = array("d")
 
-    def add(self, x: float) -> None:
-        self._values.append(x)
+    def add(self, *values: float) -> None:
+        """Append ``values`` (one dispatch's sojourns, in delivery order)."""
+        self._values.extend(values)
 
     @property
     def count(self) -> int:
@@ -80,19 +81,30 @@ class WindowedSLOTracker:
         self.total = 0
         self.total_violations = 0
 
-    def record(self, completed_at: float, sojourn_s: float) -> None:
+    def record(self, completed_at: float, *sojourns_s: float) -> None:
+        """Count the requests one dispatch delivered at ``completed_at``.
+
+        The bucket's sojourn sum adds ``sojourns_s`` left to right, as
+        one call per request would.
+        """
         if completed_at < 0.0:
             raise ValueError("completion time must be non-negative")
+        if not sojourns_s:
+            return
         idx = int(completed_at // self.bucket_s)
         bucket = self._buckets.get(idx)
         if bucket is None:
             bucket = self._buckets[idx] = _Bucket()
-        bucket.count += 1
-        bucket.sojourn_sum += sojourn_s
-        self.total += 1
-        if sojourn_s > self.slo_s:
-            bucket.violations += 1
-            self.total_violations += 1
+        slo, total, violations = self.slo_s, bucket.sojourn_sum, 0
+        for sojourn_s in sojourns_s:
+            total += sojourn_s
+            if sojourn_s > slo:
+                violations += 1
+        bucket.sojourn_sum = total
+        bucket.count += len(sojourns_s)
+        bucket.violations += violations
+        self.total += len(sojourns_s)
+        self.total_violations += violations
 
     @property
     def violation_fraction(self) -> float:

@@ -666,12 +666,9 @@ class _ServingRun:
         self.pool.release(now)
         if ad.domain is not None and self.breakers is not None:
             self.breakers.record(ad.domain, True, now)
-        sojourns = []
-        for arrived in ad.chain.payload:
-            sojourn = now - arrived
-            sojourns.append(sojourn)
-            self.result.digest.add(sojourn)
-            self.result.slo.record(now, sojourn)
+        sojourns = [now - arrived for arrived in ad.chain.payload]
+        self.result.digest.add(*sojourns)
+        self.result.slo.record(now, *sojourns)
         if self.tel is not None:
             self.tel.on_complete(
                 dispatch_id,

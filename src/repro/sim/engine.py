@@ -13,15 +13,17 @@ million-event agenda that removes the single hottest Python frame of the
 dispatch profile (the dataclass-generated ``Event.__lt__``).
 
 A long pre-sorted stream (a serving run's arrivals) goes on the agenda
-through :meth:`Simulator.schedule_sorted`, one entry at a time, so the heap
-stays as deep as the live events rather than the whole stream.
+through :meth:`Simulator.schedule_sorted` and never enters the heap: the
+simulator keeps the column beside it and merges the column's head with the
+heap's top on every step, so the heap holds only the live events and an
+arrival costs no heap push or pop.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -85,6 +87,22 @@ class Event:
                 self._on_cancel()
 
 
+class _Stream:
+    """One pending :meth:`Simulator.schedule_sorted` column.
+
+    Entry ``i`` runs ``callback(times[i])`` with sequence number
+    ``first + i``; ``cursor`` is the index of the next entry to run.
+    """
+
+    __slots__ = ("times", "first", "cursor", "callback")
+
+    def __init__(self, times: list, first: int, callback: Callable[[float], None]) -> None:
+        self.times = times
+        self.first = first
+        self.cursor = 0
+        self.callback = callback
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -122,6 +140,13 @@ class Simulator:
         self._compact_min = (
             self.COMPACT_MIN_EVENTS if compact_min_events is None else compact_min_events
         )
+        # Pending schedule_sorted streams, and the one whose head runs next
+        # with that head's (time, seq); (inf, inf) when none is pending, so
+        # step() compares the heap's top against it without a None check.
+        self._streams: list[_Stream] = []
+        self._stream: Optional[_Stream] = None
+        self._stream_time = math.inf
+        self._stream_seq = math.inf
 
     @property
     def now(self) -> float:
@@ -175,12 +200,11 @@ class Simulator:
 
         Executes exactly as ``schedule_at(t, callback, t)`` for each time in
         order would, ties included: the call reserves ``len(times)``
-        consecutive sequence numbers, but only the next entry sits on the
-        heap, and each entry pushes its successor when it fires. Every later
-        entry's ``(time, seq)`` key is larger than the next one's, so the
-        pop order is the same by construction. The entries cannot be
-        cancelled. ``times`` must be non-decreasing and start no earlier
-        than :attr:`now`.
+        consecutive sequence numbers, and :meth:`step` runs the stream's
+        next entry whenever its ``(time, seq)`` comes before the heap's top.
+        No entry ever enters the heap. Any number of streams may be pending
+        at once. The entries cannot be cancelled. ``times`` must be
+        non-decreasing and start no earlier than :attr:`now`.
         """
         column = np.asarray(times, dtype=float)
         if column.size == 0:
@@ -191,24 +215,22 @@ class Simulator:
             )
         if not (column[1:] >= column[:-1]).all():
             raise SimulationError("schedule_sorted needs non-decreasing times")
-        stream = column.tolist()
-        n = len(stream)
         first = next(self._seq)
-        self._seq = itertools.count(first + n)
+        self._seq = itertools.count(first + column.size)
+        self._streams.append(_Stream(column.tolist(), first, callback))
+        self._select_stream()
 
-        def push(i: int) -> None:
-            # Look the heap up on each push: compaction replaces the list.
-            time, seq = stream[i], first + i
-            heapq.heappush(self._heap, (time, seq, Event(time, seq, fire, (i,))))
-
-        # Named after the consumer so event traces report its callback.
-        @functools.wraps(callback)
-        def fire(i: int) -> None:
-            if i + 1 < n:
-                push(i + 1)
-            callback(stream[i])
-
-        push(0)
+    def _select_stream(self) -> None:
+        """Drop exhausted streams and cache the one whose head runs next."""
+        self._streams = [s for s in self._streams if s.cursor < len(s.times)]
+        heads = [(s.times[s.cursor], s.first + s.cursor, s) for s in self._streams]
+        if heads:
+            self._stream_time, self._stream_seq, self._stream = min(
+                heads, key=lambda head: head[:2]
+            )
+        else:
+            self._stream = None
+            self._stream_time = self._stream_seq = math.inf
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the agenda is empty."""
@@ -216,13 +238,37 @@ class Simulator:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled_live -= 1
-        return heap[0][0] if heap else None
+        if heap and (self._stream is None or heap[0][0] <= self._stream_time):
+            return heap[0][0]
+        return None if self._stream is None else self._stream_time
+
+    def next_entry(self) -> Optional[tuple[float, int, Callable[..., None]]]:
+        """``(time, seq, callback)`` of the entry :meth:`step` runs next.
+
+        ``None`` when the agenda is empty. A stream entry reports the
+        callback given to :meth:`schedule_sorted`.
+        """
+        if self.peek() is None:
+            return None
+        heap = self._heap
+        if heap and (
+            self._stream is None
+            or heap[0][:2] < (self._stream_time, self._stream_seq)
+        ):
+            time, seq, event = heap[0]
+            return time, seq, event.callback
+        return self._stream_time, self._stream_seq, self._stream.callback
 
     def step(self) -> bool:
         """Execute the next event. Returns ``False`` when the agenda is empty."""
         heap = self._heap
         while heap:
-            time, _seq, event = heapq.heappop(heap)
+            time, seq, event = heap[0]
+            if time > self._stream_time or (
+                time == self._stream_time and seq > self._stream_seq
+            ):
+                break  # the pending stream's head comes first
+            heapq.heappop(heap)
             if event.cancelled:
                 self._cancelled_live -= 1
                 continue
@@ -232,7 +278,21 @@ class Simulator:
             self._events_processed += 1
             event.callback(*event.args)
             return True
-        return False
+        stream = self._stream
+        if stream is None:
+            return False
+        time = self._stream_time
+        self._now = time
+        self._events_processed += 1
+        # Advance before the callback runs, so it sees the stream's successor.
+        i = stream.cursor = stream.cursor + 1
+        if i < len(stream.times) and len(self._streams) == 1:
+            self._stream_time = stream.times[i]
+            self._stream_seq = stream.first + i
+        else:
+            self._select_stream()
+        stream.callback(time)
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the agenda drains, ``until`` is reached, or ``max_events``.
@@ -243,8 +303,12 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        executed = 0
         try:
+            if until is None and max_events is None:
+                while self.step():
+                    pass
+                return
+            executed = 0
             while True:
                 nxt = self.peek()
                 if nxt is None:

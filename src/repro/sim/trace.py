@@ -88,12 +88,12 @@ class TraceRecorder:
         recorder = self
 
         def traced_step() -> bool:
-            nxt = recorder.sim.peek()
-            if nxt is None:
+            # Capture the next entry's identity before it executes.
+            head = recorder.sim.next_entry()
+            if head is None:
                 return original()
-            # Capture the head event's identity before it executes.
-            time, seq, head = recorder.sim._heap[0]
-            callback = _callback_name(head.callback)
+            time, seq, callback = head
+            callback = _callback_name(callback)
             executed = original()
             if executed:
                 recorder.bus.publish(

@@ -268,10 +268,11 @@ class ServingInstrumentation:
         self._registry = registry
         self._now = lambda: sim.now  # bus events are published untraced too
         # Audit short-circuit: hooks fire per dispatch/arrival (hot loop),
-        # so "did anyone subscribe to audit.*?" is answered once here and
-        # re-derived only when the bus's subscription set changes — not
-        # per event (PR-8 wiring asked has_kind_subscribers every time).
+        # so "which audit.* kinds has anyone subscribed to?" is answered
+        # once here and re-derived only when the bus's subscription set
+        # changes, never per event.
         self._audit_version = -1
+        self._audit_kinds: frozenset[str] = frozenset()
         self._audit_on = False
         self._refresh_audit_gate()
         if tracer is not None:
@@ -340,25 +341,28 @@ class ServingInstrumentation:
 
     # ------------------------------------------------------------------ #
     def _refresh_audit_gate(self) -> bool:
-        """Recompute the cached "any ``audit.*`` subscriber?" verdict.
+        """Recompute the cached per-kind ``audit.*`` subscriber verdicts.
 
         One bus scan, and only when the subscription set actually changed
         since the last refresh (tracked via
-        :attr:`EventBus.subscriptions_version`). Runs at construction and
-        again at every (un)subscribe observed through :meth:`_audit`; an
-        auditor attached mid-run is picked up on the next hook that fires.
+        :attr:`EventBus.subscriptions_version`). It caches the set of
+        ``audit.*`` kinds someone subscribed to specifically (what
+        :meth:`EventBus.has_kind_subscribers` answers per kind) and whether
+        that set is empty. Runs at construction and again at every
+        (un)subscribe observed through :meth:`_audit`; an auditor attached
+        mid-run is picked up at the latest on the next control tick.
         """
         bus = self.bus
         if bus is None:
-            self._audit_on = False
             return False
         version = bus.subscriptions_version
         if version != self._audit_version:
             self._audit_version = version
-            self._audit_on = any(
-                subs and kind.startswith("audit.")
-                for kind, subs in bus._by_kind.items()
+            self._audit_kinds = frozenset(
+                kind for kind, subs in bus._by_kind.items()
+                if subs and kind.startswith("audit.")
             )
+            self._audit_on = bool(self._audit_kinds)
         return self._audit_on
 
     def _audit(self, kind: str, **fields) -> None:
@@ -373,7 +377,7 @@ class ServingInstrumentation:
             return
         if bus.subscriptions_version != self._audit_version:
             self._refresh_audit_gate()
-        if self._audit_on and bus.has_kind_subscribers(kind):
+        if kind in self._audit_kinds:
             bus.publish(kind, self._now(), **fields)
 
     # ------------------------------------------------------------------ #

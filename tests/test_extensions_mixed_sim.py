@@ -126,3 +126,36 @@ def test_mixed_groups_free_their_slots_when_they_finish():
     assert one_server.run.n_instances == 20
     assert one_server.run == full_fleet.run
     assert one_server.storage == full_fleet.storage
+
+
+def test_crashed_mixed_attempts_refetch_each_member_apps_inputs():
+    """A crashed attempt re-pays the inputs of the apps it actually ran:
+    each group's own app and count, never the plan's first app."""
+    from repro.platform.providers import GOOGLE_CLOUD_FUNCTIONS
+    from repro.platform.storage import ObjectStore
+
+    flaky = GOOGLE_CLOUD_FUNCTIONS.with_overrides(failure_rate=0.2)
+    plan = MixedPacker(flaky).pack_segregated(
+        {SORT: 60, VIDEO: 80, STATELESS_COST: 200},
+        {SORT: 6, VIDEO: 4, STATELESS_COST: 10},
+    )
+    result = MixedBurstSimulator(flaky, seed=11).run(plan)
+    records = result.run.records
+    failed = [g for r, g in zip(records, result.record_groups) if r.failed]
+    assert len(failed) == 16
+    # Most crashes hit video or stateless-cost groups, whose I/O differs
+    # from sort's; charging them as sort moves the transferred volume.
+    assert sum(plan.groups[g].apps[0] is not SORT for g in failed) > 8
+    expected = ObjectStore()
+    successful = result.run.table.successful().tolist()
+    for record, ok, g in zip(records, successful, result.record_groups):
+        for app, count in plan.groups[g].members:
+            if record.failed:
+                expected.record_failed_attempt(app, count)
+            elif ok:
+                expected.record_instance(app, count)
+    usage = result.storage
+    assert (usage.put_requests, usage.get_requests) == (
+        expected.usage.put_requests, expected.usage.get_requests
+    )
+    assert usage.transferred_mb == pytest.approx(expected.usage.transferred_mb, rel=1e-12)

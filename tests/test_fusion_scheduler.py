@@ -120,3 +120,28 @@ def test_attribution_detects_plan_record_drift():
         attribute_expense(
             wrong, report.run, report.storage, BillingModel(AWS_LAMBDA)
         )
+
+
+def test_retried_fused_attempts_are_attributed_to_their_group():
+    """A retry appends a record past the plan's instances; attribution
+    follows the record's chain, so a flaky fused run completes, its bills
+    sum to its expense, and re-billing attributes the same way."""
+    from repro.fusion import FusedFleet, mix_demands
+    from repro.workloads import ALL_APPS
+
+    flaky = AWS_LAMBDA.with_overrides(failure_rate=0.1)
+    fleet = FusedFleet(flaky, seed=7)
+    for tenant, app, count in mix_demands("trio", 61):
+        fleet.submit(tenant, ALL_APPS[app], count)
+    report = fleet.run("both").report
+    groups = report.plan.instance_groups()
+    assert len(report.run.table) > len(groups)  # some attempt was retried
+    assert sorted(set(report.record_groups)) == list(range(len(groups)))
+    assert [groups[g].size for g in report.record_groups] == (
+        report.run.table.n_packed.tolist()
+    )
+    assert check_tenant_billing_attribution(report.expense_usd, report.bills) == []
+    rebilled = rebill(report, ROUNDED)
+    assert rebilled.record_groups == report.record_groups
+    assert check_tenant_billing_attribution(rebilled.expense_usd, rebilled.bills) == []
+    assert rebill(report, flaky).bills == report.bills  # the identity

@@ -138,6 +138,27 @@ def test_faulted_burst_scalar_batched_identical_and_fluid_falls_back():
     assert scalar.fault_stats.crashed_attempts > 0  # the scenario bit
 
 
+def test_a_pending_stream_makes_the_simulator_not_fresh():
+    """A ``schedule_sorted`` stream never enters the heap, yet it is still
+    agenda: a burst begun beside it must take the event loop."""
+    from repro.engine.burst import BurstDispatchKernel
+    from repro.platform.base import burst_substrate, interference_model
+    from repro.platform.storage import ObjectStore
+    from repro.sim.engine import Simulator
+
+    sim, rng = Simulator(), RandomStreams(3)
+    scheduler, pipeline = burst_substrate(AWS_LAMBDA, sim, rng)
+    kernel = BurstDispatchKernel(
+        sim, AWS_LAMBDA, scheduler, pipeline, ObjectStore(), rng,
+        interference_model(AWS_LAMBDA),
+    )
+    spec = BurstSpec(app=SORT, concurrency=10)
+    assert fluid.fluid_ineligibility(kernel, spec) is None
+    sim.schedule_sorted([5.0], lambda t: None)
+    assert not sim._heap
+    assert fluid.fluid_ineligibility(kernel, spec) == "simulator not fresh"
+
+
 def test_hedged_burst_identical_across_modes():
     spec = BurstSpec(
         app=XAPIAN,

@@ -165,6 +165,87 @@ def test_golden_overload_resilience_exact():
     assert rep.retry_egress_gb == pytest.approx(4.1015625, abs=1e-12)
 
 
+def test_golden_audited_serving_exact():
+    """The overload run above, audited: its latency distribution, its
+    SLO bucket series, its backlog and the audit, pinned exactly.
+
+    The counts and bills above do not see the order in which sojourns are
+    recorded, nor the audit stream; these do. Any drift in how arrivals
+    are merged into the event loop, how a dispatch's sojourns are
+    recorded, or which audit events are published and checked lands here.
+    """
+    from repro.chaos import InvariantAuditor
+    from repro.telemetry import TelemetryConfig, TelemetrySession
+
+    exec_model = ExecutionTimeModel(
+        coeff_a=XAPIAN.base_seconds, coeff_b=0.03, mem_gb=XAPIAN.mem_gb
+    )
+    config = ServingConfig()
+    breakers = CircuitBreakerBank(
+        n_domains=config.fault_domains,
+        rng=np.random.default_rng(SEED),
+        failure_threshold=3,
+        recovery_s=60.0,
+    )
+    session = TelemetrySession(
+        TelemetryConfig(tracing=False, metrics=False, events=False)
+    )
+    auditor = InvariantAuditor().attach(session.bus)
+    sim = ServingSimulator(
+        GOOGLE_CLOUD_FUNCTIONS,
+        XAPIAN,
+        exec_model,
+        pool=WarmPool(FixedTTL(60.0)),
+        config=config,
+        resilience=ResiliencePolicy(
+            admission=ConcurrencyLimitAdmission(limit=40),
+            breakers=breakers,
+            brownout=BrownoutController(
+                violation_threshold=0.02,
+                backlog_threshold=config.backlog_threshold,
+            ),
+        ),
+        scenario=FaultScenario(
+            name="golden-overload",
+            crash_rate=0.15,
+            persistent_fraction=0.25,
+            poison_heal_s=300.0,
+            straggler_rate=0.01,
+        ),
+        retry_policy=ExponentialBackoffRetry(max_retries=3),
+        seed=SEED,
+        telemetry=session,
+    )
+    run = sim.run(
+        PoissonProcess(4.0), StreamingPolicy(degree=6, batch_timeout_s=4.0), 900.0
+    )
+    report = auditor.finalize(run, breakers=breakers)
+    assert (report.events_seen, report.checks_run, report.violations) == (4097, 8195, [])
+    assert (run.n_requests, run.n_completed) == (3567, 1211)
+    assert (run.p50_sojourn_s, run.p95_sojourn_s, run.p99_sojourn_s) == (
+        19.32428993719782, 117.80314459579381, 147.83933702659715
+    )
+    assert (run.slo.total, run.slo.total_violations) == (1211, 219)
+    assert run.slo.bucket_series() == [
+        (0.0, 91, 6, 18.64521095216303),
+        (60.0, 103, 10, 21.052148289609793),
+        (120.0, 98, 0, 18.510329622641734),
+        (180.0, 103, 12, 20.55027722599788),
+        (240.0, 77, 13, 21.591367276536605),
+        (300.0, 103, 23, 24.76164310384445),
+        (360.0, 97, 7, 19.404699914701542),
+        (420.0, 121, 0, 19.231934492511748),
+        (480.0, 88, 0, 19.572375654372745),
+        (540.0, 93, 0, 18.996767421021485),
+        (600.0, 89, 29, 26.827344404837078),
+        (720.0, 11, 11, 116.9129445699467),
+        (780.0, 42, 32, 105.37848147252201),
+        (840.0, 55, 36, 46.04061884837589),
+        (960.0, 40, 40, 127.06171731219531),
+    ]
+    assert (run.backlog.max_depth, run.backlog.mean_depth) == (12, 2.529576248650328)
+
+
 def test_golden_fusion_exact():
     """One seeded fused-fleet run, pinned to the last bit.
 

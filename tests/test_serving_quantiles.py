@@ -145,3 +145,35 @@ def test_bucket_series_reports_mean_sojourn():
     ((start, count, violations, mean),) = tracker.bucket_series()
     assert (start, count, violations) == (0.0, 2, 0)
     assert mean == pytest.approx(3.0)
+
+
+def test_one_call_per_dispatch_matches_one_call_per_request():
+    """A dispatch's sojourns in one call land exactly as request by request:
+    same column, same bucket counts, bit-identical bucket sums."""
+    gen = np.random.default_rng(11)
+    dispatches = [
+        (float(t), gen.exponential(8.0, int(n)).tolist())
+        for t, n in zip(np.sort(gen.uniform(0.0, 600.0, 80)), gen.integers(1, 9, 80))
+    ]
+    batched, single = QuantileDigest(), QuantileDigest()
+    per_dispatch = WindowedSLOTracker(10.0, window_s=120.0, bucket_s=60.0)
+    per_request = WindowedSLOTracker(10.0, window_s=120.0, bucket_s=60.0)
+    for t, sojourns in dispatches:
+        batched.add(*sojourns)
+        per_dispatch.record(t, *sojourns)
+        for s in sojourns:
+            single.add(s)
+            per_request.record(t, s)
+    assert batched._values == single._values
+    assert per_dispatch.bucket_series() == per_request.bucket_series()
+    assert (per_dispatch.total, per_dispatch.total_violations) == (
+        per_request.total, per_request.total_violations
+    )
+
+
+def test_record_without_sojourns_adds_no_bucket():
+    tracker = WindowedSLOTracker(1.0)
+    tracker.record(30.0)
+    assert tracker.bucket_series() == [] and tracker.total == 0
+    with pytest.raises(ValueError):
+        tracker.record(-1.0)

@@ -205,31 +205,54 @@ def test_small_agenda_never_compacts():
 
 
 # --------------------------------------------------------------------- #
-# schedule_sorted: a pre-sorted stream, one heap entry at a time
+# schedule_sorted: a pre-sorted stream merged beside the heap
 # --------------------------------------------------------------------- #
 
 #: Times on a coarse grid, so streams, pre-scheduled events and zero-delay
 #: children tie often.
 _GRID = st.integers(min_value=0, max_value=12)
 
+#: One run segment: ``run(until=g / 4)`` (odd g stops between grid
+#: points, even g on them) or ``run(max_events=k)``.
+_STOP = st.one_of(
+    st.tuples(st.just("until"), st.integers(min_value=0, max_value=26)),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=8)),
+)
+
 
 @given(
     stream=st.lists(_GRID, max_size=25).map(sorted),
+    second=st.lists(_GRID, max_size=8).map(sorted),
+    late=st.lists(_GRID, max_size=8).map(sorted),
+    late_at=st.integers(min_value=0, max_value=24),
     before=st.lists(_GRID, max_size=6),
     after=st.lists(_GRID, max_size=6),
     doomed=st.lists(_GRID, max_size=8),
     spawning=st.sets(st.integers(min_value=0, max_value=24)),
+    stops=st.lists(_STOP, max_size=4),
 )
 @settings(max_examples=200, deadline=None)
 def test_schedule_sorted_runs_as_if_scheduled_up_front(
-    stream, before, after, doomed, spawning
+    stream, second, late, late_at, before, after, doomed, spawning, stops
 ):
+    """Two streams pending at once, a third scheduled mid-run by the first
+    one's ``late_at``-th entry, and the run cut into ``until`` and
+    ``max_events`` segments: every entry, clock reading and ``peek()``
+    must match scheduling each entry with ``schedule_at``."""
+
     def execute(up_front):
         # With no compaction floor, cancelling the doomed events rebuilds
-        # the heap while the stream is still pending.
+        # the heap while the streams are still pending.
         sim = Simulator(compact_min_events=0)
         log = []
         fired = itertools.count()
+
+        def sorted_stream(times, callback):
+            if up_front:
+                for t in times:
+                    sim.schedule_at(t, callback, t)
+            else:
+                sim.schedule_sorted(times, callback)
 
         def note(label):
             log.append((sim.now, label))
@@ -242,21 +265,31 @@ def test_schedule_sorted_runs_as_if_scheduled_up_front(
             if i == 0:
                 for event in victims:
                     event.cancel()
+            if i == late_at:
+                sorted_stream([sim.now + g * 0.5 for g in late], on_late)
+
+        def on_second(t):
+            log.append((sim.now, f"second@{t}"))
+
+        def on_late(t):
+            log.append((sim.now, f"late@{t}"))
 
         for k, g in enumerate(before):
             sim.schedule_at(g * 0.5, note, f"before{k}")
-        times = [g * 0.5 for g in stream]
-        if up_front:
-            for t in times:
-                sim.schedule_at(t, on_stream, t)
-        else:
-            sim.schedule_sorted(times, on_stream)
+        sorted_stream([g * 0.5 for g in stream], on_stream)
         for k, g in enumerate(after):
             sim.schedule_at(g * 0.5, note, f"after{k}")
+        sorted_stream([g * 0.5 for g in second], on_second)
         victims = [
             sim.schedule_at(100.0 + g, note, f"doomed{k}") for k, g in enumerate(doomed)
         ]
         with TraceRecorder(sim) as recorder:
+            for kind, value in stops:
+                if kind == "until":
+                    sim.run(until=max(sim.now, value * 0.25))
+                else:
+                    sim.run(max_events=value)
+                log.append(("stop", sim.now, sim.peek(), sim.events_processed))
             sim.run()
         executed = [(e.time, e.seq, e.callback) for e in recorder.entries]
         return log, executed, sim.events_processed
@@ -264,13 +297,36 @@ def test_schedule_sorted_runs_as_if_scheduled_up_front(
     assert execute(up_front=False) == execute(up_front=True)
 
 
-def test_schedule_sorted_keeps_one_stream_entry_on_the_heap():
+def test_schedule_sorted_keeps_stream_entries_off_the_heap():
     sim = Simulator()
     depths = []
-    sim.schedule_sorted([1.0, 1.0, 2.0, 3.0], lambda t: depths.append(len(sim._heap)))
-    assert len(sim._heap) == 1
+
+    def on_stream(t):
+        depths.append(len(sim._heap))
+        sim.schedule(0.5, lambda: depths.append(len(sim._heap)))
+
+    sim.schedule_sorted([1.0, 1.0, 2.0, 3.0], on_stream)
+    assert len(sim._heap) == 0
     sim.run()
-    assert depths == [1, 1, 1, 0]
+    # Only the live children ever sit on the heap: the second arrival at
+    # t=1 sees the first one's child, each child sees its pending siblings.
+    assert depths == [0, 1, 1, 0, 0, 0, 0, 0]
+    assert sim.events_processed == 8
+
+
+def test_next_entry_names_the_stream_callback():
+    sim = Simulator()
+    hits = []
+    sim.schedule_at(2.0, hits.append, "heap")
+    sim.schedule_sorted([1.0, 2.0], hits.append)
+    assert sim.next_entry() == (1.0, 1, hits.append)
+    sim.step()
+    assert sim.next_entry() == (2.0, 0, hits.append)  # the heap event's seq is lower
+    sim.step()
+    assert sim.next_entry() == (2.0, 2, hits.append)
+    sim.step()
+    assert sim.next_entry() is None
+    assert hits == [1.0, "heap", 2.0]
 
 
 def test_schedule_sorted_rejects_decreasing_times():

@@ -8,6 +8,8 @@ that tracks the bus's subscription version instead of re-scanning
 subscriptions per event.
 """
 
+import pytest
+
 from repro.chaos.auditor import InvariantAuditor
 from repro.core.models import ExecutionTimeModel
 from repro.extensions.streaming import StreamingPolicy
@@ -156,3 +158,46 @@ def test_mid_run_attach_detach_is_safe():
     instr._refresh_audit_gate()
     instr.on_arrival(verdict="admitted")
     assert auditor.report.events_seen == seen["after_attach"]  # unchanged
+
+
+def test_audit_gate_publishes_only_the_subscribed_kinds():
+    """The cached verdict is per kind, as has_kind_subscribers answers it:
+    a subscriber to one audit kind gets that kind and the others stay
+    unpublished; a catch-all subscriber never opens the gate."""
+    session = TelemetrySession(
+        TelemetryConfig(tracing=False, metrics=False, events=False)
+    )
+    bus = session.bus
+    instr = _instr(session)
+    everything, ticks = [], []
+    bus.subscribe(everything.append)
+    instr.on_arrival(verdict="admitted")
+    instr.on_tick(backlog=3, violation_fraction=0.0)
+    assert everything == [] and instr._audit_kinds == frozenset()
+
+    unsubscribe = bus.subscribe(ticks.append, kind="audit.tick")
+    instr.on_arrival(verdict="admitted")  # the flag is stale until a tick
+    instr.on_tick(backlog=3, violation_fraction=0.0)
+    instr.on_arrival(verdict="admitted")
+    instr.on_fail_batch(2)
+    assert instr._audit_kinds == frozenset({"audit.tick"})
+    assert [e.kind for e in ticks] == ["audit.tick"]
+    assert [e.kind for e in everything] == ["audit.tick", "batch.failed"]
+
+    unsubscribe()
+    instr.on_tick(backlog=3, violation_fraction=0.0)
+    assert len(ticks) == 1 and instr._audit_kinds == frozenset()
+
+
+def test_telemetry_event_is_an_immutable_value():
+    bus = EventBus()
+    a = bus.publish("audit.dispatch", 1.5, dispatch=3, batch=2)
+    b = bus.publish("audit.dispatch", 1.5, batch=2, dispatch=3)
+    assert a == b and hash(a) == hash(b)
+    assert a != bus.publish("audit.dispatch", 1.5, batch=2, dispatch=4)
+    assert (a.kind, a.time, a.fields) == ("audit.dispatch", 1.5, (("batch", 2), ("dispatch", 3)))
+    assert a.get("batch") == 2 and a.get("missing", "x") == "x"
+    assert a.as_dict() == {"kind": "audit.dispatch", "time": 1.5, "batch": 2, "dispatch": 3}
+    for attr in ("kind", "time", "fields"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
