@@ -193,9 +193,12 @@ class BurstDispatchKernel(DispatchKernel):
         self.store = store
         self.interference = interference
         self.enforce_timeout = enforce_timeout
-        # One attribute check per hook site when disabled (see the
-        # telemetry_overhead benchmark gate).
+        # One attribute check per chain-level hook site when disabled (see
+        # the telemetry_overhead benchmark gate); attempts are reported
+        # once, from the finished table, in collect.
         self._tel = telemetry
+        # Why the fluid replay declined this burst (set by try_run_fluid).
+        self._fallback_reason: Optional[str] = None
         self._records: list[InstanceRecord] = []
         self._pending_functions = 0
         self._lost_functions = 0
@@ -290,25 +293,29 @@ class BurstDispatchKernel(DispatchKernel):
         at t=0). After the event loop, ``table`` is None: the kernel's
         records are normalized to the burst's own invocation instant, so a
         burst submitted mid-simulation reports the same metrics as one
-        submitted at t=0, and converted to a table once.
+        submitted at t=0, and converted to a table once. An observed
+        burst's attempts are reported to its telemetry from that table.
         """
+        invoked_at = self._invoked_at
+        kernel_path = "event" if table is None else "fluid"
         records = None
         if table is None:
             records = self._records
-            if self._invoked_at:
-                offset = self._invoked_at
+            if invoked_at:
                 for record in records:
-                    record.invoked_at -= offset
+                    record.invoked_at -= invoked_at
                     for field_name in ("sched_done", "built_at", "shipped_at",
                                        "exec_start", "exec_end"):
                         value = getattr(record, field_name)
                         if value is not None:
-                            setattr(record, field_name, value - offset)
+                            setattr(record, field_name, value - invoked_at)
                 self._invoked_at = 0.0
             table = RecordTable.from_records(records)
         billing = BillingModel(self.profile)
         expense = billing.burst_expense(table, self.store.usage)
         self._finalize_stats(billing, table)
+        if self._tel is not None:
+            self._tel.record_burst(table, invoked_at, kernel_path, self._fallback_reason)
         return RunResult(
             platform_name=self.profile.name,
             app_name=self._spec.app.name,
@@ -319,6 +326,8 @@ class BurstDispatchKernel(DispatchKernel):
             lost_functions=self._lost_functions,
             fault_stats=self._stats,
             table=table,
+            kernel_path=kernel_path,
+            fallback_reason=self._fallback_reason,
         )
 
     def _finalize_stats(self, billing: BillingModel, table: RecordTable) -> None:
@@ -346,7 +355,9 @@ class BurstDispatchKernel(DispatchKernel):
         skips the event loop and replays the pipeline's closed-form
         timeline instead, producing a byte-identical result in
         O(instances) array work; every other burst runs on the
-        event-driven path.
+        event-driven path. A burst that aborts there (a billed timeout,
+        fleet exhaustion) still reports the attempts it ran, the aborting
+        one included, to its telemetry before the error propagates.
         """
         # Resolved per call: tests replace try_run_fluid to reach the
         # event-loop reference.
@@ -356,7 +367,16 @@ class BurstDispatchKernel(DispatchKernel):
         if result is not None:
             return result
         self.begin(spec, image)
-        self.sim.run()
+        try:
+            self.sim.run()
+        except RuntimeError:  # a billed timeout or fleet exhaustion
+            if self._tel is not None:
+                # Records still on the simulator clock: no offset to add.
+                self._tel.record_burst(
+                    RecordTable.from_records(self._records), 0.0, "event",
+                    self._fallback_reason,
+                )
+            raise
         return self.collect()
 
     # ------------------------------------------------------------------ #
@@ -403,8 +423,6 @@ class BurstDispatchKernel(DispatchKernel):
         chain.track(record.instance_id)
         self._record_chain[record.instance_id] = chain
         self._records.append(record)
-        if self._tel is not None:
-            self._tel.on_invoked(record)
         # Placement search and container build proceed in parallel: the
         # image server does not need the placement target to build.
         self.scheduler.request_placement(
@@ -417,23 +435,17 @@ class BurstDispatchKernel(DispatchKernel):
 
     def _placed(self, server: Server, record: InstanceRecord) -> None:
         record.sched_done = self.sim.now
-        if self._tel is not None:
-            self._tel.on_placed(record)
         self._servers[record.instance_id] = server
         self._maybe_ship(record)
 
     def _built(self, record: InstanceRecord) -> None:
         record.built_at = self.sim.now
-        if self._tel is not None:
-            self._tel.on_built(record)
         self._maybe_ship(record)
 
     def _maybe_ship(self, record: InstanceRecord) -> None:
         # A container ships once it is both built and placed.
         if record.sched_done is None or record.built_at is None:
             return
-        if self._tel is not None:
-            self._tel.on_ship_begin(record)
         self.pipeline.ship(
             self._chain_for(record).payload.image, self._shipped, record,
             ship_factor=self._spec.ship_factor,
@@ -441,8 +453,6 @@ class BurstDispatchKernel(DispatchKernel):
 
     def _shipped(self, record: InstanceRecord) -> None:
         record.shipped_at = self.sim.now
-        if self._tel is not None:
-            self._tel.on_shipped(record)
         self._start_execution(self._servers.pop(record.instance_id), record)
 
     # ------------------------------------------------------------------ #
@@ -501,12 +511,8 @@ class BurstDispatchKernel(DispatchKernel):
             record.exec_start = record.exec_end = self.sim.now
             chain.untrack(record.instance_id)
             self._release(server)
-            if self._tel is not None:
-                self._tel.on_cancelled_before_exec(record)
             return
         record.exec_start = self.sim.now
-        if self._tel is not None:
-            self._tel.on_exec_begin(record)
         duration = (
             chain.payload.exec_seconds
             * self.exec_noise_factor(self.profile.exec_noise_sigma)
@@ -522,8 +528,6 @@ class BurstDispatchKernel(DispatchKernel):
                 return
             error = self._timeout_error(record, duration)
             self._release(server)
-            if self._tel is not None:
-                self._tel.on_exec_end(record, "timeout")
             raise error
         if self.injector is not None:
             decision = self.chain_crash_decision(chain)
@@ -619,8 +623,6 @@ class BurstDispatchKernel(DispatchKernel):
         self._release(server)
         chain = self._chain_for(record)
         chain.untrack(record.instance_id)
-        if self._tel is not None:
-            self._tel.on_exec_end(record, "timeout")
         self._refetched_inputs(chain)
         if self._spec.scenario is not None and not self._spec.scenario.retry_timeouts:
             if not chain.active and not chain.satisfied and not chain.lost:
@@ -662,8 +664,6 @@ class BurstDispatchKernel(DispatchKernel):
         chain = self._chain_for(record)
         self._refetched_inputs(chain)
         chain.untrack(record.instance_id)
-        if self._tel is not None:
-            self._tel.on_exec_end(record, "crash")
         self._retry_or_lose(chain, record)
 
     def _refetched_inputs(self, chain: AttemptChain) -> None:
@@ -710,12 +710,8 @@ class BurstDispatchKernel(DispatchKernel):
             # Lost a hedge race after executing fully; billed, no result.
             record.cancelled = True
             self._release(server)
-            if self._tel is not None:
-                self._tel.on_exec_end(record, "cancelled")
             return
         chain.satisfied = True
-        if self._tel is not None:
-            self._tel.on_exec_end(record, "ok")
         if record.hedged:
             self._stats.hedge_wins += 1
         self._cancel_twins(chain, record)
@@ -743,8 +739,6 @@ class BurstDispatchKernel(DispatchKernel):
             record.exec_end = self.sim.now
             chain.untrack(rid)
             self._release(server)
-            if self._tel is not None:
-                self._tel.on_exec_end(record, "cancelled")
 
     def _reuse_warm(self, server: Server) -> None:
         """Run the next functions on a finished instance's warm slot."""
@@ -762,8 +756,6 @@ class BurstDispatchKernel(DispatchKernel):
         chain.track(record.instance_id)
         self._record_chain[record.instance_id] = chain
         self._records.append(record)
-        if self._tel is not None:
-            self._tel.on_invoked(record, warm=True)
         self.sim.schedule(self._spec.warm_dispatch_s, self._warm_start, server, record)
 
     def _warm_start(self, server: Server, record: InstanceRecord) -> None:

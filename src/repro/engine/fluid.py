@@ -111,8 +111,14 @@ def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Opt
 def try_run_fluid(
     kernel: "BurstDispatchKernel", spec: "BurstSpec", image: "FunctionImage"
 ) -> Optional[RunResult]:
-    """Run ``spec`` through the fluid replay, or ``None`` if ineligible."""
-    if fluid_ineligibility(kernel, spec) is not None:
+    """Run ``spec`` through the fluid replay, or ``None`` if ineligible.
+
+    A declined burst keeps the reason on the kernel, which reports it as
+    ``RunResult.fallback_reason``.
+    """
+    reason = fluid_ineligibility(kernel, spec)
+    if reason is not None:
+        kernel._fallback_reason = reason
         return None
     return _run_fluid(kernel, spec, image)
 

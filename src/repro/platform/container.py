@@ -71,26 +71,27 @@ class ContainerPipeline:
     def build(
         self,
         image: FunctionImage,
-        on_built: Callable[..., None],
+        callback: Callable[..., None],
         *args: Any,
         build_factor: float = 1.0,
     ) -> None:
-        """Queue one container build; ``on_built(*args)`` fires when done."""
+        """Queue one container build; ``callback(*args)`` fires when done."""
         work = self.build_seconds(image, build_factor) * self.rng.lognormal_factor(
             "build", self.build_noise_sigma
         )
-        self.builder.submit(work, self._built, on_built, args)
+        self.builder.submit(work, self._built, callback, args)
 
-    def _built(self, on_built: Callable[..., None], args: tuple) -> None:
+    def _built(self, callback: Callable[..., None], args: tuple) -> None:
         self.containers_built += 1
-        on_built(*args)
+        callback(*args)
 
     def ship(
         self,
         image: FunctionImage,
-        on_shipped: Callable[..., None],
+        callback: Callable[..., None],
         *args: Any,
         ship_factor: float = 1.0,
     ) -> None:
-        """Ship one built container to its placement target."""
-        self.network.ship(self.ship_size_mb(image, ship_factor), on_shipped, *args)
+        """Ship one built container to its placement target; ``callback(*args)``
+        fires when it arrives."""
+        self.network.ship(self.ship_size_mb(image, ship_factor), callback, *args)

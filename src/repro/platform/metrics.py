@@ -22,7 +22,7 @@ bit on every Python version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -189,6 +189,17 @@ class RecordTable:
         """Mask of attempts that completed (not crashed, timed out or cancelled)."""
         return ~(self.failed | self.timed_out | self.cancelled)
 
+    def phase_seconds(self) -> dict[str, np.ndarray]:
+        """:meth:`InstanceRecord.phase_durations` of every record, as one
+        column per phase (``sched``, ``build``, ``ship``, ``exec``); NaN
+        where a record has not completed the phase."""
+        return {
+            "sched": self.sched_done - self.invoked_at,
+            "build": self.built_at - self.invoked_at,
+            "ship": self.shipped_at - np.maximum(self.built_at, self.sched_done),
+            "exec": self.exec_end - self.exec_start,
+        }
+
 
 @dataclass(frozen=True)
 class ExpenseBreakdown:
@@ -285,6 +296,13 @@ class RunResult:
     :class:`InstanceRecord`, built on first read and cached; a result
     constructed from a ``records`` list keeps that list as its view.
     Equality compares every field of every record (through the tables).
+
+    :attr:`kernel_path` names the path that ran the burst, ``"fluid"``
+    (the closed-form replay) or ``"event"`` (the event loop), and
+    :attr:`fallback_reason` why the replay declined it
+    (:func:`~repro.engine.fluid.fluid_ineligibility`'s reason; ``None`` on
+    the replay and for bursts never offered to it, such as mixed bursts).
+    Both are left out of equality: the paths produce equal results.
     """
 
     platform_name: str
@@ -295,6 +313,8 @@ class RunResult:
     expense: ExpenseBreakdown
     lost_functions: int  # functions whose every retry attempt crashed
     fault_stats: FaultStats
+    kernel_path: str = field(default="event", compare=False)
+    fallback_reason: Optional[str] = field(default=None, compare=False)
 
     def __init__(
         self,
@@ -307,6 +327,8 @@ class RunResult:
         lost_functions: int = 0,
         fault_stats: Optional[FaultStats] = None,
         table: Optional[RecordTable] = None,
+        kernel_path: str = "event",
+        fallback_reason: Optional[str] = None,
     ) -> None:
         """Build from ``records``, from ``table``, or from both when they
         hold the same rows (the list then serves as the records view)."""
@@ -323,6 +345,8 @@ class RunResult:
         self.expense = expense
         self.lost_functions = lost_functions
         self.fault_stats = fault_stats if fault_stats is not None else FaultStats()
+        self.kernel_path = kernel_path
+        self.fallback_reason = fallback_reason
         self._records = records
 
     # ------------------------------------------------------------------ #
@@ -396,11 +420,11 @@ class RunResult:
 
     def breakdown(self) -> dict[str, float]:
         """Mean per-instance scheduling / start-up / shipping delays."""
-        durations = [r.phase_durations() for r in self.records]
+        phases = self.table.phase_seconds()
         return {
-            "scheduling": float(np.mean([d["sched"] for d in durations])),
-            "startup": float(np.mean([d["build"] for d in durations])),
-            "shipping": float(np.mean([d["ship"] for d in durations])),
+            "scheduling": float(np.mean(phases["sched"])),
+            "startup": float(np.mean(phases["build"])),
+            "shipping": float(np.mean(phases["ship"])),
         }
 
     def component_totals(self) -> dict[str, float]:

@@ -159,9 +159,16 @@ class Simulator:
         return self._events_processed
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        ``delay`` must be ``>= 0``; a negative or NaN delay raises
+        :class:`SimulationError` (a NaN time would run at an arbitrary
+        point of the pop order).
+        """
+        if not delay >= 0.0:  # also rejects NaN, at no extra comparison
+            raise SimulationError(
+                f"cannot schedule event in the past or at NaN (delay={delay})"
+            )
         time = self._now + delay
         seq = next(self._seq)
         event = Event(time, seq, callback, args, _on_cancel=self._cancel_hook)
@@ -190,7 +197,10 @@ class Simulator:
         self.compactions += 1
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
+        """Schedule ``callback(*args)`` at an absolute simulation time.
+
+        ``time`` must be no earlier than :attr:`now`, and not NaN.
+        """
         return self.schedule(time - self._now, callback, *args)
 
     def schedule_sorted(
@@ -298,10 +308,16 @@ class Simulator:
         """Run until the agenda drains, ``until`` is reached, or ``max_events``.
 
         ``until`` leaves the clock at exactly ``until`` if the agenda outlives
-        it; events at precisely ``until`` are executed.
+        it; events at precisely ``until`` are executed. An ``until`` before
+        :attr:`now` (or NaN) raises :class:`SimulationError`: the clock never
+        moves back.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self._now}"
+            )
         self._running = True
         try:
             if until is None and max_events is None:

@@ -33,46 +33,44 @@ _US = 1e6
 # Chrome trace_event
 # --------------------------------------------------------------------- #
 def chrome_trace(tracer: Tracer) -> dict[str, Any]:
-    """The tracer's spans as a Chrome ``trace_event`` JSON object."""
-    events: list[dict[str, Any]] = []
-    for pid in sorted(tracer.processes):
-        events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": tracer.processes[pid]},
-            }
-        )
-    for span in tracer.spans:
-        if not span.closed:
-            continue
-        events.append(
-            {
-                "ph": "X",
-                "pid": span.process,
-                "tid": span.track,
-                "name": span.name,
-                "cat": span.category or "span",
-                "ts": span.start * _US,
-                "dur": (span.end - span.start) * _US,
-                "args": dict(sorted(span.attrs.items())),
-            }
-        )
-    for mark in tracer.instants:
-        events.append(
-            {
-                "ph": "i",
-                "s": "t",
-                "pid": mark.process,
-                "tid": mark.track,
-                "name": mark.name,
-                "cat": mark.category or "mark",
-                "ts": mark.time * _US,
-                "args": dict(mark.attrs),
-            }
-        )
+    """The tracer's spans as a Chrome ``trace_event`` JSON object.
+
+    Process names come first, then every closed span in the order it was
+    recorded, then the instants.
+    """
+    processes = tracer.processes
+    events: list[dict[str, Any]] = [
+        {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
+         "args": {"name": processes[pid]}}
+        for pid in sorted(processes)
+    ]
+    events += [
+        {
+            "ph": "X",
+            "pid": span.process,
+            "tid": span.track,
+            "name": span.name,
+            "cat": span.category or "span",
+            "ts": span.start * _US,
+            "dur": (span.end - span.start) * _US,
+            "args": dict(sorted(span.attrs.items())) if span.attrs else {},
+        }
+        for span in tracer.spans
+        if span.end is not None
+    ]
+    events += [
+        {
+            "ph": "i",
+            "s": "t",
+            "pid": mark.process,
+            "tid": mark.track,
+            "name": mark.name,
+            "cat": mark.category or "mark",
+            "ts": mark.time * _US,
+            "args": dict(mark.attrs),
+        }
+        for mark in tracer.instants
+    ]
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

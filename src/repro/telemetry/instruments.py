@@ -1,10 +1,14 @@
 """Instrumentation adapters between the simulators and the telemetry core.
 
-The platform invoker and the serving loop stay almost telemetry-free: each
-holds an optional instrumentation object and calls cheap, well-named hooks
-(``on_placed``, ``on_exec_end``, …) behind an ``is not None`` guard. All
-span bookkeeping, metric registration, and bus publishing lives here, so
-the hot paths pay exactly one attribute check when telemetry is off.
+The burst kernel and the serving loop stay almost telemetry-free: each
+holds an optional instrumentation object behind an ``is not None`` guard.
+The serving loop calls cheap, well-named hooks (``on_dispatch``,
+``on_complete``, …) as things happen. A burst reports its attempts once,
+when it ends, from its finished record table
+(:meth:`BurstInstrumentation.record_burst`); only its chain-level moments
+(retries, 429 bounces, hedges, lost chains) are hooks. All span
+bookkeeping, metric registration, and bus publishing lives here, so the
+hot paths pay exactly one attribute check when telemetry is off.
 
 Span model (see ``docs/OBSERVABILITY.md``):
 
@@ -19,11 +23,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.tracer import Span
 
 if TYPE_CHECKING:  # imported for annotations only; avoids heavy deps here
     from repro.telemetry.bus import EventBus
-    from repro.telemetry.tracer import Span, Tracer
+    from repro.telemetry.tracer import Tracer
 
 #: Histogram boundaries for per-phase durations (sub-second to minutes).
 PHASE_BUCKETS: tuple[float, ...] = (
@@ -39,7 +46,15 @@ SOJOURN_BUCKETS: tuple[float, ...] = (
 
 
 class BurstInstrumentation:
-    """Per-burst tracing + metrics, driven by :class:`BurstInvoker` hooks."""
+    """Per-burst tracing + metrics for :class:`BurstInvoker`.
+
+    A burst is reported once, when it ends: the kernel hands its finished
+    record table to :meth:`record_burst`, which derives every instance and
+    phase span, the phase histograms, the instance, function and outcome
+    counters and the ``instance.*`` bus events from the columns. Only the
+    chain-level moments the table does not hold — retries, 429 bounces,
+    hedges and lost chains — are reported live, as they happen.
+    """
 
     def __init__(
         self,
@@ -56,8 +71,6 @@ class BurstInstrumentation:
         if tracer is not None:
             tracer.bind_clock(self._now)
             self.pid = tracer.new_process(name)
-        self._roots: dict[int, Span] = {}
-        self._phases: dict[int, dict[str, Span]] = {}
         self._m: dict[str, object] = {}
         if registry is not None:
             self._m = {
@@ -108,101 +121,140 @@ class BurstInstrumentation:
             }
 
     # ------------------------------------------------------------------ #
-    def on_invoked(self, record, warm: bool = False) -> None:
-        if self._m:
-            self._m["warm" if warm else "cold"].inc()
-            self._m["functions"].inc(record.n_packed)
-        if self.tracer is None:
-            return
-        root = self.tracer.start_span(
-            f"instance#{record.instance_id}",
-            category="instance",
-            track=record.instance_id,
-            n_packed=record.n_packed,
-            attempt=record.attempt,
-            hedged=record.hedged,
-            warm=warm,
+    def record_burst(
+        self,
+        table,
+        invoked_at: float,
+        kernel_path: str,
+        fallback_reason: Optional[str],
+    ) -> None:
+        """Report a burst's attempts from its record table, in one pass.
+
+        ``table`` is a :class:`~repro.platform.metrics.RecordTable` (one
+        column per record field, NaN for a timestamp never set) whose times
+        count from ``invoked_at``, the burst's invocation instant on the
+        simulator clock; spans and bus events carry clock times. The spans
+        go to this burst's own process band (:attr:`pid`), record by record.
+
+        An attempt *finished* once its ``exec_end`` is set. Its outcome is
+        ``timeout``, ``crash``, ``cancelled`` or ``ok``, and it gets a
+        closed root span carrying that outcome, an ``exec`` span and one
+        observation per phase. A cancelled attempt that ran for no time was
+        cancelled before it executed: its ``exec`` span is zero-length with
+        ``outcome=cancelled``, and it adds no phase observations. A
+        ``crash`` or ``timeout`` publishes ``instance.<outcome>``, in
+        ``(exec_end, record id)`` order. An attempt still in flight (the
+        burst aborted) counts as launched and keeps its closed phase spans;
+        its root span stays open, so no export shows it.
+
+        ``kernel_path`` (``"fluid"`` or ``"event"``) and ``fallback_reason``
+        (why the replay declined, or None) feed the path counters.
+        """
+        rid, start, end = table.instance_id, table.exec_start, table.exec_end
+        finished = ~np.isnan(end)
+        skipped = table.cancelled & (end == start)  # cancelled before it ran
+        outcome = np.select(
+            [table.timed_out, table.failed, table.cancelled],
+            ["timeout", "crash", "cancelled"], "ok",
         )
-        self._roots[record.instance_id] = root
-        if not warm:
-            self._phases[record.instance_id] = {
-                "sched": self.tracer.start_span("sched", "phase", parent=root),
-                "build": self.tracer.start_span("build", "phase", parent=root),
-            }
-
-    def _end_phase(self, record, phase: str) -> None:
-        span = self._phases.get(record.instance_id, {}).pop(phase, None)
-        if span is not None:
-            self.tracer.end_span(span)
-
-    def on_placed(self, record) -> None:
+        registry = self.registry
+        if registry is not None:
+            m = self._m
+            n_warm = int(np.count_nonzero(table.warm_start))
+            m["cold"].inc(len(rid) - n_warm)
+            m["warm"].inc(n_warm)
+            m["functions"].inc(int(table.n_packed.sum()))
+            for name, count in zip(*np.unique(outcome[finished], return_counts=True)):
+                m["outcomes"][str(name)].inc(int(count))
+            observed = finished & ~skipped
+            for phase, seconds in table.phase_seconds().items():
+                values = seconds[observed]
+                m["phases"][phase].observe_many(values[~np.isnan(values)])
+            registry.counter(
+                "propack_kernel_runs_total",
+                help="Bursts run, by the kernel path that ran them.",
+                path=kernel_path,
+            ).inc()
+            if fallback_reason is not None:
+                registry.counter(
+                    "propack_fluid_fallback_total",
+                    help="Bursts the fluid replay declined, by reason.",
+                    reason=fallback_reason,
+                ).inc()
+        if self.bus is not None:
+            failed = np.flatnonzero(table.failed | table.timed_out)
+            failed = failed[np.lexsort((rid[failed], end[failed]))]
+            for i, t, timed_out, attempt, correlated in zip(
+                rid[failed].tolist(),
+                (end[failed] + invoked_at).tolist(),
+                table.timed_out[failed].tolist(),
+                table.attempt[failed].tolist(),
+                table.correlated[failed].tolist(),
+            ):
+                self.bus.publish(
+                    "instance.timeout" if timed_out else "instance.crash", t,
+                    instance=i, attempt=attempt, correlated=correlated,
+                )
         if self.tracer is not None:
-            self._end_phase(record, "sched")
+            self._trace(table, invoked_at, finished, skipped, outcome)
 
-    def on_built(self, record) -> None:
-        if self.tracer is not None:
-            self._end_phase(record, "build")
-
-    def on_ship_begin(self, record) -> None:
-        if self.tracer is None:
-            return
-        root = self._roots.get(record.instance_id)
-        if root is not None:
-            self._phases.setdefault(record.instance_id, {})["ship"] = (
-                self.tracer.start_span("ship", "phase", parent=root)
-            )
-
-    def on_shipped(self, record) -> None:
-        if self.tracer is not None:
-            self._end_phase(record, "ship")
-
-    def on_exec_begin(self, record) -> None:
-        if self.tracer is None:
-            return
-        root = self._roots.get(record.instance_id)
-        if root is not None:
-            self._phases.setdefault(record.instance_id, {})["exec"] = (
-                self.tracer.start_span("exec", "phase", parent=root)
-            )
-
-    def on_exec_end(self, record, outcome: str) -> None:
-        """Terminal hook for every attempt that reached execution."""
-        if self._m:
-            self._m["outcomes"][outcome].inc()
-            histograms = self._m["phases"]
-            for phase, seconds in record.phase_durations().items():
-                histograms[phase].observe(seconds)
-        if outcome in ("crash", "timeout") and self.bus is not None:
-            self.bus.publish(
-                f"instance.{outcome}",
-                self._now(),
-                instance=record.instance_id,
-                attempt=record.attempt,
-                correlated=record.correlated,
-            )
-        if self.tracer is None:
-            return
-        self._end_phase(record, "exec")
-        root = self._roots.pop(record.instance_id, None)
-        if root is not None:
-            self.tracer.end_span(root, outcome=outcome)
-
-    def on_cancelled_before_exec(self, record) -> None:
-        """A hedge twin won while this copy was still in the cold pipeline."""
-        if self._m:
-            self._m["outcomes"]["cancelled"].inc()
-        if self.tracer is None:
-            return
-        phases = self._phases.pop(record.instance_id, {})
-        for span in phases.values():
-            self.tracer.end_span(span, abandoned=True)
-        root = self._roots.pop(record.instance_id, None)
-        if root is not None:
-            # A zero-duration exec span keeps the per-instance exec set
-            # aligned with RunResult._starts (which spans cancelled records).
-            exec_span = self.tracer.start_span("exec", "phase", parent=root)
-            self.tracer.end_span(exec_span, outcome="cancelled")
-            self.tracer.end_span(root, outcome="cancelled")
+    def _trace(self, table, invoked_at, finished, skipped, outcome) -> None:
+        """Append the burst's spans: per record, its root, then ``sched``,
+        ``build``, ``ship`` (cold starts only) and ``exec`` as each closed."""
+        ship_from = np.maximum(table.sched_done, table.built_at)
+        cold = ~table.warm_start
+        n_spans = len(table) + int(
+            np.count_nonzero(cold & ~np.isnan(table.sched_done))
+            + np.count_nonzero(cold & ~np.isnan(table.built_at))
+            + np.count_nonzero(cold & ~np.isnan(table.shipped_at))
+            + np.count_nonzero(finished)
+        )
+        tracer = self.tracer
+        sid = tracer.reserve_ids(n_spans)
+        pid = self.pid
+        spans: list[Span] = []
+        add = spans.append
+        for (rid, n_packed, attempt, hedged, warm, done, skip, result,
+             t_inv, t_sched, t_built, t_ship, t_shipped, t_start, t_end) in zip(
+            table.instance_id.tolist(),
+            table.n_packed.tolist(),
+            table.attempt.tolist(),
+            table.hedged.tolist(),
+            table.warm_start.tolist(),
+            finished.tolist(),
+            skipped.tolist(),
+            outcome.tolist(),
+            *(
+                (column + invoked_at).tolist()
+                for column in (
+                    table.invoked_at, table.sched_done, table.built_at, ship_from,
+                    table.shipped_at, table.exec_start, table.exec_end,
+                )
+            ),
+        ):
+            root = sid
+            attrs = {"n_packed": n_packed, "attempt": attempt, "hedged": hedged,
+                     "warm": warm}
+            if done:
+                attrs["outcome"] = result
+            add(Span(root, f"instance#{rid}", t_inv, "instance",
+                     t_end if done else None, None, pid, rid, attrs))
+            sid += 1
+            if not warm:
+                if t_sched == t_sched:  # not NaN: placed
+                    add(Span(sid, "sched", t_inv, "phase", t_sched, root, pid, rid, {}))
+                    sid += 1
+                if t_built == t_built:
+                    add(Span(sid, "build", t_inv, "phase", t_built, root, pid, rid, {}))
+                    sid += 1
+                if t_shipped == t_shipped:
+                    add(Span(sid, "ship", t_ship, "phase", t_shipped, root, pid, rid, {}))
+                    sid += 1
+            if done:
+                add(Span(sid, "exec", t_start, "phase", t_end, root, pid, rid,
+                         {"outcome": "cancelled"} if skip else {}))
+                sid += 1
+        tracer.spans += spans
 
     # ------------------------------------------------------------------ #
     def on_retry(self, chain_id: int, next_attempt: int, delay: float) -> None:

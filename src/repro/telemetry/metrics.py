@@ -20,6 +20,8 @@ import bisect
 import re
 from typing import Any, Iterable, Optional
 
+import numpy as np
+
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -92,6 +94,25 @@ class Histogram:
         self.counts[bisect.bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """``observe`` each value in order, as array arithmetic.
+
+        Bucket counts, ``count`` and ``sum`` equal those of the loop to the
+        last bit: the sum adds left to right from the running total (a
+        cumulative sum, not numpy's pairwise ``sum``), and a NaN lands in
+        the first bucket, where ``bisect_left`` puts it.
+        """
+        column = np.asarray(values, dtype=np.float64).ravel()
+        if not column.size:
+            return
+        slots = np.searchsorted(self.buckets, column, side="left")
+        slots[np.isnan(column)] = 0
+        added = np.bincount(slots, minlength=len(self.counts)).tolist()
+        self.counts[:] = [have + new for have, new in zip(self.counts, added)]
+        with np.errstate(invalid="ignore", over="ignore"):  # as quiet as ``+=``
+            self.sum = float(np.cumsum(np.concatenate(((self.sum,), column)))[-1])
+        self.count += column.size
 
     def cumulative(self) -> list[int]:
         """Cumulative counts per boundary (Prometheus ``le`` semantics)."""

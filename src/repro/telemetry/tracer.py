@@ -31,7 +31,7 @@ def _zero_clock() -> float:
     return 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed phase of one unit of work."""
 
@@ -124,6 +124,18 @@ class Tracer:
         )
         self.spans.append(span)
         return span
+
+    def reserve_ids(self, n: int) -> int:
+        """Take ``n`` consecutive span ids and return the first.
+
+        For callers that build their :class:`Span` objects in bulk and
+        append them to :attr:`spans` themselves (a burst's spans, derived
+        from its finished records): ids stay unique and increasing across
+        both ways of recording a span.
+        """
+        first = next(self._ids)
+        self._ids = itertools.count(first + n)
+        return first
 
     def end_span(self, span: Span, **attrs: Any) -> Span:
         """Close ``span`` at the current clock; extra attrs are merged in."""

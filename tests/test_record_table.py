@@ -147,6 +147,11 @@ def test_column_stats_equal_the_per_record_formulas(records):
             _ = result.scaling_time
     else:
         assert repr(result.scaling_time) == repr(_scaling_time(records))
+    durations = [r.phase_durations() for r in records]
+    for phase, seconds in result.table.phase_seconds().items():
+        assert repr(seconds.tolist()) == repr(
+            [d.get(phase, float("nan")) for d in durations]
+        )
     assert repr(result.records) == repr(records)
 
 

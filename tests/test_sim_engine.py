@@ -45,6 +45,41 @@ def test_negative_delay_rejected():
         Simulator().schedule(-0.1, lambda: None)
 
 
+def test_nan_delay_or_time_rejected():
+    """A NaN time would run at an arbitrary point of the pop order (before
+    this check, ``schedule(nan)`` then ``schedule(1.0)`` ran the NaN event
+    first); both ways of scheduling reject it, as ``schedule_sorted`` does."""
+    sim = Simulator()
+    hits = []
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), hits.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), hits.append, "nan")
+    sim.schedule(1.0, hits.append, "one")
+    sim.run()
+    assert hits == ["one"] and sim.now == 1.0
+    assert sim.events_processed == 1
+
+
+def test_run_until_in_the_past_rejected():
+    """The clock never moves back: ``run(until=u)`` with ``u < now`` raises
+    (before this check it left ``now == u``), ``until == now`` is a no-op."""
+    sim = Simulator()
+    hits = []
+    sim.schedule(5.0, hits.append, "later")
+    sim.run(until=3.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=1.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.now == 3.0
+    sim.run(until=3.0)
+    assert sim.now == 3.0 and hits == []
+    sim.schedule(0.5, hits.append, "next")  # lands at 3.5, not before 3.0
+    sim.run()
+    assert hits == ["next", "later"] and sim.now == 5.0
+
+
 def test_schedule_at_absolute_time():
     sim = Simulator()
     hits = []

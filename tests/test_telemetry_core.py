@@ -1,6 +1,10 @@
 """Unit tests for the telemetry primitives: bus, tracer, metrics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     EventBus,
@@ -11,6 +15,8 @@ from repro.telemetry import (
     Tracer,
     resolve_session,
 )
+from repro.telemetry.instruments import PHASE_BUCKETS
+from repro.telemetry.metrics import Histogram
 
 
 # --------------------------------------------------------------------- #
@@ -133,6 +139,48 @@ def test_histogram_buckets_and_cumulative():
     assert h.count == 5
     assert h.sum == pytest.approx(56.05)
     assert h.cumulative() == [1, 3, 4, 5]  # le=0.1, 1.0, 10.0, +Inf
+
+
+_SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from(PHASE_BUCKETS),  # exactly on a bound
+        st.floats(-10.0, 1e4, allow_nan=False),
+        st.sampled_from((0.0, 1e-300, 600.0000000000001, math.inf, -math.inf)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(before=_SAMPLES, values=_SAMPLES)
+def test_observe_many_equals_a_loop_of_observe(before, values):
+    """Bucket counts, count and sum to the last bit, from a running total."""
+    looped, bulk = Histogram(PHASE_BUCKETS), Histogram(PHASE_BUCKETS)
+    for h in (looped, bulk):
+        for v in before:
+            h.observe(v)
+    for v in values:
+        looped.observe(v)
+    bulk.observe_many(values)
+    assert bulk.counts == looped.counts
+    assert bulk.count == looped.count
+    assert type(bulk.sum) is float
+    if math.isnan(looped.sum):
+        assert math.isnan(bulk.sum)
+    else:
+        assert bulk.sum.hex() == looped.sum.hex()
+
+
+def test_observe_many_puts_nan_where_bisect_does():
+    looped, bulk = Histogram((1.0, 2.0)), Histogram((1.0, 2.0))
+    values = [1.0, 2.0, float("nan"), 3.0, 0.5]
+    for v in values:
+        looped.observe(v)
+    bulk.observe_many(values)
+    assert bulk.counts == looped.counts == [3, 1, 1]
+    assert bulk.count == 5 and math.isnan(bulk.sum)
+    bulk.observe_many([])  # no values: nothing changes
+    assert bulk.counts == [3, 1, 1] and bulk.count == 5
 
 
 def test_registry_get_or_create_and_conflicts():

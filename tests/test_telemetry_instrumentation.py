@@ -10,12 +10,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.chaos.invariants import check_span_nesting
 from repro.core.models import ExecutionTimeModel
+from repro.engine import fluid
 from repro.extensions.streaming import StreamingPolicy
-from repro.faults.retry import ExponentialBackoffRetry
+from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
-from repro.platform.invoker import BurstSpec
+from repro.platform.invoker import BurstSpec, FunctionTimeoutError
 from repro.platform.metrics import InstanceRecord
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.resilience import (
@@ -134,6 +136,184 @@ def test_burst_bus_events_do_not_depend_on_tracing():
     assert logs[0] == logs[1]
     kinds = {json.loads(line)["kind"] for line in logs[0].splitlines()}
     assert kinds == {"instance.crash", "chain.retry", "chain.lost"}
+
+
+# --------------------------------------------------------------------- #
+# Attempts are reported from the finished record table
+# --------------------------------------------------------------------- #
+def _ignoring_telemetry(kernel, spec, _rules=fluid.fluid_ineligibility):
+    """``fluid_ineligibility`` without its two telemetry rules."""
+    tel, hist = kernel._tel, kernel.scheduler._search_hist
+    kernel._tel = kernel.scheduler._search_hist = None
+    try:
+        return _rules(kernel, spec)
+    finally:
+        kernel._tel, kernel.scheduler._search_hist = tel, hist
+
+
+def _observed(spec, seed=SEED, profile=AWS_LAMBDA):
+    platform = ServerlessPlatform(profile, seed=seed, telemetry=TelemetryConfig())
+    return platform.run_burst(spec, repetition=0), platform.telemetry
+
+
+def _samples(session, *prefixes):
+    return {
+        k: v for k, v in parse_prometheus_text(session.prometheus_text()).items()
+        if k.startswith(prefixes)
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BurstSpec(app=SORT, concurrency=1000, packing_degree=4),
+        BurstSpec(app=SORT, concurrency=300, packing_degree=2, wave_size=40),
+    ],
+    ids=["cold", "waved"],
+)
+def test_replayed_burst_exports_what_the_event_loop_does(spec):
+    """Spans and burst metrics come from the finished table, so a burst
+    the fluid replay runs (telemetry rules lifted) exports the same Chrome
+    trace, byte for byte, and the same burst samples as the event loop."""
+    looped, loop_session = _observed(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "fluid_ineligibility", _ignoring_telemetry)
+        replayed, replay_session = _observed(spec)
+    assert (looped.kernel_path, replayed.kernel_path) == ("event", "fluid")
+    assert replayed == looped
+    assert json.dumps(replay_session.chrome_trace(), sort_keys=True) == json.dumps(
+        loop_session.chrome_trace(), sort_keys=True
+    )
+    families = ("propack_burst_", "propack_instance_phase_seconds")
+    assert _samples(replay_session, *families) == _samples(loop_session, *families)
+    assert _samples(replay_session, "propack_kernel_runs_total") == {
+        'propack_kernel_runs_total{path="fluid"}': 1.0
+    }
+    assert not _samples(replay_session, "propack_fluid_fallback_total")
+
+
+def test_faulted_hedged_waved_burst_reports_every_attempt():
+    spec = BurstSpec(
+        app=SORT, concurrency=600, packing_degree=2, scenario=CHAOS,
+        retry_policy=ExponentialBackoffRetry(max_retries=3),
+        hedge=HedgePolicy(), wave_size=120,
+    )
+    result, session = _observed(spec)
+    table = result.table
+    outcomes = np.select(
+        [table.timed_out, table.failed, table.cancelled],
+        ["timeout", "crash", "cancelled"], "ok",
+    )
+    assert {"ok", "crash", "cancelled"} <= set(outcomes.tolist())
+    assert table.warm_start.any() and table.hedged.any()
+    # One closed root span per record, on its track, carrying its outcome.
+    roots = session.tracer.finished("instance")
+    assert len(roots) == len(table)
+    assert [r.track for r in roots] == table.instance_id.tolist()
+    assert [r.attrs["outcome"] for r in roots] == outcomes.tolist()
+    assert [r.end for r in roots] == table.exec_end.tolist()
+    samples = _samples(session, "propack_burst_attempt_outcomes_total")
+    for outcome in ("ok", "crash", "timeout", "cancelled"):
+        key = f'propack_burst_attempt_outcomes_total{{outcome="{outcome}"}}'
+        assert samples[key] == np.count_nonzero(outcomes == outcome)
+    # instance.crash events: the crashed records, by (exec_end, record id).
+    crashed = np.flatnonzero(table.failed)
+    crashed = crashed[np.lexsort((crashed, table.exec_end[crashed]))]
+    events = [
+        e for e in session.event_log.events if e.kind == "instance.crash"
+    ]
+    assert [(e.time, e.get("instance"), e.get("attempt"), e.get("correlated"))
+            for e in events] == list(zip(
+                table.exec_end[crashed].tolist(), crashed.tolist(),
+                table.attempt[crashed].tolist(), table.correlated[crashed].tolist(),
+            ))
+    assert check_span_nesting(session.tracer) == []
+    assert result.kernel_path == "event"
+    assert result.fallback_reason == "fault scenario active"
+
+
+def test_attempt_cancelled_before_it_ran_has_no_phase_observations():
+    """A hedge twin still in the cold pipeline when its group is served is
+    cancelled before it executes: a zero-length exec span marked
+    cancelled, counted as cancelled, and no phase observations."""
+    spec = BurstSpec(
+        app=SORT, concurrency=1000, packing_degree=2,
+        scenario=FaultScenario(name="strag", straggler_rate=0.3),
+        hedge=HedgePolicy(trigger_factor=2.0),
+    )
+    result, session = _observed(spec, seed=1)
+    table = result.table
+    skipped = table.cancelled & (table.exec_start == table.exec_end)
+    assert skipped.any()
+    execs = {s.track: s for s in session.tracer.finished() if s.name == "exec"}
+    for rid in np.flatnonzero(skipped).tolist():
+        assert execs[rid].duration == 0.0
+        assert execs[rid].attrs == {"outcome": "cancelled"}
+    assert all(execs[rid].attrs == {} for rid in np.flatnonzero(~skipped).tolist())
+    samples = _samples(session, "propack_burst_attempt", "propack_instance_phase")
+    assert samples['propack_burst_attempt_outcomes_total{outcome="cancelled"}'] == (
+        np.count_nonzero(table.cancelled)
+    )
+    for phase in ("sched", "build", "ship", "exec"):
+        key = f'propack_instance_phase_seconds_count{{phase="{phase}"}}'
+        assert samples[key] == len(table) - np.count_nonzero(skipped)
+
+
+def test_billed_timeout_abort_reports_the_attempts_that_finished():
+    """A skewed warm reuse outruns the 150 s cap and aborts the burst: the
+    attempts that finished before it, and the aborting one, are exported;
+    the ones still in flight are counted as launched but have no root."""
+    profile = AWS_LAMBDA.with_overrides(max_execution_seconds=150.0)
+    spec = BurstSpec(app=SORT, concurrency=80, packing_degree=2, wave_size=4,
+                     skew_cv=0.3)
+    platform = ServerlessPlatform(profile, seed=5, telemetry=TelemetryConfig())
+    with pytest.raises(FunctionTimeoutError) as excinfo:
+        platform.run_burst(spec, repetition=0)
+    aborting = excinfo.value.record
+    # The same burst with the cap unenforced runs identically up to the abort.
+    unbounded = ServerlessPlatform(profile, seed=5, enforce_timeout=False).run_burst(
+        spec, repetition=0
+    )
+    finished = [r.instance_id for r in unbounded.records
+                if r.exec_end is not None and r.exec_end < aborting.exec_start]
+    assert finished
+    session = platform.telemetry
+    roots = {s.track: s for s in session.tracer.finished("instance")}
+    assert sorted(roots) == sorted(finished + [aborting.instance_id])
+    assert roots[aborting.instance_id].attrs["outcome"] == "timeout"
+    # The aborting attempt's spans cover the billed cap, as its record does.
+    assert roots[aborting.instance_id].end == aborting.exec_end
+    assert aborting.exec_end == aborting.exec_start + 150.0
+    trace = session.chrome_trace()["traceEvents"]
+    exec_tids = sorted(e["tid"] for e in trace if e.get("name") == "exec")
+    assert exec_tids == sorted(roots)
+    samples = _samples(session, "propack_burst_", "propack_instance_phase")
+    assert samples['propack_burst_attempt_outcomes_total{outcome="ok"}'] == len(finished)
+    assert samples['propack_burst_attempt_outcomes_total{outcome="timeout"}'] == 1
+    assert samples['propack_instance_phase_seconds_count{phase="exec"}'] == len(roots)
+    launched = sum(v for k, v in samples.items()
+                   if k.startswith("propack_burst_instances_total"))
+    assert launched > len(roots)
+    assert [(e.kind, e.time, e.get("instance")) for e in session.event_log.events] == [
+        ("instance.timeout", aborting.exec_end, aborting.instance_id)
+    ]
+    assert check_span_nesting(session.tracer) == []
+
+
+def test_kernel_path_and_fallback_reason():
+    plain = ServerlessPlatform(AWS_LAMBDA, seed=3).run_burst(
+        BurstSpec(app=SORT, concurrency=100)
+    )
+    assert (plain.kernel_path, plain.fallback_reason) == ("fluid", None)
+    observed, session = _observed(BurstSpec(app=SORT, concurrency=100), seed=3)
+    assert (observed.kernel_path, observed.fallback_reason) == (
+        "event", "telemetry instrumentation attached"
+    )
+    assert observed == plain  # the path is left out of equality
+    assert _samples(session, "propack_kernel_runs_total", "propack_fluid") == {
+        'propack_kernel_runs_total{path="event"}': 1.0,
+        'propack_fluid_fallback_total{reason="telemetry instrumentation attached"}': 1.0,
+    }
 
 
 # --------------------------------------------------------------------- #
