@@ -108,8 +108,8 @@ class StormSpec:
         only when their counts force it — a storm can starve the healthy
         middle without the two mechanisms masking each other.
         """
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not horizon_s > 0.0:  # NaN fails too
+            raise ValueError(f"horizon_s must be positive (got {horizon_s})")
         if fault_domains < 1:
             raise ValueError("fault_domains must be >= 1")
         n_poisoned = min(self.poisoned_domains, fault_domains)

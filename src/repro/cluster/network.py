@@ -26,7 +26,6 @@ class NetworkFabric:
         self.uplink_gbps = uplink_gbps
         # Capacity in MB/s: 1 Gbps = 125 MB/s.
         self._uplink = ProcessorSharingResource(sim, uplink_gbps * 125.0, name="uplink")
-        self.bytes_shipped_mb = 0.0
 
     @property
     def in_flight(self) -> int:
@@ -36,5 +35,4 @@ class NetworkFabric:
         """Transfer ``size_mb`` and invoke ``callback(*args)`` on arrival."""
         if size_mb < 0:
             raise ValueError(f"negative transfer size {size_mb}")
-        self.bytes_shipped_mb += size_mb
         self._uplink.submit(size_mb, callback, *args)

@@ -298,7 +298,6 @@ class BurstDispatchKernel(DispatchKernel):
         """
         invoked_at = self._invoked_at
         kernel_path = "event" if table is None else "fluid"
-        records = None
         if table is None:
             records = self._records
             if invoked_at:
@@ -315,20 +314,31 @@ class BurstDispatchKernel(DispatchKernel):
         expense = billing.burst_expense(table, self.store.usage)
         self._finalize_stats(billing, table)
         if self._tel is not None:
-            self._tel.record_burst(table, invoked_at, kernel_path, self._fallback_reason)
+            self._tel.record_burst(
+                table, invoked_at, kernel_path, self._fallback_reason,
+                self._search_costs(),
+            )
         return RunResult(
             platform_name=self.profile.name,
             app_name=self._spec.app.name,
             concurrency=self._spec.concurrency,
             packing_degree=self._spec.packing_degree,
-            records=records,
+            table=table,
             expense=expense,
             lost_functions=self._lost_functions,
             fault_stats=self._stats,
-            table=table,
             kernel_path=kernel_path,
             fallback_reason=self._fallback_reason,
         )
+
+    def _search_costs(self) -> Optional[tuple[float, float]]:
+        """The serial scheduler's ``(base, search)`` seconds per placement,
+        from which the telemetry derives each cold attempt's search; None
+        for a sharded scheduler, whose searches it does not export."""
+        scheduler = self.scheduler
+        if type(scheduler) is not PlacementScheduler:
+            return None
+        return scheduler.base_cost_s, scheduler.search_cost_s
 
     def _finalize_stats(self, billing: BillingModel, table: RecordTable) -> None:
         """Billed and wasted GB-seconds of the executed attempts, summed in
@@ -374,7 +384,7 @@ class BurstDispatchKernel(DispatchKernel):
                 # Records still on the simulator clock: no offset to add.
                 self._tel.record_burst(
                     RecordTable.from_records(self._records), 0.0, "event",
-                    self._fallback_reason,
+                    self._fallback_reason, self._search_costs(),
                 )
             raise
         return self.collect()

@@ -34,6 +34,9 @@ calls it for every burst and gets back a byte-identical
 on the event loop. The replay writes the burst's records straight into a
 :class:`~repro.platform.metrics.RecordTable` and hands it to
 ``BurstDispatchKernel.collect``, which bills the burst on both paths.
+That table is all the replay leaves: it reads the substrate's parameters
+(scheduler costs, build slots, uplink capacity) but writes nothing back
+into the scheduler, the pipeline, the uplink or the simulator clock.
 
 The replay shares the kernel's set-up (``_configure``, which derives the
 burst's chain records: one per packing degree, with its modeled execution
@@ -90,8 +93,6 @@ def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Opt
         return "telemetry instrumentation attached"
     if type(kernel.scheduler) is not PlacementScheduler:
         return "non-serial placement scheduler"
-    if kernel.scheduler._search_hist is not None:
-        return "scheduler metrics attached"
     if kernel.scheduler._queue or kernel.scheduler._busy:
         return "scheduler busy"
     if type(kernel.pipeline) is not ContainerPipeline:
@@ -130,12 +131,8 @@ def _run_fluid(
     pipeline = _replay_pipeline(kernel, spec, image, cold)
     # Only a waved burst reuses instances warm, which takes an event merge.
     if cold < spec.n_instances:
-        table, makespan = _merge_waved(kernel, spec, *pipeline)
-    else:
-        table, makespan = _execute_cold(kernel, spec, *pipeline)
-    kernel._pending_functions = 0
-    kernel.sim._now = makespan  # observational parity with the event path
-    return kernel.collect(table)
+        return kernel.collect(_merge_waved(kernel, spec, *pipeline))
+    return kernel.collect(_execute_cold(kernel, spec, *pipeline))
 
 
 def _replay_pipeline(
@@ -236,13 +233,6 @@ def _replay_pipeline(
                 next_comp = t + remaining_v * active / cap_ps
             else:
                 next_comp = inf
-    pipeline.network.bytes_shipped_mb = sequential_sum(
-        np.full(cold, w_ship), pipeline.network.bytes_shipped_mb
-    )
-    pipeline.network._uplink.total_jobs += cold
-    pipeline.builder.total_jobs += cold
-    pipeline.containers_built += cold
-    scheduler.placements_made += cold
     return sched, built, order, ship_t
 
 
@@ -253,7 +243,7 @@ def _execute_cold(
     built: np.ndarray,
     order: np.ndarray,
     ship_t: list[float],
-) -> tuple[RecordTable, float]:
+) -> RecordTable:
     """The execution phase of a burst with no warm reuse, as array arithmetic.
 
     Every instance runs cold, so an execution starts at each ship completion
@@ -369,7 +359,7 @@ def _execute_cold(
     shipped_at[order] = started
     exec_end = np.empty(cold)
     exec_end[order] = ends
-    table = _record_table(
+    return _record_table(
         kernel._provisioned,
         n_packed=n_packed,
         sched_done=sched,
@@ -377,7 +367,6 @@ def _execute_cold(
         shipped_at=shipped_at,
         exec_end=exec_end,
     )
-    return table, float(ends.max())
 
 
 def _merge_waved(
@@ -387,7 +376,7 @@ def _merge_waved(
     built: np.ndarray,
     order: np.ndarray,
     ship_t: list[float],
-) -> tuple[RecordTable, float]:
+) -> RecordTable:
     """The execution phase of a waved burst: an event merge.
 
     Finished instances are reused warm for the functions the cold chains
@@ -441,7 +430,6 @@ def _merge_waved(
     dyn: list[tuple[float, int, int, int]] = []  # (t, seq, kind, record id)
     dseq = 0
     DONE, WARM = 0, 1
-    makespan = 0.0
     inf = math.inf
 
     while pi < cold or si < cold or dyn:
@@ -517,10 +505,7 @@ def _merge_waved(
                 ),
                 duration,
             )
-        end = t + duration
-        if end > makespan:
-            makespan = end
-        heapq.heappush(dyn, (end, dseq, DONE, rid))
+        heapq.heappush(dyn, (t + duration, dseq, DONE, rid))
         dseq += 1
 
     usage.put_requests = puts
@@ -529,7 +514,7 @@ def _merge_waved(
 
     ids = np.arange(len(npacked))
     placed = np.array(sched_done)
-    table = _record_table(
+    return _record_table(
         provisioned,
         n_packed=npacked,
         invoked_at=np.where(ids < cold, 0.0, placed),
@@ -539,7 +524,6 @@ def _merge_waved(
         exec_end=exec_end,
         warm_start=ids >= cold,
     )
-    return table, makespan
 
 
 def _exec_model(

@@ -159,7 +159,6 @@ class DispatchKernel:
         self.bucket: Optional[TokenBucket] = None
         self.retry_policy = retry_policy
         self.profile_failure_rate = profile_failure_rate
-        self.chains: dict[int, AttemptChain] = {}
         self._next_chain_id = 0
         self.configure_faults(scenario, profile_failure_rate, metrics)
 
@@ -223,7 +222,6 @@ class DispatchKernel:
             retry=retry,
         )
         self._next_chain_id += 1
-        self.chains[chain.chain_id] = chain
         return chain
 
     # ------------------------------------------------------------------ #

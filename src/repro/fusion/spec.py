@@ -52,6 +52,12 @@ class FusionConstraints:
     def __post_init__(self) -> None:
         if self.max_memory_mb < 1:
             raise ValueError("memory ceiling must be positive")
+        # NaN fails this too; inf stays legal (a profile with no cap).
+        if not self.max_execution_seconds > 0.0:
+            raise ValueError(
+                "max_execution_seconds must be positive "
+                f"(got {self.max_execution_seconds})"
+            )
         if self.isolation not in ISOLATION_POLICIES:
             raise ValueError(
                 f"isolation must be one of {ISOLATION_POLICIES} "

@@ -33,7 +33,6 @@ from repro.workloads.base import AppSpec
 
 if TYPE_CHECKING:  # annotation-only: the sharded scheduler is imported on use
     from repro.platform.scheduler_decentralized import DecentralizedScheduler
-    from repro.telemetry.metrics import MetricsRegistry
 
 #: No-op probe used for application-independent scaling measurements.
 PROBE_APP = AppSpec(
@@ -74,7 +73,6 @@ def burst_substrate(
     profile: PlatformProfile,
     sim: Simulator,
     rng: RandomStreams,
-    metrics: Optional["MetricsRegistry"] = None,
 ) -> tuple[Union[PlacementScheduler, "DecentralizedScheduler"], ContainerPipeline]:
     """The datacenter every burst runs on: placement ∥ build → ship.
 
@@ -82,8 +80,7 @@ def burst_substrate(
     sharded when ``scheduler_shards > 1``), the shipping uplink and the
     container pipeline on ``sim``. The scheduler owns the pool and the
     pipeline the uplink (``pipeline.network``). ``rng`` draws the build
-    noise; ``metrics`` (a telemetry registry) observes the serial
-    scheduler.
+    noise.
     """
     pool = ServerPool(
         profile.fleet_servers, profile.server_cores, profile.server_memory_mb
@@ -102,7 +99,7 @@ def burst_substrate(
         )
     else:
         scheduler = PlacementScheduler(
-            sim, pool, profile.sched_base_s, profile.sched_search_s, metrics=metrics
+            sim, pool, profile.sched_base_s, profile.sched_search_s
         )
     pipeline = ContainerPipeline(
         sim,
@@ -154,12 +151,7 @@ class ServerlessPlatform:
             f"{spec.app.name}/C{spec.concurrency}/P{spec.packing_degree}/r{repetition}"
         )
         sim = Simulator()
-        scheduler, pipeline = burst_substrate(
-            self.profile,
-            sim,
-            rng,
-            metrics=self.telemetry.registry if self.telemetry else None,
-        )
+        scheduler, pipeline = burst_substrate(self.profile, sim, rng)
         instrumentation = None
         if self.telemetry is not None:
             instrumentation = self.telemetry.burst_instrumentation(

@@ -54,7 +54,6 @@ class ContainerPipeline:
         self.ship_overhead_mb = ship_overhead_mb
         self.build_cache_factor = build_cache_factor
         self.build_noise_sigma = build_noise_sigma
-        self.containers_built = 0
 
     def build_seconds(self, image: FunctionImage, build_factor: float = 1.0) -> float:
         """Noise-free build time for one container of ``image``."""
@@ -79,11 +78,7 @@ class ContainerPipeline:
         work = self.build_seconds(image, build_factor) * self.rng.lognormal_factor(
             "build", self.build_noise_sigma
         )
-        self.builder.submit(work, self._built, callback, args)
-
-    def _built(self, callback: Callable[..., None], args: tuple) -> None:
-        self.containers_built += 1
-        callback(*args)
+        self.builder.submit(work, callback, *args)
 
     def ship(
         self,

@@ -23,6 +23,7 @@ bit on every Python version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -78,9 +79,9 @@ class InstanceRecord:
         * ``exec`` — ``exec_end - exec_start``.
 
         Warm starts report zero ``sched``/``ship`` (their timestamps
-        coincide by construction). This single definition backs both the
-        telemetry tracer's phase histograms and the burst-level
-        :meth:`RunResult.breakdown`.
+        coincide by construction). :meth:`RecordTable.phase_seconds` is
+        the same definition, one column per phase; it is what the
+        telemetry's phase histograms and :meth:`RunResult.breakdown` read.
         """
         phases: dict[str, float] = {}
         if self.sched_done is not None:
@@ -287,15 +288,15 @@ class FaultStats:
         )
 
 
-@dataclass(init=False)
+@dataclass
 class RunResult:
     """Everything measured from one burst execution.
 
     The records are stored once, in :attr:`table`, and every statistic
     here reads its columns. :attr:`records` is the same rows as a list of
-    :class:`InstanceRecord`, built on first read and cached; a result
-    constructed from a ``records`` list keeps that list as its view.
-    Equality compares every field of every record (through the tables).
+    :class:`InstanceRecord`, built from the table on first read and
+    cached. Equality compares every field of every record (through the
+    tables).
 
     :attr:`kernel_path` names the path that ran the burst, ``"fluid"``
     (the closed-form replay) or ``"event"`` (the event loop), and
@@ -309,53 +310,18 @@ class RunResult:
     app_name: str
     concurrency: int
     packing_degree: int
-    table: RecordTable
-    expense: ExpenseBreakdown
-    lost_functions: int  # functions whose every retry attempt crashed
-    fault_stats: FaultStats
+    table: RecordTable = field(default_factory=lambda: RecordTable.from_records(()))
+    expense: ExpenseBreakdown = ZERO_EXPENSE
+    lost_functions: int = 0  # functions whose every retry attempt crashed
+    fault_stats: FaultStats = field(default_factory=FaultStats)
     kernel_path: str = field(default="event", compare=False)
     fallback_reason: Optional[str] = field(default=None, compare=False)
 
-    def __init__(
-        self,
-        platform_name: str,
-        app_name: str,
-        concurrency: int,
-        packing_degree: int,
-        records: Optional[list[InstanceRecord]] = None,
-        expense: ExpenseBreakdown = ZERO_EXPENSE,
-        lost_functions: int = 0,
-        fault_stats: Optional[FaultStats] = None,
-        table: Optional[RecordTable] = None,
-        kernel_path: str = "event",
-        fallback_reason: Optional[str] = None,
-    ) -> None:
-        """Build from ``records``, from ``table``, or from both when they
-        hold the same rows (the list then serves as the records view)."""
-        if table is None:
-            records = [] if records is None else records
-            table = RecordTable.from_records(records)
-        elif records is not None and len(records) != len(table):
-            raise ValueError(f"{len(records)} records for a {len(table)}-row table")
-        self.platform_name = platform_name
-        self.app_name = app_name
-        self.concurrency = concurrency
-        self.packing_degree = packing_degree
-        self.table = table
-        self.expense = expense
-        self.lost_functions = lost_functions
-        self.fault_stats = fault_stats if fault_stats is not None else FaultStats()
-        self.kernel_path = kernel_path
-        self.fallback_reason = fallback_reason
-        self._records = records
-
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def records(self) -> list[InstanceRecord]:
         """The records as objects, built from the table on first read."""
-        if self._records is None:
-            self._records = self.table.to_records()
-        return self._records
+        return self.table.to_records()
 
     @property
     def n_instances(self) -> int:
@@ -430,7 +396,7 @@ class RunResult:
     def component_totals(self) -> dict[str, float]:
         """Critical-path view: when each stage finished for the last instance."""
         return {
-            "scheduling": float(max(r.sched_done for r in self.records)),
-            "startup": float(max(r.built_at for r in self.records)),
-            "shipping": float(max(r.shipped_at for r in self.records)),
+            "scheduling": float(self.table.sched_done.max()),
+            "startup": float(self.table.built_at.max()),
+            "shipping": float(self.table.shipped_at.max()),
         }

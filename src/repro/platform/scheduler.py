@@ -15,20 +15,10 @@ quadratic in the burst size — the dominant term of the paper's Eq. 2.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.cluster.server import ServerPool
 from repro.sim.engine import Simulator
-
-if TYPE_CHECKING:  # annotation-only import
-    from repro.telemetry.metrics import MetricsRegistry
-
-#: Search-time histogram boundaries: milliseconds to the multi-second
-#: quadratic tail a large burst's last placement pays.
-_SEARCH_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
 
 
 class PlacementScheduler:
@@ -40,7 +30,6 @@ class PlacementScheduler:
         pool: ServerPool,
         base_cost_s: float,
         search_cost_s: float,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.sim = sim
         self.pool = pool
@@ -49,18 +38,6 @@ class PlacementScheduler:
         self._queue: deque[tuple[int, int, Callable[..., None], tuple]] = deque()
         self._busy = False
         self.placements_made = 0
-        self._search_hist = None
-        self._placed_ctr = None
-        if metrics is not None:
-            self._search_hist = metrics.histogram(
-                "propack_sched_search_seconds",
-                buckets=_SEARCH_BUCKETS,
-                help="Placement-search time per request (grows with occupancy).",
-            )
-            self._placed_ctr = metrics.counter(
-                "propack_sched_placements_total",
-                help="Placements completed by the scheduling loop.",
-            )
 
     def request_placement(
         self,
@@ -81,8 +58,6 @@ class PlacementScheduler:
         self._busy = True
         cores, memory_mb, callback, args = self._queue.popleft()
         search_time = self.base_cost_s + self.search_cost_s * self.placements_made
-        if self._search_hist is not None:
-            self._search_hist.observe(search_time)
         self.sim.schedule(search_time, self._place, cores, memory_mb, callback, args)
 
     def _place(
@@ -94,7 +69,5 @@ class PlacementScheduler:
     ) -> None:
         server = self.pool.place(cores, memory_mb)
         self.placements_made += 1
-        if self._placed_ctr is not None:
-            self._placed_ctr.inc()
         callback(server, *args)
         self._serve_next()

@@ -91,16 +91,26 @@ class ServingConfig:
                                      # with its own domain count)
 
     def __post_init__(self) -> None:
-        if self.cold_start_s < 0 or self.warm_dispatch_s < 0:
-            raise ValueError("dispatch latencies must be non-negative")
-        if self.cold_init_billed_s < 0:
-            raise ValueError("billed init must be non-negative")
-        if self.qos_sojourn_s <= 0:
-            raise ValueError("QoS bound must be positive")
-        if self.replan_interval_s <= 0:
-            raise ValueError("replan interval must be positive")
+        # NaN passes every comparison below, so finiteness is checked first.
+        for name in ("cold_start_s", "warm_dispatch_s", "cold_init_billed_s",
+                     "qos_sojourn_s", "slo_window_s", "slo_bucket_s",
+                     "replan_interval_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
+        for name in ("cold_start_s", "warm_dispatch_s", "cold_init_billed_s"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
+        for name in ("qos_sojourn_s", "slo_bucket_s", "replan_interval_s"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive (got {getattr(self, name)})")
+        if self.slo_window_s < self.slo_bucket_s:
+            raise ValueError(
+                f"slo_window_s must be >= slo_bucket_s (got {self.slo_window_s} "
+                f"< {self.slo_bucket_s})"
+            )
         if self.backlog_threshold < 1:
-            raise ValueError("backlog threshold must be >= 1")
+            raise ValueError("backlog_threshold must be >= 1")
         if self.max_breaker_deferrals < 1:
             raise ValueError("max_breaker_deferrals must be >= 1")
         if self.fault_domains < 1:

@@ -3,10 +3,16 @@
 Two disciplines cover every contention point in the serverless substrate:
 
 * :class:`FifoResource` — ``k`` identical servers, FIFO queue. Models the
-  image-builder's bounded build parallelism and per-server admission.
+  image-builder's bounded build parallelism and the sharded scheduler's
+  consistency bus.
 * :class:`ProcessorSharingResource` — egalitarian processor sharing of a
   fixed capacity. Models the shipping uplink, where all in-flight container
   transfers share the builder's network bandwidth.
+
+Each keeps only the state its next event needs: busy servers and the
+queue, or the active jobs and the virtual clock. The fluid burst replay
+(:mod:`repro.engine.fluid`) reproduces their arithmetic without touching
+them.
 
 The PS queue uses the classic *virtual time* formulation: with capacity
 ``R`` shared equally among ``n(t)`` jobs, define ``V(t)`` with
@@ -41,8 +47,8 @@ class FifoResource:
     """``servers`` identical servers, FIFO admission, deterministic order.
 
     ``work`` is expressed in seconds of service on one server. The completion
-    callback receives the caller's ``args``; queueing statistics are exposed
-    via :attr:`total_jobs` and :attr:`busy_servers` for tests.
+    callback receives the caller's ``args``; :attr:`busy_servers` and
+    :attr:`queued_jobs` expose the queue's state.
     """
 
     def __init__(self, sim: Simulator, servers: int, name: str = "fifo") -> None:
@@ -53,7 +59,6 @@ class FifoResource:
         self.name = name
         self._queue: deque[_FifoJob] = deque()
         self._busy = 0
-        self.total_jobs = 0
 
     @property
     def busy_servers(self) -> int:
@@ -67,7 +72,6 @@ class FifoResource:
         """Enqueue a job needing ``work`` seconds of one server's time."""
         if work < 0:
             raise SimulationError(f"{self.name}: negative work {work}")
-        self.total_jobs += 1
         job = _FifoJob(work, callback, args, self.sim.now)
         if self._busy < self.servers:
             self._start(job)
@@ -114,7 +118,6 @@ class ProcessorSharingResource:
         self._vtime_updated_at = 0.0
         self._active = 0
         self._pending_event: Optional[Event] = None
-        self.total_jobs = 0
 
     @property
     def active_jobs(self) -> int:
@@ -148,7 +151,6 @@ class ProcessorSharingResource:
         if work < 0:
             raise SimulationError(f"{self.name}: negative work {work}")
         self._advance_vtime()
-        self.total_jobs += 1
         self._active += 1
         job = _PSJob(self._vtime + work, next(self._seq), callback, args)
         heapq.heappush(self._jobs, job)

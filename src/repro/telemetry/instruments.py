@@ -38,6 +38,13 @@ PHASE_BUCKETS: tuple[float, ...] = (
     2.0, 5.0, 10.0, 30.0, 60.0, 180.0, 600.0,
 )
 
+#: Placement-search histogram boundaries: milliseconds to the multi-second
+#: quadratic tail a large burst's last placement pays.
+SEARCH_BUCKETS: tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+)
+
 #: Histogram boundaries for request sojourn times in the serving loop.
 SOJOURN_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 15.0,
@@ -50,10 +57,11 @@ class BurstInstrumentation:
 
     A burst is reported once, when it ends: the kernel hands its finished
     record table to :meth:`record_burst`, which derives every instance and
-    phase span, the phase histograms, the instance, function and outcome
-    counters and the ``instance.*`` bus events from the columns. Only the
-    chain-level moments the table does not hold — retries, 429 bounces,
-    hedges and lost chains — are reported live, as they happen.
+    phase span, the phase and placement-search histograms, the instance,
+    function, outcome and placement counters and the ``instance.*`` bus
+    events from the columns. Only the chain-level moments the table does
+    not hold — retries, 429 bounces, hedges and lost chains — are
+    reported live, as they happen.
     """
 
     def __init__(
@@ -127,6 +135,7 @@ class BurstInstrumentation:
         invoked_at: float,
         kernel_path: str,
         fallback_reason: Optional[str],
+        search_costs: Optional[tuple[float, float]] = None,
     ) -> None:
         """Report a burst's attempts from its record table, in one pass.
 
@@ -149,6 +158,14 @@ class BurstInstrumentation:
 
         ``kernel_path`` (``"fluid"`` or ``"event"``) and ``fallback_reason``
         (why the replay declined, or None) feed the path counters.
+
+        ``search_costs`` is the ``(base, search)`` seconds of the burst's
+        serial placement scheduler (None for a sharded one: no search
+        families). That scheduler serves the cold attempts one at a time,
+        in record order, on a fresh fleet, so the k-th cold record searched
+        for ``base + search·k``. Every cold record whose ``sched_done`` is
+        set counts as a placement; on an aborted burst the first unplaced
+        cold record was being searched for, and counts as a search too.
         """
         rid, start, end = table.instance_id, table.exec_start, table.exec_end
         finished = ~np.isnan(end)
@@ -181,6 +198,22 @@ class BurstInstrumentation:
                     help="Bursts the fluid replay declined, by reason.",
                     reason=fallback_reason,
                 ).inc()
+            if search_costs is not None:
+                cold = ~table.warm_start
+                n_cold = int(np.count_nonzero(cold))
+                placed = int(np.count_nonzero(cold & ~np.isnan(table.sched_done)))
+                base_s, search_s = search_costs
+                registry.histogram(
+                    "propack_sched_search_seconds",
+                    buckets=SEARCH_BUCKETS,
+                    help="Placement-search time per request (grows with occupancy).",
+                ).observe_many(
+                    base_s + search_s * np.arange(placed + (placed < n_cold), dtype=float)
+                )
+                registry.counter(
+                    "propack_sched_placements_total",
+                    help="Placements completed by the scheduling loop.",
+                ).inc(placed)
         if self.bus is not None:
             failed = np.flatnonzero(table.failed | table.timed_out)
             failed = failed[np.lexsort((rid[failed], end[failed]))]

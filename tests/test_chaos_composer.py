@@ -48,6 +48,11 @@ def test_compose_rejects_bad_horizon():
         StormSpec().compose(0.0)
 
 
+def test_compose_rejects_a_nan_horizon():
+    with pytest.raises(ValueError, match="horizon_s"):
+        StormSpec().compose(float("nan"))
+
+
 # --------------------------------------------------------------------- #
 # multi-phase composition
 # --------------------------------------------------------------------- #

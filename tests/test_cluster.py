@@ -202,14 +202,6 @@ def test_network_sharing_between_transfers():
     assert done == [pytest.approx(2.0), pytest.approx(2.0)]
 
 
-def test_network_accounts_bytes():
-    sim = Simulator()
-    net = NetworkFabric(sim, uplink_gbps=1.0)
-    net.ship(10.0, lambda: None)
-    net.ship(20.0, lambda: None)
-    assert net.bytes_shipped_mb == pytest.approx(30.0)
-
-
 def test_network_rejects_bad_inputs():
     with pytest.raises(ValueError):
         NetworkFabric(Simulator(), uplink_gbps=0.0)

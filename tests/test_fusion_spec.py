@@ -122,6 +122,20 @@ def test_constraints_validation():
         FusionConstraints(max_memory_mb=1024, latency_safety=0.0)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+def test_constraints_reject_a_bad_execution_cap(cap):
+    # NaN would disable the makespan cap (``makespan > nan`` is False),
+    # and a cap <= 0 would reject every group.
+    with pytest.raises(ValueError, match="max_execution_seconds"):
+        FusionConstraints(max_memory_mb=10240, max_execution_seconds=cap)
+
+
+def test_constraints_allow_no_execution_cap():
+    # FusedFleet passes a profile's cap, which may be unbounded.
+    uncapped = FusionConstraints(max_memory_mb=10240, max_execution_seconds=float("inf"))
+    assert uncapped.admits(group(("a", SORT, 4)), PairwiseInterference())
+
+
 # --------------------------------------------------------------------- #
 # plans
 # --------------------------------------------------------------------- #

@@ -414,25 +414,27 @@ def _walk(scenario, n_chains, n_packed, spacing_s):
         retry_policy=ImmediateRetry(3),
     )
     env = _ChainEnv(kernel)
+    chains = []
     for i in range(n_chains):
         chain = kernel.new_chain(n_packed=n_packed, retry=kernel.fresh_retry())
         kernel.run_synchronous_chain(chain, env, launch_at=i * spacing_s)
-    return kernel, env
+        chains.append(chain)
+    return kernel, env, chains
 
 
 def test_faulted_chain_walk_identical_across_modes_and_conserving():
-    (_, scalar), _ = _on_path("scalar", lambda: _walk(STORMY, 2000, 4, 0.01))
-    (kernel, default), _ = _on_path("default", lambda: _walk(STORMY, 2000, 4, 0.01))
+    (_, scalar, _), _ = _on_path("scalar", lambda: _walk(STORMY, 2000, 4, 0.01))
+    (_, default, chains), _ = _on_path("default", lambda: _walk(STORMY, 2000, 4, 0.01))
     assert scalar.log == default.log  # float-for-float, same order
     assert (scalar.retries, scalar.lost) == (default.retries, default.lost)
     assert default.retries > 0
     assert len(default.log) + default.lost == 2000
-    assert all(c.satisfied or c.lost for c in kernel.chains.values())
+    assert all(c.satisfied or c.lost for c in chains)
 
 
 def test_throttle_storm_chain_walk_identical_across_modes():
-    (k1, scalar), _ = _on_path("scalar", lambda: _walk(TIGHT, 100, 1, 0.001))
-    (k2, default), _ = _on_path("default", lambda: _walk(TIGHT, 100, 1, 0.001))
+    (k1, scalar, _), _ = _on_path("scalar", lambda: _walk(TIGHT, 100, 1, 0.001))
+    (k2, default, _), _ = _on_path("default", lambda: _walk(TIGHT, 100, 1, 0.001))
     assert scalar.log == default.log
     assert scalar.lost == default.lost
     assert (k1.bucket.admitted, k1.bucket.rejected) == (

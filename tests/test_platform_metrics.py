@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RunResult
+from repro.platform.metrics import (
+    ExpenseBreakdown,
+    InstanceRecord,
+    RecordTable,
+    RunResult,
+)
 
 
 def make_record(i, start, end, n_packed=1):
@@ -22,7 +27,7 @@ def make_result(starts_ends, concurrency=None, degree=1):
         app_name="app",
         concurrency=concurrency or len(records),
         packing_degree=degree,
-        records=records,
+        table=RecordTable.from_records(records),
     )
 
 

@@ -221,13 +221,9 @@ def test_one_column_per_record_field_read_only():
 
 def test_records_view_is_built_once_and_kept():
     records = [_record(0), _record(1)]
-    given_list = RunResult("p", "a", 2, 1, records=records)
-    assert given_list.records is records
     columnar = _columnar(records)
     assert columnar.records is columnar.records
     assert columnar.records == records
-    with pytest.raises(ValueError, match="3 records for a 2-row table"):
-        RunResult("p", "a", 2, 1, records=records + [_record(2)], table=columnar.table)
 
 
 @pytest.mark.parametrize("name", RECORD_FIELDS)

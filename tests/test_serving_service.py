@@ -49,6 +49,29 @@ def test_config_validation():
         ServingConfig(replan_interval_s=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        # A NaN bound judges no sojourn a violation: attainment 1.0.
+        ("qos_sojourn_s", math.nan),
+        # Every cold dispatch would bill NaN.
+        ("cold_init_billed_s", math.nan),
+        # With a controller, the number of control ticks would be NaN.
+        ("replan_interval_s", math.nan),
+        # The SLO tracker needs window >= bucket > 0; caught here, not in run().
+        ("slo_bucket_s", 0.0),
+        ("slo_bucket_s", -60.0),
+        ("slo_window_s", 0.0),
+        # A NaN latency cannot be scheduled: the run would stop midway.
+        ("cold_start_s", math.nan),
+        ("warm_dispatch_s", math.nan),
+    ],
+)
+def test_config_rejects_bad_values_at_construction(name, value):
+    with pytest.raises(ValueError, match=name):
+        ServingConfig(**{name: value})
+
+
 def test_rejects_bad_horizon():
     with pytest.raises(ValueError):
         make_simulator().run(PoissonProcess(1.0), POLICY, 0.0)

@@ -36,6 +36,8 @@ from repro.serving import (
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import EventBus, TelemetryConfig, parse_prometheus_text
+from repro.telemetry.instruments import SEARCH_BUCKETS
+from repro.telemetry.metrics import Histogram
 from repro.workloads import SORT, XAPIAN
 
 SEED = 2023
@@ -142,13 +144,13 @@ def test_burst_bus_events_do_not_depend_on_tracing():
 # Attempts are reported from the finished record table
 # --------------------------------------------------------------------- #
 def _ignoring_telemetry(kernel, spec, _rules=fluid.fluid_ineligibility):
-    """``fluid_ineligibility`` without its two telemetry rules."""
-    tel, hist = kernel._tel, kernel.scheduler._search_hist
-    kernel._tel = kernel.scheduler._search_hist = None
+    """``fluid_ineligibility`` without its telemetry rule."""
+    tel = kernel._tel
+    kernel._tel = None
     try:
         return _rules(kernel, spec)
     finally:
-        kernel._tel, kernel.scheduler._search_hist = tel, hist
+        kernel._tel = tel
 
 
 def _observed(spec, seed=SEED, profile=AWS_LAMBDA):
@@ -173,8 +175,9 @@ def _samples(session, *prefixes):
 )
 def test_replayed_burst_exports_what_the_event_loop_does(spec):
     """Spans and burst metrics come from the finished table, so a burst
-    the fluid replay runs (telemetry rules lifted) exports the same Chrome
-    trace, byte for byte, and the same burst samples as the event loop."""
+    the fluid replay runs (telemetry rule lifted) exports the same Chrome
+    trace, byte for byte, and the same burst, phase and placement-search
+    samples as the event loop."""
     looped, loop_session = _observed(spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fluid, "fluid_ineligibility", _ignoring_telemetry)
@@ -184,8 +187,11 @@ def test_replayed_burst_exports_what_the_event_loop_does(spec):
     assert json.dumps(replay_session.chrome_trace(), sort_keys=True) == json.dumps(
         loop_session.chrome_trace(), sort_keys=True
     )
-    families = ("propack_burst_", "propack_instance_phase_seconds")
+    families = ("propack_burst_", "propack_instance_phase_seconds", "propack_sched_")
     assert _samples(replay_session, *families) == _samples(loop_session, *families)
+    assert _samples(replay_session, "propack_sched_placements_total") == {
+        "propack_sched_placements_total": np.count_nonzero(~replayed.table.warm_start)
+    }
     assert _samples(replay_session, "propack_kernel_runs_total") == {
         'propack_kernel_runs_total{path="fluid"}': 1.0
     }
@@ -298,6 +304,68 @@ def test_billed_timeout_abort_reports_the_attempts_that_finished():
         ("instance.timeout", aborting.exec_end, aborting.instance_id)
     ]
     assert check_span_nesting(session.tracer) == []
+
+
+# The serial scheduler's search families, derived from the table: the k-th
+# cold attempt searched for base + search·k. The pinned values are the ones
+# a live loop records, one observation per search it starts (seed 5,
+# repetition 0).
+@pytest.mark.parametrize(
+    "overrides, spec, placed, searches, search_sum",
+    [
+        # A billed timeout with every placement done: no search in flight.
+        ({"max_execution_seconds": 5.0},
+         BurstSpec(app=SORT, concurrency=400, packing_degree=8), 50, 50, 0.296),
+        # Fleet exhaustion: the 17th search found the fleet full.
+        ({"fleet_servers": 1, "sched_search_s": 0.0},
+         BurstSpec(app=SORT, concurrency=200), 16, 17, 0.034000000000000016),
+    ],
+    ids=["billed-timeout", "fleet-exhausted"],
+)
+def test_aborted_burst_counts_its_search_in_flight(
+    overrides, spec, placed, searches, search_sum
+):
+    profile = AWS_LAMBDA.with_overrides(**overrides)
+    platform = ServerlessPlatform(profile, seed=5, telemetry=TelemetryConfig())
+    with pytest.raises(RuntimeError):
+        platform.run_burst(spec, repetition=0)
+    samples = _samples(platform.telemetry, "propack_sched_")
+    assert samples["propack_sched_placements_total"] == placed
+    assert samples["propack_sched_search_seconds_count"] == searches
+    assert samples["propack_sched_search_seconds_sum"] == search_sum
+
+
+def test_search_families_accumulate_over_a_session():
+    """A cold, a packed and a waved burst on one platform: each burst's
+    cold attempts search from k=0 on their own scheduler, into one
+    histogram; warm reuses never search."""
+    platform = ServerlessPlatform(AWS_LAMBDA, seed=2023, telemetry=TelemetryConfig())
+    specs = [
+        BurstSpec(app=SORT, concurrency=300),
+        BurstSpec(app=SORT, concurrency=600, packing_degree=6),
+        BurstSpec(app=SORT, concurrency=400, packing_degree=2, wave_size=50),
+    ]
+    results = [platform.run_burst(spec, repetition=i) for i, spec in enumerate(specs)]
+    cold = [int(np.count_nonzero(~r.table.warm_start)) for r in results]
+    assert cold == [300, 100, 50]
+    expected = Histogram(SEARCH_BUCKETS)
+    for n in cold:
+        for k in range(n):
+            expected.observe(AWS_LAMBDA.sched_base_s + AWS_LAMBDA.sched_search_s * k)
+    samples = _samples(platform.telemetry, "propack_sched_")
+    assert samples.pop("propack_sched_placements_total") == 450
+    assert samples.pop("propack_sched_search_seconds_count") == 450 == expected.count
+    assert samples.pop("propack_sched_search_seconds_sum") == 9.063999999999998
+    assert expected.sum == 9.063999999999998
+    assert list(samples.values()) == expected.cumulative()  # the buckets
+
+
+def test_sharded_scheduler_exports_no_search_families():
+    profile = AWS_LAMBDA.with_overrides(scheduler_shards=4)
+    platform = ServerlessPlatform(profile, seed=2023, telemetry=TelemetryConfig())
+    platform.run_burst(BurstSpec(app=SORT, concurrency=500, packing_degree=2))
+    assert not _samples(platform.telemetry, "propack_sched_")
+    assert _samples(platform.telemetry, "propack_burst_instances_total")
 
 
 def test_kernel_path_and_fallback_reason():
