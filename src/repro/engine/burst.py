@@ -399,8 +399,12 @@ class BurstDispatchKernel(DispatchKernel):
         retry_delay: float,
         hedged: bool = False,
     ) -> None:
-        """Admit one attempt of ``chain``, or bounce it off the throttle."""
-        if chain.satisfied:
+        """Admit one attempt of ``chain``, or bounce it off the throttle.
+
+        A final rejection loses the chain, unless the attempt is a hedge:
+        then only the hedge is dropped, and its primary runs on.
+        """
+        if chain.satisfied or chain.lost:
             return
         if self.bucket is not None:
             verdict = self.throttle_gate(chain, self.sim.now)
@@ -409,6 +413,8 @@ class BurstDispatchKernel(DispatchKernel):
                 if self._tel is not None:
                     self._tel.on_throttled(chain.chain_id, chain.throttle_tries)
                 if verdict.rejected:
+                    if hedged:
+                        return
                     self._stats.throttle_rejections_final += 1
                     chain.lost = True
                     self._lost_functions += chain.n_packed
@@ -419,6 +425,8 @@ class BurstDispatchKernel(DispatchKernel):
                     verdict.wait_s, self._admit, chain, attempt, retry_delay, hedged
                 )
                 return
+        if hedged:
+            self._stats.hedged_attempts += 1
         record = InstanceRecord(
             instance_id=len(self._records),
             n_packed=chain.n_packed,
@@ -612,11 +620,8 @@ class BurstDispatchKernel(DispatchKernel):
         self.sim.schedule(threshold, self._launch_hedge, chain, record)
 
     def _launch_hedge(self, chain: AttemptChain, primary: InstanceRecord) -> None:
-        if chain.satisfied or chain.lost:
-            return
         if primary.instance_id not in self._inflight:
             return  # the primary already crashed; the retry path owns recovery
-        self._stats.hedged_attempts += 1
         self._admit(chain, attempt=primary.attempt, retry_delay=0.0, hedged=True)
 
     def _schedule_timeout(self, server: Server, record: InstanceRecord) -> None:

@@ -71,9 +71,10 @@ _ADMITTED = ThrottleVerdict(admitted=True)
 class DispatchCosts:
     """The warm/cold latency and billing treatment of one dispatch path.
 
-    Centralizing these constants is what keeps warm-reuse semantics from
-    drifting between consumers (the warm-parity property test drives both
-    burst wave reuse and serving warm-pool hits through this object).
+    The serving loop routes every dispatch through it. A burst's wave
+    reuse applies the same treatment on its own (a warm start pays
+    ``warm_dispatch_s`` and bills no cold init); the warm-parity property
+    test checks those records against this object.
     """
 
     cold_start_s: float
@@ -187,24 +188,6 @@ class DispatchKernel:
     def fresh_retry(self) -> Optional[RetryPolicy]:
         """A stateless-fresh copy of the resolved retry policy (per chain)."""
         return None if self.retry_policy is None else self.retry_policy.fresh()
-
-    def fork(self, label: str) -> "DispatchKernel":
-        """Clone seam for shadow replay.
-
-        Returns an independent kernel with the same scenario, retry policy,
-        and profile failure rate, on a child RNG family derived from
-        ``label`` via :meth:`RandomStreams.spawn`. Spawning consumes no
-        draws from the parent's streams, so forking mid-run never perturbs
-        the live simulation — the same seed with and without forks produces
-        bit-identical live output — while the fork itself is fully
-        deterministic given (seed, label).
-        """
-        return DispatchKernel(
-            self.rng.spawn(label),
-            scenario=self.scenario,
-            retry_policy=self.retry_policy,
-            profile_failure_rate=self.profile_failure_rate,
-        )
 
     # ------------------------------------------------------------------ #
     # Chain management

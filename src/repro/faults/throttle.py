@@ -22,8 +22,6 @@ class TokenBucket:
         self.refill_per_s = refill_per_s
         self._tokens = float(capacity)
         self._last = 0.0
-        self.admitted = 0
-        self.rejected = 0
 
     def _refill(self, now: float) -> None:
         if now < self._last:
@@ -44,9 +42,7 @@ class TokenBucket:
         self._refill(now)
         if self._tokens >= 1.0:
             self._tokens -= 1.0
-            self.admitted += 1
             return True
-        self.rejected += 1
         return False
 
     def seconds_until_token(self, now: float) -> float:

@@ -27,7 +27,8 @@ Example (the built-in ``quickstart`` spec)::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Union
 
@@ -41,6 +42,28 @@ def _check_name(kind: str, name: str) -> str:
             "(letters, digits, '-', '_', '.')"
         )
     return name
+
+
+def _integer(where: str, value: Any) -> int:
+    """``value`` as an int, or a ``ValueError`` naming ``where``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
+
+
+def _fields_of(cls: type, where: str, payload: Any, required: tuple[str, ...]) -> dict:
+    """A JSON object as ``cls``'s keyword arguments, or a ``ValueError``
+    naming ``where`` and the first unknown or missing key."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{where} must be a JSON object (got {payload!r})")
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"{where}: missing {missing[0]!r}")
+    return dict(payload)
 
 
 @dataclass(frozen=True)
@@ -58,6 +81,17 @@ class SweepStage:
         _check_name("stage", self.name)
         if not self.target:
             raise ValueError(f"{self.name}: stage needs a target")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"{self.name}: params must be a JSON object")
+        for what, values in (
+            ("seeds", self.seeds), ("depends_on", self.depends_on),
+            *self.axes.items(),
+        ):
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(
+                    f"{self.name}: {what!r} must be a list of values "
+                    f"(got {values!r})"
+                )
         if not self.seeds:
             raise ValueError(f"{self.name}: stage needs at least one seed")
         if self.name in self.depends_on:
@@ -65,7 +99,9 @@ class SweepStage:
         object.__setattr__(
             self, "axes", {k: tuple(v) for k, v in self.axes.items()}
         )
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(
+            _integer(f"{self.name}: seeds", s) for s in self.seeds
+        ))
         object.__setattr__(self, "depends_on", tuple(self.depends_on))
         for axis, values in self.axes.items():
             if not values:
@@ -100,11 +136,26 @@ class CampaignSpec:
         names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise ValueError("duplicate stage names")
-        known = set(names)
+        known, declared = set(names), set()
         for stage in self.stages:
             missing = [d for d in stage.depends_on if d not in known]
             if missing:
                 raise ValueError(f"{stage.name}: unknown dependencies {missing}")
+            later = [d for d in stage.depends_on if d not in declared]
+            if later:
+                # The planner expands stages in order, so this also rules
+                # out a dependency cycle.
+                raise ValueError(
+                    f"{stage.name}: depends on {later}, declared after it "
+                    "(a stage must follow its dependencies)"
+                )
+            declared.add(stage.name)
+        object.__setattr__(
+            self, "parallelism", _integer("parallelism", self.parallelism)
+        )
+        object.__setattr__(
+            self, "max_retries", _integer("max_retries", self.max_retries)
+        )
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.max_retries < 0:
@@ -128,24 +179,16 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
-        data = dict(payload)
-        stages = tuple(
-            SweepStage(
-                name=s["name"],
-                target=s["target"],
-                params=dict(s.get("params", {})),
-                axes={k: tuple(v) for k, v in s.get("axes", {}).items()},
-                seeds=tuple(s.get("seeds", (2023,))),
-                depends_on=tuple(s.get("depends_on", ())),
-            )
-            for s in data.get("stages", ())
+        """Build a spec from its JSON form; a ``ValueError`` names the first
+        bad field (an unknown or missing key, a malformed value)."""
+        data = _fields_of(cls, "campaign", payload, ("name",))
+        data["stages"] = tuple(
+            SweepStage(**_fields_of(
+                SweepStage, f"stage {i}", stage, ("name", "target")
+            ))
+            for i, stage in enumerate(data.get("stages", ()))
         )
-        return cls(
-            name=data["name"],
-            stages=stages,
-            parallelism=int(data.get("parallelism", 1)),
-            max_retries=int(data.get("max_retries", 1)),
-        )
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":

@@ -61,10 +61,6 @@ class DecentralizedScheduler:
         ]
         self._cursor = 0
 
-    @property
-    def placements_made(self) -> int:
-        return sum(shard.placements_made for shard in self._shards)
-
     def request_placement(
         self,
         cores: int,

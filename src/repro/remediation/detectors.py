@@ -1,11 +1,11 @@
-"""Detectors: turn telemetry streams into typed :class:`Detection` events.
+"""Detectors: turn the live run's health signals into typed
+:class:`Detection` events.
 
 Detectors are the loop's senses. Each one watches a single failure
 signature through the :class:`LoopView` — an immutable per-tick snapshot
-the serving port assembles from its own counters, the metrics registry,
-and the circuit-breaker bank — and, where a live telemetry session is
-present, subscribes to the EventBus for per-event evidence (crash events
-carry their fault domain since this PR).
+the serving port assembles from the run's own counters and its
+circuit-breaker bank. A telemetry session is never read, so a run detects,
+proposes and acts the same with and without one.
 
 All detector state is plain Python updated only inside ``observe``; no
 randomness is drawn, so detections are byte-deterministic per seed and the
@@ -79,9 +79,6 @@ class Detector(abc.ABC):
 
     def reset(self) -> None:
         """Clear cross-tick state (called by the loop at run start)."""
-
-    def bind(self, session) -> None:
-        """Attach to a telemetry session's bus/registry (optional)."""
 
     @abc.abstractmethod
     def observe(self, view: LoopView) -> list[Detection]:
@@ -207,12 +204,9 @@ class BreakerFlapDetector(Detector):
 class DomainPoisonDetector(Detector):
     """One fault domain absorbs a disproportionate share of crashes.
 
-    Subscribes to ``dispatch.crash`` events on the telemetry bus when a
-    session is live (the events carry their fault domain); otherwise falls
-    back to the port's cumulative per-domain crash counters. Either way the
-    decision rule is the same: a domain with ``crash_threshold`` crashes
-    inside the sliding window, holding at least ``share`` of the window's
-    total, is flagged for quarantine.
+    Reads the port's cumulative per-domain crash counters: a domain with
+    ``crash_threshold`` crashes inside the sliding window, holding at least
+    ``share`` of the window's total, is flagged for quarantine.
     """
 
     name = "domain-poisoning"
@@ -233,38 +227,12 @@ class DomainPoisonDetector(Detector):
         self.window_ticks = int(window_ticks)
         self.share = float(share)
         self._history: deque[tuple[int, ...]] = deque(maxlen=window_ticks + 1)
-        self._bus_counts: Optional[dict[int, int]] = None
-        self._unsubscribe = None
 
     def reset(self) -> None:
         self._history.clear()
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        self._bus_counts = None
-
-    def bind(self, session) -> None:
-        if session is None:
-            return
-        counts: dict[int, int] = {}
-
-        def on_crash(event) -> None:
-            domain = dict(event.fields).get("domain", -1)
-            if domain is not None and domain >= 0:
-                counts[domain] = counts.get(domain, 0) + 1
-
-        self._bus_counts = counts
-        self._unsubscribe = session.bus.subscribe(on_crash, kind="dispatch.crash")
-
-    def _cumulative(self, view: LoopView) -> tuple[int, ...]:
-        if self._bus_counts is not None:
-            return tuple(
-                self._bus_counts.get(d, 0) for d in range(view.n_domains)
-            )
-        return view.crashes_by_domain
 
     def observe(self, view: LoopView) -> list[Detection]:
-        cumulative = self._cumulative(view)
+        cumulative = view.crashes_by_domain
         self._history.append(cumulative)
         oldest = self._history[0]
         deltas = [now - then for then, now in zip(oldest, cumulative)]

@@ -3,15 +3,16 @@
 :class:`RemediationLoop` is the conductor. The serving loop hands it a
 *port* (see :class:`RemediationPort`) — a narrow adapter over the live
 run exposing read-only health signals, the actuation knobs, the materials
-for shadow snapshots, and a fork seam for deterministic shadow seeds. On
-every tick the loop:
+for shadow snapshots, and deterministic shadow seeds. On every tick the
+loop:
 
 1. checks applied actions for post-apply regression and rolls back,
 2. asks each detector for anomalies on this tick's :class:`LoopView`,
 3. maps detections to candidate actions via the proposers,
 4. cooldown-filters, then shadow-verifies each surviving candidate
-   against a baseline replay (both seeded from the live RNG's fork seam,
-   one seed per tick, so comparisons are paired and byte-deterministic),
+   against a baseline replay (both seeded by a child spawned off the live
+   RNG, one seed per tick, so comparisons are paired and
+   byte-deterministic),
 5. lets the risk-ranked scheduler apply the winners.
 
 Every stage appends to the :class:`RemediationReport` timeline, which is
@@ -87,8 +88,6 @@ class RemediationPort(Protocol):
     def live_horizon_s(self) -> float: ...
 
     # --- telemetry ------------------------------------------------------
-    @property
-    def telemetry(self): ...
     def emit(self, stage: str, **fields) -> None: ...
 
 
@@ -284,7 +283,6 @@ class RemediationLoop:
         self._baseline_admission_limit = port.get_admission_limit()
         for detector in self.detectors:
             detector.reset()
-            detector.bind(port.telemetry)
 
     # ------------------------------------------------------------------ #
     def _view(self, now: float) -> LoopView:

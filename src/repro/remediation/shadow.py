@@ -9,8 +9,8 @@ observed arrival rate — and replays a short-horizon serving simulation
 twice: once as-is (the baseline) and once with the candidate action
 overlaid. The action is accepted only if the counterfactual wins.
 
-Determinism: the shadow seed comes from ``DispatchKernel.fork`` on the
-live run's RNG streams — spawning derives a child generator family
+Determinism: the shadow seed is spawned off the live run's RNG streams
+(``RandomStreams.spawn``) — spawning derives a child generator family
 *without consuming draws*, so verification is byte-deterministic per seed
 and the live run is bit-identical with the loop on or off (until an action
 is actually applied). Baseline and candidates share one seed per tick, so
@@ -111,8 +111,9 @@ class ShadowVerifier:
         cost_margin: float = 0.02,
         completion_floor: float = 0.5,
     ) -> None:
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        from repro.serving.arrivals import check_horizon
+
+        check_horizon(horizon_s)
         if not 0.0 <= completion_floor <= 1.0:
             raise ValueError("completion_floor must be in [0, 1]")
         self.horizon_s = float(horizon_s)

@@ -2,10 +2,10 @@
 
 This package is the protection layer the long-horizon serving loop
 (:mod:`repro.serving`) runs behind: admission controllers shed excess
-arrivals with exact per-priority accounting, per-fault-domain circuit
-breakers quarantine crash-looping dispatch targets, and a brownout
-controller degrades gracefully (deeper packing first, then low-priority
-shedding) when the windowed SLO breaches. See ``docs/RESILIENCE.md``.
+arrivals by priority class, per-fault-domain circuit breakers quarantine
+crash-looping dispatch targets, and a brownout controller degrades
+gracefully (deeper packing first, then low-priority shedding) when the
+windowed SLO breaches. See ``docs/RESILIENCE.md``.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +18,6 @@ from repro.resilience.admission import (
     NORMAL,
     PRIORITY_NAMES,
     AdmissionController,
-    AdmissionStats,
     AIMDAdmission,
     ConcurrencyLimitAdmission,
     PriorityMix,
@@ -66,7 +65,6 @@ __all__ = [
     "N_PRIORITIES",
     "PRIORITY_NAMES",
     "AdmissionController",
-    "AdmissionStats",
     "AIMDAdmission",
     "ConcurrencyLimitAdmission",
     "PriorityMix",

@@ -23,16 +23,17 @@ queue depth and in-flight dispatch count:
   breach, TCP-style, so the limit converges to what the platform can
   actually sustain.
 
-Every controller records exact accounting — ``admitted + shed ==
-arrivals`` bit-for-bit, per priority class — via :class:`AdmissionStats`;
-the property suite asserts the identity for every policy and seed.
+A controller only decides. The serving run that asks it keeps the one
+account of what was decided, in its
+:class:`~repro.serving.service.ResilienceReport`: ``admitted + shed ==
+arrivals`` bit-for-bit, per priority class.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -74,42 +75,12 @@ class PriorityMix:
         return LOW
 
 
-@dataclass
-class AdmissionStats:
-    """Exact admit/shed accounting for one serving run."""
-
-    arrivals: int = 0
-    admitted: int = 0
-    shed_by_priority: list[int] = field(
-        default_factory=lambda: [0] * N_PRIORITIES
-    )
-
-    @property
-    def shed(self) -> int:
-        return sum(self.shed_by_priority)
-
-    def record(self, priority: int, admitted: bool) -> None:
-        self.arrivals += 1
-        if admitted:
-            self.admitted += 1
-        else:
-            self.shed_by_priority[priority] += 1
-
-    def conserved(self) -> bool:
-        """The identity every controller must maintain."""
-        return self.arrivals == self.admitted + self.shed
-
-    def signature(self) -> tuple:
-        return (self.arrivals, self.admitted, tuple(self.shed_by_priority))
-
-
 class AdmissionController(abc.ABC):
-    """Admit-or-shed decisions with mandatory exact accounting."""
+    """Admit-or-shed decisions, optionally mirrored into a metrics registry."""
 
     name = "admission"
 
     def __init__(self) -> None:
-        self.stats = AdmissionStats()
         self._metrics: Optional["MetricsRegistry"] = None
 
     def bind_metrics(self, registry: "MetricsRegistry") -> None:
@@ -125,9 +96,8 @@ class AdmissionController(abc.ABC):
     def decide(
         self, now: float, priority: int, queue_depth: int, in_flight: int
     ) -> bool:
-        """:meth:`admit` plus the accounting entry (the serving loop's API)."""
+        """:meth:`admit` plus its metrics mirror (the serving loop's API)."""
         verdict = self.admit(now, priority, queue_depth, in_flight)
-        self.stats.record(priority, verdict)
         if self._metrics is not None:
             self._metrics.counter(
                 "propack_admission_decisions_total",

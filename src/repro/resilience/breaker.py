@@ -166,7 +166,6 @@ class CircuitBreakerBank:
         self.breakers = [
             CircuitBreaker(rng=rng, **breaker_kwargs) for _ in range(n_domains)
         ]
-        self.poisoned: set[int] = set()
         self.quarantined: set[int] = set()
         self._rotor = 0
         self._quarantined_gauge = None
@@ -238,13 +237,6 @@ class CircuitBreakerBank:
             self.breakers[domain].record_success(now)
         else:
             self.breakers[domain].record_failure(now)
-
-    def poison(self, domain: int) -> None:
-        """Mark a domain persistently faulty (every dispatch there crashes)."""
-        self.poisoned.add(domain)
-
-    def is_poisoned(self, domain: int) -> bool:
-        return domain in self.poisoned
 
     # ------------------------------------------------------------------ #
     # Administrative quarantine (remediation actuation seam)

@@ -65,9 +65,7 @@ class BrownoutController:
         self.level = 0
         self.max_level_seen = 0
         self.escalations = 0
-        self.recoveries = 0
         self._healthy_streak = 0
-        self.transitions: list[tuple[float, int, int]] = []
         self._level_gauge = None
         self._shift_ctr = None
         self._recover_ctr = None
@@ -101,7 +99,6 @@ class BrownoutController:
         if self._breached(violation_fraction, backlog):
             self._healthy_streak = 0
             if self.level < self.max_level:
-                self.transitions.append((now, self.level, self.level + 1))
                 self.level += 1
                 self.escalations += 1
                 self.max_level_seen = max(self.max_level_seen, self.level)
@@ -110,9 +107,7 @@ class BrownoutController:
         else:
             self._healthy_streak += 1
             if self.level > 0 and self._healthy_streak >= self.recover_ticks:
-                self.transitions.append((now, self.level, self.level - 1))
                 self.level -= 1
-                self.recoveries += 1
                 self._healthy_streak = 0
                 if self._recover_ctr is not None:
                     self._recover_ctr.inc()

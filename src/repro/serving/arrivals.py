@@ -36,6 +36,17 @@ from repro.sim.randomness import RandomStreams
 ARRIVAL_STREAM = "arrivals"
 
 
+def check_horizon(horizon_s: float) -> None:
+    """Raise ``ValueError`` unless ``horizon_s`` is finite and positive.
+
+    The one horizon check of every sampler, of a serving run and of the
+    shadow verifier: a NaN horizon passes ``horizon_s <= 0``, and an
+    infinite one cannot be sampled.
+    """
+    if not (math.isfinite(horizon_s) and horizon_s > 0.0):
+        raise ValueError(f"horizon_s must be finite and positive (got {horizon_s})")
+
+
 class ArrivalProcess(abc.ABC):
     """A reproducible generator of absolute arrival times."""
 
@@ -62,8 +73,7 @@ class PoissonProcess(ArrivalProcess):
         return self.rate_per_s
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        check_horizon(horizon_s)
         gen = streams.stream(ARRIVAL_STREAM)
         block = max(64, int(self.rate_per_s * horizon_s * 1.1) + 1)
         chunks: list[np.ndarray] = []
@@ -98,8 +108,7 @@ class InhomogeneousPoissonProcess(ArrivalProcess):
         return self.max_rate_per_s / 2.0  # subclasses set the exact value
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        check_horizon(horizon_s)
         gen = streams.stream(ARRIVAL_STREAM)
         block = max(64, int(self.max_rate_per_s * horizon_s * 1.1) + 1)
         accepted: list[np.ndarray] = []
@@ -188,8 +197,7 @@ class MarkovModulatedProcess(ArrivalProcess):
         ) / total
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        check_horizon(horizon_s)
         state_gen = streams.stream("mmpp/state")
         arrival_gen = streams.stream(ARRIVAL_STREAM)
         times: list[float] = []
@@ -261,8 +269,7 @@ class AzureTraceProcess(ArrivalProcess):
         return self.rate_per_function_per_s * self.n_functions * tail_mean
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        check_horizon(horizon_s)
         rates = self.rate_per_function_per_s * streams.pareto_factors(
             "azure/rates", self.tail_alpha, self.n_functions, self.tail_cap
         )
@@ -305,6 +312,7 @@ class SuperposedProcess(ArrivalProcess):
         return sum(p.mean_rate_per_s for p in self.processes)
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
+        check_horizon(horizon_s)
         parts = [
             p.sample(streams.spawn(f"superpose/{i}"), horizon_s)
             for i, p in enumerate(self.processes)

@@ -39,15 +39,18 @@ class QuantileDigest:
     def count(self) -> int:
         return len(self._values)
 
+    def values(self) -> np.ndarray:
+        """A copy of every value added so far, in the order added."""
+        return np.array(self._values, dtype=float)
+
     def quantile(self, p: float) -> float:
         """The ⌈p·n⌉-th smallest value added so far."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {p}")
         if not self._values:
             raise ValueError("no observations")
-        column = np.array(self._values, dtype=float)
         return float(
-            np.quantile(column, p, method="inverted_cdf", overwrite_input=True)
+            np.quantile(self.values(), p, method="inverted_cdf", overwrite_input=True)
         )
 
 

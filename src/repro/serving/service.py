@@ -58,7 +58,7 @@ from repro.platform.billing import BillingModel
 from repro.platform.metrics import ExpenseBreakdown
 from repro.platform.providers import PlatformProfile
 from repro.resilience import NORMAL, N_PRIORITIES, ResiliencePolicy
-from repro.serving.arrivals import ArrivalProcess
+from repro.serving.arrivals import ArrivalProcess, check_horizon
 from repro.serving.controller import OnlineReplanner, StreamingPolicy
 from repro.serving.quantiles import QuantileDigest, WindowedSLOTracker
 from repro.serving.warmpool import WarmPool
@@ -360,8 +360,7 @@ class ServingSimulator:
         repetition: int = 0,
     ) -> ServingResult:
         """Serve every *admitted* arrival in ``[0, horizon_s)`` to completion."""
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        check_horizon(horizon_s)
         return _ServingRun(self, process, policy, horizon_s, repetition).execute()
 
 
@@ -420,8 +419,6 @@ class _ServingRun:
         if scenario is not None:
             for domain in scenario.initially_poisoned:
                 self.poisoned_at.setdefault(domain, 0.0)
-                if self.breakers is not None:
-                    self.breakers.poison(domain)
         self.costs = DispatchCosts(
             self.cfg.cold_start_s,
             self.cfg.warm_dispatch_s,
@@ -493,8 +490,6 @@ class _ServingRun:
         heal = self.owner.scenario.poison_heal_s
         if heal is not None and now >= poisoned_since + heal:
             del self.poisoned_at[domain]
-            if self.breakers is not None:
-                self.breakers.poisoned.discard(domain)
             return False
         return True
 
@@ -702,8 +697,6 @@ class _ServingRun:
         self._bill(ad, max(0.0, now - ad.exec_start), wasted=True)
         if persistent and ad.domain is not None:
             self.poisoned_at.setdefault(ad.domain, now)
-            if self.breakers is not None:
-                self.breakers.poison(ad.domain)
         if ad.domain is not None and self.breakers is not None:
             self.breakers.record(ad.domain, False, now)
         # The sandbox died: the instance never returns to the warm pool.
@@ -805,7 +798,7 @@ class _ServingRun:
         Applied actions may change the packing degree or pool capacity, so
         batch formation is re-checked afterwards exactly as a control tick
         does. The loop itself draws no live RNG (shadow replays run on
-        forked streams), so an idle loop leaves the run bit-identical.
+        spawned streams), so an idle loop leaves the run bit-identical.
         """
         self.remedy.tick(self.sim.now)
         while len(self.waiting) >= self._effective_degree():
@@ -813,12 +806,19 @@ class _ServingRun:
 
     # ---------------------------------------------------------------- #
     def execute(self) -> ServingResult:
-        owner, cfg, result = self.owner, self.cfg, self.result
+        result = self.result
         if len(self.arrivals) == 0:
-            result.expense = owner._billing.serving_expense(0.0, 0, 0.0)
-            if self.remedy is not None:
-                result.remediation = self.remedy.report
-            return result
+            result.expense = self.owner._billing.serving_expense(0.0, 0, 0.0)
+        else:
+            self._serve()
+        if self.remedy is not None:
+            result.remediation = self.remedy.report
+        if self.tel is not None:
+            self.tel.record_run(result)
+        return result
+
+    def _serve(self) -> None:
+        owner, cfg, result = self.owner, self.cfg, self.result
         self.sim.schedule_sorted(self.arrivals, self.on_arrival)
         ticking = (
             owner.controller is not None
@@ -879,9 +879,6 @@ class _ServingRun:
             result.idle_gb_seconds,
             egress_gb=result.resilience.retry_egress_gb,
         )
-        if self.remedy is not None:
-            result.remediation = self.remedy.report
-        return result
 
 
 class _RemediationPort:
@@ -1017,19 +1014,15 @@ class _RemediationPort:
         return self._run.owner.exec_model.predict(max(1, int(degree)))
 
     def shadow_seed(self, label: str) -> int:
-        """Deterministic shadow seed off the live kernel's fork seam —
+        """Deterministic shadow seed spawned off the live run's streams —
         spawning consumes no parent draws, so the live run is unperturbed."""
-        return self._run.kernel.fork(label).rng.seed
+        return self._run.rng.spawn(label).seed
 
     @property
     def live_horizon_s(self) -> float:
         return self._run.horizon_s
 
     # --- telemetry ------------------------------------------------------ #
-    @property
-    def telemetry(self):
-        return self._run.owner.telemetry
-
     def emit(self, stage: str, **fields) -> None:
         if self._run.tel is not None:
             self._run.tel.on_remediation(stage, **fields)

@@ -20,7 +20,8 @@ Policies decide how long an idle instance is kept:
 
 :class:`WarmPool` is the mechanism: it tracks idle instances, accrues
 idle seconds for billing, reuses LIFO (the hottest instance first, so the
-rest age toward eviction), and reports reuse/eviction counters.
+rest age toward eviction), and counts evictions. Whether a dispatch was
+warm is :meth:`WarmPool.acquire`'s answer; the serving run counts those.
 """
 
 from __future__ import annotations
@@ -157,10 +158,7 @@ class _IdleEntry:
 class PoolStats:
     """Lifetime counters of one warm pool."""
 
-    reuses: int = 0
-    cold_starts: int = 0
     evictions: int = 0
-    immediate_releases: int = 0  # TTL 0: never entered the pool
     idle_seconds: float = 0.0    # warm-idle time, billed at the keep-alive rate
 
 
@@ -212,17 +210,14 @@ class WarmPool:
             entry = self._idle.pop()  # LIFO: reuse the hottest instance
             gap = now - entry.idle_since
             self.stats.idle_seconds += gap
-            self.stats.reuses += 1
             self.policy.observe_reuse(gap)
             return True
-        self.stats.cold_starts += 1
         return False
 
     def release(self, now: float) -> None:
         """An instance finished executing and is eligible to stay warm."""
         ttl = self.policy.keep_alive_s()
         if ttl <= 0.0:
-            self.stats.immediate_releases += 1
             return
         self._idle.append(_IdleEntry(idle_since=now, expires_at=now + ttl))
         if self._capacity is not None:
@@ -239,13 +234,6 @@ class WarmPool:
         for entry in self._idle:
             self.stats.idle_seconds += max(0.0, now - entry.idle_since)
         self._idle.clear()
-
-    @property
-    def warm_fraction(self) -> float:
-        total = self.stats.reuses + self.stats.cold_starts
-        if total == 0:
-            return 0.0
-        return self.stats.reuses / total
 
 
 def pool_size_for(rate_per_s: float, exec_seconds: float, degree: int,

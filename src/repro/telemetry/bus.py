@@ -53,7 +53,6 @@ class EventBus:
     def __init__(self) -> None:
         self._by_kind: dict[str, list[Subscriber]] = {}
         self._all: list[Subscriber] = []
-        self.published = 0
         #: Bumped on every (un)subscribe. Hot-loop publishers cache their
         #: per-kind "anyone listening?" verdicts against this instead of
         #: re-asking :meth:`has_kind_subscribers` per event (see
@@ -84,7 +83,6 @@ class EventBus:
     def publish(self, kind: str, time: float, **fields: Any) -> TelemetryEvent:
         """Build and dispatch one event; returns it for chaining/testing."""
         event = TelemetryEvent(kind, time, tuple(sorted(fields.items())))
-        self.published += 1
         for fn in self._by_kind.get(kind, ()):
             fn(event)
         for fn in self._all:

@@ -2,11 +2,12 @@
 
 The burst kernel and the serving loop stay almost telemetry-free: each
 holds an optional instrumentation object behind an ``is not None`` guard.
-The serving loop calls cheap, well-named hooks (``on_dispatch``,
-``on_complete``, …) as things happen. A burst reports its attempts once,
-when it ends, from its finished record table
-(:meth:`BurstInstrumentation.record_burst`); only its chain-level moments
-(retries, 429 bounces, hedges, lost chains) are hooks. All span
+Both report once, when they end, from their finished record: a burst
+from its record table (:meth:`BurstInstrumentation.record_burst`), a
+serving run from its result (:meth:`ServingInstrumentation.record_run`).
+The hooks called as things happen report what that record does not hold:
+a burst's chain-level moments (retries, 429 bounces, hedges, lost chains),
+and a serving run's spans, instants, bus and audit events. All span
 bookkeeping, metric registration, and bus publishing lives here, so the
 hot paths pay exactly one attribute check when telemetry is off.
 
@@ -328,16 +329,22 @@ class BurstInstrumentation:
 
 
 class ServingInstrumentation:
-    """Per-run tracing + metrics, driven by the serving loop's hooks.
+    """Per-run tracing + metrics for
+    :class:`~repro.serving.service.ServingSimulator`.
 
-    Besides the tracer/metrics adapters, every hook also offers an
-    ``audit.*`` event to the bus — but only when something subscribed to
-    that kind *specifically*. The "is any auditor attached?" verdict is
-    precomputed once per run (and re-derived only when the bus's
-    subscription set changes, at the latest on the next control tick), so
-    sessions without a chaos :class:`~repro.chaos.auditor.InvariantAuditor`
-    pay one attribute load per hook — no field-dict allocation, no bus
-    lookup — and publish nothing, keeping JSONL exports byte-identical.
+    The serving counters and the sojourn histogram are written once, when
+    the run ends, from its result (:meth:`record_run`). The hooks the loop
+    calls as things happen report spans, instants and bus events, and keep
+    two live metrics: the backlog gauge and the remediation counter.
+
+    Every hook also offers an ``audit.*`` event to the bus — but only when
+    something subscribed to that kind *specifically*. The "is any auditor
+    attached?" verdict is precomputed once per run (and re-derived only
+    when the bus's subscription set changes, at the latest on the next
+    control tick), so sessions without a chaos
+    :class:`~repro.chaos.auditor.InvariantAuditor` pay one attribute load
+    per hook — no field-dict allocation, no bus lookup — and publish
+    nothing, keeping JSONL exports byte-identical.
     """
 
     def __init__(
@@ -466,17 +473,37 @@ class ServingInstrumentation:
             bus.publish(kind, self._now(), **fields)
 
     # ------------------------------------------------------------------ #
+    def record_run(self, result) -> None:
+        """Write the run's counters from its finished
+        :class:`~repro.serving.service.ServingResult`.
+
+        Each counter is a field of the result or of its
+        :class:`~repro.serving.service.ResilienceReport`. The digest keeps
+        every sojourn in completion order, so one ``observe_many`` over its
+        column equals one ``observe`` per completed request, to the last bit
+        of the sum.
+        """
+        if not self._m:
+            return
+        m, rep = self._m, result.resilience
+        m["arrivals"].inc(rep.arrivals)
+        m["admitted"].inc(rep.admitted)
+        m["shed"]["admission"].inc(rep.shed_admission)
+        m["shed"]["brownout"].inc(rep.shed_brownout)
+        m["warm"].inc(result.warm_dispatches)
+        m["cold"].inc(result.cold_dispatches)
+        m["completed"].inc(result.n_completed)
+        m["failed"].inc(rep.failed_requests)
+        m["crashes"]["independent"].inc(rep.crashes)
+        m["crashes"]["correlated"].inc(rep.correlated_kills)
+        m["retries"].inc(rep.retries)
+        m["throttled"].inc(rep.throttled_attempts)
+        m["sojourn"].observe_many(result.digest.values())
+
     def on_arrival(self, verdict: str) -> None:
         """``verdict`` is 'admitted', 'shed-admission', or 'shed-brownout'."""
         if self._audit_on:
             self._audit("audit.arrival", verdict=verdict)
-        if not self._m:
-            return
-        self._m["arrivals"].inc()
-        if verdict == "admitted":
-            self._m["admitted"].inc()
-        else:
-            self._m["shed"][verdict.removeprefix("shed-")].inc()
 
     def on_dispatch(
         self, dispatch_id: int, batch_size: int, warm: bool, domain: Optional[int]
@@ -487,8 +514,6 @@ class ServingInstrumentation:
                 dispatch=dispatch_id, batch=batch_size, warm=warm,
                 domain=-1 if domain is None else domain,
             )
-        if self._m:
-            self._m["warm" if warm else "cold"].inc()
         if self.tracer is None:
             return
         self._dispatches[dispatch_id] = self.tracer.start_span(
@@ -519,11 +544,6 @@ class ServingInstrumentation:
                 exec_s=-1.0 if exec_s is None else exec_s,
                 billed_s=-1.0 if billed_s is None else billed_s,
             )
-        if self._m:
-            self._m["completed"].inc(len(sojourns))
-            hist = self._m["sojourn"]
-            for sojourn in sojourns:
-                hist.observe(sojourn)
         if self.tracer is not None:
             self._end_dispatch(dispatch_id, "ok")
 
@@ -536,8 +556,6 @@ class ServingInstrumentation:
                 dispatch=dispatch_id, correlated=correlated,
                 domain=-1 if domain is None else domain,
             )
-        if self._m:
-            self._m["crashes"]["correlated" if correlated else "independent"].inc()
         if self.tracer is not None:
             self._end_dispatch(dispatch_id, "crash")
         if self.bus is not None:
@@ -550,22 +568,16 @@ class ServingInstrumentation:
     def on_retry(self, batch_size: int, delay: float) -> None:
         if self._audit_on:
             self._audit("audit.retry", batch=batch_size, delay_s=delay)
-        if self._m:
-            self._m["retries"].inc()
         if self.tracer is not None:
             self.tracer.instant("retry", "fault", batch=batch_size, delay_s=delay)
 
     def on_throttled(self) -> None:
         if self._audit_on:
             self._audit("audit.throttled")
-        if self._m:
-            self._m["throttled"].inc()
 
     def on_fail_batch(self, batch_size: int) -> None:
         if self._audit_on:
             self._audit("audit.fail", batch=batch_size)
-        if self._m:
-            self._m["failed"].inc(batch_size)
         if self.bus is not None:
             self.bus.publish("batch.failed", self._now(), batch=batch_size)
 

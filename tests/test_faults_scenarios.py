@@ -150,6 +150,26 @@ def test_exhausted_throttle_retries_lose_functions():
     assert completed_functions(result) + result.lost_functions == 200
 
 
+@pytest.mark.parametrize("capacity", [100, 110])
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_a_throttle_rejected_hedge_drops_only_itself(seed, capacity):
+    """A hedge's final 429 loses the hedge, not its group: the primary keeps
+    running, and only admitted hedges count as hedged attempts."""
+    quota = FaultScenario(
+        straggler_rate=0.3,
+        throttle_capacity=capacity,
+        throttle_refill_per_s=1e-6,
+        throttle_max_retries=0,
+    )
+    result = run(
+        quota, seed=seed, concurrency=200, packing_degree=2, hedge=HedgePolicy()
+    )
+    stats = result.fault_stats
+    assert stats.throttled_attempts > 0
+    assert completed_functions(result) + result.lost_functions == 200
+    assert stats.hedged_attempts == sum(r.hedged for r in result.records)
+
+
 # --------------------------------------------------------------------- #
 # Stragglers
 # --------------------------------------------------------------------- #

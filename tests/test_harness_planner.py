@@ -89,6 +89,37 @@ def test_spec_rejects_bad_shapes():
         SweepStage(name="a", target="burst", seeds=())
 
 
+def test_spec_rejects_a_dependency_cycle():
+    with pytest.raises(ValueError, match="declared after it"):
+        CampaignSpec(
+            name="x",
+            stages=(
+                SweepStage(name="a", target="burst", depends_on=("b",)),
+                SweepStage(name="b", target="burst", depends_on=("a",)),
+            ),
+        )
+
+
+_STAGE = {"name": "a", "target": "burst", "axes": {"concurrency": [8, 16]}}
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"stages": [_STAGE]}, "'name'"),
+        ({"name": "x", "stages": [{"name": "a"}]}, "'target'"),
+        ({"name": "x", "stages": [{**_STAGE, "axes": {"concurrency": 16}}]},
+         "concurrency"),
+        ({"name": "x", "stages": [{**_STAGE, "seeds": [1.5]}]}, "seeds"),
+        ({"name": "x", "stages": [{**_STAGE, "typo_axes": {}}]}, "typo_axes"),
+    ],
+    ids=["no-name", "no-target", "scalar-axis", "float-seed", "unknown-key"],
+)
+def test_from_dict_names_the_bad_field(payload, field):
+    with pytest.raises(ValueError, match=field):
+        CampaignSpec.from_dict(payload)
+
+
 # --------------------------------------------------------------------- #
 # Planning
 # --------------------------------------------------------------------- #

@@ -310,6 +310,12 @@ def _score(att, cost, completed=100):
     )
 
 
+@pytest.mark.parametrize("horizon_s", [float("nan"), float("inf"), 0.0])
+def test_verifier_rejects_a_non_finite_or_non_positive_horizon(horizon_s):
+    with pytest.raises(ValueError, match="horizon_s"):
+        ShadowVerifier(horizon_s=horizon_s)
+
+
 def test_verifier_rule_accepts_attainment_gain():
     v = ShadowVerifier()
     ok, reason = v._rule(_score(0.5, 0.002), _score(0.6, 0.002))
@@ -516,15 +522,22 @@ def test_initially_poisoned_domains_start_poisoned():
     assert run.n_requests == clean.n_requests  # arrivals share the seed
 
 
-def test_kernel_fork_consumes_no_live_draws():
-    from repro.engine.kernel import DispatchKernel
+def test_shadow_seed_consumes_no_live_draws():
+    from repro.serving.service import _RemediationPort, _ServingRun
     from repro.sim.randomness import RandomStreams
 
-    a = DispatchKernel(RandomStreams(SEED), scenario=_scenario())
-    b = DispatchKernel(RandomStreams(SEED), scenario=_scenario())
-    child = a.fork("shadow/1")
-    # Forking derives a child family without consuming parent draws.
+    def live_run():
+        return _ServingRun(
+            _simulator(_loop()), PoissonProcess(1.5),
+            StreamingPolicy(degree=4, batch_timeout_s=2.0), 600.0, 0,
+        )
+
+    a, b = live_run(), live_run()
+    port = _RemediationPort(a)
+    seed = port.shadow_seed("shadow/1")
+    # The seed is spawned off the run's streams without drawing from them.
     assert a.rng.stream("probe").random() == b.rng.stream("probe").random()
-    # Same label -> same child seed; different labels diverge.
-    assert child.rng.seed == b.fork("shadow/1").rng.seed
-    assert child.rng.seed != b.fork("shadow/2").rng.seed
+    assert seed == RandomStreams(SEED).spawn("serving/r0").spawn("shadow/1").seed
+    # Same label -> same seed; different labels diverge.
+    assert seed == _RemediationPort(b).shadow_seed("shadow/1")
+    assert seed != port.shadow_seed("shadow/2")

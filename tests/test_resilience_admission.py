@@ -1,17 +1,15 @@
-"""Admission controllers: decisions, accounting, and priority ordering."""
+"""Admission controllers: decisions and priority ordering."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.chaos import check_admission_conservation
 from repro.resilience import (
     HIGH,
     LOW,
     NORMAL,
     AIMDAdmission,
-    AdmissionStats,
     ConcurrencyLimitAdmission,
     PriorityMix,
     TokenBucketAdmission,
@@ -48,26 +46,6 @@ class TestPriorityMix:
         assert all(mix.draw(gen) == LOW for _ in range(50))
 
 
-class TestAdmissionStats:
-    def test_conservation_identity(self):
-        stats = AdmissionStats()
-        gen = np.random.default_rng(5)
-        for _ in range(500):
-            stats.record(int(gen.integers(3)), bool(gen.random() < 0.6))
-        assert not check_admission_conservation(stats)
-        assert stats.arrivals == 500
-        assert stats.admitted + stats.shed == 500
-
-    def test_shed_tracked_per_priority(self):
-        stats = AdmissionStats()
-        stats.record(HIGH, False)
-        stats.record(LOW, False)
-        stats.record(LOW, False)
-        stats.record(NORMAL, True)
-        assert stats.shed_by_priority == [1, 0, 2]
-        assert stats.shed == 3
-
-
 class TestUnbounded:
     def test_admits_everything(self):
         ctl = UnboundedAdmission()
@@ -76,7 +54,6 @@ class TestUnbounded:
             for t in (0.0, 1.0)
             for p in (HIGH, NORMAL, LOW)
         )
-        assert ctl.stats.shed == 0
         assert ctl.concurrency_limit == math.inf
 
 
@@ -85,7 +62,6 @@ class TestConcurrencyLimit:
         ctl = ConcurrencyLimitAdmission(limit=10, priority_watermarks=(1.0, 1.0, 1.0))
         assert ctl.decide(0.0, HIGH, queue_depth=4, in_flight=5)
         assert not ctl.decide(0.0, HIGH, queue_depth=5, in_flight=5)
-        assert not check_admission_conservation(ctl.stats)
 
     def test_low_priority_sheds_first(self):
         ctl = ConcurrencyLimitAdmission(limit=10, priority_watermarks=(1.0, 0.9, 0.7))
@@ -109,7 +85,6 @@ class TestTokenBucket:
                                    reserve_fractions=(0.0, 0.0, 0.0))
         verdicts = [ctl.decide(0.0, HIGH, 0, 0) for _ in range(7)]
         assert verdicts == [True] * 5 + [False] * 2
-        assert ctl.stats.shed == 2
 
     def test_refill_restores_admission(self):
         ctl = TokenBucketAdmission(capacity=2, refill_per_s=1.0,
@@ -166,7 +141,6 @@ class TestAIMD:
         assert not ctl.decide(0.0, HIGH, 4, 4)
         ctl.observe_window(1.0, 1.0)  # halve to 4
         assert not ctl.decide(1.0, HIGH, 2, 2)
-        assert not check_admission_conservation(ctl.stats)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

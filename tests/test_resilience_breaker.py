@@ -147,10 +147,23 @@ class TestCircuitBreakerBank:
         assert bank.earliest_retry(5.0) == pytest.approx(10.0)
 
     def test_poison_tracking(self):
-        bank = CircuitBreakerBank(n_domains=2)
-        assert not bank.is_poisoned(0)
-        bank.poison(0)
-        assert bank.is_poisoned(0)
+        """A poisoned domain (every dispatch there fails) is tracked by its
+        breaker alone: traffic routes around it while it is open, and each
+        failed probe re-opens it for twice as long."""
+        bank = CircuitBreakerBank(n_domains=2, failure_threshold=1,
+                                  recovery_s=10.0, jitter=0.0)
+        now = 0.0
+        bank.record(0, success=False, now=now)
+        pauses = []
+        for _ in range(3):
+            deadline = bank.breakers[0].open_until
+            pauses.append(deadline - now)
+            assert bank.pick((now + deadline) / 2) == 1
+            now = deadline
+            assert bank.pick(now) == 0  # the half-open probe...
+            bank.record(0, success=False, now=now)  # ...fails again
+        assert pauses == [10.0, 20.0, 40.0]
+        assert bank.flaps_by_domain() == [3, 0]
 
     def test_transition_log_sorted_across_domains(self):
         bank = CircuitBreakerBank(n_domains=2, failure_threshold=1,

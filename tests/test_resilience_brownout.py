@@ -52,7 +52,7 @@ class TestBrownoutController:
         assert b.observe(5.0, 0.0, 0) == 1
         assert b.observe(6.0, 0.0, 0) == 1
         assert b.observe(7.0, 0.0, 0) == 0
-        assert b.recoveries == 2
+        assert (b.escalations, b.max_level_seen) == (2, 2)
 
     def test_breach_resets_healthy_streak(self):
         b = BrownoutController(recover_ticks=2, max_level=1)
@@ -65,12 +65,21 @@ class TestBrownoutController:
         assert b.level == 0
 
     def test_transitions_logged(self):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
         b = BrownoutController(recover_ticks=1)
-        b.observe(0.0, 1.0, 0)
-        b.observe(1.0, 0.0, 0)
-        assert b.transitions == [(0.0, 0, 1), (1.0, 1, 0)]
+        b.bind_metrics(registry)
+        assert [b.observe(0.0, 1.0, 0), b.observe(1.0, 0.0, 0)] == [1, 0]
         assert b.escalations == 1
-        assert b.recoveries == 1
+        shifts = {
+            direction: registry.get(
+                "propack_brownout_shifts_total", direction=direction
+            ).value
+            for direction in ("escalate", "recover")
+        }
+        assert shifts == {"escalate": 1, "recover": 1}
+        assert registry.get("propack_brownout_level").value == 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,23 @@ def test_poisson_rejects_bad_horizon():
         PoissonProcess(1.0).sample(rng(), 0.0)
 
 
+@pytest.mark.parametrize("horizon_s", [float("nan"), float("inf"), 0.0, -5.0])
+@pytest.mark.parametrize(
+    "process",
+    [
+        PoissonProcess(2.0),
+        DiurnalProcess(2.0, amplitude=0.8, period_s=600.0),
+        MarkovModulatedProcess(4.0, 0.5, 30.0, 60.0),
+        AzureTraceProcess(0.05, n_functions=10, period_s=600.0),
+        SuperposedProcess([PoissonProcess(1.0), PoissonProcess(0.5)]),
+    ],
+    ids=["poisson", "diurnal", "mmpp", "azure", "superposed"],
+)
+def test_sample_rejects_a_non_finite_or_non_positive_horizon(process, horizon_s):
+    with pytest.raises(ValueError, match="horizon_s"):
+        process.sample(rng(), horizon_s)
+
+
 def test_diurnal_validation():
     with pytest.raises(ValueError):
         DiurnalProcess(0.0)

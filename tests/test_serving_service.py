@@ -77,6 +77,12 @@ def test_rejects_bad_horizon():
         make_simulator().run(PoissonProcess(1.0), POLICY, 0.0)
 
 
+@pytest.mark.parametrize("horizon_s", [math.nan, math.inf, -1.0])
+def test_run_rejects_a_non_finite_or_negative_horizon(horizon_s):
+    with pytest.raises(ValueError, match="horizon_s"):
+        make_simulator().run(PoissonProcess(1.0), POLICY, horizon_s)
+
+
 def test_every_request_is_served_once():
     result = make_simulator().run(PoissonProcess(2.0), POLICY, 600.0)
     assert result.n_requests > 0

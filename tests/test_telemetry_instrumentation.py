@@ -36,7 +36,7 @@ from repro.serving import (
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import EventBus, TelemetryConfig, parse_prometheus_text
-from repro.telemetry.instruments import SEARCH_BUCKETS
+from repro.telemetry.instruments import SEARCH_BUCKETS, SOJOURN_BUCKETS
 from repro.telemetry.metrics import Histogram
 from repro.workloads import SORT, XAPIAN
 
@@ -436,6 +436,40 @@ def test_breakdown_uses_phase_durations():
 # --------------------------------------------------------------------- #
 # Serving instrumentation
 # --------------------------------------------------------------------- #
+def _assert_serving_samples_are_the_result(session, run):
+    """Every ``propack_serving_*`` sample is a field of the finished result,
+    except the backlog gauge (the depth at the last control tick); the
+    sojourn histogram holds the digest's sojourns in completion order."""
+    rep = run.resilience
+    samples = _samples(session, "propack_serving_")
+    del samples["propack_serving_backlog_depth"]
+    sojourn = {
+        k: samples.pop(k) for k in list(samples)
+        if k.startswith("propack_serving_sojourn_seconds")
+    }
+    assert samples == {
+        "propack_serving_arrivals_total": rep.arrivals,
+        "propack_serving_admitted_total": rep.admitted,
+        'propack_serving_shed_total{source="admission"}': rep.shed_admission,
+        'propack_serving_shed_total{source="brownout"}': rep.shed_brownout,
+        'propack_serving_dispatches_total{start="cold"}': run.cold_dispatches,
+        'propack_serving_dispatches_total{start="warm"}': run.warm_dispatches,
+        "propack_serving_requests_completed_total": run.n_completed,
+        "propack_serving_requests_failed_total": rep.failed_requests,
+        'propack_serving_crashes_total{kind="independent"}': rep.crashes,
+        'propack_serving_crashes_total{kind="correlated"}': rep.correlated_kills,
+        "propack_serving_retries_total": rep.retries,
+        "propack_serving_throttled_total": rep.throttled_attempts,
+    }
+    expected = Histogram(SOJOURN_BUCKETS)
+    for value in run.digest.values():
+        expected.observe(value)
+    assert sojourn["propack_serving_sojourn_seconds_count"] == run.n_completed
+    assert sojourn["propack_serving_sojourn_seconds_sum"] == expected.sum
+    exported = session.registry.get("propack_serving_sojourn_seconds")
+    assert exported.counts == expected.counts
+
+
 def test_serving_run_instrumented_under_overload():
     config = ServingConfig()
     scenario = FaultScenario(
@@ -468,18 +502,15 @@ def test_serving_run_instrumented_under_overload():
         PoissonProcess(4.0), StreamingPolicy(degree=6, batch_timeout_s=4.0),
         900.0,
     )
+    _assert_serving_samples_are_the_result(sim.telemetry, run)
     samples = parse_prometheus_text(sim.telemetry.prometheus_text())
     assert samples["propack_serving_arrivals_total"] == run.n_requests
-    assert samples["propack_serving_requests_completed_total"] == run.n_completed
-    shed = sum(v for k, v in samples.items()
-               if k.startswith("propack_serving_shed_total"))
     admission_shed = sum(
         v for k, v in samples.items()
         if k.startswith("propack_admission_decisions_total")
         and 'verdict="shed"' in k
     )
-    assert shed == run.n_requests - samples["propack_serving_admitted_total"]
-    assert admission_shed == resilience.admission.stats.shed
+    assert admission_shed == run.resilience.shed_admission
     assert samples["propack_breaker_transitions_total"] == (
         resilience.breakers.n_transitions
     )
@@ -489,6 +520,53 @@ def test_serving_run_instrumented_under_overload():
     # dispatch spans closed for every completion and crash
     spans = sim.telemetry.tracer.finished("dispatch")
     assert len(spans) >= run.resilience.crashes
+
+
+def test_serving_samples_are_the_result_under_a_storm():
+    """A storm that moves every serving counter: both kinds of shedding,
+    429 bounces and drops, independent and correlated crashes, retries."""
+    config = ServingConfig(qos_sojourn_s=20.0)
+    scenario = FaultScenario(
+        name="storm", crash_rate=0.08, persistent_fraction=0.05,
+        poison_heal_s=900.0, throttle_capacity=5, throttle_refill_per_s=0.25,
+        throttle_max_retries=2, straggler_rate=0.005, correlated_bursts=3,
+        correlated_fraction=0.5, correlated_window_s=600.0,
+    )
+    seed = 7
+    sim = ServingSimulator(
+        GOOGLE_CLOUD_FUNCTIONS, XAPIAN,
+        ExecutionTimeModel(
+            coeff_a=XAPIAN.base_seconds, coeff_b=0.03, mem_gb=XAPIAN.mem_gb
+        ),
+        pool=WarmPool(FixedTTL(60.0)), config=config,
+        resilience=ResiliencePolicy(
+            admission=ConcurrencyLimitAdmission(limit=40),
+            breakers=CircuitBreakerBank(
+                n_domains=config.fault_domains,
+                rng=np.random.default_rng(seed),
+                failure_threshold=3, recovery_s=60.0,
+            ),
+            brownout=BrownoutController(
+                violation_threshold=0.02,
+                backlog_threshold=config.backlog_threshold,
+                degree_boost=1.25,
+            ),
+        ),
+        scenario=scenario,
+        retry_policy=ExponentialBackoffRetry(max_retries=3),
+        seed=seed, telemetry=TelemetryConfig(),
+    )
+    run = sim.run(
+        PoissonProcess(4.0), StreamingPolicy(degree=6, batch_timeout_s=4.0),
+        900.0,
+    )
+    rep = run.resilience
+    assert min(
+        rep.shed_admission, rep.shed_brownout, rep.failed_requests, rep.crashes,
+        rep.correlated_kills, rep.retries, rep.throttled_attempts,
+        run.cold_dispatches, run.warm_dispatches,
+    ) > 0
+    _assert_serving_samples_are_the_result(sim.telemetry, run)
 
 
 # --------------------------------------------------------------------- #
@@ -529,7 +607,7 @@ def test_trace_recorder_public_api_preserved():
     assert sum(recorder.summary().values()) == 3
 
 
-def _remediated_serving(telemetry):
+def _remediated_serving(telemetry, seed=SEED):
     """A faulted serving run under the remediation loop."""
     from repro.remediation import RemediationConfig, RemediationLoop
 
@@ -549,20 +627,21 @@ def _remediated_serving(telemetry):
             admission=ConcurrencyLimitAdmission(limit=64),
             breakers=CircuitBreakerBank(
                 n_domains=config.fault_domains,
-                rng=np.random.default_rng(SEED),
+                rng=np.random.default_rng(seed),
                 failure_threshold=5, recovery_s=45.0,
             ),
         ),
         scenario=scenario,
         retry_policy=ExponentialBackoffRetry(max_retries=3),
-        seed=SEED,
+        seed=seed,
         telemetry=telemetry,
         remediation=RemediationLoop(RemediationConfig(
             tick_interval_s=60.0, shadow_horizon_s=120.0
         )),
     )
     events = []
-    sim.telemetry.bus.subscribe(events.append)
+    if sim.telemetry is not None:
+        sim.telemetry.bus.subscribe(events.append)
     run = sim.run(
         PoissonProcess(1.5), StreamingPolicy(degree=4, batch_timeout_s=2.0),
         900.0,
@@ -587,7 +666,7 @@ def test_remediation_loop_instrumented():
     kinds = {e.kind for e in events if e.kind.startswith("remediation.")}
     assert "remediation.detection" in kinds
     assert "remediation.apply" in kinds
-    # Crash events carry their fault domain for the poison detector.
+    # Crash events carry their fault domain.
     crash_domains = [
         dict(e.fields).get("domain")
         for e in events if e.kind == "dispatch.crash"
@@ -595,9 +674,22 @@ def test_remediation_loop_instrumented():
     assert crash_domains and all(d is not None for d in crash_domains)
 
 
+@pytest.mark.parametrize("seed, poisonings", [(1, 6), (7, 3), (11, 6), (2023, 2)])
+def test_remediated_run_does_not_depend_on_telemetry(seed, poisonings):
+    """The loop reads the run's own counters, so a session changes nothing:
+    not the result, not its report, not one detection or action."""
+    _, observed, _ = _remediated_serving(TelemetryConfig(), seed)
+    _, plain, _ = _remediated_serving(None, seed)
+    assert observed.signature() == plain.signature()
+    assert observed.resilience.signature() == plain.resilience.signature()
+    assert observed.remediation.signature() == plain.remediation.signature()
+    detections = plain.remediation.detections
+    assert sum(d.kind == "domain-poisoning" for d in detections) == poisonings
+
+
 def test_serving_bus_events_do_not_depend_on_tracing():
     """Crash, failed-batch and remediation events reach the bus with
-    tracing off, so the bus-fed poison detector sees the same crashes."""
+    tracing off."""
     traced, _, _ = _remediated_serving(TelemetryConfig())
     untraced, _, untraced_events = _remediated_serving(TelemetryConfig(tracing=False))
     assert untraced.telemetry.tracer is None

@@ -1,10 +1,12 @@
 """Warm-reuse parity across subsystems (property-based).
 
 The burst invoker's wave-mode reuse and the serving layer's WarmPool hits
-must give a warm dispatch the same treatment, because both route it
-through the engine's :class:`~repro.engine.DispatchCosts`: a warm start
-pays exactly the warm dispatch latency (no placement, no cold pipeline)
-and is billed for execution seconds only — never the cold-init surcharge.
+must give a warm dispatch the same treatment: a warm start pays exactly
+the warm dispatch latency (no placement, no cold pipeline) and is billed
+for execution seconds only — never the cold-init surcharge. Serving
+routes every dispatch through the engine's
+:class:`~repro.engine.DispatchCosts`; the burst applies the treatment on
+its own, so its warm records are checked against a ``DispatchCosts``.
 """
 
 from hypothesis import given, settings
