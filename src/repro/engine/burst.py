@@ -228,11 +228,7 @@ class BurstDispatchKernel(DispatchKernel):
             platform_default=ImmediateRetry(self.profile.max_retries),
         )
         self._retry_policy = self.fresh_retry()
-        self.configure_faults(
-            spec.scenario,
-            self.profile.failure_rate,
-            metrics=self._tel.registry if self._tel is not None else None,
-        )
+        self.configure_faults(spec.scenario, self.profile.failure_rate)
 
         provisioned = spec.provisioned_mb or self.profile.max_memory_mb
         if provisioned > self.profile.max_memory_mb:
@@ -316,7 +312,7 @@ class BurstDispatchKernel(DispatchKernel):
         if self._tel is not None:
             self._tel.record_burst(
                 table, invoked_at, kernel_path, self._fallback_reason,
-                self._search_costs(),
+                self._search_costs(), self.injector,
             )
         return RunResult(
             platform_name=self.profile.name,
@@ -341,8 +337,17 @@ class BurstDispatchKernel(DispatchKernel):
         return scheduler.base_cost_s, scheduler.search_cost_s
 
     def _finalize_stats(self, billing: BillingModel, table: RecordTable) -> None:
-        """Billed and wasted GB-seconds of the executed attempts, summed in
-        record order."""
+        """The fault counters the table holds, and the billed and wasted
+        GB-seconds of the executed attempts, summed in record order.
+
+        The retry, throttle and lost counts are chain events, not rows, and
+        stay live counters."""
+        stats = self._stats
+        stats.crashed_attempts = int(np.count_nonzero(table.failed))
+        stats.correlated_crashes = int(np.count_nonzero(table.correlated))
+        stats.timed_out_attempts = int(np.count_nonzero(table.timed_out))
+        stats.hedged_attempts = int(np.count_nonzero(table.hedged))
+        stats.hedge_wins = int(np.count_nonzero(table.hedged & table.successful()))
         seconds = table.exec_end - table.exec_start  # NaN where either is unset
         executed = ~np.isnan(seconds)
         gbs = (
@@ -351,7 +356,6 @@ class BurstDispatchKernel(DispatchKernel):
             / 1024.0
         )
         wasted = ~table.successful()[executed]  # crashed, timed out or cancelled
-        stats = self._stats
         stats.total_billed_gb_seconds = sequential_sum(gbs, stats.total_billed_gb_seconds)
         stats.wasted_billed_gb_seconds = sequential_sum(
             gbs[wasted], stats.wasted_billed_gb_seconds
@@ -384,7 +388,7 @@ class BurstDispatchKernel(DispatchKernel):
                 # Records still on the simulator clock: no offset to add.
                 self._tel.record_burst(
                     RecordTable.from_records(self._records), 0.0, "event",
-                    self._fallback_reason, self._search_costs(),
+                    self._fallback_reason, self._search_costs(), self.injector,
                 )
             raise
         return self.collect()
@@ -425,8 +429,6 @@ class BurstDispatchKernel(DispatchKernel):
                     verdict.wait_s, self._admit, chain, attempt, retry_delay, hedged
                 )
                 return
-        if hedged:
-            self._stats.hedged_attempts += 1
         record = InstanceRecord(
             instance_id=len(self._records),
             n_packed=chain.n_packed,
@@ -634,7 +636,6 @@ class BurstDispatchKernel(DispatchKernel):
         self._inflight.pop(record.instance_id, None)
         record.exec_end = self.sim.now
         record.timed_out = True
-        self._stats.timed_out_attempts += 1
         self._release(server)
         chain = self._chain_for(record)
         chain.untrack(record.instance_id)
@@ -673,9 +674,6 @@ class BurstDispatchKernel(DispatchKernel):
         record.exec_end = self.sim.now
         record.failed = True
         self._release(server)  # the crash destroys the container
-        self._stats.crashed_attempts += 1
-        if record.correlated:
-            self._stats.correlated_crashes += 1
         chain = self._chain_for(record)
         self._refetched_inputs(chain)
         chain.untrack(record.instance_id)
@@ -727,8 +725,6 @@ class BurstDispatchKernel(DispatchKernel):
             self._release(server)
             return
         chain.satisfied = True
-        if record.hedged:
-            self._stats.hedge_wins += 1
         self._cancel_twins(chain, record)
         for app, count in chain.payload.outputs:
             self.store.record_instance(app, count)

@@ -148,7 +148,6 @@ class DispatchKernel:
         scenario: Optional[FaultScenario] = None,
         retry_policy: Optional[RetryPolicy] = None,
         profile_failure_rate: float = 0.0,
-        metrics: Optional[Any] = None,
     ) -> None:
         self.rng = rng
         # Buffered draws are byte-identical to unbuffered draws per stream
@@ -161,7 +160,7 @@ class DispatchKernel:
         self.retry_policy = retry_policy
         self.profile_failure_rate = profile_failure_rate
         self._next_chain_id = 0
-        self.configure_faults(scenario, profile_failure_rate, metrics)
+        self.configure_faults(scenario, profile_failure_rate)
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -170,7 +169,6 @@ class DispatchKernel:
         self,
         scenario: Optional[FaultScenario],
         profile_failure_rate: float = 0.0,
-        metrics: Optional[Any] = None,
     ) -> None:
         """(Re)bind the fault scenario; used by bursts that configure at
         ``begin`` time rather than construction."""
@@ -178,8 +176,6 @@ class DispatchKernel:
         self.profile_failure_rate = profile_failure_rate
         if scenario is not None:
             self.injector = scenario.build_injector(self.rng, profile_failure_rate)
-            if metrics is not None:
-                self.injector.bind_metrics(metrics)
             self.bucket = scenario.build_throttle()
         else:
             self.injector = None

@@ -7,18 +7,18 @@ streams are independent of the execution-noise streams, enabling a fault
 model never perturbs the timing draws of an otherwise-identical run — and
 the same seed plus the same scenario always yields the identical fault
 schedule (asserted by the chaos determinism tests).
+
+The injector counts what it drew — crash verdicts, split by persistence,
+and straggler slowdowns — as plain integers, read once the run has ended.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.faults.scenario import FaultScenario
 from repro.sim.randomness import RandomStreams
-
-if TYPE_CHECKING:  # annotation-only import
-    from repro.telemetry.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,10 @@ class FaultInjector:
         self.scenario = scenario
         self.rng = rng
         self.crash_rate = scenario.effective_crash_rate(profile_failure_rate)
-        self._metrics: Optional["MetricsRegistry"] = None
-
-    def bind_metrics(self, registry: "MetricsRegistry") -> None:
-        """Count the injector's fault draws in a telemetry metrics registry."""
-        self._metrics = registry
+        #: Crash verdicts drawn, transient and persistent, and stragglers.
+        self.transient_crashes = 0
+        self.persistent_crashes = 0
+        self.stragglers = 0
 
     # ------------------------------------------------------------------ #
     def crash_decision(self, poisoned: bool = False) -> Optional[CrashDecision]:
@@ -56,9 +55,8 @@ class FaultInjector:
         """
         stream = self.rng.stream("fault.crash")
         if poisoned:
-            return self._count_crash(
-                CrashDecision(at_fraction=float(stream.random()), persistent=True)
-            )
+            self.persistent_crashes += 1
+            return CrashDecision(at_fraction=float(stream.random()), persistent=True)
         if self.crash_rate <= 0.0:
             return None
         if stream.random() >= self.crash_rate:
@@ -68,16 +66,11 @@ class FaultInjector:
             self.scenario.persistent_fraction > 0.0
             and stream.random() < self.scenario.persistent_fraction
         )
-        return self._count_crash(CrashDecision(at_fraction=at, persistent=persistent))
-
-    def _count_crash(self, decision: CrashDecision) -> CrashDecision:
-        if self._metrics is not None:
-            self._metrics.counter(
-                "propack_fault_crashes_total",
-                help="Crash decisions drawn by the fault injector.",
-                persistent="true" if decision.persistent else "false",
-            ).inc()
-        return decision
+        if persistent:
+            self.persistent_crashes += 1
+        else:
+            self.transient_crashes += 1
+        return CrashDecision(at_fraction=at, persistent=persistent)
 
     def straggler_factor(self) -> float:
         """Multiplicative slowdown for one attempt (1.0 = not a straggler)."""
@@ -87,11 +80,7 @@ class FaultInjector:
         stream = self.rng.stream("fault.straggler")
         if stream.random() >= s.straggler_rate:
             return 1.0
-        if self._metrics is not None:
-            self._metrics.counter(
-                "propack_fault_stragglers_total",
-                help="Straggler slowdowns drawn by the fault injector.",
-            ).inc()
+        self.stragglers += 1
         # 1 + lognormal so a straggler is always strictly slower.
         return 1.0 + float(stream.lognormal(s.straggler_mu, s.straggler_sigma))
 

@@ -162,10 +162,10 @@ class BacklogGrowthDetector(Detector):
 class BreakerFlapDetector(Detector):
     """A breaker keeps failing its half-open probes (flapping).
 
-    Watches the per-domain flap counters (exported to the metrics registry
-    by ``CircuitBreakerBank.bind_metrics`` since this PR) over a sliding
-    window of ticks; a domain whose probes keep failing is broken in a way
-    recovery backoff alone will not cure.
+    Watches the per-domain flap counters (``CircuitBreaker.flaps``, read
+    through the run's port) over a sliding window of ticks; a domain whose
+    probes keep failing is broken in a way recovery backoff alone will not
+    cure.
     """
 
     name = "breaker-flap"

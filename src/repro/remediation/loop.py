@@ -23,6 +23,7 @@ JSONL for the CI artifact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
@@ -108,14 +109,22 @@ class RemediationConfig:
     min_arrival_rate_per_s: float = 0.05  # floor for the observed-rate estimate
 
     def __post_init__(self) -> None:
-        if self.tick_interval_s <= 0.0:
-            raise ValueError("tick_interval_s must be positive")
-        if self.shadow_horizon_s <= 0.0:
-            raise ValueError("shadow_horizon_s must be positive")
+        # NaN passes every comparison below, so finiteness is checked first.
+        positive = ("tick_interval_s", "shadow_horizon_s", "min_arrival_rate_per_s")
+        non_negative = ("cooldown_s", "rollback_window_s", "regression_margin",
+                        "attainment_margin", "cost_margin")
+        for name in positive + non_negative:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
+        for name in positive:
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive (got {getattr(self, name)})")
+        for name in non_negative:
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
         if self.max_detections_per_tick < 1 or self.max_actions_per_tick < 1:
             raise ValueError("per-tick caps must be >= 1")
-        if self.min_arrival_rate_per_s <= 0.0:
-            raise ValueError("min_arrival_rate_per_s must be positive")
 
 
 def _json_safe(value):

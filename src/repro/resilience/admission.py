@@ -26,7 +26,8 @@ queue depth and in-flight dispatch count:
 A controller only decides. The serving run that asks it keeps the one
 account of what was decided, in its
 :class:`~repro.serving.service.ResilienceReport`: ``admitted + shed ==
-arrivals`` bit-for-bit, per priority class.
+arrivals`` bit-for-bit, and per priority class through its
+``admitted_by_priority`` and ``shed_by_priority``.
 """
 
 from __future__ import annotations
@@ -34,14 +35,10 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.faults.throttle import TokenBucket
-
-if TYPE_CHECKING:  # annotation-only import
-    from repro.telemetry.metrics import MetricsRegistry
 
 #: Priority classes, ordered from most to least important. Shedding always
 #: prefers the higher index (lower priority).
@@ -76,36 +73,15 @@ class PriorityMix:
 
 
 class AdmissionController(abc.ABC):
-    """Admit-or-shed decisions, optionally mirrored into a metrics registry."""
+    """Admit-or-shed decisions."""
 
     name = "admission"
-
-    def __init__(self) -> None:
-        self._metrics: Optional["MetricsRegistry"] = None
-
-    def bind_metrics(self, registry: "MetricsRegistry") -> None:
-        """Mirror every decision into a telemetry metrics registry."""
-        self._metrics = registry
 
     @abc.abstractmethod
     def admit(
         self, now: float, priority: int, queue_depth: int, in_flight: int
     ) -> bool:
         """Would a request of ``priority`` be admitted right now?"""
-
-    def decide(
-        self, now: float, priority: int, queue_depth: int, in_flight: int
-    ) -> bool:
-        """:meth:`admit` plus its metrics mirror (the serving loop's API)."""
-        verdict = self.admit(now, priority, queue_depth, in_flight)
-        if self._metrics is not None:
-            self._metrics.counter(
-                "propack_admission_decisions_total",
-                help="Admit/shed verdicts by priority class.",
-                verdict="admitted" if verdict else "shed",
-                priority=PRIORITY_NAMES[priority],
-            ).inc()
-        return verdict
 
     def observe_window(self, now: float, violation_fraction: float) -> None:
         """Feedback hook: the last window's SLO violation fraction."""
@@ -159,7 +135,6 @@ class ConcurrencyLimitAdmission(AdmissionController):
         limit: int,
         priority_watermarks: tuple[float, ...] = (1.0, 0.9, 0.7),
     ) -> None:
-        super().__init__()
         if limit < 1:
             raise ValueError("limit must be >= 1")
         self.limit = int(limit)
@@ -200,7 +175,6 @@ class TokenBucketAdmission(AdmissionController):
         refill_per_s: float,
         reserve_fractions: tuple[float, ...] = (0.0, 0.1, 0.25),
     ) -> None:
-        super().__init__()
         if len(reserve_fractions) != N_PRIORITIES:
             raise ValueError(f"need {N_PRIORITIES} reserve fractions")
         if any(not 0.0 <= r < 1.0 for r in reserve_fractions):
@@ -244,7 +218,6 @@ class AIMDAdmission(AdmissionController):
         breach_threshold: float = 0.02,
         priority_watermarks: tuple[float, ...] = (1.0, 0.9, 0.7),
     ) -> None:
-        super().__init__()
         if not 1 <= min_limit <= initial_limit <= max_limit:
             raise ValueError("need 1 <= min_limit <= initial_limit <= max_limit")
         if additive_step <= 0.0:

@@ -19,12 +19,9 @@ for the regression goldens.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # annotation-only import
-    from repro.telemetry.metrics import MetricsRegistry
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
 
@@ -69,16 +66,12 @@ class CircuitBreaker:
         #: keeps admitting probes into a still-broken domain — the signal
         #: remediation detectors watch for.
         self.flaps = 0
-        #: Optional observer called with ``(now, from_state, to_state)``.
-        self.on_transition: Optional[Callable[[float, str, str], None]] = None
 
     # ------------------------------------------------------------------ #
     def _transition(self, now: float, to: str) -> None:
         self.transitions.append((now, self.state, to))
         if to == OPEN and self.state == HALF_OPEN:
             self.flaps += 1
-        if self.on_transition is not None:
-            self.on_transition(now, self.state, to)
         self.state = to
 
     def _pause(self) -> float:
@@ -168,47 +161,6 @@ class CircuitBreakerBank:
         ]
         self.quarantined: set[int] = set()
         self._rotor = 0
-        self._quarantined_gauge = None
-
-    def bind_metrics(self, registry: "MetricsRegistry") -> None:
-        """Mirror state transitions into a telemetry metrics registry."""
-        transitions = registry.counter(
-            "propack_breaker_transitions_total",
-            help="Circuit-breaker state transitions across fault domains.",
-        )
-        open_gauge = registry.gauge(
-            "propack_breaker_open_domains",
-            help="Fault domains currently in the open state.",
-        )
-        state_changes = {
-            state: registry.counter(
-                "propack_breaker_state_changes_total",
-                help="Circuit-breaker transitions by destination state.",
-                to=state,
-            )
-            for state in (CLOSED, OPEN, HALF_OPEN)
-        }
-        flaps = registry.counter(
-            "propack_breaker_flaps_total",
-            help="Failed half-open probes (half-open → open re-openings).",
-        )
-        self._quarantined_gauge = registry.gauge(
-            "propack_breaker_quarantined_domains",
-            help="Fault domains administratively quarantined.",
-        )
-        self._quarantined_gauge.set(len(self.quarantined))
-
-        def observe(now: float, src: str, dst: str) -> None:
-            transitions.inc()
-            state_changes[dst].inc()
-            if src == HALF_OPEN and dst == OPEN:
-                flaps.inc()
-            delta = (1 if dst == OPEN else 0) - (1 if src == OPEN else 0)
-            if delta:
-                open_gauge.inc(delta)
-
-        for breaker in self.breakers:
-            breaker.on_transition = observe
 
     def __len__(self) -> int:
         return len(self.breakers)
@@ -253,14 +205,10 @@ class CircuitBreakerBank:
         if len(self.quarantined | {domain}) >= len(self.breakers):
             raise ValueError("cannot quarantine the last routable domain")
         self.quarantined.add(domain)
-        if self._quarantined_gauge is not None:
-            self._quarantined_gauge.set(len(self.quarantined))
 
     def release(self, domain: int) -> None:
         """Return a quarantined domain to routing (breaker state untouched)."""
         self.quarantined.discard(domain)
-        if self._quarantined_gauge is not None:
-            self._quarantined_gauge.set(len(self.quarantined))
 
     @property
     def n_transitions(self) -> int:

@@ -25,12 +25,9 @@ whatever policy is live.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.resilience.admission import LOW
-
-if TYPE_CHECKING:  # annotation-only import
-    from repro.telemetry.metrics import MetricsRegistry
 
 #: Human-readable level names, index == level.
 LEVEL_NAMES = ("normal", "boost-packing", "shed-low")
@@ -65,25 +62,8 @@ class BrownoutController:
         self.level = 0
         self.max_level_seen = 0
         self.escalations = 0
+        self.recoveries = 0
         self._healthy_streak = 0
-        self._level_gauge = None
-        self._shift_ctr = None
-        self._recover_ctr = None
-
-    def bind_metrics(self, registry: "MetricsRegistry") -> None:
-        """Mirror level changes into a telemetry metrics registry."""
-        self._level_gauge = registry.gauge(
-            "propack_brownout_level",
-            help="Current brownout degradation level (0 = normal).",
-        )
-        self._shift_ctr = registry.counter(
-            "propack_brownout_shifts_total",
-            help="Brownout level changes by direction.",
-            direction="escalate",
-        )
-        self._recover_ctr = registry.counter(
-            "propack_brownout_shifts_total", direction="recover"
-        )
 
     # ------------------------------------------------------------------ #
     def _breached(self, violation_fraction: float, backlog: int) -> bool:
@@ -102,17 +82,12 @@ class BrownoutController:
                 self.level += 1
                 self.escalations += 1
                 self.max_level_seen = max(self.max_level_seen, self.level)
-                if self._shift_ctr is not None:
-                    self._shift_ctr.inc()
         else:
             self._healthy_streak += 1
             if self.level > 0 and self._healthy_streak >= self.recover_ticks:
                 self.level -= 1
+                self.recoveries += 1
                 self._healthy_streak = 0
-                if self._recover_ctr is not None:
-                    self._recover_ctr.inc()
-        if self._level_gauge is not None:
-            self._level_gauge.set(float(self.level))
         return self.level
 
     # ------------------------------------------------------------------ #

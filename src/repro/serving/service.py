@@ -140,13 +140,17 @@ class ResilienceReport:
     The conservation identity ``arrivals == admitted + shed`` (and
     ``admitted == completed + failed + still-queued == completed + failed``
     once the run drains) is bit-exact under one seed; the property and
-    golden suites pin it.
+    golden suites pin it. ``admitted_by_priority`` and ``shed_by_priority``
+    split ``admitted`` and ``shed`` by priority class.
     """
 
     arrivals: int = 0
     admitted: int = 0
     shed_admission: int = 0
     shed_brownout: int = 0
+    admitted_by_priority: list[int] = field(
+        default_factory=lambda: [0] * N_PRIORITIES
+    )
     shed_by_priority: list[int] = field(
         default_factory=lambda: [0] * N_PRIORITIES
     )
@@ -315,7 +319,13 @@ class _ActiveDispatch:
 
 
 class ServingSimulator:
-    """Simulates sustained service for one app on one platform profile."""
+    """Simulates sustained service for one app on one platform profile.
+
+    A simulator serves one run: its pool, replanner, resilience components
+    and remediation loop keep the state the run left them in, which its
+    result reads, so a second :meth:`run` raises. Build a new simulator,
+    with new components, per run; a telemetry session may span several.
+    """
 
     def __init__(
         self,
@@ -345,10 +355,10 @@ class ServingSimulator:
         #: Optional closed-loop auto-remediation (see repro.remediation):
         #: ticks inside sim time, actuating through _RemediationPort.
         self.remediation = remediation
-        #: One session spans every run; each run is a process band in the
-        #: exported trace and resilience components register their metrics
-        #: into the session registry (see docs/OBSERVABILITY.md).
+        #: The run is a process band in the session's trace and writes its
+        #: metric families once it has ended (see docs/OBSERVABILITY.md).
         self.telemetry = resolve_session(telemetry)
+        self._served = False
         self._billing = BillingModel(profile)
         self._billed_gb = self._billing.billed_memory_mb(profile.max_memory_mb) / 1024.0
 
@@ -359,8 +369,15 @@ class ServingSimulator:
         horizon_s: float,
         repetition: int = 0,
     ) -> ServingResult:
-        """Serve every *admitted* arrival in ``[0, horizon_s)`` to completion."""
+        """Serve every *admitted* arrival in ``[0, horizon_s)`` to completion.
+        A second call raises ``RuntimeError`` (see the class docstring)."""
+        if self._served:
+            raise RuntimeError(
+                "a ServingSimulator serves one run, and its components keep "
+                "its state: build a new simulator, with new components"
+            )
         check_horizon(horizon_s)
+        self._served = True
         return _ServingRun(self, process, policy, horizon_s, repetition).execute()
 
 
@@ -445,12 +462,6 @@ class _ServingRun:
                 f"serving {owner.app.name} "
                 f"{self.result.policy_name}/{self.result.mode} r{repetition}",
             )
-            if session.registry is not None:
-                for component in (
-                    self.admission, self.breakers, self.brownout, self.injector
-                ):
-                    if component is not None:
-                        component.bind_metrics(session.registry)
 
         self.remedy = owner.remediation
         if self.remedy is not None:
@@ -510,7 +521,7 @@ class _ServingRun:
             if self.tel is not None:
                 self.tel.on_arrival("shed-brownout")
             return
-        if self.admission is not None and not self.admission.decide(
+        if self.admission is not None and not self.admission.admit(
             t, priority, len(self.waiting), self.requests_in_flight
         ):
             report.shed_admission += 1
@@ -519,6 +530,7 @@ class _ServingRun:
                 self.tel.on_arrival("shed-admission")
             return
         report.admitted += 1
+        report.admitted_by_priority[priority] += 1
         if self.tel is not None:
             self.tel.on_arrival("admitted")
         self._backlog_touch()
@@ -814,7 +826,7 @@ class _ServingRun:
         if self.remedy is not None:
             result.remediation = self.remedy.report
         if self.tel is not None:
-            self.tel.record_run(result)
+            self.tel.record_run(result, self.owner.resilience, self.injector)
         return result
 
     def _serve(self) -> None:

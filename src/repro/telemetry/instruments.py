@@ -5,6 +5,9 @@ holds an optional instrumentation object behind an ``is not None`` guard.
 Both report once, when they end, from their finished record: a burst
 from its record table (:meth:`BurstInstrumentation.record_burst`), a
 serving run from its result (:meth:`ServingInstrumentation.record_run`).
+The components a run drove — admission, circuit breakers, brownout, the
+fault injector — hold no registry: their families are written at that
+same moment, from the state each component ended the run in.
 The hooks called as things happen report what that record does not hold:
 a burst's chain-level moments (retries, 429 bounces, hedges, lost chains),
 and a serving run's spans, instants, bus and audit events. All span
@@ -51,6 +54,87 @@ SOJOURN_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 15.0,
     30.0, 60.0, 120.0, 300.0, 600.0, 1800.0,
 )
+
+#: Label values of the component families: the resilience layer's priority
+#: classes (by index, lowest priority last) and circuit-breaker states.
+#: Telemetry sits below that layer, so it spells them out here.
+PRIORITY_LABELS: tuple[str, ...] = ("high", "normal", "low")
+BREAKER_STATES: tuple[str, ...] = ("closed", "open", "half-open")
+
+
+def _record_faults(registry: MetricsRegistry, injector) -> None:
+    """The fault injector's draws, one sample per non-zero count."""
+    for persistent, n in (
+        ("false", injector.transient_crashes), ("true", injector.persistent_crashes)
+    ):
+        if n:
+            registry.counter(
+                "propack_fault_crashes_total", persistent=persistent,
+                help="Crash decisions drawn by the fault injector.",
+            ).inc(n)
+    if injector.stragglers:
+        registry.counter(
+            "propack_fault_stragglers_total",
+            help="Straggler slowdowns drawn by the fault injector.",
+        ).inc(injector.stragglers)
+
+
+def _record_admission(registry: MetricsRegistry, report) -> None:
+    """Admission verdicts per priority class, one sample per non-zero count:
+    every admitted request, and every shed one but brownout's (all of the
+    lowest class)."""
+    shed = list(report.shed_by_priority)
+    shed[-1] -= report.shed_brownout
+    for verdict, counts in (("admitted", report.admitted_by_priority), ("shed", shed)):
+        for priority, n in zip(PRIORITY_LABELS, counts):
+            if n:
+                registry.counter(
+                    "propack_admission_decisions_total",
+                    help="Admit/shed verdicts by priority class.",
+                    verdict=verdict, priority=priority,
+                ).inc(n)
+
+
+def _record_breakers(registry: MetricsRegistry, bank) -> None:
+    """A circuit-breaker bank's transitions, flaps and final state. The
+    open-domain gauge sums a session's runs, as their transitions do."""
+    log = bank.transition_log()
+    registry.counter(
+        "propack_breaker_transitions_total",
+        help="Circuit-breaker state transitions across fault domains.",
+    ).inc(len(log))
+    for state in BREAKER_STATES:
+        registry.counter(
+            "propack_breaker_state_changes_total", to=state,
+            help="Circuit-breaker transitions by destination state.",
+        ).inc(sum(1 for *_, dst in log if dst == state))
+    registry.counter(
+        "propack_breaker_flaps_total",
+        help="Failed half-open probes (half-open → open re-openings).",
+    ).inc(bank.n_flaps)
+    registry.gauge(
+        "propack_breaker_open_domains",
+        help="Fault domains currently in the open state.",
+    ).inc(bank.n_open)
+    registry.gauge(
+        "propack_breaker_quarantined_domains",
+        help="Fault domains administratively quarantined.",
+    ).set(len(bank.quarantined))
+
+
+def _record_brownout(registry: MetricsRegistry, brownout) -> None:
+    """A brownout controller's final level and its level changes."""
+    registry.gauge(
+        "propack_brownout_level",
+        help="Current brownout degradation level (0 = normal).",
+    ).set(brownout.level)
+    for direction, n in (
+        ("escalate", brownout.escalations), ("recover", brownout.recoveries)
+    ):
+        registry.counter(
+            "propack_brownout_shifts_total", direction=direction,
+            help="Brownout level changes by direction.",
+        ).inc(n)
 
 
 class BurstInstrumentation:
@@ -137,6 +221,7 @@ class BurstInstrumentation:
         kernel_path: str,
         fallback_reason: Optional[str],
         search_costs: Optional[tuple[float, float]] = None,
+        injector=None,
     ) -> None:
         """Report a burst's attempts from its record table, in one pass.
 
@@ -167,6 +252,9 @@ class BurstInstrumentation:
         for ``base + search·k``. Every cold record whose ``sched_done`` is
         set counts as a placement; on an aborted burst the first unplaced
         cold record was being searched for, and counts as a search too.
+
+        ``injector`` is the burst's fault injector (None without a fault
+        scenario); its draws become the ``propack_fault_*`` samples.
         """
         rid, start, end = table.instance_id, table.exec_start, table.exec_end
         finished = ~np.isnan(end)
@@ -215,6 +303,8 @@ class BurstInstrumentation:
                     "propack_sched_placements_total",
                     help="Placements completed by the scheduling loop.",
                 ).inc(placed)
+            if injector is not None:
+                _record_faults(registry, injector)
         if self.bus is not None:
             failed = np.flatnonzero(table.failed | table.timed_out)
             failed = failed[np.lexsort((rid[failed], end[failed]))]
@@ -371,65 +461,12 @@ class ServingInstrumentation:
             tracer.bind_clock(self._now)
             self.pid = tracer.new_process(name)
         self._dispatches: dict[int, Span] = {}
-        self._m: dict[str, object] = {}
+        self._backlog = None
         if registry is not None:
-            self._m = {
-                "arrivals": registry.counter(
-                    "propack_serving_arrivals_total",
-                    help="Requests offered to the serving loop.",
-                ),
-                "admitted": registry.counter(
-                    "propack_serving_admitted_total",
-                    help="Requests admitted past protection.",
-                ),
-                "shed": {
-                    source: registry.counter(
-                        "propack_serving_shed_total",
-                        help="Requests shed before dispatch, by mechanism.",
-                        source=source,
-                    )
-                    for source in ("admission", "brownout")
-                },
-                "warm": registry.counter(
-                    "propack_serving_dispatches_total",
-                    help="Batch dispatches, by start type.", start="warm",
-                ),
-                "cold": registry.counter(
-                    "propack_serving_dispatches_total", start="cold",
-                ),
-                "completed": registry.counter(
-                    "propack_serving_requests_completed_total",
-                    help="Requests served to completion.",
-                ),
-                "failed": registry.counter(
-                    "propack_serving_requests_failed_total",
-                    help="Admitted requests that were never served.",
-                ),
-                "crashes": {
-                    kind: registry.counter(
-                        "propack_serving_crashes_total",
-                        help="Dispatch crashes, by cause.", kind=kind,
-                    )
-                    for kind in ("independent", "correlated")
-                },
-                "retries": registry.counter(
-                    "propack_serving_retries_total",
-                    help="Batch re-dispatches after crashes.",
-                ),
-                "throttled": registry.counter(
-                    "propack_serving_throttled_total",
-                    help="429-style dispatch bounces.",
-                ),
-                "sojourn": registry.histogram(
-                    "propack_serving_sojourn_seconds",
-                    buckets=SOJOURN_BUCKETS,
-                    help="Per-request sojourn (arrival to completion).",
-                ),
-                "backlog": registry.gauge(
-                    "propack_serving_backlog_depth",
-                    help="Dispatch-queue depth at the last control tick.",
-                ),
-            }
+            self._backlog = registry.gauge(
+                "propack_serving_backlog_depth",
+                help="Dispatch-queue depth at the last control tick.",
+            )
 
     # ------------------------------------------------------------------ #
     def _refresh_audit_gate(self) -> bool:
@@ -473,7 +510,7 @@ class ServingInstrumentation:
             bus.publish(kind, self._now(), **fields)
 
     # ------------------------------------------------------------------ #
-    def record_run(self, result) -> None:
+    def record_run(self, result, resilience=None, injector=None) -> None:
         """Write the run's counters from its finished
         :class:`~repro.serving.service.ServingResult`.
 
@@ -481,24 +518,73 @@ class ServingInstrumentation:
         :class:`~repro.serving.service.ResilienceReport`. The digest keeps
         every sojourn in completion order, so one ``observe_many`` over its
         column equals one ``observe`` per completed request, to the last bit
-        of the sum.
+        of the sum. The admission, breaker, brownout and fault families are
+        read from the run's ``resilience`` policy and fault ``injector``, as
+        the run left them.
         """
-        if not self._m:
+        registry = self._registry
+        if registry is None:
             return
-        m, rep = self._m, result.resilience
-        m["arrivals"].inc(rep.arrivals)
-        m["admitted"].inc(rep.admitted)
-        m["shed"]["admission"].inc(rep.shed_admission)
-        m["shed"]["brownout"].inc(rep.shed_brownout)
-        m["warm"].inc(result.warm_dispatches)
-        m["cold"].inc(result.cold_dispatches)
-        m["completed"].inc(result.n_completed)
-        m["failed"].inc(rep.failed_requests)
-        m["crashes"]["independent"].inc(rep.crashes)
-        m["crashes"]["correlated"].inc(rep.correlated_kills)
-        m["retries"].inc(rep.retries)
-        m["throttled"].inc(rep.throttled_attempts)
-        m["sojourn"].observe_many(result.digest.values())
+        rep, counter = result.resilience, registry.counter
+        counter(
+            "propack_serving_arrivals_total",
+            help="Requests offered to the serving loop.",
+        ).inc(rep.arrivals)
+        counter(
+            "propack_serving_admitted_total",
+            help="Requests admitted past protection.",
+        ).inc(rep.admitted)
+        for source, n in (
+            ("admission", rep.shed_admission), ("brownout", rep.shed_brownout)
+        ):
+            counter(
+                "propack_serving_shed_total", source=source,
+                help="Requests shed before dispatch, by mechanism.",
+            ).inc(n)
+        for start, n in (
+            ("warm", result.warm_dispatches), ("cold", result.cold_dispatches)
+        ):
+            counter(
+                "propack_serving_dispatches_total", start=start,
+                help="Batch dispatches, by start type.",
+            ).inc(n)
+        counter(
+            "propack_serving_requests_completed_total",
+            help="Requests served to completion.",
+        ).inc(result.n_completed)
+        counter(
+            "propack_serving_requests_failed_total",
+            help="Admitted requests that were never served.",
+        ).inc(rep.failed_requests)
+        for kind, n in (
+            ("independent", rep.crashes), ("correlated", rep.correlated_kills)
+        ):
+            counter(
+                "propack_serving_crashes_total", kind=kind,
+                help="Dispatch crashes, by cause.",
+            ).inc(n)
+        counter(
+            "propack_serving_retries_total",
+            help="Batch re-dispatches after crashes.",
+        ).inc(rep.retries)
+        counter(
+            "propack_serving_throttled_total",
+            help="429-style dispatch bounces.",
+        ).inc(rep.throttled_attempts)
+        registry.histogram(
+            "propack_serving_sojourn_seconds",
+            buckets=SOJOURN_BUCKETS,
+            help="Per-request sojourn (arrival to completion).",
+        ).observe_many(result.digest.values())
+        if resilience is not None:
+            if resilience.admission is not None:
+                _record_admission(registry, rep)
+            if resilience.breakers is not None:
+                _record_breakers(registry, resilience.breakers)
+            if resilience.brownout is not None:
+                _record_brownout(registry, resilience.brownout)
+        if injector is not None:
+            _record_faults(registry, injector)
 
     def on_arrival(self, verdict: str) -> None:
         """``verdict`` is 'admitted', 'shed-admission', or 'shed-brownout'."""
@@ -586,8 +672,8 @@ class ServingInstrumentation:
         # so a mid-run (un)subscribe is folded in here at the latest.
         if self._refresh_audit_gate():
             self._audit("audit.tick", backlog=backlog)
-        if self._m:
-            self._m["backlog"].set(backlog)
+        if self._backlog is not None:
+            self._backlog.set(backlog)
         if self.tracer is not None:
             self.tracer.instant(
                 "control-tick", "control",

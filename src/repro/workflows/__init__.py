@@ -8,7 +8,7 @@ applications as DAGs of *stages* — each stage a concurrent burst of one
 application — and plans every stage's packing degree with ProPack:
 
 * :mod:`~repro.workflows.dag` — stage/graph definitions, validation,
-  critical-path analysis (networkx underneath).
+  critical-path analysis (the standard library's ``graphlib`` underneath).
 * :mod:`~repro.workflows.executor` — runs a workflow on a platform, with
   per-stage ProPack packing or the unpacked baseline.
 """

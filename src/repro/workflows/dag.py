@@ -13,9 +13,8 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from repro.workloads.base import AppSpec
 
@@ -26,6 +25,10 @@ class TaskGraph:
     ``edges`` are ``(dependency, dependent)`` pairs: the second task may
     only start once the first has completed. Duplicate names, unknown
     endpoints, self-loops, and cycles are rejected at construction.
+
+    Nodes and edges keep the order they were given in (a repeated edge
+    counts once), and the topological order is generation by generation,
+    each in the order its nodes became ready.
     """
 
     def __init__(
@@ -37,35 +40,45 @@ class TaskGraph:
             raise ValueError("a task graph needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate task names")
-        known = set(nodes)
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(nodes)
+        # Each node's dependencies, as an ordered set (a dict of Nones).
+        self._preds: dict[str, dict[str, None]] = {n: {} for n in nodes}
+        sorter = TopologicalSorter()
+        for node in nodes:
+            sorter.add(node)
         for dep, node in edges:
-            if dep not in known:
+            if dep not in self._preds:
                 raise ValueError(f"{node}: unknown dependency {dep!r}")
-            if node not in known:
+            if node not in self._preds:
                 raise ValueError(f"unknown task {node!r}")
             if dep == node:
                 raise ValueError(f"{node}: a task cannot depend on itself")
-            self.graph.add_edge(dep, node)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            raise ValueError(f"task graph has a cycle: {cycle}")
+            if dep not in self._preds[node]:
+                self._preds[node][dep] = None
+                sorter.add(node, dep)
+        try:
+            self._order = list(sorter.static_order())
+        except CycleError as error:
+            raise ValueError(f"task graph has a cycle: {error.args[1]}") from None
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._preds)
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self.graph))
+        return list(self._order)
 
     def roots(self) -> list[str]:
-        return [n for n in self.graph.nodes if self.graph.in_degree(n) == 0]
+        return [n for n, preds in self._preds.items() if not preds]
 
     def sinks(self) -> list[str]:
-        return [n for n in self.graph.nodes if self.graph.out_degree(n) == 0]
+        deps = {dep for preds in self._preds.values() for dep in preds}
+        return [n for n in self._preds if n not in deps]
+
+    def predecessors(self, name: str) -> list[str]:
+        """``name``'s dependencies, in the order their edges were given."""
+        return list(self._preds[name])
 
     def dependencies(self, name: str) -> list[str]:
-        return sorted(self.graph.predecessors(name))
+        return sorted(self._preds[name])
 
     def ready(self, completed: Iterable[str]) -> list[str]:
         """Tasks whose every dependency is in ``completed``, in topological
@@ -73,9 +86,8 @@ class TaskGraph:
         done = set(completed)
         return [
             n
-            for n in self.topological_order()
-            if n not in done
-            and all(dep in done for dep in self.graph.predecessors(n))
+            for n in self._order
+            if n not in done and all(dep in done for dep in self._preds[n])
         ]
 
 
@@ -113,7 +125,6 @@ class WorkflowGraph:
             [s.name for s in stages],
             [(dep, s.name) for s in stages for dep in s.depends_on],
         )
-        self.graph = self.tasks.graph
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -139,10 +150,10 @@ class WorkflowGraph:
             raise ValueError(f"missing durations for stages: {sorted(missing)}")
         finish: dict[str, float] = {}
         pred: dict[str, str | None] = {}
-        for name in nx.topological_sort(self.graph):
+        for name in self.tasks.topological_order():
             dep_finish = 0.0
             best_pred = None
-            for dep in self.graph.predecessors(name):
+            for dep in self.tasks.predecessors(name):
                 if finish[dep] > dep_finish:
                     dep_finish = finish[dep]
                     best_pred = dep

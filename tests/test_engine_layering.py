@@ -104,6 +104,24 @@ def test_no_lower_layer_imports_fusion():
     )
 
 
+def test_run_components_do_not_import_telemetry():
+    # Admission, breakers, brownout and the fault injector hold no metrics
+    # registry: a run's telemetry writes their families from the state the
+    # run left them in (repro.telemetry.instruments), so turning metrics on
+    # runs no extra code inside them.
+    src_root = ENGINE_DIR.parent
+    offenders = []
+    for layer in ("resilience", "faults"):
+        for path in sorted((src_root / layer).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for module in _imported_modules(tree):
+                if module == "repro.telemetry" or module.startswith("repro.telemetry."):
+                    offenders.append(f"{path.relative_to(src_root)}: {module}")
+    assert not offenders, (
+        f"repro.resilience and repro.faults must not import telemetry: {offenders}"
+    )
+
+
 def test_fusion_does_not_import_chaos():
     # The two top-band subsystems are peers: fusion promotes its fairness
     # invariants *into* chaos.invariants (chaos stays duck-typed), so an

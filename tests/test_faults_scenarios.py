@@ -359,3 +359,38 @@ class TestScenarioSerialization:
         payload["gray_domains"] = "nope"
         with pytest.raises(ValueError, match="gray_domains"):
             FaultScenario.from_dict(payload)
+
+
+# --------------------------------------------------------------------- #
+# One record of a burst's faults
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "scenario, spec_kw, counts",
+    [
+        (FaultScenario(name="chaos", crash_rate=0.3, persistent_fraction=0.2,
+                       straggler_rate=0.1),
+         dict(concurrency=600, packing_degree=2, hedge=HedgePolicy(), wave_size=120,
+              retry_policy=ExponentialBackoffRetry(max_retries=3)),
+         (210, 0, 2, 7, 4)),
+        (FaultScenario(name="throttled-hedged", crash_rate=0.1, straggler_rate=0.2,
+                       throttle_capacity=50, throttle_refill_per_s=20.0,
+                       throttle_max_retries=2, correlated_bursts=2,
+                       correlated_fraction=0.3),
+         dict(concurrency=800, packing_degree=2, hedge=HedgePolicy()),
+         (53, 43, 0, 11, 4)),
+    ],
+    ids=["chaos-hedged-waved", "throttled-hedged-correlated"],
+)
+def test_fault_stats_are_the_table_rows(scenario, spec_kw, counts):
+    """Crashes, correlated crashes, timeouts, hedges and hedge wins are
+    counted from the finished record table (pinned counts: AWS, seed 7)."""
+    result = run(scenario, seed=7, **spec_kw)
+    stats, table = result.fault_stats, result.table
+    assert (stats.crashed_attempts, stats.correlated_crashes,
+            stats.timed_out_attempts, stats.hedged_attempts,
+            stats.hedge_wins) == counts
+    assert stats.crashed_attempts == table.failed.sum()
+    assert stats.correlated_crashes == table.correlated.sum()
+    assert stats.timed_out_attempts == table.timed_out.sum()
+    assert stats.hedged_attempts == table.hedged.sum()
+    assert stats.hedge_wins == (table.hedged & table.successful()).sum()

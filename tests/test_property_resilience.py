@@ -61,7 +61,7 @@ def test_admission_never_exceeds_limit_and_accounts_exactly(kind, limit, seed, n
         outstanding -= int(gen.integers(0, outstanding + 1)) if outstanding else 0
         priority = mix.draw(gen)
         cap = ctl.concurrency_limit
-        if not ctl.decide(now, priority, queue_depth=0, in_flight=outstanding):
+        if not ctl.admit(now, priority, queue_depth=0, in_flight=outstanding):
             shed_by_priority[priority] += 1
         else:
             admitted += 1
@@ -93,8 +93,8 @@ def test_same_seed_same_decisions(kind, limit, seed):
         verdicts = []
         for i in range(100):
             verdicts.append(
-                ctl.decide(0.1 * i, int(gen.integers(3)),
-                           int(gen.integers(10)), int(gen.integers(10)))
+                ctl.admit(0.1 * i, int(gen.integers(3)),
+                          int(gen.integers(10)), int(gen.integers(10)))
             )
             if i % 7 == 0:
                 ctl.observe_window(0.1 * i, float(gen.random()))

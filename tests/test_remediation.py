@@ -7,6 +7,7 @@ rule — and then the assembled loop end-to-end inside a real serving run.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -399,6 +400,25 @@ def _simulator(loop, seed=SEED):
         seed=seed,
         remediation=loop,
     )
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        # Unchecked, a NaN tick interval fails inside the run, naming no field.
+        ("tick_interval_s", math.nan),
+        ("shadow_horizon_s", math.inf),
+        ("cooldown_s", -1.0),
+        ("rollback_window_s", math.nan),
+        ("regression_margin", -0.1),
+        ("attainment_margin", math.nan),
+        ("cost_margin", math.inf),
+        ("min_arrival_rate_per_s", math.nan),
+    ],
+)
+def test_config_rejects_each_bad_field_by_name(name, value):
+    with pytest.raises(ValueError, match=name):
+        RemediationConfig(**{name: value})
 
 
 def _loop():

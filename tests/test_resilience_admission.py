@@ -50,7 +50,7 @@ class TestUnbounded:
     def test_admits_everything(self):
         ctl = UnboundedAdmission()
         assert all(
-            ctl.decide(t, p, 10**6, 10**6)
+            ctl.admit(t, p, 10**6, 10**6)
             for t in (0.0, 1.0)
             for p in (HIGH, NORMAL, LOW)
         )
@@ -60,8 +60,8 @@ class TestUnbounded:
 class TestConcurrencyLimit:
     def test_admits_below_limit_sheds_at_limit(self):
         ctl = ConcurrencyLimitAdmission(limit=10, priority_watermarks=(1.0, 1.0, 1.0))
-        assert ctl.decide(0.0, HIGH, queue_depth=4, in_flight=5)
-        assert not ctl.decide(0.0, HIGH, queue_depth=5, in_flight=5)
+        assert ctl.admit(0.0, HIGH, queue_depth=4, in_flight=5)
+        assert not ctl.admit(0.0, HIGH, queue_depth=5, in_flight=5)
 
     def test_low_priority_sheds_first(self):
         ctl = ConcurrencyLimitAdmission(limit=10, priority_watermarks=(1.0, 0.9, 0.7))
@@ -83,25 +83,25 @@ class TestTokenBucket:
     def test_burst_drains_then_sheds(self):
         ctl = TokenBucketAdmission(capacity=5, refill_per_s=1.0,
                                    reserve_fractions=(0.0, 0.0, 0.0))
-        verdicts = [ctl.decide(0.0, HIGH, 0, 0) for _ in range(7)]
+        verdicts = [ctl.admit(0.0, HIGH, 0, 0) for _ in range(7)]
         assert verdicts == [True] * 5 + [False] * 2
 
     def test_refill_restores_admission(self):
         ctl = TokenBucketAdmission(capacity=2, refill_per_s=1.0,
                                    reserve_fractions=(0.0, 0.0, 0.0))
-        assert ctl.decide(0.0, HIGH, 0, 0)
-        assert ctl.decide(0.0, HIGH, 0, 0)
-        assert not ctl.decide(0.0, HIGH, 0, 0)
-        assert ctl.decide(2.5, HIGH, 0, 0)
+        assert ctl.admit(0.0, HIGH, 0, 0)
+        assert ctl.admit(0.0, HIGH, 0, 0)
+        assert not ctl.admit(0.0, HIGH, 0, 0)
+        assert ctl.admit(2.5, HIGH, 0, 0)
 
     def test_reserve_protects_high_priority(self):
         ctl = TokenBucketAdmission(capacity=10, refill_per_s=1.0,
                                    reserve_fractions=(0.0, 0.0, 0.5))
         # Drain to 4 tokens: low priority needs 1 + 0.5*10 = 6 available.
         for _ in range(6):
-            assert ctl.decide(0.0, HIGH, 0, 0)
-        assert not ctl.decide(0.0, LOW, 0, 0)
-        assert ctl.decide(0.0, HIGH, 0, 0)
+            assert ctl.admit(0.0, HIGH, 0, 0)
+        assert not ctl.admit(0.0, LOW, 0, 0)
+        assert ctl.admit(0.0, HIGH, 0, 0)
 
     def test_reserves_must_not_decrease(self):
         with pytest.raises(ValueError):
@@ -137,10 +137,10 @@ class TestAIMD:
     def test_admit_uses_live_limit(self):
         ctl = AIMDAdmission(initial_limit=8,
                             priority_watermarks=(1.0, 1.0, 1.0))
-        assert ctl.decide(0.0, HIGH, 3, 4)
-        assert not ctl.decide(0.0, HIGH, 4, 4)
+        assert ctl.admit(0.0, HIGH, 3, 4)
+        assert not ctl.admit(0.0, HIGH, 4, 4)
         ctl.observe_window(1.0, 1.0)  # halve to 4
-        assert not ctl.decide(1.0, HIGH, 2, 2)
+        assert not ctl.admit(1.0, HIGH, 2, 2)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -227,26 +227,21 @@ class TestQuarantineAndFlaps:
         bank.quarantine(0)
         assert bank.earliest_retry(1.0) is None
 
-    def test_bind_metrics_exports_transitions_flaps_quarantine(self):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+    def test_bank_keeps_transitions_flaps_quarantine(self):
+        """What a serving run's breaker families are written from, at run
+        end: the transition log, the flap count, the open and the
+        quarantined domains."""
         bank = CircuitBreakerBank(n_domains=2, failure_threshold=1,
                                   recovery_s=10.0, jitter=0.0)
-        bank.bind_metrics(registry)
         bank.record(0, success=False, now=0.0)       # closed -> open
         assert bank.breakers[0].allow(10.5)          # open -> half-open
         bank.record(0, success=False, now=10.5)      # half-open -> open (flap)
         bank.quarantine(1)
-        # Unlabeled aggregate is preserved for existing dashboards.
-        assert registry.get("propack_breaker_transitions_total").value == 3
-        assert registry.get(
-            "propack_breaker_state_changes_total", to=OPEN
-        ).value == 2
-        assert registry.get(
-            "propack_breaker_state_changes_total", to=HALF_OPEN
-        ).value == 1
-        assert registry.get("propack_breaker_flaps_total").value == 1
-        assert registry.get("propack_breaker_quarantined_domains").value == 1
+        assert bank.breakers[0].transitions == [
+            (0.0, CLOSED, OPEN), (10.5, OPEN, HALF_OPEN), (10.5, HALF_OPEN, OPEN),
+        ]
+        assert bank.breakers[1].transitions == []
+        assert (bank.n_transitions, bank.n_flaps, bank.n_open) == (3, 1, 1)
+        assert bank.quarantined == {1}
         bank.release(1)
-        assert registry.get("propack_breaker_quarantined_domains").value == 0
+        assert bank.quarantined == set()

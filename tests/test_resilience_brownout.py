@@ -65,21 +65,14 @@ class TestBrownoutController:
         assert b.level == 0
 
     def test_transitions_logged(self):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+        """Level changes are counted by direction: a serving run's brownout
+        families are written from these counts and the final level."""
         b = BrownoutController(recover_ticks=1)
-        b.bind_metrics(registry)
         assert [b.observe(0.0, 1.0, 0), b.observe(1.0, 0.0, 0)] == [1, 0]
-        assert b.escalations == 1
-        shifts = {
-            direction: registry.get(
-                "propack_brownout_shifts_total", direction=direction
-            ).value
-            for direction in ("escalate", "recover")
-        }
-        assert shifts == {"escalate": 1, "recover": 1}
-        assert registry.get("propack_brownout_level").value == 0
+        assert (b.escalations, b.recoveries, b.level) == (1, 1, 0)
+        assert [b.observe(2.0, 1.0, 0), b.observe(3.0, 1.0, 0),
+                b.observe(4.0, 1.0, 0)] == [1, 2, 2]
+        assert (b.escalations, b.recoveries, b.level) == (3, 1, 2)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.serving import (
     ArrivalProcess,
     DiurnalProcess,
     FixedTTL,
+    HybridHistogram,
     NoKeepAlive,
     OnlineReplanner,
     PoissonProcess,
@@ -81,6 +82,40 @@ def test_rejects_bad_horizon():
 def test_run_rejects_a_non_finite_or_negative_horizon(horizon_s):
     with pytest.raises(ValueError, match="horizon_s"):
         make_simulator().run(PoissonProcess(1.0), POLICY, horizon_s)
+
+
+def _seed3_simulator(replanned):
+    pool = WarmPool(HybridHistogram() if replanned else FixedTTL(60.0))
+    controller = (
+        OnlineReplanner(AWS_LAMBDA, XAPIAN, EXEC, qos_sojourn_s=30.0)
+        if replanned else None
+    )
+    return ServingSimulator(
+        AWS_LAMBDA, XAPIAN, EXEC, pool=pool, controller=controller, seed=3
+    )
+
+
+@pytest.mark.parametrize(
+    "replanned, horizon_s, first",
+    [(False, 600.0, (324, 7)), (True, 1200.0, (244, 29))],
+    ids=["fixed-ttl", "hybrid-replanned"],
+)
+def test_a_simulator_serves_one_run(replanned, horizon_s, first):
+    """A second run would start from the first one's pool stats, capacity
+    and learned gaps and the replanner's arrival window, and report them
+    as its own (14 evictions instead of 7; 586 dispatches instead of 244).
+    It raises instead; a fresh simulator repeats the first run exactly."""
+    policy = StreamingPolicy(degree=4, batch_timeout_s=2.0)
+    sim = _seed3_simulator(replanned)
+    with pytest.raises(ValueError, match="horizon_s"):
+        sim.run(PoissonProcess(2.0), policy, math.nan)  # serves nothing
+    result = sim.run(PoissonProcess(2.0), policy, horizon_s)
+    assert (result.n_dispatches, result.evictions) == first
+    with pytest.raises(RuntimeError, match="new simulator"):
+        sim.run(PoissonProcess(2.0), policy, horizon_s)
+    again = _seed3_simulator(replanned).run(PoissonProcess(2.0), policy, horizon_s)
+    assert again.signature() == result.signature()
+    assert again.expense == result.expense
 
 
 def test_every_request_is_served_once():

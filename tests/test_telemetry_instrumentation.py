@@ -21,6 +21,11 @@ from repro.platform.invoker import BurstSpec, FunctionTimeoutError
 from repro.platform.metrics import InstanceRecord
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.resilience import (
+    CLOSED,
+    HALF_OPEN,
+    LOW,
+    OPEN,
+    PRIORITY_NAMES,
     BrownoutController,
     CircuitBreakerBank,
     ConcurrencyLimitAdmission,
@@ -36,7 +41,12 @@ from repro.serving import (
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import EventBus, TelemetryConfig, parse_prometheus_text
-from repro.telemetry.instruments import SEARCH_BUCKETS, SOJOURN_BUCKETS
+from repro.telemetry.instruments import (
+    BREAKER_STATES,
+    PRIORITY_LABELS,
+    SEARCH_BUCKETS,
+    SOJOURN_BUCKETS,
+)
 from repro.telemetry.metrics import Histogram
 from repro.workloads import SORT, XAPIAN
 
@@ -236,6 +246,36 @@ def test_faulted_hedged_waved_burst_reports_every_attempt():
     assert check_span_nesting(session.tracer) == []
     assert result.kernel_path == "event"
     assert result.fallback_reason == "fault scenario active"
+    # The injector's draws, written when the burst ended. Every crash drawn
+    # here ended its attempt, so the crashes are the failed rows.
+    assert _samples(session, "propack_fault_") == {
+        'propack_fault_crashes_total{persistent="false"}': 110,
+        'propack_fault_crashes_total{persistent="true"}': 69,
+        "propack_fault_stragglers_total": 41,
+    }
+    assert np.count_nonzero(table.failed) == 110 + 69
+    assert np.count_nonzero(table.persistent_fault) == 69
+
+
+def test_aborted_faulted_burst_reports_its_fault_draws():
+    """A hedge finds a one-server fleet full and the burst aborts: the
+    draws made until then are still written."""
+    spec = BurstSpec(
+        app=SORT, concurrency=16, hedge=HedgePolicy(trigger_factor=1.2),
+        scenario=FaultScenario(name="full", crash_rate=0.1,
+                               persistent_fraction=0.2, straggler_rate=0.9),
+    )
+    platform = ServerlessPlatform(
+        AWS_LAMBDA.with_overrides(fleet_servers=1), seed=3,
+        telemetry=TelemetryConfig(),
+    )
+    with pytest.raises(RuntimeError, match="fleet exhausted"):
+        platform.run_burst(spec, repetition=0)
+    assert _samples(platform.telemetry, "propack_fault_") == {
+        'propack_fault_crashes_total{persistent="false"}': 3,
+        'propack_fault_crashes_total{persistent="true"}': 2,
+        "propack_fault_stragglers_total": 19,
+    }
 
 
 def test_attempt_cancelled_before_it_ran_has_no_phase_observations():
@@ -436,10 +476,15 @@ def test_breakdown_uses_phase_durations():
 # --------------------------------------------------------------------- #
 # Serving instrumentation
 # --------------------------------------------------------------------- #
-def _assert_serving_samples_are_the_result(session, run):
+def _assert_serving_samples_are_the_result(session, run, resilience, faults):
     """Every ``propack_serving_*`` sample is a field of the finished result,
     except the backlog gauge (the depth at the last control tick); the
-    sojourn histogram holds the digest's sojourns in completion order."""
+    sojourn histogram holds the digest's sojourns in completion order.
+
+    The admission samples are the report's per-priority counts, less
+    brownout's sheds (all low priority); the breaker and brownout samples
+    are the final state of the run's components; the fault samples are
+    ``faults``, the injector's draws (pinned)."""
     rep = run.resilience
     samples = _samples(session, "propack_serving_")
     del samples["propack_serving_backlog_depth"]
@@ -468,6 +513,48 @@ def _assert_serving_samples_are_the_result(session, run):
     assert sojourn["propack_serving_sojourn_seconds_sum"] == expected.sum
     exported = session.registry.get("propack_serving_sojourn_seconds")
     assert exported.counts == expected.counts
+
+    shed = list(rep.shed_by_priority)
+    shed[LOW] -= rep.shed_brownout
+    decisions = {
+        f'propack_admission_decisions_total{{priority="{name}",verdict="{verdict}"}}':
+            counts[p]
+        for verdict, counts in (("admitted", rep.admitted_by_priority), ("shed", shed))
+        for p, name in enumerate(PRIORITY_NAMES)
+        if counts[p]
+    }
+    assert _samples(session, "propack_admission_") == decisions
+    assert sum(rep.admitted_by_priority) == rep.admitted
+    assert sum(shed) == rep.shed_admission
+
+    bank = resilience.breakers
+    log = bank.transition_log()
+    assert len(log) == rep.breaker_transitions
+    assert _samples(session, "propack_breaker_") == {
+        "propack_breaker_transitions_total": len(log),
+        **{
+            f'propack_breaker_state_changes_total{{to="{state}"}}':
+                sum(1 for *_, dst in log if dst == state)
+            for state in (CLOSED, OPEN, HALF_OPEN)
+        },
+        "propack_breaker_flaps_total": sum(
+            1 for *_, src, dst in log if (src, dst) == (HALF_OPEN, OPEN)
+        ),
+        "propack_breaker_open_domains": bank.n_open,
+        "propack_breaker_quarantined_domains": len(bank.quarantined),
+    }
+
+    brownout = resilience.brownout
+    if brownout is None:
+        assert not _samples(session, "propack_brownout_")
+    else:
+        assert _samples(session, "propack_brownout_") == {
+            "propack_brownout_level": brownout.level,
+            'propack_brownout_shifts_total{direction="escalate"}':
+                rep.brownout_escalations,
+            'propack_brownout_shifts_total{direction="recover"}': brownout.recoveries,
+        }
+    assert _samples(session, "propack_fault_") == faults
 
 
 def test_serving_run_instrumented_under_overload():
@@ -502,29 +589,35 @@ def test_serving_run_instrumented_under_overload():
         PoissonProcess(4.0), StreamingPolicy(degree=6, batch_timeout_s=4.0),
         900.0,
     )
-    _assert_serving_samples_are_the_result(sim.telemetry, run)
-    samples = parse_prometheus_text(sim.telemetry.prometheus_text())
-    assert samples["propack_serving_arrivals_total"] == run.n_requests
-    admission_shed = sum(
-        v for k, v in samples.items()
-        if k.startswith("propack_admission_decisions_total")
-        and 'verdict="shed"' in k
+    _assert_serving_samples_are_the_result(
+        sim.telemetry, run, resilience, faults={
+            'propack_fault_crashes_total{persistent="false"}': 28,
+            'propack_fault_crashes_total{persistent="true"}': 35,
+            "propack_fault_stragglers_total": 1,
+        },
     )
-    assert admission_shed == run.resilience.shed_admission
-    assert samples["propack_breaker_transitions_total"] == (
-        resilience.breakers.n_transitions
-    )
-    assert samples['propack_brownout_shifts_total{direction="escalate"}'] == (
-        resilience.brownout.escalations
-    )
+    assert run.resilience.arrivals == run.n_requests
     # dispatch spans closed for every completion and crash
     spans = sim.telemetry.tracer.finished("dispatch")
     assert len(spans) >= run.resilience.crashes
 
 
-def test_serving_samples_are_the_result_under_a_storm():
-    """A storm that moves every serving counter: both kinds of shedding,
-    429 bounces and drops, independent and correlated crashes, retries."""
+#: The storm's fault draws per seed, pinned: the serving result does not
+#: hold them (a correlated kill can cancel a dispatch drawn to crash).
+STORM_FAULT_DRAWS = {
+    7: {
+        'propack_fault_crashes_total{persistent="false"}': 15,
+        'propack_fault_crashes_total{persistent="true"}': 5,
+        "propack_fault_stragglers_total": 3,
+    },
+    2023: {
+        'propack_fault_crashes_total{persistent="false"}': 23,
+        "propack_fault_stragglers_total": 1,
+    },
+}
+
+
+def _storm(seed):
     config = ServingConfig(qos_sojourn_s=20.0)
     scenario = FaultScenario(
         name="storm", crash_rate=0.08, persistent_fraction=0.05,
@@ -532,7 +625,6 @@ def test_serving_samples_are_the_result_under_a_storm():
         throttle_max_retries=2, straggler_rate=0.005, correlated_bursts=3,
         correlated_fraction=0.5, correlated_window_s=600.0,
     )
-    seed = 7
     sim = ServingSimulator(
         GOOGLE_CLOUD_FUNCTIONS, XAPIAN,
         ExecutionTimeModel(
@@ -560,13 +652,28 @@ def test_serving_samples_are_the_result_under_a_storm():
         PoissonProcess(4.0), StreamingPolicy(degree=6, batch_timeout_s=4.0),
         900.0,
     )
-    rep = run.resilience
-    assert min(
-        rep.shed_admission, rep.shed_brownout, rep.failed_requests, rep.crashes,
-        rep.correlated_kills, rep.retries, rep.throttled_attempts,
-        run.cold_dispatches, run.warm_dispatches,
-    ) > 0
-    _assert_serving_samples_are_the_result(sim.telemetry, run)
+    return sim, run
+
+
+def test_serving_samples_are_the_result_under_a_storm():
+    """A storm that moves every serving counter: both kinds of shedding,
+    429 bounces and drops, independent and correlated crashes, retries;
+    at seed 7 its breakers open, probe, flap and leave one domain open."""
+    banks = []
+    for seed, faults in STORM_FAULT_DRAWS.items():
+        sim, run = _storm(seed)
+        rep = run.resilience
+        assert min(
+            rep.shed_admission, rep.shed_brownout, rep.failed_requests,
+            rep.crashes, rep.correlated_kills, rep.retries,
+            rep.throttled_attempts, run.cold_dispatches, run.warm_dispatches,
+        ) > 0
+        _assert_serving_samples_are_the_result(
+            sim.telemetry, run, sim.resilience, faults
+        )
+        bank = sim.resilience.breakers
+        banks.append((bank.n_transitions, bank.n_flaps, bank.n_open))
+    assert banks == [(5, 2, 1), (0, 0, 0)]
 
 
 # --------------------------------------------------------------------- #
@@ -685,6 +792,29 @@ def test_remediated_run_does_not_depend_on_telemetry(seed, poisonings):
     assert observed.remediation.signature() == plain.remediation.signature()
     detections = plain.remediation.detections
     assert sum(d.kind == "domain-poisoning" for d in detections) == poisonings
+
+
+@pytest.mark.parametrize("seed, quarantined, crashes", [
+    (1, 2, (4, 61)), (7, 2, (8, 68)), (2023, 0, (8, 43)),
+])
+def test_remediated_run_samples_are_its_final_state(seed, quarantined, crashes):
+    """The domains the loop left quarantined show in the breaker gauge."""
+    sim, run, _ = _remediated_serving(TelemetryConfig(), seed)
+    assert len(sim.resilience.breakers.quarantined) == quarantined
+    transient, persistent = crashes
+    _assert_serving_samples_are_the_result(
+        sim.telemetry, run, sim.resilience, faults={
+            'propack_fault_crashes_total{persistent="false"}': transient,
+            'propack_fault_crashes_total{persistent="true"}': persistent,
+        },
+    )
+
+
+def test_component_labels_are_the_resilience_names():
+    """Telemetry spells out the priority and breaker-state label values
+    (it sits below the resilience layer); they are that layer's names."""
+    assert PRIORITY_LABELS == PRIORITY_NAMES
+    assert BREAKER_STATES == (CLOSED, OPEN, HALF_OPEN)
 
 
 def test_serving_bus_events_do_not_depend_on_tracing():

@@ -1,7 +1,13 @@
 """Tests for the workflow DAG extension."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.propack import ProPack
 from repro.platform.base import ServerlessPlatform
 from repro.platform.providers import AWS_LAMBDA
@@ -22,6 +28,17 @@ def diamond():
 # --------------------------------------------------------------------- #
 # DAG validation and analysis
 # --------------------------------------------------------------------- #
+
+def test_import_repro_does_not_load_networkx():
+    """DAGs sort with the standard library's ``graphlib``: the package
+    declares no networkx dependency, so importing it must not need one."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; raise SystemExit('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])},
+    )
+    assert proc.returncode == 0
+
 
 def test_stage_validation():
     with pytest.raises(ValueError):
