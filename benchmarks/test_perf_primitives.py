@@ -132,7 +132,7 @@ def test_perf_dispatch_kernel_chain_throughput(benchmark):
         )
         env = _CountingEnv(kernel)
         for i in range(2_000):
-            chain = kernel.new_chain(n_packed=4, retry=kernel.fresh_retry())
+            chain = kernel.new_chain(n_packed=4)
             kernel.run_synchronous_chain(chain, env, launch_at=float(i) * 0.01)
         return env.succeeded + env.lost
 

@@ -193,16 +193,19 @@ class BurstDispatchKernel(DispatchKernel):
         self.store = store
         self.interference = interference
         self.enforce_timeout = enforce_timeout
-        # One attribute check per chain-level hook site when disabled (see
-        # the telemetry_overhead benchmark gate); attempts are reported
-        # once, from the finished table, in collect.
+        # Read by fluid_ineligibility and when the burst ends (collect, or
+        # run's abort path); the event loop never reads it.
         self._tel = telemetry
         # Why the fluid replay declined this burst (set by try_run_fluid).
         self._fallback_reason: Optional[str] = None
         self._records: list[InstanceRecord] = []
         self._pending_functions = 0
-        self._lost_functions = 0
-        self._stats = FaultStats()
+        # Chain moments, which no record holds, in the order they happen:
+        # (time, "retry", chain, next attempt, delay s), (time, "throttled",
+        # chain, consecutive 429s), (time, "hedge", chain) and (time, "lost",
+        # chain, functions, by a final 429). collect derives the burst's
+        # counts and its chain telemetry from them.
+        self._moments: list[tuple] = []
         self._record_chain: dict[int, AttemptChain] = {}
         self._inflight: dict[int, tuple] = {}  # record id -> (event, server, record)
 
@@ -226,8 +229,7 @@ class BurstDispatchKernel(DispatchKernel):
             spec.retry_policy,
             spec.scenario,
             platform_default=ImmediateRetry(self.profile.max_retries),
-        )
-        self._retry_policy = self.fresh_retry()
+        ).fresh()
         self.configure_faults(spec.scenario, self.profile.failure_rate)
 
         provisioned = spec.provisioned_mb or self.profile.max_memory_mb
@@ -290,7 +292,8 @@ class BurstDispatchKernel(DispatchKernel):
         records are normalized to the burst's own invocation instant, so a
         burst submitted mid-simulation reports the same metrics as one
         submitted at t=0, and converted to a table once. An observed
-        burst's attempts are reported to its telemetry from that table.
+        burst is reported to its telemetry from that table and from its
+        chain moments, which stay on the simulator clock.
         """
         invoked_at = self._invoked_at
         kernel_path = "event" if table is None else "fluid"
@@ -308,11 +311,10 @@ class BurstDispatchKernel(DispatchKernel):
             table = RecordTable.from_records(records)
         billing = BillingModel(self.profile)
         expense = billing.burst_expense(table, self.store.usage)
-        self._finalize_stats(billing, table)
         if self._tel is not None:
             self._tel.record_burst(
                 table, invoked_at, kernel_path, self._fallback_reason,
-                self._search_costs(), self.injector,
+                self._search_costs(), self.injector, self._moments,
             )
         return RunResult(
             platform_name=self.profile.name,
@@ -321,8 +323,8 @@ class BurstDispatchKernel(DispatchKernel):
             packing_degree=self._spec.packing_degree,
             table=table,
             expense=expense,
-            lost_functions=self._lost_functions,
-            fault_stats=self._stats,
+            lost_functions=sum(m[3] for m in self._moments if m[1] == "lost"),
+            fault_stats=self._fault_stats(billing, table),
             kernel_path=kernel_path,
             fallback_reason=self._fallback_reason,
         )
@@ -336,18 +338,14 @@ class BurstDispatchKernel(DispatchKernel):
             return None
         return scheduler.base_cost_s, scheduler.search_cost_s
 
-    def _finalize_stats(self, billing: BillingModel, table: RecordTable) -> None:
-        """The fault counters the table holds, and the billed and wasted
-        GB-seconds of the executed attempts, summed in record order.
+    def _fault_stats(self, billing: BillingModel, table: RecordTable) -> FaultStats:
+        """The burst's fault counters, derived when it ends.
 
-        The retry, throttle and lost counts are chain events, not rows, and
-        stay live counters."""
-        stats = self._stats
-        stats.crashed_attempts = int(np.count_nonzero(table.failed))
-        stats.correlated_crashes = int(np.count_nonzero(table.correlated))
-        stats.timed_out_attempts = int(np.count_nonzero(table.timed_out))
-        stats.hedged_attempts = int(np.count_nonzero(table.hedged))
-        stats.hedge_wins = int(np.count_nonzero(table.hedged & table.successful()))
+        The attempt counts and the billed and wasted GB-seconds of the
+        executed attempts come from the table, summed in record order; the
+        retry and throttle counts come from the chain moments, the retry
+        delays summed in the order the retries were scheduled."""
+        moments = self._moments
         seconds = table.exec_end - table.exec_start  # NaN where either is unset
         executed = ~np.isnan(seconds)
         gbs = (
@@ -356,9 +354,19 @@ class BurstDispatchKernel(DispatchKernel):
             / 1024.0
         )
         wasted = ~table.successful()[executed]  # crashed, timed out or cancelled
-        stats.total_billed_gb_seconds = sequential_sum(gbs, stats.total_billed_gb_seconds)
-        stats.wasted_billed_gb_seconds = sequential_sum(
-            gbs[wasted], stats.wasted_billed_gb_seconds
+        delays = [m[4] for m in moments if m[1] == "retry"]
+        return FaultStats(
+            crashed_attempts=int(np.count_nonzero(table.failed)),
+            correlated_crashes=int(np.count_nonzero(table.correlated)),
+            timed_out_attempts=int(np.count_nonzero(table.timed_out)),
+            throttled_attempts=sum(1 for m in moments if m[1] == "throttled"),
+            throttle_rejections_final=sum(m[4] for m in moments if m[1] == "lost"),
+            hedged_attempts=int(np.count_nonzero(table.hedged)),
+            hedge_wins=int(np.count_nonzero(table.hedged & table.successful())),
+            retries_scheduled=len(delays),
+            retry_delay_s_total=sequential_sum(np.array(delays, dtype=float)),
+            wasted_billed_gb_seconds=sequential_sum(gbs[wasted]),
+            total_billed_gb_seconds=sequential_sum(gbs),
         )
 
     def run(self, spec: BurstSpec, image: FunctionImage) -> RunResult:
@@ -371,7 +379,8 @@ class BurstDispatchKernel(DispatchKernel):
         O(instances) array work; every other burst runs on the
         event-driven path. A burst that aborts there (a billed timeout,
         fleet exhaustion) still reports the attempts it ran, the aborting
-        one included, to its telemetry before the error propagates.
+        one included, and its chain moments to its telemetry before the
+        error propagates.
         """
         # Resolved per call: tests replace try_run_fluid to reach the
         # event-loop reference.
@@ -389,6 +398,7 @@ class BurstDispatchKernel(DispatchKernel):
                 self._tel.record_burst(
                     RecordTable.from_records(self._records), 0.0, "event",
                     self._fallback_reason, self._search_costs(), self.injector,
+                    self._moments,
                 )
             raise
         return self.collect()
@@ -413,17 +423,12 @@ class BurstDispatchKernel(DispatchKernel):
         if self.bucket is not None:
             verdict = self.throttle_gate(chain, self.sim.now)
             if not verdict.admitted:
-                self._stats.throttled_attempts += 1
-                if self._tel is not None:
-                    self._tel.on_throttled(chain.chain_id, chain.throttle_tries)
+                self._moments.append(
+                    (self.sim.now, "throttled", chain.chain_id, chain.throttle_tries)
+                )
                 if verdict.rejected:
-                    if hedged:
-                        return
-                    self._stats.throttle_rejections_final += 1
-                    chain.lost = True
-                    self._lost_functions += chain.n_packed
-                    if self._tel is not None:
-                        self._tel.on_lost(chain.chain_id, chain.n_packed)
+                    if not hedged:
+                        self._lose(chain, rejected=True)
                     return
                 self.sim.schedule(
                     verdict.wait_s, self._admit, chain, attempt, retry_delay, hedged
@@ -617,8 +622,7 @@ class BurstDispatchKernel(DispatchKernel):
         if duration <= threshold:
             return
         chain.hedges_launched += 1
-        if self._tel is not None:
-            self._tel.on_hedge(chain.chain_id)
+        self._moments.append((self.sim.now, "hedge", chain.chain_id))
         self.sim.schedule(threshold, self._launch_hedge, chain, record)
 
     def _launch_hedge(self, chain: AttemptChain, primary: InstanceRecord) -> None:
@@ -642,12 +646,9 @@ class BurstDispatchKernel(DispatchKernel):
         self._refetched_inputs(chain)
         if self._spec.scenario is not None and not self._spec.scenario.retry_timeouts:
             if not chain.active and not chain.satisfied and not chain.lost:
-                chain.lost = True
-                self._lost_functions += chain.n_packed
-                if self._tel is not None:
-                    self._tel.on_lost(chain.chain_id, chain.n_packed)
+                self._lose(chain)
             return
-        self._retry_or_lose(chain, record)
+        self._retry_or_lose(chain)
 
     def _correlated_event(self) -> None:
         """One correlated infrastructure event: a slice of in-flight
@@ -677,7 +678,7 @@ class BurstDispatchKernel(DispatchKernel):
         chain = self._chain_for(record)
         self._refetched_inputs(chain)
         chain.untrack(record.instance_id)
-        self._retry_or_lose(chain, record)
+        self._retry_or_lose(chain)
 
     def _refetched_inputs(self, chain: AttemptChain) -> None:
         """Charge a failed attempt's inputs, per member app of its chain.
@@ -690,29 +691,29 @@ class BurstDispatchKernel(DispatchKernel):
         for app, count in chain.payload.outputs:
             self.store.record_failed_attempt(app, count)
 
-    def _retry_or_lose(self, chain: AttemptChain, record: InstanceRecord) -> None:
+    def _lose(self, chain: AttemptChain, rejected: bool = False) -> None:
+        """Give ``chain`` up, with its functions (``rejected``: by a final 429)."""
+        chain.lost = True
+        self._moments.append(
+            (self.sim.now, "lost", chain.chain_id, chain.n_packed, rejected)
+        )
+
+    def _retry_or_lose(self, chain: AttemptChain) -> None:
         if chain.satisfied or chain.lost:
             return
         if chain.active:
             return  # a hedge twin of this group is still in flight
-        delay = self.next_retry_delay(
-            chain, failed_attempt=record.attempt, retry=self._retry_policy
-        )
+        delay = self.next_retry_delay(chain)
         if delay is None:
-            chain.lost = True
-            self._lost_functions += chain.n_packed
-            if self._tel is not None:
-                self._tel.on_lost(chain.chain_id, chain.n_packed)
+            self._lose(chain)
             return
-        self._stats.retries_scheduled += 1
-        self._stats.retry_delay_s_total += delay
-        if self._tel is not None:
-            self._tel.on_retry(chain.chain_id, record.attempt + 1, delay)
+        attempt = chain.attempt
+        self._moments.append((self.sim.now, "retry", chain.chain_id, attempt, delay))
         # A retry is a fresh invocation: full placement + cold pipeline.
         if delay <= 0.0:
-            self._admit(chain, attempt=record.attempt + 1, retry_delay=0.0)
+            self._admit(chain, attempt=attempt, retry_delay=0.0)
         else:
-            self.sim.schedule(delay, self._admit, chain, record.attempt + 1, delay)
+            self.sim.schedule(delay, self._admit, chain, attempt, delay)
 
     def _exec_done(self, server: Server, record: InstanceRecord) -> None:
         self._inflight.pop(record.instance_id, None)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.faults.retry import RetryPolicy
-
 
 @dataclass(slots=True)
 class AttemptChain:
@@ -23,16 +21,15 @@ class AttemptChain:
     ``payload`` is consumer-defined: a burst chain's
     :class:`~repro.engine.burst.ChainWork`, which the burst kernel reads,
     or the list of queued requests a serving batch carries, which no
-    kernel inspects. ``retry`` is the
-    chain-scoped policy instance (serving/streaming refresh one per chain);
-    bursts instead share a burst-scoped policy and pass it explicitly to
+    kernel inspects. The retry policy is the run's, not the chain's: the
+    kernel holds one copy per run and reads it with the chain's
+    :attr:`attempt` and :attr:`prev_delay` in
     :meth:`~repro.engine.kernel.DispatchKernel.next_retry_delay`.
     """
 
     chain_id: int
     n_packed: int
     payload: Any = None
-    retry: Optional[RetryPolicy] = None
 
     attempt: int = 1            # 1-based index of the next/current attempt
     prev_delay: float = 0.0     # decorrelated-jitter feedback state

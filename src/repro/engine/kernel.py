@@ -140,6 +140,9 @@ class DispatchKernel:
     the fault scenario to the run's RNG streams once, then hands out
     throttle verdicts, crash decisions, and retry delays to whichever
     driver (event-driven or synchronous) walks the attempt chains.
+    :attr:`retry_policy` is the run's own ``fresh()`` copy of the resolved
+    policy, so a :class:`~repro.faults.retry.RetryBudget` caps the retries
+    of the whole run.
     """
 
     def __init__(
@@ -157,7 +160,7 @@ class DispatchKernel:
         self.scenario: Optional[FaultScenario] = None
         self.injector: Optional[FaultInjector] = None
         self.bucket: Optional[TokenBucket] = None
-        self.retry_policy = retry_policy
+        self.retry_policy = None if retry_policy is None else retry_policy.fresh()
         self.profile_failure_rate = profile_failure_rate
         self._next_chain_id = 0
         self.configure_faults(scenario, profile_failure_rate)
@@ -181,24 +184,12 @@ class DispatchKernel:
             self.injector = None
             self.bucket = None
 
-    def fresh_retry(self) -> Optional[RetryPolicy]:
-        """A stateless-fresh copy of the resolved retry policy (per chain)."""
-        return None if self.retry_policy is None else self.retry_policy.fresh()
-
     # ------------------------------------------------------------------ #
     # Chain management
     # ------------------------------------------------------------------ #
-    def new_chain(
-        self,
-        n_packed: int,
-        payload: Any = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> AttemptChain:
+    def new_chain(self, n_packed: int, payload: Any = None) -> AttemptChain:
         chain = AttemptChain(
-            chain_id=self._next_chain_id,
-            n_packed=n_packed,
-            payload=payload,
-            retry=retry,
+            chain_id=self._next_chain_id, n_packed=n_packed, payload=payload
         )
         self._next_chain_id += 1
         return chain
@@ -267,27 +258,20 @@ class DispatchKernel:
     # ------------------------------------------------------------------ #
     # Retry arbitration
     # ------------------------------------------------------------------ #
-    def next_retry_delay(
-        self,
-        chain: AttemptChain,
-        failed_attempt: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> Optional[float]:
+    def next_retry_delay(self, chain: AttemptChain) -> Optional[float]:
         """Delay before re-invoking ``chain``, or None when retries ran out.
 
-        On success the chain's attempt counter advances past
-        ``failed_attempt`` (default: the chain's current attempt) and the
+        The run's policy decides on the chain's current attempt; on a
+        retry the chain's attempt counter advances and the
         decorrelated-jitter feedback state is updated.
         """
-        policy = chain.retry if retry is None else retry
+        policy = self.retry_policy
         if policy is None:
             return None
-        if failed_attempt is None:
-            failed_attempt = chain.attempt
-        delay = policy.next_delay(failed_attempt, chain.prev_delay, self.rng.stream("retry"))
+        delay = policy.next_delay(chain.attempt, chain.prev_delay, self.rng.stream("retry"))
         if delay is None:
             return None
-        chain.attempt = failed_attempt + 1
+        chain.attempt += 1
         chain.prev_delay = delay
         return delay
 

@@ -12,8 +12,8 @@ crash of a packed instance re-pays ``P×`` work:
   *decorrelated jitter* (``sleep = min(cap, uniform(base, 3·prev))``), the
   discipline AWS recommends for contended retries.
 * :class:`RetryBudget` — wraps any policy and caps the *total* number of
-  retries spent across a whole burst, so a correlated failure storm cannot
-  multiply costs unboundedly.
+  retries spent across a whole run (a burst or a serving run), so a
+  correlated failure storm cannot multiply costs unboundedly.
 
 :class:`HedgePolicy` configures straggler hedging: when an attempt runs
 past ``trigger_factor ×`` the modeled execution time, a speculative
@@ -49,7 +49,7 @@ class RetryPolicy(abc.ABC):
         """
 
     def fresh(self) -> "RetryPolicy":
-        """A per-burst copy; stateless policies return themselves."""
+        """A per-run copy; stateless policies return themselves."""
         return self
 
 
@@ -112,11 +112,12 @@ class ExponentialBackoffRetry(RetryPolicy):
 
 
 class RetryBudget(RetryPolicy):
-    """Caps total retries across a burst, on top of an inner policy.
+    """Caps total retries across a run, on top of an inner policy.
 
-    A packed instance crash re-pays ``P×`` work per retry, so a burst-wide
+    A packed instance crash re-pays ``P×`` work per retry, so a run-wide
     budget bounds the worst-case retry spend of a failure storm: once
     ``budget`` retries have been granted, every further failure is final.
+    Each burst or serving run spends its own ``fresh()`` copy.
     """
 
     def __init__(self, inner: RetryPolicy, budget: int) -> None:

@@ -245,6 +245,9 @@ ZERO_EXPENSE = ExpenseBreakdown(0.0, 0.0, 0.0, 0.0)
 class FaultStats:
     """Per-phase reliability accounting for one burst.
 
+    Derived when the burst ends: the attempt counts and GB-seconds from its
+    record table, the retry and throttle counts from its chain moments.
+
     ``wasted_billed_gb_seconds`` is the GB-seconds billed for attempts that
     produced no result (crashes, timeouts, cancelled hedge losers) — the
     dollar-denominated blast radius of packing under failures.
@@ -312,7 +315,7 @@ class RunResult:
     packing_degree: int
     table: RecordTable = field(default_factory=lambda: RecordTable.from_records(()))
     expense: ExpenseBreakdown = ZERO_EXPENSE
-    lost_functions: int = 0  # functions whose every retry attempt crashed
+    lost_functions: int = 0  # functions of the chains the burst gave up
     fault_stats: FaultStats = field(default_factory=FaultStats)
     kernel_path: str = field(default="event", compare=False)
     fallback_reason: Optional[str] = field(default=None, compare=False)

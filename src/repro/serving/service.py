@@ -565,9 +565,7 @@ class _ServingRun:
             self.timer = None
         self.requests_in_flight += len(taken)
         chain = self.kernel.new_chain(
-            n_packed=len(taken),
-            payload=[t for t, _ in taken],
-            retry=self.kernel.fresh_retry(),
+            n_packed=len(taken), payload=[t for t, _ in taken]
         )
         self.launch(chain)
         if self.waiting:

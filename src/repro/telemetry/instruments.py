@@ -3,14 +3,14 @@
 The burst kernel and the serving loop stay almost telemetry-free: each
 holds an optional instrumentation object behind an ``is not None`` guard.
 Both report once, when they end, from their finished record: a burst
-from its record table (:meth:`BurstInstrumentation.record_burst`), a
-serving run from its result (:meth:`ServingInstrumentation.record_run`).
-The components a run drove — admission, circuit breakers, brownout, the
-fault injector — hold no registry: their families are written at that
-same moment, from the state each component ended the run in.
-The hooks called as things happen report what that record does not hold:
-a burst's chain-level moments (retries, 429 bounces, hedges, lost chains),
-and a serving run's spans, instants, bus and audit events. All span
+from its record table and its chain moments
+(:meth:`BurstInstrumentation.record_burst`), a serving run from its
+result (:meth:`ServingInstrumentation.record_run`). The components a run
+drove — admission, circuit breakers, brownout, the fault injector — hold
+no registry: their families are written at that same moment, from the
+state each component ended the run in. Only the serving loop calls
+hooks as things happen (a burst's event loop calls none), for what its
+result does not hold: spans, instants, bus and audit events. All span
 bookkeeping, metric registration, and bus publishing lives here, so the
 hot paths pay exactly one attribute check when telemetry is off.
 
@@ -25,12 +25,13 @@ Span model (see ``docs/OBSERVABILITY.md``):
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracer import Span
+from repro.telemetry.tracer import Instant, Span
 
 if TYPE_CHECKING:  # imported for annotations only; avoids heavy deps here
     from repro.telemetry.bus import EventBus
@@ -54,6 +55,13 @@ SOJOURN_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 15.0,
     30.0, 60.0, 120.0, 300.0, 600.0, 1800.0,
 )
+
+#: The detail of each kind of burst chain moment, named as its instant's
+#: attributes (in sorted order) and its ``chain.*`` event's fields.
+MOMENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "retry": ("attempt", "delay_s"), "throttled": ("tries",),
+    "hedge": (), "lost": ("n_packed",),
+}
 
 #: Label values of the component families: the resilience layer's priority
 #: classes (by index, lowest priority last) and circuit-breaker states.
@@ -96,8 +104,9 @@ def _record_admission(registry: MetricsRegistry, report) -> None:
 
 
 def _record_breakers(registry: MetricsRegistry, bank) -> None:
-    """A circuit-breaker bank's transitions, flaps and final state. The
-    open-domain gauge sums a session's runs, as their transitions do."""
+    """A circuit-breaker bank's transitions and flaps, which a session's
+    runs add up, and its final state: the two domain gauges read the last
+    run's open and quarantined domains."""
     log = bank.transition_log()
     registry.counter(
         "propack_breaker_transitions_total",
@@ -115,7 +124,7 @@ def _record_breakers(registry: MetricsRegistry, bank) -> None:
     registry.gauge(
         "propack_breaker_open_domains",
         help="Fault domains currently in the open state.",
-    ).inc(bank.n_open)
+    ).set(bank.n_open)
     registry.gauge(
         "propack_breaker_quarantined_domains",
         help="Fault domains administratively quarantined.",
@@ -141,12 +150,12 @@ class BurstInstrumentation:
     """Per-burst tracing + metrics for :class:`BurstInvoker`.
 
     A burst is reported once, when it ends: the kernel hands its finished
-    record table to :meth:`record_burst`, which derives every instance and
-    phase span, the phase and placement-search histograms, the instance,
-    function, outcome and placement counters and the ``instance.*`` bus
-    events from the columns. Only the chain-level moments the table does
-    not hold — retries, 429 bounces, hedges and lost chains — are
-    reported live, as they happen.
+    record table and its chain moments to :meth:`record_burst`. From the
+    moments (retries, 429 bounces, hedges and lost chains, which the table
+    does not hold) it replays the chain counters, instants and ``chain.*``
+    bus events; from the columns it derives every instance and phase span,
+    the phase and placement-search histograms, the instance, function,
+    outcome and placement counters and the ``instance.*`` bus events.
     """
 
     def __init__(
@@ -160,9 +169,8 @@ class BurstInstrumentation:
         self.tracer = tracer
         self.bus = bus
         self.registry = registry
-        self._now = lambda: sim.now  # bus events are published untraced too
         if tracer is not None:
-            tracer.bind_clock(self._now)
+            tracer.bind_clock(lambda: sim.now)
             self.pid = tracer.new_process(name)
         self._m: dict[str, object] = {}
         if registry is not None:
@@ -178,7 +186,7 @@ class BurstInstrumentation:
                     "propack_burst_functions_total",
                     help="Logical functions carried by launched instances.",
                 ),
-                "retries": registry.counter(
+                "retry": registry.counter(
                     "propack_burst_retries_total",
                     help="Retry attempts scheduled after failed executions.",
                 ),
@@ -186,7 +194,7 @@ class BurstInstrumentation:
                     "propack_burst_throttled_total",
                     help="429-style admission bounces.",
                 ),
-                "hedges": registry.counter(
+                "hedge": registry.counter(
                     "propack_burst_hedges_total",
                     help="Speculative hedge attempts launched.",
                 ),
@@ -222,8 +230,10 @@ class BurstInstrumentation:
         fallback_reason: Optional[str],
         search_costs: Optional[tuple[float, float]] = None,
         injector=None,
+        moments=(),
     ) -> None:
-        """Report a burst's attempts from its record table, in one pass.
+        """Report a burst's chain moments, then its attempts from its
+        record table in one pass.
 
         ``table`` is a :class:`~repro.platform.metrics.RecordTable` (one
         column per record field, NaN for a timestamp never set) whose times
@@ -255,7 +265,12 @@ class BurstInstrumentation:
 
         ``injector`` is the burst's fault injector (None without a fault
         scenario); its draws become the ``propack_fault_*`` samples.
-        """
+
+        ``moments`` are the burst's chain moments, in the order they
+        happened, on the simulator clock. They are replayed first
+        (:meth:`_record_moments`), so their bus events come before the
+        ``instance.*`` ones."""
+        self._record_moments(moments)
         rid, start, end = table.instance_id, table.exec_start, table.exec_end
         finished = ~np.isnan(end)
         skipped = table.cancelled & (end == start)  # cancelled before it ran
@@ -380,42 +395,31 @@ class BurstInstrumentation:
                 sid += 1
         tracer.spans += spans
 
-    # ------------------------------------------------------------------ #
-    def on_retry(self, chain_id: int, next_attempt: int, delay: float) -> None:
-        if self._m:
-            self._m["retries"].inc()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "retry", "fault", track=chain_id,
-                attempt=next_attempt, delay_s=delay,
-            )
-        if self.bus is not None:
-            self.bus.publish(
-                "chain.retry", self._now(),
-                chain=chain_id, attempt=next_attempt, delay_s=delay,
-            )
+    def _record_moments(self, moments) -> None:
+        """Replay a burst's chain moments, in the order they happened.
 
-    def on_throttled(self, chain_id: int, tries: int) -> None:
+        A moment is ``(time, kind, chain id, *detail)``, its detail named
+        by :data:`MOMENT_FIELDS` (a lost chain's last flag, lost to a final
+        429, is not reported). Each becomes a ``fault`` instant named
+        ``kind`` on its chain's track; a retry or a lost chain also
+        publishes ``chain.<kind>``. Each chain counter is incremented once.
+        """
+        tracer, bus = self.tracer, self.bus
+        instants: list[Instant] = []
+        for t, kind, chain, *detail in moments:
+            fields = tuple(zip(MOMENT_FIELDS[kind], detail))
+            if tracer is not None:
+                instants.append(Instant(kind, t, "fault", self.pid, chain, fields))
+            if bus is not None and kind in ("retry", "lost"):
+                bus.publish(f"chain.{kind}", t, chain=chain, **dict(fields))
+        if tracer is not None:
+            tracer.instants += instants
         if self._m:
-            self._m["throttled"].inc()
-        if self.tracer is not None:
-            self.tracer.instant("throttled", "fault", track=chain_id, tries=tries)
-
-    def on_hedge(self, chain_id: int) -> None:
-        if self._m:
-            self._m["hedges"].inc()
-        if self.tracer is not None:
-            self.tracer.instant("hedge", "fault", track=chain_id)
-
-    def on_lost(self, chain_id: int, n_packed: int) -> None:
-        if self._m:
-            self._m["lost"].inc(n_packed)
-        if self.tracer is not None:
-            self.tracer.instant("lost", "fault", track=chain_id, n_packed=n_packed)
-        if self.bus is not None:
-            self.bus.publish(
-                "chain.lost", self._now(), chain=chain_id, n_packed=n_packed
-            )
+            counts = Counter(moment[1] for moment in moments)
+            for kind in ("retry", "throttled", "hedge"):
+                self._m[kind].inc(counts[kind])
+            lost = (moment[3] for moment in moments if moment[1] == "lost")
+            self._m["lost"].inc(sum(lost))
 
 
 class ServingInstrumentation:

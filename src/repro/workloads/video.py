@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import signal
 
 from repro.workloads.base import AppSpec, ExecutableApp, Task
 
@@ -84,6 +83,8 @@ class ThousandIslandScanner(ExecutableApp):
         return tasks
 
     def run_task(self, task: Task) -> dict[str, Any]:
+        from scipy import signal  # a large import that only this kernel needs
+
         chunk = task.payload
         # "DNN" stage: smoothing convolution per frame + feature pooling.
         features = []

@@ -417,7 +417,7 @@ def _walk(scenario, n_chains, n_packed, spacing_s):
     env = _ChainEnv(kernel)
     chains = []
     for i in range(n_chains):
-        chain = kernel.new_chain(n_packed=n_packed, retry=kernel.fresh_retry())
+        chain = kernel.new_chain(n_packed=n_packed)
         kernel.run_synchronous_chain(chain, env, launch_at=i * spacing_s)
         chains.append(chain)
     return kernel, env, chains

@@ -5,8 +5,10 @@ import pytest
 from repro.chaos import assert_serving_invariants
 from repro.core.models import ExecutionTimeModel
 from repro.extensions.streaming import StreamingPolicy
-from repro.faults.retry import ExponentialBackoffRetry
+from repro.faults.retry import ExponentialBackoffRetry, ImmediateRetry, RetryBudget
 from repro.faults.scenario import FaultScenario
+from repro.platform.base import ServerlessPlatform
+from repro.platform.invoker import BurstSpec
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.resilience import (
     BrownoutController,
@@ -21,7 +23,7 @@ from repro.serving import (
     ServingSimulator,
     WarmPool,
 )
-from repro.workloads import XAPIAN
+from repro.workloads import SORT, XAPIAN
 
 import numpy as np
 
@@ -123,6 +125,25 @@ def test_retry_egress_free_on_lambda():
     )
     assert result.resilience.retry_egress_gb > 0.0
     assert result.expense.egress_usd == 0.0
+
+
+def test_retry_budget_caps_a_serving_run_as_it_caps_a_burst():
+    """A RetryBudget is spent by the whole run: three retries in a serving
+    run, as in a burst, however many batches crash."""
+    scenario = FaultScenario(name="f", crash_rate=0.3)
+    served = ServingSimulator(
+        AWS_LAMBDA, XAPIAN, EXEC, pool=WarmPool(FixedTTL(60.0)),
+        scenario=scenario, retry_policy=RetryBudget(ImmediateRetry(10), budget=3),
+        seed=3,
+    ).run(PoissonProcess(2.0), StreamingPolicy(degree=4, batch_timeout_s=2.0), 600.0)
+    assert served.resilience.crashes > 3
+    assert served.resilience.retries == 3
+    burst = ServerlessPlatform(AWS_LAMBDA, seed=3).run_burst(
+        BurstSpec(app=SORT, concurrency=400, packing_degree=2, scenario=scenario,
+                  retry_policy=RetryBudget(ImmediateRetry(10), budget=3)),
+        repetition=0,
+    )
+    assert burst.fault_stats.retries_scheduled == 3
 
 
 def test_persistent_crashes_poison_domains_and_breakers_react():

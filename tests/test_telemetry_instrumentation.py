@@ -6,6 +6,7 @@ the last instance's execution) exactly from the exported spans.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
 from repro.platform.invoker import BurstSpec, FunctionTimeoutError
-from repro.platform.metrics import InstanceRecord
+from repro.platform.metrics import InstanceRecord, sequential_sum
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.resilience import (
     CLOSED,
@@ -40,7 +41,12 @@ from repro.serving import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
-from repro.telemetry import EventBus, TelemetryConfig, parse_prometheus_text
+from repro.telemetry import (
+    EventBus,
+    TelemetryConfig,
+    TelemetrySession,
+    parse_prometheus_text,
+)
 from repro.telemetry.instruments import (
     BREAKER_STATES,
     PRIORITY_LABELS,
@@ -276,6 +282,154 @@ def test_aborted_faulted_burst_reports_its_fault_draws():
         'propack_fault_crashes_total{persistent="true"}': 2,
         "propack_fault_stragglers_total": 19,
     }
+
+
+# --------------------------------------------------------------------- #
+# Chain moments: logged by the kernel, reported when the burst ends
+# --------------------------------------------------------------------- #
+#: Crashes, stragglers, a correlated kill, 429 bounces, hedges, backoff
+#: retries and warm reuse: every kind of chain moment but a lost chain.
+THROTTLED = BurstSpec(
+    app=SORT, concurrency=600, packing_degree=2,
+    scenario=FaultScenario(
+        crash_rate=0.15, straggler_rate=0.3, throttle_capacity=100,
+        throttle_refill_per_s=20.0, throttle_max_retries=2,
+        correlated_bursts=1, correlated_fraction=0.3,
+    ),
+    hedge=HedgePolicy(), wave_size=120,
+    retry_policy=ExponentialBackoffRetry(max_retries=3),
+)
+#: A hard quota: chains lost to final 429 rejections.
+HARD_QUOTA = BurstSpec(
+    app=SORT, concurrency=200,
+    scenario=FaultScenario(
+        name="hard-quota", throttle_capacity=5, throttle_refill_per_s=0.5,
+        throttle_max_retries=2, throttle_backoff_s=0.1,
+    ),
+)
+
+
+class _ReportOnly:
+    """Burst telemetry that has nothing but the end-of-burst report."""
+
+    def __init__(self):
+        self.moments = []
+
+    def record_burst(self, table, invoked_at, kernel_path, fallback_reason,
+                     search_costs=None, injector=None, moments=()):
+        self.moments.append(list(moments))
+
+
+def test_event_loop_makes_no_telemetry_call():
+    """A faulted, throttled, hedged, waved burst runs with telemetry that
+    only takes the final report, and returns what an unobserved burst
+    does: every chain moment reaches telemetry through that report."""
+    platform = ServerlessPlatform(AWS_LAMBDA, seed=7, telemetry=TelemetryConfig())
+    report = _ReportOnly()
+    platform.telemetry.burst_instrumentation = lambda sim, name: report
+    observed = platform.run_burst(THROTTLED, repetition=0)
+    bare = ServerlessPlatform(AWS_LAMBDA, seed=7).run_burst(THROTTLED, repetition=0)
+    assert observed.kernel_path == "event"
+    assert observed == bare
+    assert observed.fault_stats == bare.fault_stats
+    assert observed.lost_functions == bare.lost_functions
+    (moments,) = report.moments
+    kinds = Counter(m[1] for m in moments)
+    assert kinds == {"retry": 113, "throttled": 29, "hedge": 46}
+    assert [m[0] for m in moments] == sorted(m[0] for m in moments)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, retries, throttled, hedges, lost_chains",
+    [(THROTTLED, 7, 113, 29, 46, 0), (HARD_QUOTA, 19, 0, 582, 0, 193)],
+    ids=["throttled", "hard-quota"],
+)
+def test_chain_samples_instants_and_events_are_the_fault_stats(
+    spec, seed, retries, throttled, hedges, lost_chains
+):
+    """The chain counters, the ``fault`` instants and the ``chain.*`` bus
+    events of a burst count what its FaultStats and lost functions do.
+    Hedges count as scheduled: more than the hedge attempts that ran."""
+    result, session = _observed(spec, seed=seed)
+    stats = result.fault_stats
+    assert (stats.retries_scheduled, stats.throttled_attempts) == (retries, throttled)
+    assert stats.throttle_rejections_final == lost_chains
+    samples = _samples(session, "propack_burst_")
+    assert samples["propack_burst_retries_total"] == stats.retries_scheduled
+    assert samples["propack_burst_throttled_total"] == stats.throttled_attempts
+    assert samples["propack_burst_hedges_total"] == hedges >= stats.hedged_attempts
+    assert samples["propack_burst_lost_functions_total"] == result.lost_functions
+    instants = session.tracer.instants
+    assert Counter(i.name for i in instants) == Counter(
+        retry=retries, throttled=throttled, hedge=hedges, lost=lost_chains
+    )
+    assert {(i.process, i.category) for i in instants} == {(1, "fault")}
+    delays = [dict(i.attrs)["delay_s"] for i in instants if i.name == "retry"]
+    assert sequential_sum(np.array(delays, dtype=float)) == stats.retry_delay_s_total
+    events = session.event_log.events
+    assert Counter(e.kind for e in events if e.kind.startswith("chain.")) == Counter(
+        {"chain.retry": retries, "chain.lost": lost_chains}
+    )
+    assert sum(e.get("n_packed") for e in events if e.kind == "chain.lost") == (
+        result.lost_functions
+    )
+
+
+def test_aborted_burst_reports_its_chain_moments():
+    """Fleet exhaustion ends a faulted, hedged, waved burst: the retries,
+    hedges and lost chain it had are exported with its finished attempts,
+    and their bus events come first."""
+    spec = BurstSpec(
+        app=SORT, concurrency=400, packing_degree=1,
+        scenario=FaultScenario(crash_rate=0.3, straggler_rate=0.2),
+        hedge=HedgePolicy(), wave_size=60,
+        retry_policy=ExponentialBackoffRetry(max_retries=3),
+    )
+    platform = ServerlessPlatform(
+        AWS_LAMBDA.with_overrides(fleet_servers=4), seed=5,
+        telemetry=TelemetryConfig(),
+    )
+    with pytest.raises(RuntimeError, match="fleet exhausted"):
+        platform.run_burst(spec, repetition=0)
+    session = platform.telemetry
+    assert _samples(session, "propack_burst_retries_total", "propack_burst_hedges",
+                    "propack_burst_lost", "propack_burst_throttled") == {
+        "propack_burst_retries_total": 34.0,
+        "propack_burst_hedges_total": 11.0,
+        "propack_burst_lost_functions_total": 1.0,
+        "propack_burst_throttled_total": 0.0,
+    }
+    assert Counter(i.name for i in session.tracer.instants) == {
+        "retry": 34, "hedge": 11, "lost": 1,
+    }
+    kinds = [e.kind for e in session.event_log.events]
+    assert Counter(kinds[:35]) == {"chain.retry": 34, "chain.lost": 1}
+    assert kinds[35:] == ["instance.crash"] * 35
+
+
+def test_chain_events_follow_a_shared_trace_recorder():
+    """A TraceRecorder on the session bus publishes each simulator event
+    as it runs; a burst's chain and instance events are published when it
+    ends, so they follow its last ``sim.event``."""
+    platform = ServerlessPlatform(AWS_LAMBDA, seed=SEED, telemetry=TelemetryConfig())
+    session = platform.telemetry
+    instrument = session.burst_instrumentation
+
+    def recorded(sim, name):
+        TraceRecorder(sim, bus=session.bus).install()
+        return instrument(sim, name)
+
+    session.burst_instrumentation = recorded
+    platform.run_burst(
+        BurstSpec(app=SORT, concurrency=200, packing_degree=2, scenario=CHAOS),
+        repetition=0,
+    )
+    kinds = [e.kind for e in session.event_log.events]
+    n_sim = kinds.count("sim.event")
+    assert n_sim > 0 and set(kinds[:n_sim]) == {"sim.event"}
+    lifecycle = kinds[n_sim:]
+    assert set(lifecycle) == {"chain.retry", "chain.lost", "instance.crash"}
+    assert lifecycle == sorted(lifecycle, key=lambda kind: kind.startswith("instance."))
 
 
 def test_attempt_cancelled_before_it_ran_has_no_phase_observations():
@@ -807,6 +961,35 @@ def test_remediated_run_samples_are_its_final_state(seed, quarantined, crashes):
             'propack_fault_crashes_total{persistent="false"}': transient,
             'propack_fault_crashes_total{persistent="true"}': persistent,
         },
+    )
+
+
+def test_breaker_gauges_read_the_last_run_of_a_session():
+    """Two serving runs in one session, each ending with all four domains
+    open: the transitions add up, the open-domain gauge reads four."""
+    session = TelemetrySession(TelemetryConfig())
+    banks = []
+    for seed in (7, 2023):
+        bank = CircuitBreakerBank(n_domains=4, failure_threshold=3, recovery_s=60.0,
+                                  rng=np.random.default_rng(seed))
+        ServingSimulator(
+            GOOGLE_CLOUD_FUNCTIONS, XAPIAN,
+            ExecutionTimeModel(coeff_a=XAPIAN.base_seconds, coeff_b=0.03,
+                               mem_gb=XAPIAN.mem_gb),
+            pool=WarmPool(FixedTTL(120.0)),
+            resilience=ResiliencePolicy(
+                admission=ConcurrencyLimitAdmission(limit=64), breakers=bank),
+            scenario=FaultScenario(crash_rate=0.15, persistent_fraction=0.25),
+            retry_policy=ExponentialBackoffRetry(max_retries=3), seed=seed,
+            telemetry=session,
+        ).run(PoissonProcess(4.0), StreamingPolicy(degree=4, batch_timeout_s=2.0), 900.0)
+        banks.append(bank)
+    assert [bank.n_open for bank in banks] == [4, 4]
+    samples = _samples(session, "propack_breaker_")
+    assert samples["propack_breaker_open_domains"] == 4
+    assert samples["propack_breaker_quarantined_domains"] == 0
+    assert samples["propack_breaker_transitions_total"] == sum(
+        bank.n_transitions for bank in banks
     )
 
 

@@ -1,8 +1,14 @@
 """Tests for the workload specs and their executable kernels."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.workloads import (
     ALL_APPS,
     BENCHMARK_APPS,
@@ -85,6 +91,17 @@ def test_video_deterministic_inputs():
     a = app.make_tasks(2, seed=7)[0].payload
     b = app.make_tasks(2, seed=7)[0].payload
     assert np.array_equal(a, b)
+
+
+def test_import_repro_does_not_load_scipy_signal():
+    """Only the video kernel convolves, so it imports ``scipy.signal`` when
+    it first runs: ``import repro`` (each CLI start) does not pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; raise SystemExit('scipy.signal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])},
+    )
+    assert proc.returncode == 0
 
 
 # --------------------------------------------------------------------- #
