@@ -18,6 +18,7 @@ test suite and in experiment S1.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.models import ExecutionTimeModel
@@ -69,10 +70,11 @@ class StreamingPlanner:
         ``safety`` reserves QoS headroom for the start latency;
         ``noise_margin`` inflates the predicted ET for execution noise.
         """
-        if qos_sojourn_s <= 0:
-            raise ValueError("QoS bound must be positive")
-        if arrival_rate_per_s <= 0:
-            raise ValueError("arrival rate must be positive")
+        for name, value in (
+            ("arrival_rate_per_s", arrival_rate_per_s), ("qos_sojourn_s", qos_sojourn_s)
+        ):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive (got {value})")
         budget = qos_sojourn_s * safety
         best: Optional[tuple[float, StreamingPolicy]] = None
         for degree in range(1, self.max_degree + 1):

@@ -64,12 +64,15 @@ class PriorityMix:
 
     def draw(self, gen: np.random.Generator) -> int:
         """One priority class from one uniform draw (deterministic per seed)."""
-        u = gen.random()
-        if u < self.high:
-            return HIGH
-        if u < self.high + self.normal:
-            return NORMAL
-        return LOW
+        return self.draws(gen, 1)[0]
+
+    def draws(self, gen: np.random.Generator, n: int) -> list[int]:
+        """``n`` classes from one ``random(n)`` call: the classes ``n``
+        calls of :meth:`draw` give, in the same order."""
+        u = gen.random(n)
+        return np.where(
+            u < self.high, HIGH, np.where(u < self.high + self.normal, NORMAL, LOW)
+        ).tolist()
 
 
 class AdmissionController(abc.ABC):

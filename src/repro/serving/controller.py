@@ -20,9 +20,11 @@ current plan AND the cooldown since the last adoption has elapsed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.models import ExecutionTimeModel, ScalingTimeModel
 from repro.core.optimizer import PackingOptimizer
@@ -39,10 +41,14 @@ class StreamingPolicy:
     batch_timeout_s: float
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.batch_timeout_s < 0:
-            raise ValueError("batch timeout must be non-negative")
+        # A float degree fails only when a batch is sliced, and a NaN
+        # timeout passes every comparison: both are refused here.
+        if not isinstance(self.degree, numbers.Integral) or self.degree < 1:
+            raise ValueError(f"degree must be an integer >= 1 (got {self.degree!r})")
+        if not (math.isfinite(self.batch_timeout_s) and self.batch_timeout_s >= 0.0):
+            raise ValueError(
+                f"batch_timeout_s must be finite and >= 0 (got {self.batch_timeout_s})"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,12 +80,18 @@ class OnlineReplanner:
         min_rate_per_s: float = 1e-3,
         joint_weight_service: float = 0.5,
     ) -> None:
-        if window_s <= 0.0:
-            raise ValueError("window must be positive")
-        if hysteresis < 0.0:
-            raise ValueError("hysteresis must be non-negative")
-        if cooldown_s < 0.0:
-            raise ValueError("cooldown must be non-negative")
+        # NaN passes every comparison, so finiteness is checked first.
+        for name, value, positive in (
+            ("qos_sojourn_s", qos_sojourn_s, True),
+            ("window_s", window_s, True),
+            ("hysteresis", hysteresis, False),
+            ("cooldown_s", cooldown_s, False),
+            ("pool_headroom", pool_headroom, True),
+            ("min_rate_per_s", min_rate_per_s, True),
+        ):
+            if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+                bound = "positive" if positive else ">= 0"
+                raise ValueError(f"{name} must be finite and {bound} (got {value})")
         self.profile = profile
         self.app = app
         self.exec_model = exec_model
@@ -104,9 +116,15 @@ class OnlineReplanner:
         self.decisions: list[ReplanDecision] = []
 
     # ------------------------------------------------------------------ #
-    def record_arrival(self, t: float) -> None:
-        self._arrivals.append(t)
-        cutoff = t - self.window_s
+    def record_arrivals(self, times: Sequence[float]) -> None:
+        """Record a run of sorted arrival times, all at or after the last
+        one recorded. The window is trimmed once, to the last arrival:
+        each arrival's cutoff only grows, so trimming after each one would
+        leave the same window."""
+        if not times:
+            return
+        self._arrivals.extend(times)
+        cutoff = times[-1] - self.window_s
         while self._arrivals and self._arrivals[0] < cutoff:
             self._arrivals.popleft()
 

@@ -41,7 +41,9 @@ fault, and noise draw, and therefore every reported number, bit for bit —
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -381,8 +383,56 @@ class ServingSimulator:
         return _ServingRun(self, process, policy, horizon_s, repetition).execute()
 
 
+def _event(body):
+    """Make a :class:`_ServingRun` method one of the run's simulator events.
+
+    The event first absorbs every arrival due by the clock, up to and
+    including the wake-up (:meth:`_ServingRun._absorb`), then runs
+    ``body``, then re-picks the wake-up: the next arrival the simulator
+    runs as an event. With the queue empty, that is the next arrival: it
+    may arm the batch timer. Otherwise the timer is armed, and the earliest
+    arrival that can fill the batch is ``cursor + degree - len(waiting) -
+    1`` (if every arrival before it is admitted). Any event may move it,
+    backwards too: a timer that empties the queue makes the next arrival
+    the wake-up. So no event reads a queue that is missing an arrival, and
+    none leaves a stale wake-up behind. Every callback a run schedules is
+    one of these.
+    """
+
+    @functools.wraps(body)
+    def event(self: "_ServingRun", *args) -> None:
+        times, cursor = self.times, self.cursor
+        if cursor < len(times):
+            now = self.sim.now
+            if times[cursor] <= now:
+                self._absorb(bisect_right(times, now, cursor, min(self.wake + 1, len(times))))
+        body(self, *args)
+        wake, waiting = self.cursor, len(self.waiting)
+        if waiting:
+            wake = min(wake + max(0, self._effective_degree() - waiting - 1), len(times))
+        if wake != self.wake:
+            self.wake = wake
+            self.sim.seek_stream(self.stream, wake)
+
+    return event
+
+
 class _ServingRun:
-    """State machine of one :meth:`ServingSimulator.run` invocation."""
+    """State machine of one :meth:`ServingSimulator.run` invocation.
+
+    Arrivals are not simulator events. The run keeps the sorted arrival
+    column, ``times``, and a cursor over the arrivals it has *absorbed*:
+    counted, given a priority, shed or queued, each at its own time. Most
+    arrivals only join the queue or are shed, and those decisions read
+    state that only an event changes (the queue, the requests in flight,
+    the policy, the brownout level and the admission limit). So every
+    event absorbs the arrivals due before it runs, and the simulator runs
+    just the *wake-up*: the earliest arrival that can arm the batch timer
+    (the queue is empty) or fill a batch (:func:`_event`). It is an entry
+    of a :meth:`Simulator.schedule_sorted` stream, picked with
+    :meth:`Simulator.seek_stream`, so it runs at its exact time and in the
+    order the arrival had as an event of its own.
+    """
 
     def __init__(
         self,
@@ -398,6 +448,10 @@ class _ServingRun:
         self.horizon_s = float(horizon_s)
         self.rng = RandomStreams(owner.seed).spawn(f"serving/r{repetition}")
         self.arrivals = process.sample(self.rng, horizon_s)
+        self.times: list[float] = self.arrivals.tolist()
+        self.cursor = 0      # arrivals times[:cursor] are absorbed
+        self.wake = 0        # the arrival the simulator runs next
+        self.stream = None   # the arrival column's schedule_sorted handle
         self.sim = Simulator()
         self.policy = policy
         self.timer = None
@@ -451,8 +505,11 @@ class _ServingRun:
             ),
         )
         self.result.backlog.threshold = self.cfg.backlog_threshold
+        # Backlog accounting, written to result.backlog when the run ends.
         self._bl_last_t = 0.0
         self._bl_integral = 0.0
+        self._bl_over = 0.0
+        self._bl_max = 0
 
         self.tel = None
         session = owner.telemetry
@@ -469,19 +526,14 @@ class _ServingRun:
 
     # ---------------------------------------------------------------- #
     # backlog accounting (satellite: queue-depth visibility)
-    def _backlog_touch(self) -> None:
-        now = self.sim.now
+    def _backlog_touch(self, now: float) -> None:
         dt = now - self._bl_last_t
         if dt > 0.0:
             depth = len(self.waiting)
             self._bl_integral += depth * dt
             if depth > self.cfg.backlog_threshold:
-                self.result.backlog.time_over_threshold_s += dt
+                self._bl_over += dt
         self._bl_last_t = now
-
-    def _backlog_peak(self) -> None:
-        if len(self.waiting) > self.result.backlog.max_depth:
-            self.result.backlog.max_depth = len(self.waiting)
 
     # ---------------------------------------------------------------- #
     def _effective_degree(self) -> int:
@@ -505,37 +557,66 @@ class _ServingRun:
         return True
 
     # ---------------------------------------------------------------- #
+    def _absorb(self, stop: int) -> None:
+        """Count, prioritise, shed or queue arrivals ``cursor .. stop - 1``.
+
+        In arrival order, each at its own time: the admission verdict, the
+        backlog integral and the audit event all take ``t``, not the clock.
+        None of these arrivals fills a batch or arms the timer (see
+        :func:`_event`), so none needs an event of its own.
+        """
+        start = self.cursor
+        if stop <= start:
+            return
+        self.cursor = stop
+        times, priorities = self.times, self.priorities
+        report, controller, brownout, admission, tel, waiting, threshold = self._absorb_with
+        report.arrivals += stop - start
+        if controller is not None:
+            controller.record_arrivals(times[start:stop])
+        depth = len(waiting)
+        # _backlog_touch(t) per queued arrival, on locals: the same float
+        # operations in the same order.
+        last, area, over = self._bl_last_t, self._bl_integral, self._bl_over
+        for i in range(start, stop):
+            t, priority = times[i], priorities[i]
+            if brownout is not None and brownout.sheds(priority):
+                report.shed_brownout += 1
+                report.shed_by_priority[priority] += 1
+                if tel is not None:
+                    tel.on_arrival("shed-brownout", t)
+                continue
+            if admission is not None and not admission.admit(
+                t, priority, depth, self.requests_in_flight
+            ):
+                report.shed_admission += 1
+                report.shed_by_priority[priority] += 1
+                if tel is not None:
+                    tel.on_arrival("shed-admission", t)
+                continue
+            report.admitted += 1
+            report.admitted_by_priority[priority] += 1
+            if tel is not None:
+                tel.on_arrival("admitted", t)
+            dt = t - last
+            if dt > 0.0:
+                area += depth * dt
+                if depth > threshold:
+                    over += dt
+            last = t
+            waiting.append((t, priority))
+            depth += 1
+        self._bl_last_t, self._bl_integral, self._bl_over = last, area, over
+        if depth > self._bl_max:
+            self._bl_max = depth
+
+    @_event
     def on_arrival(self, t: float) -> None:
-        report = self.result.resilience
-        report.arrivals += 1
-        if self.owner.controller is not None:
-            self.owner.controller.record_arrival(t)
-        priority = (
-            self.priority_mix.draw(self.rng.stream("priority"))
-            if self.protection_on
-            else NORMAL
-        )
-        if self.brownout is not None and self.brownout.sheds(priority):
-            report.shed_brownout += 1
-            report.shed_by_priority[priority] += 1
-            if self.tel is not None:
-                self.tel.on_arrival("shed-brownout")
-            return
-        if self.admission is not None and not self.admission.admit(
-            t, priority, len(self.waiting), self.requests_in_flight
-        ):
-            report.shed_admission += 1
-            report.shed_by_priority[priority] += 1
-            if self.tel is not None:
-                self.tel.on_arrival("shed-admission")
-            return
-        report.admitted += 1
-        report.admitted_by_priority[priority] += 1
-        if self.tel is not None:
-            self.tel.on_arrival("admitted")
-        self._backlog_touch()
-        self.waiting.append((t, priority))
-        self._backlog_peak()
+        """The wake-up, absorbed like any arrival: it fills a batch or
+        arms the timer (or neither, when it was shed)."""
+        self.wake += 1  # the simulator has moved the stream to the next entry
+        if not self.waiting:
+            return  # shed into an empty queue
         if len(self.waiting) >= self._effective_degree():
             self.form_batch()
         else:
@@ -549,6 +630,7 @@ class _ServingRun:
             max(0.0, deadline - self.sim.now), self.timer_fired
         )
 
+    @_event
     def timer_fired(self) -> None:
         self.timer = None
         self.form_batch()
@@ -557,7 +639,7 @@ class _ServingRun:
         if not self.waiting:
             return
         degree = self._effective_degree()
-        self._backlog_touch()
+        self._backlog_touch(self.sim.now)
         taken = self.waiting[:degree]
         del self.waiting[: len(taken)]
         if self.timer is not None:
@@ -586,7 +668,7 @@ class _ServingRun:
                     report.throttle_drops += 1
                     self.fail_batch(chain)
                     return
-                self.sim.schedule(verdict.wait_s, self.launch, chain)
+                self.sim.schedule(verdict.wait_s, self.relaunch, chain)
                 return
         # Route to a fault domain: breakers filter by circuit state; an
         # unprotected run routes round-robin regardless of domain health —
@@ -656,6 +738,9 @@ class _ServingRun:
         if self.tel is not None:
             self.tel.on_dispatch(dispatch_id, chain.n_packed, warm, domain)
 
+    #: A throttled or retried batch launches again as an event of its own.
+    relaunch = _event(launch)
+
     def _bill(
         self, ad: _ActiveDispatch, exec_seconds: float, wasted: bool = False
     ) -> float:
@@ -674,6 +759,7 @@ class _ServingRun:
             self.result.resilience.wasted_gb_seconds += gb_s
         return billed_s
 
+    @_event
     def on_complete(self, dispatch_id: int) -> None:
         ad = self.active.pop(dispatch_id)
         now = self.sim.now
@@ -694,6 +780,7 @@ class _ServingRun:
         self.requests_in_flight -= ad.chain.n_packed
         self.pump_blocked()
 
+    @_event
     def on_crash(self, dispatch_id: int, persistent: bool) -> None:
         ad = self.active.pop(dispatch_id)
         now = self.sim.now
@@ -723,7 +810,7 @@ class _ServingRun:
         report.retry_egress_gb += self._payload_gb(chain.n_packed)
         if self.tel is not None:
             self.tel.on_retry(chain.n_packed, delay)
-        self.sim.schedule(delay, self.launch, chain)
+        self.sim.schedule(delay, self.relaunch, chain)
 
     def fail_batch(self, chain: AttemptChain) -> None:
         chain.lost = True
@@ -742,6 +829,7 @@ class _ServingRun:
         self.pump_scheduled = True
         self.sim.schedule_at(at, self.pump_fired)
 
+    @_event
     def pump_fired(self) -> None:
         self.pump_scheduled = False
         self.pump_blocked()
@@ -755,6 +843,7 @@ class _ServingRun:
         self.schedule_pump()
 
     # ---------------------------------------------------------------- #
+    @_event
     def on_correlated_event(self) -> None:
         """A rack/AZ-style event: each in-flight dispatch may be killed."""
         now = self.sim.now
@@ -782,6 +871,7 @@ class _ServingRun:
         self.pump_blocked()
 
     # ---------------------------------------------------------------- #
+    @_event
     def control_tick(self) -> None:
         now = self.sim.now
         violation = self.result.slo.recent_violation_fraction(now)
@@ -802,6 +892,7 @@ class _ServingRun:
         while len(self.waiting) >= self._effective_degree():
             self.form_batch()
 
+    @_event
     def remediation_tick(self) -> None:
         """One pass of the auto-remediation loop, inside sim time.
 
@@ -829,7 +920,25 @@ class _ServingRun:
 
     def _serve(self) -> None:
         owner, cfg, result = self.owner, self.cfg, self.result
-        self.sim.schedule_sorted(self.arrivals, self.on_arrival)
+        self.stream = self.sim.schedule_sorted(self.arrivals, self.on_arrival)
+        # Only arrivals draw from the "priority" stream, one uniform each in
+        # arrival order, so one random(n) call draws the same doubles.
+        self.priorities = (
+            self.priority_mix.draws(self.rng.stream("priority"), len(self.times))
+            if self.protection_on
+            else [NORMAL] * len(self.times)
+        )
+        # What _absorb reads that no event changes, bound once: it runs
+        # before every event, most often for one arrival.
+        self._absorb_with = (
+            result.resilience,
+            owner.controller,
+            self.brownout,
+            self.admission,
+            self.tel,
+            self.waiting,
+            cfg.backlog_threshold,
+        )
         ticking = (
             owner.controller is not None
             or self.brownout is not None
@@ -851,6 +960,8 @@ class _ServingRun:
                 self.sim.schedule_at(t, self.on_correlated_event)
 
         self.sim.run()
+        # Every arrival is absorbed by now: an event follows each one, a
+        # timer while the queue holds requests and a wake-up otherwise.
         # Flush the tail still waiting when arrivals stop, then drain the
         # retries/completions those dispatches scheduled.
         while self.waiting:
@@ -862,12 +973,15 @@ class _ServingRun:
             self.fail_batch(batch)
         self.blocked.clear()
 
+        self.stream = None  # its callback is this run: let the run be freed
         end_time = max(self.sim.now, self.horizon_s)
         self.pool.drain(end_time)
-        self._backlog_touch()
+        self._backlog_touch(self.sim.now)
         result.backlog.mean_depth = (
             self._bl_integral / end_time if end_time > 0.0 else 0.0
         )
+        result.backlog.time_over_threshold_s = self._bl_over
+        result.backlog.max_depth = self._bl_max
         result.replans = owner.controller.replans if owner.controller else 0
         result.final_degree = self.policy.degree
         result.evictions = self.pool.stats.evictions

@@ -16,7 +16,9 @@ A long pre-sorted stream (a serving run's arrivals) goes on the agenda
 through :meth:`Simulator.schedule_sorted` and never enters the heap: the
 simulator keeps the column beside it and merges the column's head with the
 heap's top on every step, so the heap holds only the live events and an
-arrival costs no heap push or pop.
+entry costs no heap push or pop. The stream's owner may pick which entry
+runs next (:meth:`Simulator.seek_stream`); the entries it skips never run,
+and the ones it picks still run at their exact times and sequence numbers.
 """
 
 from __future__ import annotations
@@ -88,18 +90,20 @@ class Event:
 
 
 class _Stream:
-    """One pending :meth:`Simulator.schedule_sorted` column.
+    """One :meth:`Simulator.schedule_sorted` column, and its handle.
 
     Entry ``i`` runs ``callback(times[i])`` with sequence number
-    ``first + i``; ``cursor`` is the index of the next entry to run.
+    ``first + i``; ``cursor`` is the index of the next entry to run, and
+    ``ran`` the index of the last one that ran (-1 before the first).
     """
 
-    __slots__ = ("times", "first", "cursor", "callback")
+    __slots__ = ("times", "first", "cursor", "ran", "callback")
 
     def __init__(self, times: list, first: int, callback: Callable[[float], None]) -> None:
         self.times = times
         self.first = first
         self.cursor = 0
+        self.ran = -1
         self.callback = callback
 
 
@@ -197,28 +201,36 @@ class Simulator:
         self.compactions += 1
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation time.
+        """Schedule ``callback(*args)`` at (about) an absolute simulation time.
 
-        ``time`` must be no earlier than :attr:`now`, and not NaN.
+        ``time`` must be no earlier than :attr:`now`, and not NaN. The event
+        runs at ``now + (time - now)``, as :meth:`schedule` computes it, and
+        that sum can miss ``time`` by one ulp: from ``now =
+        0.541506936703373`` a ``time`` of ``1.75736081650356`` runs at
+        ``1.7573608165035601``. :meth:`schedule_sorted` entries run at their
+        exact times.
         """
         return self.schedule(time - self._now, callback, *args)
 
     def schedule_sorted(
         self, times: Sequence[float], callback: Callable[[float], None]
-    ) -> None:
+    ) -> Optional[_Stream]:
         """Schedule ``callback(t)`` at every absolute time ``t`` in ``times``.
 
-        Executes exactly as ``schedule_at(t, callback, t)`` for each time in
-        order would, ties included: the call reserves ``len(times)``
-        consecutive sequence numbers, and :meth:`step` runs the stream's
-        next entry whenever its ``(time, seq)`` comes before the heap's top.
-        No entry ever enters the heap. Any number of streams may be pending
-        at once. The entries cannot be cancelled. ``times`` must be
-        non-decreasing and start no earlier than :attr:`now`.
+        Executes as ``schedule_at(t, callback, t)`` for each time in order
+        would, ties included, except that each entry runs at exactly ``t``:
+        the call reserves ``len(times)`` consecutive sequence numbers, and
+        :meth:`step` runs the stream's next entry whenever its
+        ``(time, seq)`` comes before the heap's top. No entry ever enters
+        the heap. Any number of streams may be pending at once. The entries
+        cannot be cancelled, but the stream's owner may skip them with
+        :meth:`seek_stream`, which takes the handle returned here (``None``
+        for an empty ``times``). ``times`` must be non-decreasing and start
+        no earlier than :attr:`now`.
         """
         column = np.asarray(times, dtype=float)
         if column.size == 0:
-            return
+            return None
         if not column[0] >= self._now:
             raise SimulationError(
                 f"cannot schedule event in the past (time={column[0]}, now={self._now})"
@@ -227,7 +239,38 @@ class Simulator:
             raise SimulationError("schedule_sorted needs non-decreasing times")
         first = next(self._seq)
         self._seq = itertools.count(first + column.size)
-        self._streams.append(_Stream(column.tolist(), first, callback))
+        stream = _Stream(column.tolist(), first, callback)
+        self._streams.append(stream)
+        self._select_stream()
+        return stream
+
+    def seek_stream(self, stream: _Stream, index: int) -> None:
+        """Make entry ``index`` of ``stream`` the next one it runs.
+
+        Every entry before ``index`` that has not run is skipped: an entry
+        that is never picked never runs. ``index`` may move back, but only
+        to an entry after the last one that ran; ``len(times)`` runs no
+        further entry until a later seek picks one. A picked entry runs at
+        its own ``(time, seq)``, so its order against the heap is the one
+        :meth:`schedule_sorted` promised; only an entry due at :attr:`now`
+        whose turn the running event has already passed runs right after
+        it. A move to or before an entry that ran, past the end, or to an
+        entry due before :attr:`now` raises :class:`SimulationError`.
+        """
+        times = stream.times
+        n = len(times)
+        if index <= stream.ran or index > n or (index < n and times[index] < self._now):
+            raise SimulationError(
+                f"cannot seek a stream to entry {index} at {self._now}: entry "
+                f"{stream.ran} already ran, and it has {n} entries"
+            )
+        stream.cursor = index
+        if index < n and self._stream is stream and len(self._streams) == 1:
+            self._stream_time = times[index]
+            self._stream_seq = stream.first + index
+            return
+        if stream not in self._streams:  # a seek to its end had dropped it
+            self._streams.append(stream)
         self._select_stream()
 
     def _select_stream(self) -> None:
@@ -295,7 +338,8 @@ class Simulator:
         self._now = time
         self._events_processed += 1
         # Advance before the callback runs, so it sees the stream's successor.
-        i = stream.cursor = stream.cursor + 1
+        stream.ran = stream.cursor
+        i = stream.cursor = stream.ran + 1
         if i < len(stream.times) and len(self._streams) == 1:
             self._stream_time = stream.times[i]
             self._stream_seq = stream.first + i

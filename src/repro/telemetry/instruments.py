@@ -499,19 +499,24 @@ class ServingInstrumentation:
         return self._audit_on
 
     def _audit(self, kind: str, **fields) -> None:
-        """Publish an opt-in ``audit.*`` event iff someone subscribed to it.
+        """Publish an opt-in ``audit.*`` event iff someone subscribed to it,
+        stamped with the clock.
 
         Hot hooks guard on the precomputed :attr:`_audit_on` flag before
         building their field dicts, so an auditor-less session pays one
         attribute load per event — no dict allocation, no bus lookup.
         """
+        self._audit_at(kind, self._now(), **fields)
+
+    def _audit_at(self, kind: str, time: float, **fields) -> None:
+        """:meth:`_audit`, stamped with ``time``."""
         bus = self.bus
         if bus is None:
             return
         if bus.subscriptions_version != self._audit_version:
             self._refresh_audit_gate()
         if kind in self._audit_kinds:
-            bus.publish(kind, self._now(), **fields)
+            bus.publish(kind, time, **fields)
 
     # ------------------------------------------------------------------ #
     def record_run(self, result, resilience=None, injector=None) -> None:
@@ -590,10 +595,15 @@ class ServingInstrumentation:
         if injector is not None:
             _record_faults(registry, injector)
 
-    def on_arrival(self, verdict: str) -> None:
-        """``verdict`` is 'admitted', 'shed-admission', or 'shed-brownout'."""
+    def on_arrival(self, verdict: str, t: float) -> None:
+        """``verdict`` is 'admitted', 'shed-admission', or 'shed-brownout'.
+
+        The event is stamped with ``t``, the arrival's own time: a serving
+        run absorbs arrivals between its simulator events, so the clock
+        may already be past it.
+        """
         if self._audit_on:
-            self._audit("audit.arrival", verdict=verdict)
+            self._audit_at("audit.arrival", t, verdict=verdict)
 
     def on_dispatch(
         self, dispatch_id: int, batch_size: int, warm: bool, domain: Optional[int]

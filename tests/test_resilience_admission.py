@@ -45,6 +45,21 @@ class TestPriorityMix:
         gen = np.random.default_rng(1)
         assert all(mix.draw(gen) == LOW for _ in range(50))
 
+    @pytest.mark.parametrize("shares", [(0.2, 0.6, 0.2), (0.5, 0.0, 0.5), (0.0, 1.0, 0.0)])
+    def test_bulk_draws_are_the_scalar_draws(self, shares):
+        """One ``random(n)`` call classifies the doubles n scalar draws
+        give, by the same rule, and leaves the stream where they do."""
+        mix = PriorityMix(*shares)
+        bulk, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        expected = []
+        for _ in range(5000):
+            u = scalar.random()
+            expected.append(
+                HIGH if u < mix.high else NORMAL if u < mix.high + mix.normal else LOW
+            )
+        assert mix.draws(bulk, 5000) == expected
+        assert bulk.random() == scalar.random()
+
 
 class TestUnbounded:
     def test_admits_everything(self):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.models import ExecutionTimeModel, ScalingTimeModel
 from repro.platform.providers import AWS_LAMBDA
-from repro.serving.controller import OnlineReplanner
+from repro.extensions.streaming import StreamingPlanner
+from repro.serving.controller import OnlineReplanner, StreamingPolicy
 from repro.workloads import XAPIAN
 
 EXEC = ExecutionTimeModel(
@@ -31,7 +32,7 @@ def feed_rate(replanner, rate_per_s, start, end):
     t = start
     gap = 1.0 / rate_per_s
     while t < end:
-        replanner.record_arrival(t)
+        replanner.record_arrivals([t])
         t += gap
 
 
@@ -42,6 +43,60 @@ def test_validation():
         make_replanner(hysteresis=-0.1)
     with pytest.raises(ValueError):
         make_replanner(cooldown_s=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("qos_sojourn_s", NAN),
+    ("window_s", NAN),
+    ("hysteresis", NAN),
+    ("cooldown_s", NAN),
+    ("pool_headroom", NAN),
+    ("pool_headroom", -1.0),
+    ("min_rate_per_s", NAN),
+])
+def test_replanner_refuses_bad_inputs_at_construction(field, value):
+    """Each of these used to construct: a NaN window or headroom failed
+    mid-run, the others ran on with comparisons NaN always fails."""
+    with pytest.raises(ValueError, match=field):
+        make_replanner(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", 2.5), ("batch_timeout_s", NAN), ("batch_timeout_s", INF),
+])
+def test_streaming_policy_refuses_bad_inputs_at_construction(field, value):
+    """A NaN timeout used to act as a zero one, an infinite one failed at
+    the first timer and a fractional degree at the first batch."""
+    kwargs = {"degree": 8, "batch_timeout_s": 2.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        StreamingPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrival_rate_per_s", NAN), ("qos_sojourn_s", NAN), ("qos_sojourn_s", INF),
+])
+def test_streaming_planner_refuses_bad_inputs(field, value):
+    """A NaN rate used to plan degree 24, a NaN or infinite bound a NaN or
+    infinite timeout."""
+    kwargs = {"arrival_rate_per_s": 2.0, "qos_sojourn_s": 30.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        StreamingPlanner(AWS_LAMBDA, XAPIAN, EXEC).plan(**kwargs)
+
+
+def test_record_arrivals_in_runs_equals_one_at_a_time():
+    """The window's cutoffs only grow, so one trim per run of arrivals
+    leaves the window that one trim per arrival leaves."""
+    times = [0.25 * k * k for k in range(60)]  # gaps grow past the window
+    one, runs = make_replanner(window_s=20.0), make_replanner(window_s=20.0)
+    for t in times:
+        one.record_arrivals([t])
+    for lo, hi in ((0, 1), (1, 17), (17, 17), (17, 45), (45, 60)):
+        runs.record_arrivals(times[lo:hi])
+        assert list(runs._arrivals) == [t for t in times[:hi] if t >= times[hi - 1] - 20.0]
+    assert list(one._arrivals) == list(runs._arrivals)
 
 
 def test_sliding_window_rate_estimate():

@@ -1,6 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
-import itertools
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +255,22 @@ _STOP = st.one_of(
 )
 
 
+#: Cursor moves of the first stream, made by the callback of its entry
+#: ``k``: each offset ``o`` seeks to entry ``k + 1 + o`` (clamped to the
+#: end), so a list of several moves goes forward and back.
+_MOVES = st.dictionaries(
+    st.integers(min_value=0, max_value=24),
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+    max_size=6,
+)
+
+#: Heap events that move the first stream's cursor forward: at grid time
+#: ``g``, to the ``o``-th entry due after the clock (or further on).
+_SEEKERS = st.lists(
+    st.tuples(_GRID, st.integers(min_value=0, max_value=4)), max_size=4
+)
+
+
 @given(
     stream=st.lists(_GRID, max_size=25).map(sorted),
     second=st.lists(_GRID, max_size=8).map(sorted),
@@ -265,43 +281,73 @@ _STOP = st.one_of(
     doomed=st.lists(_GRID, max_size=8),
     spawning=st.sets(st.integers(min_value=0, max_value=24)),
     stops=st.lists(_STOP, max_size=4),
+    moves=_MOVES,
+    seekers=_SEEKERS,
 )
 @settings(max_examples=200, deadline=None)
 def test_schedule_sorted_runs_as_if_scheduled_up_front(
-    stream, second, late, late_at, before, after, doomed, spawning, stops
+    stream, second, late, late_at, before, after, doomed, spawning, stops,
+    moves, seekers,
 ):
     """Two streams pending at once, a third scheduled mid-run by the first
     one's ``late_at``-th entry, and the run cut into ``until`` and
     ``max_events`` segments: every entry, clock reading and ``peek()``
-    must match scheduling each entry with ``schedule_at``."""
+    must match scheduling each entry with ``schedule_at``.
+
+    The first stream's cursor also moves (``seek_stream``), from its own
+    entries and from heap events. Up front, an entry the moves skip is
+    cancelled once the event that skipped it ends. Exactly the entries
+    picked must run, each at its exact time, in ``(time, seq)`` order
+    against the heap events."""
 
     def execute(up_front):
         # With no compaction floor, cancelling the doomed events rebuilds
         # the heap while the streams are still pending.
         sim = Simulator(compact_min_events=0)
         log = []
-        fired = itertools.count()
+        times = [g * 0.5 for g in stream]
+        picked = [0]  # the first stream's next entry
 
         def sorted_stream(times, callback):
             if up_front:
-                for t in times:
-                    sim.schedule_at(t, callback, t)
-            else:
-                sim.schedule_sorted(times, callback)
+                return [sim.schedule_at(t, callback, t) for t in times]
+            return sim.schedule_sorted(times, callback)
+
+        def seek(index):
+            picked[0] = index = min(index, len(times))
+            if not up_front and times:  # an empty column has no handle
+                sim.seek_stream(handle, index)
+
+        def skip_from(start):
+            # Up front, the entries this event's moves skipped never run.
+            if up_front:
+                for event in handle[start:picked[0]]:
+                    event.cancel()
 
         def note(label):
             log.append((sim.now, label))
 
         def on_stream(t):
-            i = next(fired)
-            log.append((sim.now, f"stream{i}@{t}"))
-            if i in spawning:
-                sim.schedule(0.0, note, f"child{i}")
-            if i == 0:
+            k = picked[0]
+            assert sim.now == t == times[k]
+            picked[0] = k + 1
+            log.append((sim.now, f"stream{k}@{t}"))
+            if k in spawning:
+                sim.schedule(0.0, note, f"child{k}")
+            if k == 0:
                 for event in victims:
                     event.cancel()
-            if i == late_at:
+            if k == late_at:
                 sorted_stream([sim.now + g * 0.5 for g in late], on_late)
+            for offset in moves.get(k, ()):
+                seek(k + 1 + offset)
+            skip_from(k + 1)
+
+        def on_seeker(j, offset):
+            start = picked[0]
+            seek(max(start, bisect_right(times, sim.now) + offset))
+            log.append((sim.now, f"seeker{j}->{picked[0]}"))
+            skip_from(start)
 
         def on_second(t):
             log.append((sim.now, f"second@{t}"))
@@ -311,10 +357,12 @@ def test_schedule_sorted_runs_as_if_scheduled_up_front(
 
         for k, g in enumerate(before):
             sim.schedule_at(g * 0.5, note, f"before{k}")
-        sorted_stream([g * 0.5 for g in stream], on_stream)
+        handle = sorted_stream(times, on_stream)
         for k, g in enumerate(after):
             sim.schedule_at(g * 0.5, note, f"after{k}")
         sorted_stream([g * 0.5 for g in second], on_second)
+        for j, (g, offset) in enumerate(seekers):
+            sim.schedule_at(g * 0.5, on_seeker, j, offset)
         victims = [
             sim.schedule_at(100.0 + g, note, f"doomed{k}") for k, g in enumerate(doomed)
         ]
@@ -330,6 +378,68 @@ def test_schedule_sorted_runs_as_if_scheduled_up_front(
         return log, executed, sim.events_processed
 
     assert execute(up_front=False) == execute(up_front=True)
+
+
+def test_seek_stream_refuses_entries_that_ran_or_are_due_before_now():
+    sim = Simulator()
+    hits, errors = [], []
+
+    def on_stream(t):
+        hits.append(t)
+        if t == 2.0:  # entry 1 is running: 0 and 1 ran, 2 and 3 did not
+            for index in (1, 0, 5):
+                with pytest.raises(SimulationError):
+                    sim.seek_stream(handle, index)
+            sim.seek_stream(handle, 3)  # skip entry 2
+            sim.seek_stream(handle, 2)  # and take it back: it has not run
+
+    def late_heap_event():
+        sim.seek_stream(handle, 3)  # entry 2 (t=3.0) was skipped; 3 is at 4.0
+        with pytest.raises(SimulationError):
+            sim.seek_stream(handle, 2)  # due at 3.0, before the clock
+        errors.append(sim.now)
+
+    handle = sim.schedule_sorted([1.0, 2.0, 3.0, 4.0], on_stream)
+    sim.schedule_at(2.5, sim.seek_stream, handle, 4)  # skips 2 and 3 for now
+    sim.schedule_at(3.5, late_heap_event)
+    sim.run()
+    assert hits == [1.0, 2.0, 4.0] and errors == [3.5]
+    assert sim.events_processed == 5
+
+
+def test_a_seek_back_revives_a_stream_sought_to_its_end():
+    sim = Simulator()
+    hits = []
+
+    def on_stream(t):
+        hits.append((sim.now, t))
+        if t == 1.0:
+            sim.seek_stream(handle, 3)  # the end: nothing more runs...
+
+    handle = sim.schedule_sorted([1.0, 2.0, 3.0], on_stream)
+    sim.schedule_at(1.5, lambda: sim.seek_stream(handle, 2))  # ...until this
+    with TraceRecorder(sim) as recorder:
+        sim.run()
+    assert hits == [(1.0, 1.0), (3.0, 3.0)]  # entry 1 never runs
+    assert [(e.time, e.seq) for e in recorder.entries] == [(1.0, 0), (1.5, 3), (3.0, 2)]
+
+
+def test_stream_entries_run_at_their_exact_time():
+    """``schedule_at`` runs at ``now + (t - now)``, one ulp off ``t`` here;
+    a stream entry runs at ``t``, also when a seek picked it."""
+    sim = Simulator()
+    seen = {}
+    now, t = 0.541506936703373, 1.75736081650356
+
+    def set_up():
+        handle = sim.schedule_sorted([t, t], lambda when: seen.setdefault("stream", sim.now))
+        sim.seek_stream(handle, 1)
+        sim.schedule_at(t, lambda: seen.setdefault("heap", sim.now))
+
+    sim.schedule_at(now, set_up)
+    sim.run()
+    assert seen == {"stream": t, "heap": 1.7573608165035601}
+    assert seen["heap"] != t
 
 
 def test_schedule_sorted_keeps_stream_entries_off_the_heap():

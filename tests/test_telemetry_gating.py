@@ -150,13 +150,13 @@ def test_mid_run_attach_detach_is_safe():
     auditor = InvariantAuditor().attach(session.bus)
     orig_events = auditor.report.events_seen
     instr._refresh_audit_gate()
-    instr.on_arrival(verdict="admitted")
+    instr.on_arrival("admitted", 0.0)
     assert auditor.report.events_seen == orig_events + 1
     seen["after_attach"] = auditor.report.events_seen
 
     auditor.detach()
     instr._refresh_audit_gate()
-    instr.on_arrival(verdict="admitted")
+    instr.on_arrival("admitted", 0.0)
     assert auditor.report.events_seen == seen["after_attach"]  # unchanged
 
 
@@ -171,14 +171,14 @@ def test_audit_gate_publishes_only_the_subscribed_kinds():
     instr = _instr(session)
     everything, ticks = [], []
     bus.subscribe(everything.append)
-    instr.on_arrival(verdict="admitted")
+    instr.on_arrival("admitted", 0.0)
     instr.on_tick(backlog=3, violation_fraction=0.0)
     assert everything == [] and instr._audit_kinds == frozenset()
 
     unsubscribe = bus.subscribe(ticks.append, kind="audit.tick")
-    instr.on_arrival(verdict="admitted")  # the flag is stale until a tick
+    instr.on_arrival("admitted", 0.0)  # the flag is stale until a tick
     instr.on_tick(backlog=3, violation_fraction=0.0)
-    instr.on_arrival(verdict="admitted")
+    instr.on_arrival("admitted", 0.0)
     instr.on_fail_batch(2)
     assert instr._audit_kinds == frozenset({"audit.tick"})
     assert [e.kind for e in ticks] == ["audit.tick"]
