@@ -34,10 +34,12 @@ def test_ch1_same_seed_reproduces(ctx):
 
 @pytest.mark.telemetry_overhead
 def test_perf_auditor_disabled_is_free():
-    """The zero-cost-when-disabled contract for the audit.* family: a
-    serving run whose session has no auditor attached must stay within 2%
-    of a fully untelemetered run — the instrumentation's per-hook gate is
-    one dict lookup and no event may be built.
+    """The zero-cost-when-disabled contract for a bus-only session: a
+    serving run whose session has no tracer, registry or event log must
+    stay within 2% of a fully untelemetered run. Its hooks run once per
+    dispatch, completion, crash, retry and tick, and find nothing to
+    record but a crash's or a failed batch's bus event; no hook runs per
+    arrival. The auditor needs no session: it reads the finished run.
 
     Timing-sensitive, so it carries the ``telemetry_overhead`` marker and
     runs in the benchmarks CI job, not the tier-1 suite.
@@ -78,8 +80,8 @@ def test_perf_auditor_disabled_is_free():
         ).n_requests
 
     def auditorless_session():
-        # A live session whose audit.* family has zero subscribers — the
-        # disabled path every ordinary telemetry user takes.
+        # A live session that records nothing: the disabled path every
+        # ordinary telemetry user takes.
         return TelemetrySession(
             TelemetryConfig(tracing=False, metrics=False, events=False)
         )

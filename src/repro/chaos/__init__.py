@@ -1,4 +1,4 @@
-"""Adversarial chaos search with a runtime invariant auditor.
+"""Adversarial chaos search with an invariant auditor of finished runs.
 
 ``repro.chaos`` sits at the very top of the engine layering — above
 serving, resilience, remediation, *and* the campaign harness — because it
@@ -7,10 +7,11 @@ drives all of them as a black box:
 * :mod:`repro.chaos.invariants` — the shared library of conservation and
   legality invariants (request conservation, expense-breakdown sums,
   billed >= executed, breaker state-machine legality, remediation
-  apply/rollback pairing, span nesting, sim-time monotonicity);
+  apply/rollback pairing, span nesting, a serving run's dispatch log, a
+  finished burst's records);
 * :mod:`repro.chaos.auditor` — :class:`InvariantAuditor`, checking those
-  invariants *online* over the opt-in ``audit.*`` telemetry event family
-  (zero events are published when no auditor is attached);
+  invariants on a finished serving run (an audited run runs the same code
+  as an unaudited one);
 * :mod:`repro.chaos.composer` — :class:`StormSpec`, the bounded
   multi-phase storm genome (crash floor, poisoned start, gray window,
   correlated shocks) with seeded mutation and shrink operators;
@@ -24,7 +25,7 @@ drives all of them as a black box:
 See ``docs/CHAOS.md``.
 """
 
-from repro.chaos.auditor import AUDIT_KINDS, AuditReport, InvariantAuditor
+from repro.chaos.auditor import AuditReport, InvariantAuditor
 from repro.chaos.composer import CORPUS, PARAM_BOUNDS, StormSpec, corpus
 from repro.chaos.invariants import (
     EPS,
@@ -32,9 +33,11 @@ from repro.chaos.invariants import (
     Violation,
     assert_fleet_invariants,
     assert_serving_invariants,
+    burst_violations,
     check_admission_conservation,
     check_billed_vs_executed,
     check_breaker_transitions,
+    check_dispatch_log,
     check_expense_breakdown,
     check_monotonic_times,
     check_remediation_pairing,
@@ -58,7 +61,6 @@ from repro.chaos.search import (
 from repro.chaos.target import ChaosServingTarget
 
 __all__ = [
-    "AUDIT_KINDS",
     "AuditReport",
     "InvariantAuditor",
     "CORPUS",
@@ -70,9 +72,11 @@ __all__ = [
     "Violation",
     "assert_fleet_invariants",
     "assert_serving_invariants",
+    "burst_violations",
     "check_admission_conservation",
     "check_billed_vs_executed",
     "check_breaker_transitions",
+    "check_dispatch_log",
     "check_expense_breakdown",
     "check_monotonic_times",
     "check_remediation_pairing",

@@ -11,9 +11,9 @@ Subcommands::
         storm survived.
 
     propack-chaos audit --scenario calm --protected
-        Serve one named fault scenario (or a storm JSON file) with the
-        online invariant auditor attached and report the verdict. Exits
-        non-zero on any violation — this is the CI gate that golden runs
+        Serve one named fault scenario (or a storm JSON file), check the
+        finished run with the invariant auditor and report the verdict.
+        Exits non-zero on any violation — this is the CI gate that golden runs
         stay invariant-clean.
 
     propack-chaos replay results/chaos/<run_id>/manifest.json
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propack-chaos",
         description=(
-            "Adversarial chaos search with a runtime invariant auditor "
+            "Adversarial chaos search with an invariant auditor "
             "and minimized repro manifests."
         ),
     )
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--campaign", default="chaos")
     add_verbosity_flags(search)
 
-    audit = sub.add_parser("audit", help="audit one serving run online")
+    audit = sub.add_parser("audit", help="audit one serving run")
     audit.add_argument("--scenario", default="calm",
                        help="a named FaultScenario (calm/flaky/stormy/"
                             "throttled), a storm archetype, or a JSON file "
@@ -141,7 +141,6 @@ def _cmd_audit(args, log) -> int:
         StreamingPolicy,
         WarmPool,
     )
-    from repro.telemetry.config import TelemetryConfig, TelemetrySession
     from repro.workloads import XAPIAN
 
     serving_cfg = ServingConfig()
@@ -175,10 +174,6 @@ def _cmd_audit(args, log) -> int:
                 recovery_s=60.0,
             ),
         )
-    session = TelemetrySession(
-        TelemetryConfig(tracing=False, metrics=False, events=False)
-    )
-    auditor = InvariantAuditor().attach(session.bus)
     simulator = ServingSimulator(
         GOOGLE_CLOUD_FUNCTIONS,
         XAPIAN,
@@ -191,14 +186,13 @@ def _cmd_audit(args, log) -> int:
         scenario=scenario,
         retry_policy=ExponentialBackoffRetry(max_retries=3),
         seed=args.seed,
-        telemetry=session,
     )
     run = simulator.run(
         PoissonProcess(args.rate),
         StreamingPolicy(degree=4, batch_timeout_s=2.0),
         args.horizon,
     )
-    report = auditor.finalize(
+    report = InvariantAuditor().finalize(
         run, breakers=resilience.breakers if resilience else None
     )
     echo(

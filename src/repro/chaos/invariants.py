@@ -3,10 +3,11 @@
 Every identity that makes a serving result *trustworthy* used to live in
 docstrings (``arrivals == admitted + shed`` in ``serving/service.py``) and
 scattered test assertions. This module is now the single home: the test
-suites call :func:`assert_serving_invariants`, the online
-:class:`~repro.chaos.auditor.InvariantAuditor` calls the per-event
-predicates, and the chaos search scores storms by what they break — so the
-simulator and its auditors can never drift apart.
+suites call :func:`assert_serving_invariants` and :func:`burst_violations`,
+the :class:`~repro.chaos.auditor.InvariantAuditor` runs
+:func:`serving_violations` on the finished run, and the chaos search scores
+storms by what they break — so the simulator and its auditors can never
+drift apart.
 
 Catalog (see ``docs/CHAOS.md``):
 
@@ -14,7 +15,9 @@ Catalog (see ``docs/CHAOS.md``):
 invariant              statement
 =====================  ==================================================
 admission-conservation arrivals == admitted + shed (exact, integer)
-request-conservation   arrivals == completed + shed + failed after drain
+request-conservation   arrivals == completed + shed + failed after drain;
+                       the completed dispatches carried exactly the
+                       completed requests, none with a negative sojourn
 expense-breakdown      every component finite and >= 0; a reported total
                        equals the component sum
 billing-legality       billed seconds >= executed seconds (providers
@@ -26,9 +29,14 @@ breaker-legality       per-domain transition chains use only legal edges
 remediation-pairing    every rollback undoes exactly one earlier apply
 span-nesting           a child span lies inside its parent's interval;
                        every span closes with end >= start
-sim-time-monotonic     audited event times never decrease
-dispatch-lifecycle     every dispatch terminates exactly once, and only
-                       after it was launched
+sim-time-monotonic     dispatch launch times never decrease in id order
+dispatch-lifecycle     every dispatch launched ends exactly once, carries
+                       at least one request and ends no earlier than it
+                       was launched
+burst-phase-order      a burst record's set timestamps follow its phases
+                       (invoke, place and build, ship, start, end)
+burst-conservation     one first attempt per function group; completed
+                       plus lost functions equal the concurrency
 tenant-conservation    per-tenant submitted == admitted + rejected, all
                        counters non-negative (exact, integer)
 billing-attribution    per-tenant bills are finite and >= 0, and their
@@ -45,6 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 #: Absolute slack for float comparisons (sim arithmetic is double-precision
 #: exact per seed; the epsilon only forgives representation noise).
@@ -307,7 +317,7 @@ def check_span_nesting(tracer: Any) -> list[Violation]:
 
 
 def check_monotonic_times(times: Sequence[float]) -> list[Violation]:
-    """Audited event times must never decrease."""
+    """Times, in the order something happened, must never decrease."""
     out: list[Violation] = []
     for prev, cur in zip(times, times[1:]):
         if cur + EPS < prev:
@@ -318,6 +328,128 @@ def check_monotonic_times(times: Sequence[float]) -> list[Violation]:
                     f"event time went backwards ({prev:g} -> {cur:g})",
                 )
             )
+    return out
+
+
+# --------------------------------------------------------------------- #
+# the finished run's logs
+# --------------------------------------------------------------------- #
+def check_dispatch_log(result: Any) -> list[Violation]:
+    """A ServingResult's dispatch log, ``result.dispatches``, record by record.
+
+    Each record is one dispatch, written when it ended, in dispatch-id
+    order. dispatch-lifecycle: the ids are exactly ``0 … n_dispatches − 1``,
+    each once, so a dispatch that never ended, ended twice or was never
+    launched shows; every batch holds a request and no dispatch ends before
+    its launch. sim-time-monotonic: launch times never decrease in id
+    order (ids are handed out at launch). billing-legality: every attempt,
+    completed, crashed or killed, billed at least what it executed.
+    request-conservation: the completed dispatches' batches add up to the
+    completed requests, and no sojourn is negative.
+    """
+    out: list[Violation] = []
+    records = result.dispatches
+    n = result.n_dispatches
+    seen: set[int] = set()
+    for r in records:
+        if not 0 <= r.dispatch < n:
+            out.append(Violation(
+                "dispatch-lifecycle", r.ended_at,
+                f"dispatch {r.dispatch} ended but was never launched "
+                f"({n} dispatches)",
+            ))
+        elif r.dispatch in seen:
+            out.append(Violation(
+                "dispatch-lifecycle", r.ended_at,
+                f"dispatch {r.dispatch} ended twice",
+            ))
+        seen.add(r.dispatch)
+        if r.batch < 1:
+            out.append(Violation(
+                "dispatch-lifecycle", r.ended_at,
+                f"dispatch {r.dispatch} carries batch={r.batch}",
+            ))
+        if r.ended_at + EPS < r.launched_at:
+            out.append(Violation(
+                "dispatch-lifecycle", r.ended_at,
+                f"dispatch {r.dispatch} ended at t={r.ended_at:g} before its "
+                f"launch at t={r.launched_at:g}",
+            ))
+        out.extend(check_billed_vs_executed(r.billed_s, r.exec_s, r.ended_at))
+    end = max((r.ended_at for r in records), default=0.0)
+    for dispatch in sorted(set(range(n)) - seen):
+        out.append(Violation(
+            "dispatch-lifecycle", end, f"dispatch {dispatch} never ended",
+        ))
+    out.extend(check_monotonic_times([r.launched_at for r in records]))
+    served = sum(r.batch for r in records if r.outcome == "ok")
+    if served != result.n_completed:
+        out.append(Violation(
+            "request-conservation", end,
+            f"completed dispatches carried {served} requests but "
+            f"{result.n_completed} completed",
+        ))
+    sojourns = result.digest.values()
+    negative = sojourns[sojourns < 0.0]
+    if len(negative):
+        out.append(Violation(
+            "request-conservation", end,
+            f"negative sojourns: {len(negative)} (min {negative.min():g}s)",
+        ))
+    return out
+
+
+def burst_violations(spec: Any, result: Any) -> list[Violation]:
+    """Every invariant applicable to one finished burst.
+
+    ``result`` is a :class:`~repro.platform.metrics.RunResult` of ``spec``,
+    from either path. Times are relative to the burst's invocation, so the
+    violations carry burst time.
+
+    * burst-phase-order: each record's set timestamps (NaN is unset) are in
+      the order its phases run: placement and build both start at
+      invocation, shipping follows both, then execution starts and ends;
+    * burst-conservation: each of the ``ceil(C/P)`` function groups has at
+      most one first attempt (attempt 1, not a hedge), and only a group lost
+      to a final 429 before its first attempt has none; the completed
+      attempts' functions plus the lost functions equal C;
+    * expense-breakdown: the bill is legal.
+    """
+    out: list[Violation] = []
+    table = result.table
+    phases = (
+        ("invoked_at", "sched_done"), ("invoked_at", "built_at"),
+        ("sched_done", "shipped_at"), ("built_at", "shipped_at"),
+        ("shipped_at", "exec_start"), ("exec_start", "exec_end"),
+    )
+    for first, then in phases:
+        a, b = getattr(table, first), getattr(table, then)
+        for i in np.flatnonzero(a > b + EPS).tolist():
+            out.append(Violation(
+                "burst-phase-order", float(b[i]),
+                f"instance {int(table.instance_id[i])}: {then}={b[i]:g} "
+                f"before {first}={a[i]:g}",
+            ))
+    groups = -(-spec.concurrency // spec.packing_degree)
+    first_attempts = int(np.count_nonzero((table.attempt == 1) & ~table.hedged))
+    unadmitted = groups - first_attempts
+    if not 0 <= unadmitted <= result.fault_stats.throttle_rejections_final:
+        out.append(Violation(
+            "burst-conservation", 0.0,
+            f"{first_attempts} first attempts for {groups} function groups "
+            f"({result.fault_stats.throttle_rejections_final} lost to a "
+            f"final 429)",
+        ))
+    done = int(table.n_packed[table.successful()].sum())
+    if done + result.lost_functions != spec.concurrency:
+        out.append(Violation(
+            "burst-conservation", 0.0,
+            f"completed {done} + lost {result.lost_functions} functions "
+            f"!= C={spec.concurrency}",
+        ))
+    out.extend(
+        check_expense_breakdown(result.expense, reported_total=result.expense.total_usd)
+    )
     return out
 
 
@@ -333,6 +465,7 @@ def serving_violations(
     out: list[Violation] = []
     out.extend(check_admission_conservation(result.resilience))
     out.extend(check_request_conservation(result))
+    out.extend(check_dispatch_log(result))
     out.extend(
         check_expense_breakdown(result.expense, reported_total=result.expense.total_usd)
     )

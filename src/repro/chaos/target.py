@@ -8,7 +8,7 @@ harness run: a byte-stable :class:`~repro.harness.manifest.RunManifest`
 platform profile and app spec embed in full), a ``summary.json`` that
 ``propack-chaos replay`` / ``propack-campaign reproduce`` re-assert
 byte-identically, and a ``metrics.jsonl`` carrying every invariant
-violation the online auditor saw.
+violation the auditor found in the finished run.
 
 The target lives in ``repro.chaos`` — not ``repro.harness`` — because it
 needs the auditor; the layering gate keeps harness (and everything below)
@@ -98,7 +98,6 @@ class ChaosServingTarget(CampaignTarget):
             StreamingPolicy,
             WarmPool,
         )
-        from repro.telemetry.config import TelemetryConfig, TelemetrySession
         from repro.workloads import ALL_APPS
 
         profile = PROVIDERS[resolved["platform"]]
@@ -126,15 +125,6 @@ class ChaosServingTarget(CampaignTarget):
                     recovery_s=60.0,
                 ),
             )
-        auditor = None
-        session = None
-        if resolved["audit"]:
-            # A bus-only session: no tracer, no metrics, no event log —
-            # just the audit.* stream feeding the online auditor.
-            session = TelemetrySession(
-                TelemetryConfig(tracing=False, metrics=False, events=False)
-            )
-            auditor = InvariantAuditor().attach(session.bus)
         simulator = ServingSimulator(
             profile,
             app,
@@ -145,7 +135,6 @@ class ChaosServingTarget(CampaignTarget):
             scenario=scenario,
             retry_policy=ExponentialBackoffRetry(max_retries=3),
             seed=seed,
-            telemetry=session,
         )
         run = simulator.run(
             PoissonProcess(float(resolved["rate_per_s"])),
@@ -157,8 +146,8 @@ class ChaosServingTarget(CampaignTarget):
         )
         violations: list = []
         events_seen = 0
-        if auditor is not None:
-            report = auditor.finalize(
+        if resolved["audit"]:
+            report = InvariantAuditor().finalize(
                 run, breakers=resilience.breakers if resilience else None
             )
             violations = report.violations

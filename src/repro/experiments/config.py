@@ -55,7 +55,7 @@ class ExperimentConfig:
     selfheal_shadow_horizon_s: float = 240.0
     # Chaos sweep (repro.chaos): a seeded adversarial search finds the
     # worst storm against unprotected serving; the figure then serves that
-    # storm unprotected vs. protected with the invariant auditor attached.
+    # storm unprotected vs. protected and audits both finished runs.
     chaos_horizon_s: float = 1800.0
     chaos_rate_per_s: float = 4.0
     chaos_search_rounds: int = 2

@@ -1499,9 +1499,10 @@ def chaos_worst_storm(ctx: ExperimentContext) -> FigureResult:
     * **protected** — concurrency-limit admission plus per-domain circuit
       breakers.
 
-    Both runs execute with the online invariant auditor attached; the
-    figure asserts zero violations (the chaos harness must never flag the
-    real engine) on top of exact request conservation.
+    The invariant auditor checks both finished runs; the figure asserts
+    zero violations (the chaos harness must never flag the real engine)
+    on top of exact request conservation. ``audit_events`` counts the
+    dispatch records it read.
 
     The acceptance claim: the search finds at least one storm that breaks
     the SLO floor unprotected, and protection recovers attainment at

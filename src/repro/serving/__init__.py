@@ -23,6 +23,7 @@ from repro.serving.controller import OnlineReplanner, ReplanDecision, StreamingP
 from repro.serving.quantiles import QuantileDigest, WindowedSLOTracker
 from repro.serving.service import (
     BacklogStats,
+    DispatchRecord,
     ResilienceReport,
     ServingConfig,
     ServingResult,
@@ -53,6 +54,7 @@ __all__ = [
     "QuantileDigest",
     "WindowedSLOTracker",
     "BacklogStats",
+    "DispatchRecord",
     "ResilienceReport",
     "ServingConfig",
     "ServingResult",

@@ -47,6 +47,25 @@ def check_horizon(horizon_s: float) -> None:
         raise ValueError(f"horizon_s must be finite and positive (got {horizon_s})")
 
 
+def check_param(
+    name: str, value: float, low: float = 0.0, high: float = math.inf,
+    closed: bool = False,
+) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless it is
+    finite, above ``low`` (at least ``low`` if ``closed``) and at most
+    ``high``.
+
+    The one check of every float parameter of an arrival process: NaN
+    passes ``value <= 0.0``, and a NaN or infinite rate, period or sojourn
+    fails only inside ``sample``, or samples nothing, or never returns.
+    """
+    above = low <= value if closed else low < value
+    if math.isfinite(value) and above and value <= high:
+        return float(value)
+    interval = f"{'[' if closed else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+    raise ValueError(f"{name} must be finite and in {interval} (got {value})")
+
+
 class ArrivalProcess(abc.ABC):
     """A reproducible generator of absolute arrival times."""
 
@@ -64,9 +83,7 @@ class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals at a constant rate."""
 
     def __init__(self, rate_per_s: float) -> None:
-        if rate_per_s <= 0.0:
-            raise ValueError("arrival rate must be positive")
-        self.rate_per_s = float(rate_per_s)
+        self.rate_per_s = check_param("rate_per_s", rate_per_s)
 
     @property
     def mean_rate_per_s(self) -> float:
@@ -95,10 +112,8 @@ class InhomogeneousPoissonProcess(ArrivalProcess):
     """
 
     def __init__(self, rate_fn, max_rate_per_s: float) -> None:
-        if max_rate_per_s <= 0.0:
-            raise ValueError("dominating rate must be positive")
         self.rate_fn = rate_fn
-        self.max_rate_per_s = float(max_rate_per_s)
+        self.max_rate_per_s = check_param("max_rate_per_s", max_rate_per_s)
         self._mean_rate: float | None = None
 
     @property
@@ -142,17 +157,15 @@ class DiurnalProcess(InhomogeneousPoissonProcess):
         period_s: float = 86400.0,
         phase_s: float = None,
     ) -> None:
-        if base_rate_per_s <= 0.0:
-            raise ValueError("base rate must be positive")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError("amplitude must be in [0, 1]")
-        if period_s <= 0.0:
-            raise ValueError("period must be positive")
-        self.base_rate_per_s = float(base_rate_per_s)
-        self.amplitude = float(amplitude)
-        self.period_s = float(period_s)
+        self.base_rate_per_s = check_param("base_rate_per_s", base_rate_per_s)
+        self.amplitude = check_param("amplitude", amplitude, high=1.0, closed=True)
+        self.period_s = check_param("period_s", period_s)
         # sin(2π(t+phase)/period) == -1 at t=0  ⇒  phase = -period/4.
-        self.phase_s = float(phase_s) if phase_s is not None else -period_s / 4.0
+        self.phase_s = (
+            check_param("phase_s", phase_s, low=-math.inf)
+            if phase_s is not None
+            else -period_s / 4.0
+        )
 
         def rate(times: np.ndarray) -> np.ndarray:
             angle = 2.0 * np.pi * (np.asarray(times) + self.phase_s) / self.period_s
@@ -178,14 +191,10 @@ class MarkovModulatedProcess(ArrivalProcess):
         mean_off_s: float,
         start_on: bool = True,
     ) -> None:
-        if rate_on_per_s <= 0.0 or rate_off_per_s < 0.0:
-            raise ValueError("ON rate must be positive, OFF rate non-negative")
-        if mean_on_s <= 0.0 or mean_off_s <= 0.0:
-            raise ValueError("mean sojourns must be positive")
-        self.rate_on_per_s = float(rate_on_per_s)
-        self.rate_off_per_s = float(rate_off_per_s)
-        self.mean_on_s = float(mean_on_s)
-        self.mean_off_s = float(mean_off_s)
+        self.rate_on_per_s = check_param("rate_on_per_s", rate_on_per_s)
+        self.rate_off_per_s = check_param("rate_off_per_s", rate_off_per_s, closed=True)
+        self.mean_on_s = check_param("mean_on_s", mean_on_s)
+        self.mean_off_s = check_param("mean_off_s", mean_off_s)
         self.start_on = start_on
 
     @property
@@ -240,21 +249,20 @@ class AzureTraceProcess(ArrivalProcess):
         period_s: float = 86400.0,
         bucket_s: float = 60.0,
     ) -> None:
-        if rate_per_function_per_s <= 0.0:
-            raise ValueError("per-function rate must be positive")
         if n_functions < 1:
             raise ValueError("need at least one function")
-        if not 0.0 <= diurnal_amplitude <= 1.0:
-            raise ValueError("amplitude must be in [0, 1]")
-        if bucket_s <= 0.0 or period_s <= 0.0:
-            raise ValueError("bucket and period must be positive")
-        self.rate_per_function_per_s = float(rate_per_function_per_s)
+        self.rate_per_function_per_s = check_param(
+            "rate_per_function_per_s", rate_per_function_per_s
+        )
         self.n_functions = int(n_functions)
-        self.tail_alpha = float(tail_alpha)
-        self.tail_cap = float(tail_cap)
-        self.diurnal_amplitude = float(diurnal_amplitude)
-        self.period_s = float(period_s)
-        self.bucket_s = float(bucket_s)
+        self.tail_alpha = check_param("tail_alpha", tail_alpha)
+        # The factors have a unit minimum, so a cap below one is no tail.
+        self.tail_cap = check_param("tail_cap", tail_cap, low=1.0, closed=True)
+        self.diurnal_amplitude = check_param(
+            "diurnal_amplitude", diurnal_amplitude, high=1.0, closed=True
+        )
+        self.period_s = check_param("period_s", period_s)
+        self.bucket_s = check_param("bucket_s", bucket_s)
 
     @property
     def mean_rate_per_s(self) -> float:

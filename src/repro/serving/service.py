@@ -45,7 +45,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from repro.core.models import ExecutionTimeModel
 from repro.engine import (
@@ -197,6 +197,26 @@ class ResilienceReport:
         )
 
 
+class DispatchRecord(NamedTuple):
+    """One dispatch of a serving run, written once, when it ends.
+
+    ``outcome`` is ``"ok"`` (it completed), ``"crash"`` (it crashed) or
+    ``"killed"`` (a correlated event killed it). ``exec_s`` is the
+    execution billed for the attempt and ``billed_s`` the seconds the
+    profile's billing fidelity charged for it (execution plus billed init
+    on a cold start, rounded).
+    """
+
+    dispatch: int
+    launched_at: float
+    ended_at: float
+    outcome: str
+    batch: int
+    warm: bool
+    exec_s: float
+    billed_s: float
+
+
 @dataclass
 class ServingResult:
     """Everything measured from one serving run."""
@@ -223,6 +243,9 @@ class ServingResult:
     #: Timeline of the auto-remediation loop, when one drove the run
     #: (kept out of ``signature()``: the goldens pin it separately).
     remediation: Optional["RemediationReport"] = None
+    #: One record per dispatch, in dispatch-id order (kept out of
+    #: ``signature()``; the invariant library checks it).
+    dispatches: list[DispatchRecord] = field(default_factory=list)
 
     @property
     def cold_start_fraction(self) -> float:
@@ -315,6 +338,7 @@ class _ActiveDispatch:
     event: object               # the scheduled completion/crash event
     domain: Optional[int]
     warm: bool
+    launched_at: float
     exec_start: float
     exec_time: float
     crashing: bool              # already scheduled to crash
@@ -560,8 +584,8 @@ class _ServingRun:
     def _absorb(self, stop: int) -> None:
         """Count, prioritise, shed or queue arrivals ``cursor .. stop - 1``.
 
-        In arrival order, each at its own time: the admission verdict, the
-        backlog integral and the audit event all take ``t``, not the clock.
+        In arrival order, each at its own time: the admission verdict and
+        the backlog integral both take ``t``, not the clock.
         None of these arrivals fills a batch or arms the timer (see
         :func:`_event`), so none needs an event of its own.
         """
@@ -570,7 +594,7 @@ class _ServingRun:
             return
         self.cursor = stop
         times, priorities = self.times, self.priorities
-        report, controller, brownout, admission, tel, waiting, threshold = self._absorb_with
+        report, controller, brownout, admission, waiting, threshold = self._absorb_with
         report.arrivals += stop - start
         if controller is not None:
             controller.record_arrivals(times[start:stop])
@@ -583,21 +607,15 @@ class _ServingRun:
             if brownout is not None and brownout.sheds(priority):
                 report.shed_brownout += 1
                 report.shed_by_priority[priority] += 1
-                if tel is not None:
-                    tel.on_arrival("shed-brownout", t)
                 continue
             if admission is not None and not admission.admit(
                 t, priority, depth, self.requests_in_flight
             ):
                 report.shed_admission += 1
                 report.shed_by_priority[priority] += 1
-                if tel is not None:
-                    tel.on_arrival("shed-admission", t)
                 continue
             report.admitted += 1
             report.admitted_by_priority[priority] += 1
-            if tel is not None:
-                tel.on_arrival("admitted", t)
             dt = t - last
             if dt > 0.0:
                 area += depth * dt
@@ -662,8 +680,6 @@ class _ServingRun:
             verdict = self.kernel.throttle_gate(chain, now)
             if not verdict.admitted:
                 report.throttled_attempts += 1
-                if self.tel is not None:
-                    self.tel.on_throttled()
                 if verdict.rejected:
                     report.throttle_drops += 1
                     self.fail_batch(chain)
@@ -731,6 +747,7 @@ class _ServingRun:
             event=event,
             domain=domain,
             warm=warm,
+            launched_at=now,
             exec_start=exec_start,
             exec_time=exec_time,
             crashing=crashing,
@@ -741,29 +758,34 @@ class _ServingRun:
     #: A throttled or retried batch launches again as an event of its own.
     relaunch = _event(launch)
 
-    def _bill(
-        self, ad: _ActiveDispatch, exec_seconds: float, wasted: bool = False
-    ) -> float:
-        """Bill one attempt and return its billed seconds.
+    def _end(
+        self, dispatch_id: int, ad: _ActiveDispatch, outcome: str, exec_s: float
+    ) -> None:
+        """Bill a dispatch's attempt and write its record, as it ends.
 
         The provider rounds each invocation, so the profile's
         :class:`~repro.platform.billing.BillingFidelity` rounds once per
-        attempt, over execution plus billed init (cold starts only).
+        attempt, over execution plus billed init (cold starts only). An
+        attempt that did not complete (``outcome`` is not ``"ok"``) bills
+        wasted GB-seconds.
         """
         billed_s = self.owner._billing.fidelity.billed_seconds(
-            self.costs.billed_seconds(exec_seconds, ad.warm)
+            self.costs.billed_seconds(exec_s, ad.warm)
         )
         gb_s = billed_s * self.owner._billed_gb
         self.result.exec_gb_seconds += gb_s
-        if wasted:
+        if outcome != "ok":
             self.result.resilience.wasted_gb_seconds += gb_s
-        return billed_s
+        self.result.dispatches.append(DispatchRecord(
+            dispatch_id, ad.launched_at, self.sim.now, outcome,
+            ad.chain.n_packed, ad.warm, exec_s, billed_s,
+        ))
 
     @_event
     def on_complete(self, dispatch_id: int) -> None:
         ad = self.active.pop(dispatch_id)
         now = self.sim.now
-        billed_s = self._bill(ad, ad.exec_time)
+        self._end(dispatch_id, ad, "ok", ad.exec_time)
         self.pool.release(now)
         if ad.domain is not None and self.breakers is not None:
             self.breakers.record(ad.domain, True, now)
@@ -771,12 +793,7 @@ class _ServingRun:
         self.result.digest.add(*sojourns)
         self.result.slo.record(now, *sojourns)
         if self.tel is not None:
-            self.tel.on_complete(
-                dispatch_id,
-                sojourns,
-                exec_s=ad.exec_time,
-                billed_s=billed_s,
-            )
+            self.tel.on_complete(dispatch_id)
         self.requests_in_flight -= ad.chain.n_packed
         self.pump_blocked()
 
@@ -791,7 +808,7 @@ class _ServingRun:
             )
         if self.tel is not None:
             self.tel.on_crash(dispatch_id, correlated=False, domain=ad.domain)
-        self._bill(ad, max(0.0, now - ad.exec_start), wasted=True)
+        self._end(dispatch_id, ad, "crash", max(0.0, now - ad.exec_start))
         if persistent and ad.domain is not None:
             self.poisoned_at.setdefault(ad.domain, now)
         if ad.domain is not None and self.breakers is not None:
@@ -864,7 +881,7 @@ class _ServingRun:
             if self.tel is not None:
                 self.tel.on_crash(dispatch_id, correlated=True, domain=ad.domain)
             executed = max(0.0, min(now, ad.exec_start + ad.exec_time) - ad.exec_start)
-            self._bill(ad, executed, wasted=True)
+            self._end(dispatch_id, ad, "killed", executed)
             if ad.domain is not None and self.breakers is not None:
                 self.breakers.record(ad.domain, False, now)
             self.retry_or_fail(ad.chain)
@@ -935,7 +952,6 @@ class _ServingRun:
             owner.controller,
             self.brownout,
             self.admission,
-            self.tel,
             self.waiting,
             cfg.backlog_threshold,
         )
@@ -974,6 +990,7 @@ class _ServingRun:
         self.blocked.clear()
 
         self.stream = None  # its callback is this run: let the run be freed
+        result.dispatches.sort()  # written as dispatches end; ids are unique
         end_time = max(self.sim.now, self.horizon_s)
         self.pool.drain(end_time)
         self._backlog_touch(self.sim.now)

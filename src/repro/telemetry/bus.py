@@ -26,9 +26,7 @@ class TelemetryEvent(NamedTuple):
 
     ``fields`` is stored as a sorted tuple of ``(key, value)`` pairs so two
     identically-seeded runs serialize byte-identically. Events are
-    immutable and compare by value. A named tuple builds in about half
-    a frozen dataclass's time, which counts on the audit stream: one
-    event per arrival, dispatch and completion of an audited serving run.
+    immutable and compare by value.
     """
 
     kind: str
@@ -53,11 +51,6 @@ class EventBus:
     def __init__(self) -> None:
         self._by_kind: dict[str, list[Subscriber]] = {}
         self._all: list[Subscriber] = []
-        #: Bumped on every (un)subscribe. Hot-loop publishers cache their
-        #: per-kind "anyone listening?" verdicts against this instead of
-        #: re-asking :meth:`has_kind_subscribers` per event (see
-        #: ``ServingInstrumentation._refresh_audit_gate``).
-        self.subscriptions_version = 0
 
     def subscribe(
         self, fn: Subscriber, kind: Optional[str] = None
@@ -68,15 +61,12 @@ class EventBus:
         """
         listing = self._all if kind is None else self._by_kind.setdefault(kind, [])
         listing.append(fn)
-        self.subscriptions_version += 1
 
         def unsubscribe() -> None:
             try:
                 listing.remove(fn)
             except ValueError:
                 pass
-            else:
-                self.subscriptions_version += 1
 
         return unsubscribe
 
@@ -88,20 +78,6 @@ class EventBus:
         for fn in self._all:
             fn(event)
         return event
-
-    def has_subscribers(self, kind: str) -> bool:
-        return bool(self._all) or bool(self._by_kind.get(kind))
-
-    def has_kind_subscribers(self, kind: str) -> bool:
-        """Whether anyone subscribed to ``kind`` *specifically*.
-
-        Catch-all subscribers (the :class:`EventLog` attaches as one) do not
-        count: publishers of opt-in event families — the chaos auditor's
-        ``audit.*`` stream — gate on this so that an ordinary session with
-        an event log sees no new events and its JSONL export stays
-        byte-identical.
-        """
-        return bool(self._by_kind.get(kind))
 
 
 @dataclass

@@ -10,9 +10,10 @@ drove — admission, circuit breakers, brownout, the fault injector — hold
 no registry: their families are written at that same moment, from the
 state each component ended the run in. Only the serving loop calls
 hooks as things happen (a burst's event loop calls none), for what its
-result does not hold: spans, instants, bus and audit events. All span
-bookkeeping, metric registration, and bus publishing lives here, so the
-hot paths pay exactly one attribute check when telemetry is off.
+result does not hold: spans, instants and bus events. The chaos auditor
+needs none of them: it reads the finished result. All span bookkeeping,
+metric registration, and bus publishing lives here, so the hot paths pay
+exactly one attribute check when telemetry is off.
 
 Span model (see ``docs/OBSERVABILITY.md``):
 
@@ -430,15 +431,6 @@ class ServingInstrumentation:
     the run ends, from its result (:meth:`record_run`). The hooks the loop
     calls as things happen report spans, instants and bus events, and keep
     two live metrics: the backlog gauge and the remediation counter.
-
-    Every hook also offers an ``audit.*`` event to the bus — but only when
-    something subscribed to that kind *specifically*. The "is any auditor
-    attached?" verdict is precomputed once per run (and re-derived only
-    when the bus's subscription set changes, at the latest on the next
-    control tick), so sessions without a chaos
-    :class:`~repro.chaos.auditor.InvariantAuditor` pay one attribute load
-    per hook — no field-dict allocation, no bus lookup — and publish
-    nothing, keeping JSONL exports byte-identical.
     """
 
     def __init__(
@@ -453,14 +445,6 @@ class ServingInstrumentation:
         self.bus = bus
         self._registry = registry
         self._now = lambda: sim.now  # bus events are published untraced too
-        # Audit short-circuit: hooks fire per dispatch/arrival (hot loop),
-        # so "which audit.* kinds has anyone subscribed to?" is answered
-        # once here and re-derived only when the bus's subscription set
-        # changes, never per event.
-        self._audit_version = -1
-        self._audit_kinds: frozenset[str] = frozenset()
-        self._audit_on = False
-        self._refresh_audit_gate()
         if tracer is not None:
             tracer.bind_clock(self._now)
             self.pid = tracer.new_process(name)
@@ -471,52 +455,6 @@ class ServingInstrumentation:
                 "propack_serving_backlog_depth",
                 help="Dispatch-queue depth at the last control tick.",
             )
-
-    # ------------------------------------------------------------------ #
-    def _refresh_audit_gate(self) -> bool:
-        """Recompute the cached per-kind ``audit.*`` subscriber verdicts.
-
-        One bus scan, and only when the subscription set actually changed
-        since the last refresh (tracked via
-        :attr:`EventBus.subscriptions_version`). It caches the set of
-        ``audit.*`` kinds someone subscribed to specifically (what
-        :meth:`EventBus.has_kind_subscribers` answers per kind) and whether
-        that set is empty. Runs at construction and again at every
-        (un)subscribe observed through :meth:`_audit`; an auditor attached
-        mid-run is picked up at the latest on the next control tick.
-        """
-        bus = self.bus
-        if bus is None:
-            return False
-        version = bus.subscriptions_version
-        if version != self._audit_version:
-            self._audit_version = version
-            self._audit_kinds = frozenset(
-                kind for kind, subs in bus._by_kind.items()
-                if subs and kind.startswith("audit.")
-            )
-            self._audit_on = bool(self._audit_kinds)
-        return self._audit_on
-
-    def _audit(self, kind: str, **fields) -> None:
-        """Publish an opt-in ``audit.*`` event iff someone subscribed to it,
-        stamped with the clock.
-
-        Hot hooks guard on the precomputed :attr:`_audit_on` flag before
-        building their field dicts, so an auditor-less session pays one
-        attribute load per event — no dict allocation, no bus lookup.
-        """
-        self._audit_at(kind, self._now(), **fields)
-
-    def _audit_at(self, kind: str, time: float, **fields) -> None:
-        """:meth:`_audit`, stamped with ``time``."""
-        bus = self.bus
-        if bus is None:
-            return
-        if bus.subscriptions_version != self._audit_version:
-            self._refresh_audit_gate()
-        if kind in self._audit_kinds:
-            bus.publish(kind, time, **fields)
 
     # ------------------------------------------------------------------ #
     def record_run(self, result, resilience=None, injector=None) -> None:
@@ -595,25 +533,9 @@ class ServingInstrumentation:
         if injector is not None:
             _record_faults(registry, injector)
 
-    def on_arrival(self, verdict: str, t: float) -> None:
-        """``verdict`` is 'admitted', 'shed-admission', or 'shed-brownout'.
-
-        The event is stamped with ``t``, the arrival's own time: a serving
-        run absorbs arrivals between its simulator events, so the clock
-        may already be past it.
-        """
-        if self._audit_on:
-            self._audit_at("audit.arrival", t, verdict=verdict)
-
     def on_dispatch(
         self, dispatch_id: int, batch_size: int, warm: bool, domain: Optional[int]
     ) -> None:
-        if self._audit_on:
-            self._audit(
-                "audit.dispatch",
-                dispatch=dispatch_id, batch=batch_size, warm=warm,
-                domain=-1 if domain is None else domain,
-            )
         if self.tracer is None:
             return
         self._dispatches[dispatch_id] = self.tracer.start_span(
@@ -630,32 +552,13 @@ class ServingInstrumentation:
         if span is not None:
             self.tracer.end_span(span, outcome=outcome)
 
-    def on_complete(
-        self,
-        dispatch_id: int,
-        sojourns: list[float],
-        exec_s: Optional[float] = None,
-        billed_s: Optional[float] = None,
-    ) -> None:
-        if self._audit_on:
-            self._audit(
-                "audit.complete",
-                dispatch=dispatch_id, n=len(sojourns),
-                exec_s=-1.0 if exec_s is None else exec_s,
-                billed_s=-1.0 if billed_s is None else billed_s,
-            )
+    def on_complete(self, dispatch_id: int) -> None:
         if self.tracer is not None:
             self._end_dispatch(dispatch_id, "ok")
 
     def on_crash(
         self, dispatch_id: int, correlated: bool, domain: Optional[int] = None
     ) -> None:
-        if self._audit_on:
-            self._audit(
-                "audit.crash",
-                dispatch=dispatch_id, correlated=correlated,
-                domain=-1 if domain is None else domain,
-            )
         if self.tracer is not None:
             self._end_dispatch(dispatch_id, "crash")
         if self.bus is not None:
@@ -666,26 +569,14 @@ class ServingInstrumentation:
             )
 
     def on_retry(self, batch_size: int, delay: float) -> None:
-        if self._audit_on:
-            self._audit("audit.retry", batch=batch_size, delay_s=delay)
         if self.tracer is not None:
             self.tracer.instant("retry", "fault", batch=batch_size, delay_s=delay)
 
-    def on_throttled(self) -> None:
-        if self._audit_on:
-            self._audit("audit.throttled")
-
     def on_fail_batch(self, batch_size: int) -> None:
-        if self._audit_on:
-            self._audit("audit.fail", batch=batch_size)
         if self.bus is not None:
             self.bus.publish("batch.failed", self._now(), batch=batch_size)
 
     def on_tick(self, backlog: int, violation_fraction: float) -> None:
-        # Per-wave gate refresh: the control tick is the run's heartbeat,
-        # so a mid-run (un)subscribe is folded in here at the latest.
-        if self._refresh_audit_gate():
-            self._audit("audit.tick", backlog=backlog)
         if self._backlog is not None:
             self._backlog.set(backlog)
         if self.tracer is not None:
@@ -697,8 +588,6 @@ class ServingInstrumentation:
     def on_remediation(self, stage: str, **fields) -> None:
         """One remediation-loop event: ``stage`` is 'detection', 'proposal',
         'verdict', 'apply', or 'rollback'; ``fields`` are stage-specific."""
-        if self._audit_on:
-            self._audit("audit.remediation", stage=stage, **fields)
         if self._registry is not None:
             self._registry.counter(
                 "propack_remediation_events_total",

@@ -1,15 +1,20 @@
-"""The runtime invariant auditor: online checks over the audit.* stream.
+"""The invariant auditor: checks over a finished serving run.
 
-Two families: synthetic-bus tests plant specific bugs event by event and
-assert the auditor flags exactly them; integration tests attach the
-auditor to a real serving run and require a clean bill (the auditor must
-never cry wolf on the actual engine) while proving the audit.* family
-publishes nothing when nobody subscribed.
+Two families: planted-bug tests take a real run's result, plant one
+defect in its dispatch log (or its digest, or its remediation timeline)
+and assert the auditor reports exactly that invariant; integration tests
+audit real serving runs and require a clean bill (the auditor must never
+cry wolf on the actual engine) while proving that auditing changes
+nothing the run does or exports.
 """
 
-import numpy as np
+import dataclasses
+from types import SimpleNamespace
 
-from repro.chaos import AUDIT_KINDS, InvariantAuditor
+import numpy as np
+import pytest
+
+from repro.chaos import InvariantAuditor
 from repro.core.models import ExecutionTimeModel
 from repro.extensions.streaming import StreamingPolicy
 from repro.faults.retry import ExponentialBackoffRetry
@@ -23,6 +28,7 @@ from repro.resilience import (
 from repro.serving import (
     FixedTTL,
     PoissonProcess,
+    QuantileDigest,
     ServingConfig,
     ServingSimulator,
     WarmPool,
@@ -37,101 +43,6 @@ EXEC = ExecutionTimeModel(
 POLICY = StreamingPolicy(degree=4, batch_timeout_s=2.0)
 
 
-def attached_auditor():
-    bus = EventBus()
-    return bus, InvariantAuditor().attach(bus)
-
-
-# --------------------------------------------------------------------- #
-# synthetic-bus planted bugs
-# --------------------------------------------------------------------- #
-def test_clean_lifecycle_is_clean():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.arrival", 0.0, verdict="admitted")
-    bus.publish("audit.arrival", 0.5, verdict="shed-admission")
-    bus.publish("audit.dispatch", 1.0, dispatch=1, batch=1, warm=False, domain=0)
-    bus.publish("audit.complete", 2.0, dispatch=1, n=1, exec_s=1.0, billed_s=1.1)
-    report = auditor.finalize()
-    assert report.ok
-    assert report.events_seen == 4
-    assert report.checks_run > 0
-
-
-def test_billed_below_executed_is_flagged_online():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.arrival", 0.0, verdict="admitted")
-    bus.publish("audit.dispatch", 1.0, dispatch=1, batch=1, warm=True, domain=0)
-    bus.publish("audit.complete", 2.0, dispatch=1, n=1, exec_s=2.0, billed_s=1.5)
-    assert auditor.report.violations  # caught at the event, not at finalize
-    assert auditor.finalize().violation_kinds() == ["billing-legality"]
-
-
-def test_double_launch_and_unknown_termination():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.dispatch", 1.0, dispatch=7, batch=2, warm=False, domain=0)
-    bus.publish("audit.dispatch", 2.0, dispatch=7, batch=2, warm=False, domain=0)
-    bus.publish("audit.crash", 3.0, dispatch=9, batch=2)
-    kinds = auditor.report.violations
-    assert [v.invariant for v in kinds] == [
-        "dispatch-lifecycle", "dispatch-lifecycle"
-    ]
-
-
-def test_completion_with_wrong_batch_size():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.arrival", 0.0, verdict="admitted")
-    bus.publish("audit.arrival", 0.1, verdict="admitted")
-    bus.publish("audit.dispatch", 1.0, dispatch=1, batch=2, warm=False, domain=0)
-    bus.publish("audit.complete", 2.0, dispatch=1, n=3, exec_s=1.0, billed_s=1.0)
-    report = auditor.finalize()
-    assert "request-conservation" in report.violation_kinds()
-
-
-def test_time_reversal_is_flagged():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.tick", 5.0, backlog=0)
-    bus.publish("audit.tick", 4.0, backlog=0)
-    assert auditor.finalize().violation_kinds() == ["sim-time-monotonic"]
-
-
-def test_rollback_without_apply():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.remediation", 1.0, stage="apply", action="quarantine:2")
-    bus.publish("audit.remediation", 2.0, stage="rollback", action="quarantine:2")
-    bus.publish("audit.remediation", 3.0, stage="rollback", action="quarantine:2")
-    assert auditor.finalize().violation_kinds() == ["remediation-pairing"]
-
-
-def test_never_terminated_dispatch_flagged_at_finalize():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.arrival", 0.0, verdict="admitted")
-    bus.publish("audit.dispatch", 1.0, dispatch=1, batch=1, warm=False, domain=0)
-    report = auditor.finalize()
-    assert report.violation_kinds() == ["dispatch-lifecycle"]
-    assert "never terminated" in report.violations[0].message
-
-
-def test_finalize_is_idempotent():
-    bus, auditor = attached_auditor()
-    bus.publish("audit.dispatch", 1.0, dispatch=1, batch=1, warm=False, domain=0)
-    first = auditor.finalize()
-    again = auditor.finalize()
-    assert first is again
-    assert len(again.violations) == 1
-
-
-def test_detach_restores_publish_nothing_state():
-    bus, auditor = attached_auditor()
-    for kind in AUDIT_KINDS:
-        assert bus.has_kind_subscribers(kind)
-    auditor.detach()
-    for kind in AUDIT_KINDS:
-        assert not bus.has_kind_subscribers(kind)
-
-
-# --------------------------------------------------------------------- #
-# real serving runs
-# --------------------------------------------------------------------- #
 def run_with_session(session, scenario_name="stormy", protected=True, seed=7):
     cfg = ServingConfig()
     resilience = None
@@ -161,20 +72,153 @@ def run_with_session(session, scenario_name="stormy", protected=True, seed=7):
     return run, resilience
 
 
-def test_real_stormy_run_audits_clean():
-    session = TelemetrySession(
-        TelemetryConfig(tracing=False, metrics=False, events=False)
-    )
-    auditor = InvariantAuditor().attach(session.bus)
-    run, resilience = run_with_session(session)
-    report = auditor.finalize(run, breakers=resilience.breakers)
+# --------------------------------------------------------------------- #
+# planted bugs in a finished run
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def stormy():
+    """A real stormy run: its log holds completions, crashes and kills."""
+    run, _ = run_with_session(None)
+    assert {r.outcome for r in run.dispatches} == {"ok", "crash", "killed"}
+    return run
+
+
+def planted(run, **changes):
+    """``run`` with some fields replaced; the run itself is left as is."""
+    return dataclasses.replace(run, **changes)
+
+
+def audit(run):
+    return InvariantAuditor().finalize(run)
+
+
+def first(log, outcome):
+    """Index of the first record of ``log`` with ``outcome``."""
+    return next(i for i, r in enumerate(log) if r.outcome == outcome)
+
+
+def test_clean_lifecycle_is_clean(stormy):
+    report = audit(stormy)
     assert report.ok, report.summary()
-    assert report.events_seen > run.n_requests  # arrivals + dispatch traffic
+    assert report.events_seen == len(stormy.dispatches) == stormy.n_dispatches
+    assert report.checks_run == report.events_seen + 1
+    assert [r.dispatch for r in stormy.dispatches] == list(range(stormy.n_dispatches))
+
+
+def test_billed_below_executed_is_flagged(stormy):
+    log = list(stormy.dispatches)
+    i = first(log, "ok")
+    log[i] = log[i]._replace(billed_s=log[i].exec_s / 2)
+    assert audit(planted(stormy, dispatches=log)).violation_kinds() == [
+        "billing-legality"
+    ]
+
+
+def test_billed_below_executed_on_a_crash_is_flagged(stormy):
+    """Crashed attempts are billed too, and checked too."""
+    log = list(stormy.dispatches)
+    i = next(i for i, r in enumerate(log) if r.outcome == "crash" and r.exec_s > 0)
+    log[i] = log[i]._replace(billed_s=log[i].exec_s / 2)
+    report = audit(planted(stormy, dispatches=log))
+    assert report.violation_kinds() == ["billing-legality"]
+    assert len(report.violations) == 1
+
+
+def test_double_launch_and_unknown_termination(stormy):
+    """A dispatch that ends twice, and one that ends but was never
+    launched, each show once."""
+    log = list(stormy.dispatches)
+    i = first(log, "crash")
+    crash = log[i]
+    log[i + 1:i + 1] = [crash, crash._replace(dispatch=stormy.n_dispatches)]
+    report = audit(planted(stormy, dispatches=log))
+    assert [v.invariant for v in report.violations] == ["dispatch-lifecycle"] * 2
+    assert "ended twice" in report.violations[0].message
+    assert "never launched" in report.violations[1].message
+
+
+def test_never_terminated_dispatch_flagged_at_finalize(stormy):
+    log = list(stormy.dispatches)
+    missing = log.pop(first(log, "crash"))
+    report = audit(planted(stormy, dispatches=log))
+    assert report.violation_kinds() == ["dispatch-lifecycle"]
+    assert report.violations[0].message == f"dispatch {missing.dispatch} never ended"
+
+
+def test_dispatch_ending_before_its_launch_or_carrying_nothing(stormy):
+    log = list(stormy.dispatches)
+    i = first(log, "crash")
+    j = first(log[i + 1:], "crash") + i + 1
+    log[i] = log[i]._replace(ended_at=log[i].launched_at - 1.0)
+    log[j] = log[j]._replace(batch=0)
+    report = audit(planted(stormy, dispatches=log))
+    assert [v.invariant for v in report.violations] == ["dispatch-lifecycle"] * 2
+    assert "before its launch" in report.violations[0].message
+    assert "batch=0" in report.violations[1].message
+
+
+def test_time_reversal_is_flagged(stormy):
+    """Launch times go backwards between two dispatch ids."""
+    log = list(stormy.dispatches)
+    log[10] = log[10]._replace(launched_at=log[9].launched_at - 1.0)
+    report = audit(planted(stormy, dispatches=log))
+    assert report.violation_kinds() == ["sim-time-monotonic"]
+    assert len(report.violations) == 1
+
+
+def test_completion_with_wrong_batch_size(stormy):
+    """A completed dispatch that carried more requests than were served."""
+    log = list(stormy.dispatches)
+    i = first(log, "ok")
+    log[i] = log[i]._replace(batch=log[i].batch + 1)
+    report = audit(planted(stormy, dispatches=log))
+    assert report.violation_kinds() == ["request-conservation"]
+
+
+def test_negative_sojourn_is_flagged(stormy):
+    values = stormy.digest.values()
+    values[3] = -values[3]
+    digest = QuantileDigest()
+    digest.add(*values)
+    report = audit(planted(stormy, digest=digest))
+    assert report.violation_kinds() == ["request-conservation"]
+    assert "negative sojourns: 1" in report.violations[0].message
+
+
+def test_rollback_without_apply(stormy):
+    action = ("quarantine", 2)
+    remediation = SimpleNamespace(
+        applications=[(1.0, action)],
+        rollbacks=[(2.0, ("release", 2), action), (3.0, ("release", 2), action)],
+    )
+    report = audit(planted(stormy, remediation=remediation))
+    assert report.violation_kinds() == ["remediation-pairing"]
+    assert len(report.violations) == 1
+
+
+def test_finalize_is_idempotent(stormy):
+    log = list(stormy.dispatches)
+    log.pop(first(log, "crash"))
+    auditor = InvariantAuditor()
+    first_report = auditor.finalize(planted(stormy, dispatches=log))
+    again = auditor.finalize(stormy)
+    assert first_report is again
+    assert len(again.violations) == 1
+
+
+# --------------------------------------------------------------------- #
+# real serving runs
+# --------------------------------------------------------------------- #
+def test_real_stormy_run_audits_clean():
+    run, resilience = run_with_session(None)
+    report = InvariantAuditor().finalize(run, breakers=resilience.breakers)
+    assert report.ok, report.summary()
+    assert report.events_seen == run.n_dispatches  # one record per dispatch
 
 
 def test_no_auditor_means_no_audit_events():
-    """The zero-cost gate: a full-telemetry session without an auditor
-    must see zero audit.* events in its log (and the run is unchanged)."""
+    """A full-telemetry session logs no audit.* events, and the run is
+    unchanged."""
     session = TelemetrySession(TelemetryConfig())
     run, _ = run_with_session(session)
     kinds = {e.kind for e in session.event_log.events}
@@ -187,12 +231,15 @@ def test_no_auditor_means_no_audit_events():
 
 
 def test_audited_run_is_byte_identical_to_unaudited():
-    """Attaching the auditor must not perturb the simulation — it only
-    observes. Signatures (counts, expense, p99, backlog) must match."""
+    """Attaching the auditor subscribes to nothing, so it cannot perturb
+    the simulation. Signatures (counts, expense, p99, backlog) must match."""
     session = TelemetrySession(
         TelemetryConfig(tracing=False, metrics=False, events=False)
     )
-    InvariantAuditor().attach(session.bus)
+    auditor = InvariantAuditor()
+    assert auditor.attach(session.bus) is auditor
+    assert vars(session.bus) == vars(EventBus())
     audited, _ = run_with_session(session)
     bare, _ = run_with_session(None)
     assert audited.signature() == bare.signature()
+    assert audited.dispatches == bare.dispatches

@@ -6,11 +6,14 @@ missed (a dropped expense line item, an illegal breaker edge, an orphan
 rollback), while passing clean on honest data.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import (
     Violation,
     assert_serving_invariants,
+    burst_violations,
     check_admission_conservation,
     check_billed_vs_executed,
     check_breaker_transitions,
@@ -22,7 +25,12 @@ from repro.chaos import (
     check_tenant_billing_attribution,
     check_tenant_conservation,
 )
-from repro.platform.metrics import ExpenseBreakdown
+from repro.platform.base import ServerlessPlatform
+from repro.platform.invoker import BurstSpec
+from repro.platform.metrics import ExpenseBreakdown, RecordTable
+from repro.platform.providers import AWS_LAMBDA
+from repro.serving import DispatchRecord, QuantileDigest
+from repro.workloads import SORT
 
 
 class _Stub:
@@ -191,6 +199,8 @@ def test_monotonic_times():
 # the assert entry point
 # --------------------------------------------------------------------- #
 def _fake_result(**overrides):
+    digest = QuantileDigest()
+    digest.add(*[4.0] * 6)
     base = dict(
         n_requests=10, n_completed=6, n_shed=3, n_failed=1,
         resilience=_Stub(arrivals=10, admitted=7, shed=3),
@@ -199,6 +209,12 @@ def _fake_result(**overrides):
             egress_usd=0.0, keepalive_usd=0.0,
         ),
         remediation=None,
+        n_dispatches=2,
+        dispatches=[
+            DispatchRecord(0, 1.0, 5.0, "ok", 6, False, 1.5, 3.5),
+            DispatchRecord(1, 2.0, 4.0, "crash", 1, True, 1.0, 1.0),
+        ],
+        digest=digest,
     )
     base.update(overrides)
     return _Stub(**base)
@@ -211,6 +227,33 @@ def test_assert_serving_invariants_passes_clean():
 def test_assert_serving_invariants_raises_with_catalog():
     with pytest.raises(AssertionError, match="request-conservation"):
         assert_serving_invariants(_fake_result(n_failed=0))
+
+
+def test_burst_violations_catch_planted_defects():
+    """A real burst is clean; a record that ends before it starts, a lost
+    first attempt and a negative bill line each show, and only they."""
+    spec = BurstSpec(app=SORT, concurrency=60, packing_degree=4)
+    result = ServerlessPlatform(AWS_LAMBDA, seed=3).run_burst(spec, repetition=0)
+    assert burst_violations(spec, result) == []
+
+    records = result.table.to_records()
+    records[2].exec_end = records[2].exec_start - 1.0
+    ends_early = dataclasses.replace(result, table=RecordTable.from_records(records))
+    assert [v.invariant for v in burst_violations(spec, ends_early)] == [
+        "burst-phase-order"
+    ]
+    one_short = dataclasses.replace(
+        result, table=RecordTable.from_records(result.table.to_records()[1:])
+    )
+    assert [v.invariant for v in burst_violations(spec, one_short)] == [
+        "burst-conservation", "burst-conservation"
+    ]
+    negative = dataclasses.replace(
+        result, expense=dataclasses.replace(result.expense, storage_usd=-1.0)
+    )
+    assert [v.invariant for v in burst_violations(spec, negative)] == [
+        "expense-breakdown"
+    ]
 
 
 def test_violation_str_is_readable():

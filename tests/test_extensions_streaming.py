@@ -13,7 +13,6 @@ from repro.serving import (
     ServingSimulator,
     WarmPool,
 )
-from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import XAPIAN
 
 EXEC = ExecutionTimeModel(
@@ -22,28 +21,17 @@ EXEC = ExecutionTimeModel(
 
 
 def serve(policy, rate, n_requests, repetition=0):
-    """Poisson traffic averaging ``n_requests`` under ``policy``.
-
-    Returns the result and the run's ``audit.dispatch`` events (one per
-    batch: its time, ``batch`` size and ``warm`` flag).
-    """
-    session = TelemetrySession(
-        TelemetryConfig(tracing=False, metrics=False, events=False)
-    )
-    dispatches = []
-    session.bus.subscribe(dispatches.append, kind="audit.dispatch")
+    """Poisson traffic averaging ``n_requests`` under ``policy``."""
     simulator = ServingSimulator(
         AWS_LAMBDA,
         XAPIAN,
         EXEC,
         pool=WarmPool(FixedTTL(120.0)),
         seed=161,
-        telemetry=session,
     )
-    result = simulator.run(
+    return simulator.run(
         PoissonProcess(rate), policy, n_requests / rate, repetition=repetition
     )
-    return result, dispatches
 
 
 def mean_batch_size(result):
@@ -63,8 +51,8 @@ def test_policy_validation():
 
 def test_batches_never_exceed_degree():
     policy = StreamingPolicy(degree=4, batch_timeout_s=2.0)
-    result, dispatches = serve(policy, rate=10.0, n_requests=300)
-    assert max(e.get("batch") for e in dispatches) <= 4
+    result = serve(policy, rate=10.0, n_requests=300)
+    assert max(d.batch for d in result.dispatches) <= 4
     # Heavy traffic fills most batches.
     assert mean_batch_size(result) > 2.5
 
@@ -72,13 +60,13 @@ def test_batches_never_exceed_degree():
 def test_timeout_flushes_partial_batches():
     """At a trickle arrival rate, the timeout dispatches undersized batches."""
     policy = StreamingPolicy(degree=8, batch_timeout_s=0.5)
-    result, _ = serve(policy, rate=0.2, n_requests=40)
+    result = serve(policy, rate=0.2, n_requests=40)
     assert mean_batch_size(result) < 2.0
 
 
 def test_degree_one_has_no_batching_delay():
     policy = StreamingPolicy(degree=1, batch_timeout_s=0.0)
-    result, _ = serve(policy, rate=2.0, n_requests=100)
+    result = serve(policy, rate=2.0, n_requests=100)
     # Sojourn = start latency + ET(1) (±noise); no queueing for a batch.
     floor = EXEC.predict(1)
     assert result.p95_sojourn_s < floor * 1.2 + ServingConfig().cold_start_s
@@ -89,25 +77,25 @@ def test_cold_starts_confined_to_ramp_up():
     that ramp-up every dispatch lands on a warm instance."""
     policy = StreamingPolicy(degree=2, batch_timeout_s=1.0)
     rate, n_requests = 5.0, 2000
-    result, dispatches = serve(policy, rate, n_requests)
+    result = serve(policy, rate, n_requests)
     horizon_s = n_requests / rate
-    cold_at = [e.time for e in dispatches if not e.get("warm")]
+    cold_at = [d.launched_at for d in result.dispatches if not d.warm]
     assert len(cold_at) == result.cold_dispatches > 0
     assert max(cold_at) < 0.1 * horizon_s
     assert result.cold_start_fraction < 0.1
 
 
 def test_packing_cuts_cost_per_request():
-    solo, _ = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), 5.0, 200)
-    packed, _ = serve(
+    solo = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), 5.0, 200)
+    packed = serve(
         StreamingPolicy(degree=8, batch_timeout_s=3.0), 5.0, 200, repetition=1
     )
     assert packed.cost_per_request_usd() < 0.5 * solo.cost_per_request_usd()
 
 
 def test_packing_adds_batching_latency():
-    solo, _ = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), 2.0, 150)
-    packed, _ = serve(
+    solo = serve(StreamingPolicy(degree=1, batch_timeout_s=0.0), 2.0, 150)
+    packed = serve(
         StreamingPolicy(degree=10, batch_timeout_s=10.0), 2.0, 150, repetition=1
     )
     assert packed.p50_sojourn_s > solo.p50_sojourn_s
@@ -148,5 +136,5 @@ def test_planned_policy_meets_qos_in_simulation():
     rate, bound = 8.0, 25.0
     policy = planner.plan(arrival_rate_per_s=rate, qos_sojourn_s=bound)
     assert policy.degree > 1  # the bound leaves room to pack
-    result, _ = serve(policy, rate=rate, n_requests=400)
+    result = serve(policy, rate=rate, n_requests=400)
     assert result.p95_sojourn_s <= bound

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.auditor import InvariantAuditor
+from repro.chaos import InvariantAuditor, burst_violations
 from repro.core.models import ExecutionTimeModel
 from repro.engine import DispatchKernel, fluid
 from repro.extensions.mixed import MixedPacker
@@ -38,7 +38,6 @@ from repro.serving import (
     WarmPool,
 )
 from repro.sim.randomness import RandomStreams
-from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import SORT, VIDEO, XAPIAN
 from repro.workloads.synthetic import make_synthetic
 
@@ -120,6 +119,8 @@ def test_clean_burst_identical_across_all_modes(spec, provider):
     )
     assert replayed == 1
     assert scalar == event_loop == default
+    for result in (scalar, event_loop, default):
+        assert burst_violations(spec, result) == []
 
 
 def test_faulted_burst_scalar_batched_identical_and_fluid_falls_back():
@@ -136,6 +137,8 @@ def test_faulted_burst_scalar_batched_identical_and_fluid_falls_back():
     assert scalar.fault_stats.signature() == event_loop.fault_stats.signature()
     assert scalar == event_loop == default
     assert scalar.fault_stats.crashed_attempts > 0  # the scenario bit
+    for result in (scalar, event_loop, default):
+        assert burst_violations(spec, result) == []
 
 
 def test_a_pending_stream_makes_the_simulator_not_fresh():
@@ -169,6 +172,8 @@ def test_hedged_burst_identical_across_modes():
     (scalar, _), (event_loop, _), (default, _) = _burst_on_paths(spec)
     assert scalar == event_loop == default
     assert scalar.fault_stats.hedged_attempts > 0
+    for result in (scalar, event_loop, default):
+        assert burst_violations(spec, result) == []
 
 
 def test_second_provider_identical_across_modes():
@@ -338,6 +343,9 @@ def test_replay_equals_event_loop_on_sampled_bursts(case):
     replay, replayed = _outcome("default", profile, spec, seed)
     assert (replayed_loop, replayed) == (False, True)
     assert replay == loop
+    for result in (loop, replay):
+        if not isinstance(result, tuple):  # not an abort
+            assert burst_violations(spec, result) == []
 
 
 def test_tied_burst_ends_every_instance_at_once():
@@ -450,7 +458,7 @@ _EXEC = ExecutionTimeModel(
 )
 
 
-def _serving_run(telemetry=None, scenario=None, retry_policy=None):
+def _serving_run(scenario=None, retry_policy=None):
     sim = ServingSimulator(
         AWS_LAMBDA,
         XAPIAN,
@@ -459,7 +467,6 @@ def _serving_run(telemetry=None, scenario=None, retry_policy=None):
         scenario=scenario,
         retry_policy=retry_policy,
         seed=11,
-        telemetry=telemetry,
     )
     return sim.run(
         PoissonProcess(6.0),
@@ -493,21 +500,17 @@ def test_serving_scalar_batched_identical(faults):
 
 
 def test_serving_chaos_audited_identical_and_clean():
-    """Buffered draws must not change results even with a live auditor
-    subscribed — and the audited runs must be violation-free on both
-    paths."""
-    signatures = []
+    """Buffered draws must not change results or dispatch logs, and the
+    audited runs must be violation-free on both paths."""
+    results = []
     for path in ("scalar", "default"):
-        session = TelemetrySession(
-            TelemetryConfig(tracing=False, metrics=False, events=False)
-        )
-        auditor = InvariantAuditor().attach(session.bus)
-        result, _ = _on_path(path, functools.partial(_serving_run, telemetry=session))
-        report = auditor.finalize(result)
+        result, _ = _on_path(path, _serving_run)
+        report = InvariantAuditor().finalize(result)
         assert report.ok, report.summary()
         assert report.events_seen > 0
-        signatures.append(result.signature())
-    assert signatures[0] == signatures[1]
+        results.append(result)
+    assert results[0].signature() == results[1].signature()
+    assert results[0].dispatches == results[1].dispatches
 
 
 def test_mixed_sim_scalar_batched_identical():

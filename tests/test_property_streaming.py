@@ -14,7 +14,6 @@ from repro.serving import (
     StreamingPolicy,
     WarmPool,
 )
-from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import XAPIAN
 
 EXEC = ExecutionTimeModel(
@@ -30,23 +29,16 @@ EXEC = ExecutionTimeModel(
 )
 @settings(max_examples=40, deadline=None)
 def test_streaming_conservation_and_bounds(degree, timeout, rate, n):
-    session = TelemetrySession(
-        TelemetryConfig(tracing=False, metrics=False, events=False)
-    )
-    batches = []
-    session.bus.subscribe(
-        lambda event: batches.append(event.get("batch")), kind="audit.dispatch"
-    )
     simulator = ServingSimulator(
         AWS_LAMBDA,
         XAPIAN,
         EXEC,
         pool=WarmPool(FixedTTL(120.0)),
         seed=171,
-        telemetry=session,
     )
     policy = StreamingPolicy(degree=degree, batch_timeout_s=timeout)
     result = simulator.run(PoissonProcess(rate), policy, n / rate)
+    batches = [d.batch for d in result.dispatches]
     # No batch exceeds the policy degree; no empty batches.
     assert all(1 <= b <= degree for b in batches)
     # Every arrival is batched once and served once.

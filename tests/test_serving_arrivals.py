@@ -72,6 +72,42 @@ def test_azure_validation():
         AzureTraceProcess(1.0, n_functions=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("rate_per_s", lambda: PoissonProcess(NAN)),
+        ("max_rate_per_s", lambda: InhomogeneousPoissonProcess(lambda t: t, NAN)),
+        ("base_rate_per_s", lambda: DiurnalProcess(NAN)),
+        ("period_s", lambda: DiurnalProcess(2.0, period_s=INF)),
+        ("phase_s", lambda: DiurnalProcess(2.0, phase_s=NAN)),
+        ("rate_on_per_s", lambda: MarkovModulatedProcess(NAN, 1.0, 10.0, 10.0)),
+        ("rate_off_per_s", lambda: MarkovModulatedProcess(5.0, NAN, 10.0, 10.0)),
+        # Sampling it never returned: its sojourn ends at NaN.
+        ("mean_on_s", lambda: MarkovModulatedProcess(5.0, 1.0, NAN, 10.0)),
+        ("mean_off_s", lambda: MarkovModulatedProcess(5.0, 1.0, 10.0, INF)),
+        ("rate_per_function_per_s", lambda: AzureTraceProcess(INF)),
+        ("tail_alpha", lambda: AzureTraceProcess(0.05, tail_alpha=NAN)),
+        ("tail_cap", lambda: AzureTraceProcess(0.05, tail_cap=NAN)),
+        ("period_s", lambda: AzureTraceProcess(0.05, period_s=NAN)),
+        ("bucket_s", lambda: AzureTraceProcess(0.05, bucket_s=INF)),
+    ],
+    ids=[
+        "poisson-rate", "inhomogeneous-max-rate", "diurnal-base-rate",
+        "diurnal-period", "diurnal-phase", "mmpp-rate-on", "mmpp-rate-off",
+        "mmpp-mean-on", "mmpp-mean-off", "azure-rate", "azure-tail-alpha",
+        "azure-tail-cap", "azure-period", "azure-bucket",
+    ],
+)
+def test_constructors_reject_non_finite_parameters(field, make):
+    """NaN passes a ``<= 0`` check and ``inf`` passes a ``> 0`` one; each
+    float parameter is refused at construction, by name."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make()
+
+
 def test_superposed_rejects_empty():
     with pytest.raises(ValueError):
         SuperposedProcess([])

@@ -3,13 +3,14 @@
 Arrivals here sit on a half-second grid, sorted and with duplicates, so
 they tie with each other, with the 60 s control and remediation ticks and
 with batch-timer deadlines (a deadline is an arrival time plus 0 or 2 s).
-Every :class:`~repro.serving.service.ServingResult` field is folded into
-one fingerprint: floats by ``float.hex()``, the digest's values in
-completion order, ``slo.bucket_series()``, the resilience and backlog
-reports and the remediation timeline. ``backlog.mean_depth``,
-``time_over_threshold_s`` and the audit counts are pinned beside it, so a
-change in how arrivals are merged with the run's other events shows up
-here as a named number.
+Every :class:`~repro.serving.service.ServingResult` field but the
+dispatch log is folded into one fingerprint: floats by ``float.hex()``,
+the digest's values in completion order, ``slo.bucket_series()``, the
+resilience and backlog reports and the remediation timeline.
+``backlog.mean_depth``, ``time_over_threshold_s`` and the audit counts
+(which read the dispatch log) are pinned beside it, so a change in how
+arrivals are merged with the run's other events shows up here as a named
+number.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.serving import (
 from repro.serving.arrivals import ARRIVAL_STREAM, ArrivalProcess
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import XAPIAN
 
 SEED = 2023
@@ -86,9 +86,12 @@ def _canon(value):
 
 
 def fingerprint(result) -> str:
-    """SHA-256 over every field of a ServingResult, exactly."""
+    """SHA-256 over every field of a ServingResult but ``dispatches``,
+    exactly."""
     fields = {}
     for f in dataclasses.fields(result):
+        if f.name == "dispatches":
+            continue
         value = getattr(result, f.name)
         if f.name == "digest":
             value = value.values()
@@ -99,10 +102,11 @@ def fingerprint(result) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _protection(config: ServingConfig, degree: int) -> ResiliencePolicy:
-    """serving-storm's protection, scaled to the run's degree."""
+def _protection(config: ServingConfig, degree: int, admission=None) -> ResiliencePolicy:
+    """serving-storm's protection, scaled to the run's degree (``admission``
+    replaces its admission controller)."""
     return ResiliencePolicy(
-        admission=ConcurrencyLimitAdmission(limit=8 * degree),
+        admission=admission or ConcurrencyLimitAdmission(limit=8 * degree),
         breakers=CircuitBreakerBank(
             n_domains=config.fault_domains, rng=np.random.default_rng(SEED),
             failure_threshold=3, recovery_s=60.0,
@@ -114,33 +118,27 @@ def _protection(config: ServingConfig, degree: int) -> ResiliencePolicy:
     )
 
 
-def _run(name: str, arrival_events=None):
+def _run(name: str, admission=None):
     """One configuration of the grid: (result, audit report or None). A
-    storm appends its ``audit.arrival`` events to ``arrival_events``."""
+    storm may take its admission controller from ``admission``."""
     kind, degree, timeout = name.split("-")
     degree, timeout = int(degree[1:]), float(timeout[1:])
     policy = StreamingPolicy(degree=degree, batch_timeout_s=timeout)
     config = ServingConfig(qos_sojourn_s=30.0, backlog_threshold=6)
     kwargs = {"pool": WarmPool(FixedTTL(60.0)), "config": config, "seed": SEED}
-    auditor = None
     profile, rate = AWS_LAMBDA, 3.0
     if kind == "replan":
         kwargs["controller"] = OnlineReplanner(AWS_LAMBDA, XAPIAN, EXEC, 30.0)
     elif kind == "storm":
         profile, rate = GOOGLE_CLOUD_FUNCTIONS, 6.0
-        session = TelemetrySession(TelemetryConfig(tracing=False, metrics=False, events=False))
-        auditor = InvariantAuditor().attach(session.bus)
-        if arrival_events is not None:
-            session.bus.subscribe(arrival_events.append, kind="audit.arrival")
         kwargs.update(
-            resilience=_protection(config, degree),
+            resilience=_protection(config, degree, admission),
             scenario=FaultScenario(
                 name="tied-storm", crash_rate=0.08, persistent_fraction=0.05,
                 poison_heal_s=300.0, throttle_capacity=30, throttle_refill_per_s=1.0,
                 straggler_rate=0.005, correlated_bursts=2, correlated_fraction=0.5,
             ),
             retry_policy=ExponentialBackoffRetry(max_retries=3),
-            telemetry=session,
         )
     elif kind == "remedied":
         profile = GOOGLE_CLOUD_FUNCTIONS
@@ -165,8 +163,8 @@ def _run(name: str, arrival_events=None):
     simulator = ServingSimulator(profile, XAPIAN, EXEC, **kwargs)
     result = simulator.run(GridArrivals(rate), policy, HORIZON_S)
     report = None
-    if auditor is not None:
-        report = auditor.finalize(result, breakers=simulator.resilience.breakers)
+    if kind == "storm":
+        report = InvariantAuditor().finalize(result, breakers=simulator.resilience.breakers)
     return result, report
 
 
@@ -179,9 +177,9 @@ PINNED = {
     "replan-d1-t0": ("0e46eeeea9c9a869", 314, "0x1.596365cb92b13p+2", "0x1.ba248dc3651e0p+7", None),
     "replan-d8-t0": ("6760b3452a9f0b86", 231, "0x1.598975761b80ap+2", "0x1.ba248dc3651e0p+7", None),
     "replan-d8-t2": ("100c7e46bc263a59", 164, "0x1.691b8ece5a9b7p+2", "0x1.c6fe312f67b50p+7", None),
-    "storm-d1-t0": ("d2943b9e63d1e4f0", 398, "0x0.0p+0", "0x0.0p+0", (4457, 8915, 0)),
-    "storm-d8-t0": ("19f7b19759a6ddea", 612, "0x0.0p+0", "0x0.0p+0", (10152, 20305, 0)),
-    "storm-d8-t2": ("761d16eefda76ac1", 292, "0x1.7a72e9316ee60p+1", "0x1.3c00000000000p+6", (4234, 8469, 0)),
+    "storm-d1-t0": ("d2943b9e63d1e4f0", 398, "0x0.0p+0", "0x0.0p+0", (398, 399, 0)),
+    "storm-d8-t0": ("19f7b19759a6ddea", 612, "0x0.0p+0", "0x0.0p+0", (612, 613, 0)),
+    "storm-d8-t2": ("761d16eefda76ac1", 292, "0x1.7a72e9316ee60p+1", "0x1.3c00000000000p+6", (292, 293, 0)),
     "remedied-d1-t0": ("cd0e407f883a0f5d", 428, "0x0.0p+0", "0x0.0p+0", None),
     "remedied-d8-t0": ("eb4df6134f35448a", 318, "0x0.0p+0", "0x0.0p+0", None),
     "remedied-d8-t2": ("b49b6bd01bef618e", 198, "0x1.581e71a5a6571p-1", "0x1.9000000000000p+3", None),
@@ -228,14 +226,33 @@ def test_every_serving_event_absorbs_the_arrivals_due(monkeypatch):
     }
 
 
-def test_audited_arrivals_carry_their_own_times():
-    """An arrival's audit event is stamped with the arrival's time, not
-    with the clock of whatever event handled it."""
-    events = []
-    result, _ = _run("storm-d8-t2", arrival_events=events)
-    times = GridArrivals(6.0).sample(RandomStreams(SEED).spawn("serving/r0"), HORIZON_S)
-    assert [e.time for e in events] == times.tolist()
-    assert sum(e.get("verdict") == "admitted" for e in events) == result.resilience.admitted
+class RecordingAdmission(ConcurrencyLimitAdmission):
+    """An admission limit that records each time it is asked and its answer."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(limit=limit)
+        self.asked: list[tuple[float, bool]] = []
+
+    def admit(self, now, priority, queue_depth, in_flight):
+        admitted = super().admit(now, priority, queue_depth, in_flight)
+        self.asked.append((now, admitted))
+        return admitted
+
+
+def test_admitted_arrivals_carry_their_own_times():
+    """Admission decides an arrival at the arrival's own time, not at the
+    clock of whatever event absorbed it, once per arrival brownout left."""
+    admission = RecordingAdmission(limit=8 * 8)
+    result, _ = _run("storm-d8-t2", admission=admission)
+    assert fingerprint(result) == PINNED["storm-d8-t2"][0]
+    times = iter(
+        GridArrivals(6.0).sample(RandomStreams(SEED).spawn("serving/r0"), HORIZON_S).tolist()
+    )
+    asked = [t for t, _ in admission.asked]
+    assert all(any(t == arrival for arrival in times) for t in asked)  # in order
+    rep = result.resilience
+    assert len(asked) == rep.arrivals - rep.shed_brownout
+    assert sum(admitted for _, admitted in admission.asked) == rep.admitted
 
 
 def test_grid_arrivals_tie():
