@@ -399,7 +399,9 @@ def check_dispatch_log(result: Any) -> list[Violation]:
     return out
 
 
-def burst_violations(spec: Any, result: Any) -> list[Violation]:
+def burst_violations(
+    spec: Any, result: Any, gb_second_usd: Optional[float] = None
+) -> list[Violation]:
     """Every invariant applicable to one finished burst.
 
     ``result`` is a :class:`~repro.platform.metrics.RunResult` of ``spec``,
@@ -413,7 +415,12 @@ def burst_violations(spec: Any, result: Any) -> list[Violation]:
       most one first attempt (attempt 1, not a hedge), and only a group lost
       to a final 429 before its first attempt has none; the completed
       attempts' functions plus the lost functions equal C;
-    * expense-breakdown: the bill is legal.
+    * expense-breakdown: the bill is legal;
+    * billing-legality, when the platform's ``gb_second_usd`` is given: the
+      compute bill, in GB-seconds at that price (with a 1e-9 relative
+      slack for the division), covers the GB-seconds the executed records
+      ran, ``(exec_end - exec_start) * provisioned_mb / 1024`` each; a
+      provider may only round up.
     """
     out: list[Violation] = []
     table = result.table
@@ -450,6 +457,12 @@ def burst_violations(spec: Any, result: Any) -> list[Violation]:
     out.extend(
         check_expense_breakdown(result.expense, reported_total=result.expense.total_usd)
     )
+    if gb_second_usd is not None:
+        seconds = table.exec_end - table.exec_start
+        ran = ~np.isnan(seconds)
+        executed = float(np.sum(seconds[ran] * table.provisioned_mb[ran])) / 1024.0
+        billed = result.expense.compute_usd / gb_second_usd
+        out.extend(check_billed_vs_executed(billed * (1.0 + EPS), executed))
     return out
 
 

@@ -17,13 +17,22 @@ image it builds and ships, its noise-free execution seconds, and the
 homogeneous burst derives one record per packing degree; heterogeneous
 dispatchers — e.g. the mixed-packing simulator — hand :meth:`begin` one
 record per chain and run the identical lifecycle.
+
+The loop simulates only what it cannot compute. A container build is a
+k-slot FIFO, so :meth:`ContainerPipeline.build` returns its finish at
+admission; the placement event ships the container then if the build is
+done, and otherwise pushes one event at the build's exact finish. Each
+attempt is a row of column lists (one per
+:class:`~repro.platform.metrics.InstanceRecord` field) that
+:meth:`BurstDispatchKernel.collect` hands to
+:class:`~repro.platform.metrics.RecordTable`; handlers pass record ids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -158,16 +167,23 @@ class ChainWork:
     ``exec_seconds`` the noise-free modeled execution time of one attempt,
     and ``outputs`` the ``(app, functions)`` pairs whose I/O a successful
     attempt stores: one pair for a homogeneous chain, one per member app
-    for a mixed or fused group.
+    for a mixed or fused group. ``n_packed``, their total, is derived once.
     """
 
     image: FunctionImage
     exec_seconds: float
     outputs: tuple[tuple[AppSpec, int], ...]
+    n_packed: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def n_packed(self) -> int:
-        return sum(count for _, count in self.outputs)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_packed", sum(count for _, count in self.outputs))
+
+
+#: Index of each per-:class:`ChainWork` constant in a burst's cost tuple:
+#: noise-free build seconds, ship MB, CPU-share penalty, hedge threshold.
+_BUILD_S, _SHIP_MB, _PENALTY, _HEDGE_AT = range(4)
+
+_NAN = math.nan
 
 
 class BurstDispatchKernel(DispatchKernel):
@@ -198,7 +214,6 @@ class BurstDispatchKernel(DispatchKernel):
         self._tel = telemetry
         # Why the fluid replay declined this burst (set by try_run_fluid).
         self._fallback_reason: Optional[str] = None
-        self._records: list[InstanceRecord] = []
         self._pending_functions = 0
         # Chain moments, which no record holds, in the order they happen:
         # (time, "retry", chain, next attempt, delay s), (time, "throttled",
@@ -206,8 +221,7 @@ class BurstDispatchKernel(DispatchKernel):
         # chain, functions, by a final 429). collect derives the burst's
         # counts and its chain telemetry from them.
         self._moments: list[tuple] = []
-        self._record_chain: dict[int, AttemptChain] = {}
-        self._inflight: dict[int, tuple] = {}  # record id -> (event, server, record)
+        self._inflight: dict[int, tuple] = {}  # record id -> (event, server)
 
     def _configure(self, spec: BurstSpec, image: Optional[FunctionImage]) -> int:
         """Bind ``spec`` to this kernel and return its cold-chain count.
@@ -239,7 +253,6 @@ class BurstDispatchKernel(DispatchKernel):
                 f"maximum {self.profile.max_memory_mb} MB"
             )
         self._provisioned = provisioned
-        self._servers: dict[int, Server] = {}  # record id -> placement, until it ships
         self._work_by_degree: dict[int, ChainWork] = {}
         if image is not None:
             last = spec.concurrency - spec.packing_degree * (n_inst - 1)
@@ -275,8 +288,10 @@ class BurstDispatchKernel(DispatchKernel):
                 remaining -= n_packed
                 work.append(self._work_by_degree[n_packed])
             self._pending_functions = remaining
+            self._open_columns(spec, self._work_by_degree.values())
         else:
             self._configure(spec, None)
+            self._open_columns(spec, work)
         for chain_work in work:
             chain = self.new_chain(n_packed=chain_work.n_packed, payload=chain_work)
             self._admit(chain, attempt=1, retry_delay=0.0)
@@ -284,31 +299,162 @@ class BurstDispatchKernel(DispatchKernel):
         for t in self.correlated_event_times():
             self.sim.schedule(t, self._correlated_event)
 
+    def _open_columns(self, spec: BurstSpec, works: Iterable[ChainWork]) -> None:
+        """Allocate the event loop's per-attempt columns and derive the
+        constants of each distinct chain record in ``works``.
+
+        Each attempt is one row: its index is its record id, and each
+        column holds one :class:`~repro.platform.metrics.InstanceRecord`
+        field (NaN for an unset timestamp). A fault flag is the list of
+        the record ids that set it. ``_build_done`` holds the instant each
+        attempt's build finishes, and ``_cost`` its chain's constants:
+        noise-free build seconds, ship MB, CPU-share penalty and hedge
+        threshold, derived once per :class:`ChainWork` instead of once or
+        twice per attempt.
+        """
+        self._chains: list[AttemptChain] = []
+        self._invoked: list[float] = []
+        self._sched: list[float] = []
+        self._built: list[float] = []
+        self._shipped: list[float] = []
+        self._exec_start: list[float] = []
+        self._exec_end: list[float] = []
+        self._npacked: list[int] = []
+        self._attempt: list[int] = []
+        self._warm: list[bool] = []
+        self._hedged: list[bool] = []
+        self._throttled: list[int] = []
+        self._retry_delay: list[float] = []
+        self._failed: list[int] = []
+        self._timed_out: list[int] = []
+        self._correlated: list[int] = []
+        self._persistent: list[int] = []
+        self._cancelled: list[int] = []
+        self._build_done: list[float] = []
+        self._cost: list[tuple] = []
+
+        pipeline = self.pipeline
+        hedge = spec.hedge
+        costs: dict[int, tuple] = {}
+        for chain_work in works:
+            if id(chain_work) in costs:
+                continue
+            penalty = self._cpu_share_penalty(chain_work.n_packed, self._provisioned)
+            # The hedge trigger compares against the *modeled* (noise-free)
+            # execution time, the quantity a real controller would know.
+            hedge_at = math.inf if hedge is None else hedge.trigger_seconds(
+                chain_work.exec_seconds * spec.exec_overhead * penalty
+            )
+            costs[id(chain_work)] = (
+                pipeline.build_seconds(chain_work.image, spec.build_factor),
+                pipeline.ship_size_mb(chain_work.image, spec.ship_factor),
+                penalty,
+                hedge_at,
+            )
+        self._costs = costs
+
+    def _row(
+        self, chain: AttemptChain, now: float, attempt: int, hedged: bool,
+        warm: bool, throttled: int, retry_delay: float,
+    ) -> int:
+        """Append one attempt of ``chain``, invoked at ``now``; its record id."""
+        rid = len(self._chains)
+        self._chains.append(chain)
+        self._invoked.append(now)
+        self._sched.append(_NAN)
+        self._built.append(_NAN)
+        self._shipped.append(_NAN)
+        self._exec_start.append(_NAN)
+        self._exec_end.append(_NAN)
+        self._npacked.append(chain.n_packed)
+        self._attempt.append(attempt)
+        self._warm.append(warm)
+        self._hedged.append(hedged)
+        self._throttled.append(throttled)
+        self._retry_delay.append(retry_delay)
+        self._cost.append(self._costs[id(chain.payload)])
+        chain.track(rid)
+        return rid
+
+    def _record_table(self, offset: float = 0.0) -> RecordTable:
+        """The attempts so far as a table, ``offset`` subtracted from every
+        timestamp (NaN stays NaN), as a per-record ``-=`` would."""
+        n = len(self._chains)
+
+        def stamps(column: list[float]) -> np.ndarray:
+            values = np.array(column, dtype=np.float64)
+            return values - offset if offset else values
+
+        def flags(ids: list[int]) -> np.ndarray:
+            mask = np.zeros(n, dtype=bool)
+            mask[np.array(ids, dtype=np.int64)] = True
+            return mask
+
+        return RecordTable(
+            instance_id=np.arange(n),
+            n_packed=self._npacked,
+            invoked_at=stamps(self._invoked),
+            sched_done=stamps(self._sched),
+            built_at=stamps(self._built),
+            shipped_at=stamps(self._shipped),
+            exec_start=stamps(self._exec_start),
+            exec_end=stamps(self._exec_end),
+            provisioned_mb=np.full(n, self._provisioned),
+            warm_start=self._warm,
+            attempt=self._attempt,
+            failed=flags(self._failed),
+            timed_out=flags(self._timed_out),
+            correlated=flags(self._correlated),
+            persistent_fault=flags(self._persistent),
+            hedged=self._hedged,
+            cancelled=flags(self._cancelled),
+            throttled_attempts=self._throttled,
+            retry_delay_s=self._retry_delay,
+        )
+
+    def _record(self, rid: int) -> InstanceRecord:
+        """Attempt ``rid`` as an :class:`InstanceRecord` (an abort's row)."""
+
+        def stamp(value: float) -> Optional[float]:
+            return None if value != value else value
+
+        return InstanceRecord(
+            instance_id=rid,
+            n_packed=self._npacked[rid],
+            invoked_at=self._invoked[rid],
+            sched_done=stamp(self._sched[rid]),
+            built_at=stamp(self._built[rid]),
+            shipped_at=stamp(self._shipped[rid]),
+            exec_start=stamp(self._exec_start[rid]),
+            exec_end=stamp(self._exec_end[rid]),
+            provisioned_mb=self._provisioned,
+            warm_start=self._warm[rid],
+            attempt=self._attempt[rid],
+            failed=rid in self._failed,
+            timed_out=rid in self._timed_out,
+            correlated=rid in self._correlated,
+            persistent_fault=rid in self._persistent,
+            hedged=self._hedged[rid],
+            cancelled=rid in self._cancelled,
+            throttled_attempts=self._throttled[rid],
+            retry_delay_s=self._retry_delay[rid],
+        )
+
     def collect(self, table: Optional[RecordTable] = None) -> RunResult:
         """Bill the burst and assemble its result; every burst ends here.
 
         The fluid replay passes the record table it wrote (its burst starts
-        at t=0). After the event loop, ``table`` is None: the kernel's
-        records are normalized to the burst's own invocation instant, so a
-        burst submitted mid-simulation reports the same metrics as one
-        submitted at t=0, and converted to a table once. An observed
-        burst is reported to its telemetry from that table and from its
-        chain moments, which stay on the simulator clock.
+        at t=0). After the event loop, ``table`` is None: the table is built
+        from the kernel's columns, normalized to the burst's own invocation
+        instant, so a burst submitted mid-simulation reports the same
+        metrics as one submitted at t=0. An observed burst is reported to
+        its telemetry from that table and from its chain moments, which
+        stay on the simulator clock.
         """
         invoked_at = self._invoked_at
         kernel_path = "event" if table is None else "fluid"
         if table is None:
-            records = self._records
-            if invoked_at:
-                for record in records:
-                    record.invoked_at -= invoked_at
-                    for field_name in ("sched_done", "built_at", "shipped_at",
-                                       "exec_start", "exec_end"):
-                        value = getattr(record, field_name)
-                        if value is not None:
-                            setattr(record, field_name, value - invoked_at)
-                self._invoked_at = 0.0
-            table = RecordTable.from_records(records)
+            table = self._record_table(invoked_at)
         billing = BillingModel(self.profile)
         expense = billing.burst_expense(table, self.store.usage)
         if self._tel is not None:
@@ -394,9 +540,16 @@ class BurstDispatchKernel(DispatchKernel):
             self.sim.run()
         except RuntimeError:  # a billed timeout or fleet exhaustion
             if self._tel is not None:
+                # A build that finished by the abort has its instant, though
+                # its attempt was not placed: no event was due to write it.
+                now = self.sim.now
+                built = self._built
+                for rid, done in enumerate(self._build_done):
+                    if done <= now and built[rid] != built[rid]:
+                        built[rid] = done
                 # Records still on the simulator clock: no offset to add.
                 self._tel.record_burst(
-                    RecordTable.from_records(self._records), 0.0, "event",
+                    self._record_table(), 0.0, "event",
                     self._fallback_reason, self._search_costs(), self.injector,
                     self._moments,
                 )
@@ -420,12 +573,11 @@ class BurstDispatchKernel(DispatchKernel):
         """
         if chain.satisfied or chain.lost:
             return
+        now = self.sim.now
         if self.bucket is not None:
-            verdict = self.throttle_gate(chain, self.sim.now)
+            verdict = self.throttle_gate(chain, now)
             if not verdict.admitted:
-                self._moments.append(
-                    (self.sim.now, "throttled", chain.chain_id, chain.throttle_tries)
-                )
+                self._moments.append((now, "throttled", chain.chain_id, chain.throttle_tries))
                 if verdict.rejected:
                     if not hedged:
                         self._lose(chain, rejected=True)
@@ -434,51 +586,40 @@ class BurstDispatchKernel(DispatchKernel):
                     verdict.wait_s, self._admit, chain, attempt, retry_delay, hedged
                 )
                 return
-        record = InstanceRecord(
-            instance_id=len(self._records),
-            n_packed=chain.n_packed,
-            invoked_at=self.sim.now,
-            provisioned_mb=self._provisioned,
-            attempt=attempt,
-            hedged=hedged,
-            throttled_attempts=chain.throttle_tries,
-            retry_delay_s=retry_delay,
+        rid = self._row(
+            chain, now, attempt, hedged, False, chain.throttle_tries, retry_delay
         )
         chain.throttle_tries = 0
-        chain.track(record.instance_id)
-        self._record_chain[record.instance_id] = chain
-        self._records.append(record)
         # Placement search and container build proceed in parallel: the
-        # image server does not need the placement target to build.
+        # image server does not need the placement target to build. The
+        # build's finish is known now; _placed reads it.
+        self._build_done.append(self.pipeline.build_for(self._cost[rid][_BUILD_S]))
         self.scheduler.request_placement(
-            self.profile.cores_per_instance, self._provisioned, self._placed, record
-        )
-        self.pipeline.build(
-            chain.payload.image, self._built, record,
-            build_factor=self._spec.build_factor,
+            self.profile.cores_per_instance, self._provisioned, self._placed, rid
         )
 
-    def _placed(self, server: Server, record: InstanceRecord) -> None:
-        record.sched_done = self.sim.now
-        self._servers[record.instance_id] = server
-        self._maybe_ship(record)
+    def _placed(self, server: Server, rid: int) -> None:
+        # A container ships once it is both built and placed: now, if its
+        # build finished by its placement, else at its build's finish.
+        now = self.sim.now
+        self._sched[rid] = now
+        done = self._build_done[rid]
+        if done <= now:
+            self._built[rid] = done
+            self._ship(server, rid)
+        else:
+            self.sim._push(done, self._built_late, (server, rid))
 
-    def _built(self, record: InstanceRecord) -> None:
-        record.built_at = self.sim.now
-        self._maybe_ship(record)
+    def _built_late(self, server: Server, rid: int) -> None:
+        self._built[rid] = self.sim.now
+        self._ship(server, rid)
 
-    def _maybe_ship(self, record: InstanceRecord) -> None:
-        # A container ships once it is both built and placed.
-        if record.sched_done is None or record.built_at is None:
-            return
-        self.pipeline.ship(
-            self._chain_for(record).payload.image, self._shipped, record,
-            ship_factor=self._spec.ship_factor,
-        )
+    def _ship(self, server: Server, rid: int) -> None:
+        self.pipeline.network.ship(self._cost[rid][_SHIP_MB], self._arrived, server, rid)
 
-    def _shipped(self, record: InstanceRecord) -> None:
-        record.shipped_at = self.sim.now
-        self._start_execution(self._servers.pop(record.instance_id), record)
+    def _arrived(self, server: Server, rid: int) -> None:
+        self._shipped[rid] = self.sim.now
+        self._start_execution(server, rid)
 
     # ------------------------------------------------------------------ #
     # Execution, faults, and completion
@@ -510,9 +651,6 @@ class BurstDispatchKernel(DispatchKernel):
         draws = self.rng.stream("skew").lognormal(-0.5 * sigma * sigma, sigma, n_packed)
         return float(draws.max())
 
-    def _chain_for(self, record: InstanceRecord) -> AttemptChain:
-        return self._record_chain[record.instance_id]
-
     def record_chain_ids(self) -> list[int]:
         """The id of the chain each attempt record ran, in record order.
 
@@ -520,47 +658,50 @@ class BurstDispatchKernel(DispatchKernel):
         begun with one :class:`ChainWork` per plan group reads each
         record's group here; a retry or hedge runs its chain again.
         """
-        return [self._record_chain[i].chain_id for i in range(len(self._records))]
+        return [chain.chain_id for chain in self._chains]
 
     def _release(self, server: Server) -> None:
         """Free an attempt's server slot. Every instance of a burst has one
         shape: the profile's cores per instance and the provisioned MB."""
         server.release(self.profile.cores_per_instance, self._provisioned)
 
-    def _start_execution(self, server: Server, record: InstanceRecord) -> None:
-        chain = self._chain_for(record)
+    def _start_execution(self, server: Server, rid: int) -> None:
+        chain = self._chains[rid]
+        now = self.sim.now
         if chain.satisfied:
             # A hedge twin already delivered this group's result while this
             # copy was still in the cold pipeline; abandon before executing.
-            record.cancelled = True
-            record.exec_start = record.exec_end = self.sim.now
-            chain.untrack(record.instance_id)
+            self._cancelled.append(rid)
+            self._exec_start[rid] = self._exec_end[rid] = now
+            chain.untrack(rid)
             self._release(server)
             return
-        record.exec_start = self.sim.now
+        self._exec_start[rid] = now
         duration = (
             chain.payload.exec_seconds
             * self.exec_noise_factor(self.profile.exec_noise_sigma)
             * self._spec.exec_overhead
-            * self._skew_factor(record.n_packed)
-            * self._cpu_share_penalty(record.n_packed, record.provisioned_mb)
+            * self._skew_factor(chain.n_packed)
+            * self._cost[rid][_PENALTY]
         )
         duration *= self.straggler_factor()
-        cap = self.profile.max_execution_seconds
-        if self.enforce_timeout and duration > cap:
+        if self.enforce_timeout and duration > self.profile.max_execution_seconds:
             if self.injector is not None:
-                self._schedule_timeout(server, record)
+                self._schedule_timeout(server, rid)
                 return
-            error = self._timeout_error(record, duration)
+            error = self._timeout_error(self._record(rid), duration)
+            self._exec_end[rid] = error.record.exec_end
+            self._timed_out.append(rid)
             self._release(server)
             raise error
         if self.injector is not None:
             decision = self.chain_crash_decision(chain)
             if decision is not None:
-                record.persistent_fault = chain.poisoned
+                if chain.poisoned:
+                    self._persistent.append(rid)
                 crash_after = duration * decision.at_fraction
-                event = self.sim.schedule(crash_after, self._exec_failed, server, record)
-                self._inflight[record.instance_id] = (event, server, record)
+                event = self.sim.schedule(crash_after, self._exec_failed, server, rid)
+                self._inflight[rid] = (event, server)
                 return
         elif self.profile.failure_rate > 0.0:
             fail_stream = self.rng.stream("failure")
@@ -568,12 +709,12 @@ class BurstDispatchKernel(DispatchKernel):
                 # Crash at a uniform point of the execution; the partial run
                 # is billed (providers charge failed attempts), then retried.
                 crash_after = duration * float(fail_stream.random())
-                event = self.sim.schedule(crash_after, self._exec_failed, server, record)
-                self._inflight[record.instance_id] = (event, server, record)
+                event = self.sim.schedule(crash_after, self._exec_failed, server, rid)
+                self._inflight[rid] = (event, server)
                 return
-        event = self.sim.schedule(duration, self._exec_done, server, record)
-        self._inflight[record.instance_id] = (event, server, record)
-        self._maybe_schedule_hedge(chain, record, duration)
+        event = self.sim.schedule(duration, self._exec_done, server, rid)
+        self._inflight[rid] = (event, server)
+        self._maybe_schedule_hedge(chain, rid, duration)
 
     def _timeout_error(
         self, record: InstanceRecord, duration: float
@@ -600,49 +741,40 @@ class BurstDispatchKernel(DispatchKernel):
             billed_usd=billed,
         )
 
-    def _maybe_schedule_hedge(
-        self, chain: AttemptChain, record: InstanceRecord, duration: float
-    ) -> None:
+    def _maybe_schedule_hedge(self, chain: AttemptChain, rid: int, duration: float) -> None:
         hedge = self._spec.hedge
         if (
             hedge is None
-            or record.hedged
-            or record.warm_start
+            or self._hedged[rid]
+            or self._warm[rid]
             or chain.hedges_launched >= hedge.max_hedges_per_group
         ):
             return
-        # The hedge trigger compares against the *modeled* (noise-free)
-        # execution time, the quantity a real controller would know.
-        reference = (
-            chain.payload.exec_seconds
-            * self._spec.exec_overhead
-            * self._cpu_share_penalty(record.n_packed, record.provisioned_mb)
-        )
-        threshold = hedge.trigger_seconds(reference)
+        threshold = self._cost[rid][_HEDGE_AT]
         if duration <= threshold:
             return
         chain.hedges_launched += 1
         self._moments.append((self.sim.now, "hedge", chain.chain_id))
-        self.sim.schedule(threshold, self._launch_hedge, chain, record)
+        self.sim.schedule(threshold, self._launch_hedge, chain, rid)
 
-    def _launch_hedge(self, chain: AttemptChain, primary: InstanceRecord) -> None:
-        if primary.instance_id not in self._inflight:
+    def _launch_hedge(self, chain: AttemptChain, primary: int) -> None:
+        if primary not in self._inflight:
             return  # the primary already crashed; the retry path owns recovery
-        self._admit(chain, attempt=primary.attempt, retry_delay=0.0, hedged=True)
+        self._admit(chain, attempt=self._attempt[primary], retry_delay=0.0, hedged=True)
 
-    def _schedule_timeout(self, server: Server, record: InstanceRecord) -> None:
+    def _schedule_timeout(self, server: Server, rid: int) -> None:
         """The attempt runs to the cap, is billed in full, then handled."""
         cap = self.profile.max_execution_seconds
-        event = self.sim.schedule(cap, self._exec_timed_out, server, record)
-        self._inflight[record.instance_id] = (event, server, record)
+        event = self.sim.schedule(cap, self._exec_timed_out, server, rid)
+        self._inflight[rid] = (event, server)
 
-    def _exec_timed_out(self, server: Server, record: InstanceRecord) -> None:
-        self._inflight.pop(record.instance_id, None)
-        record.exec_end = self.sim.now
-        record.timed_out = True
+    def _exec_timed_out(self, server: Server, rid: int) -> None:
+        self._inflight.pop(rid, None)
+        self._exec_end[rid] = self.sim.now
+        self._timed_out.append(rid)
         self._release(server)
-        chain = self._chain_for(record)
-        chain.untrack(record.instance_id)
+        chain = self._chains[rid]
+        chain.untrack(rid)
         self._refetched_inputs(chain)
         if self._spec.scenario is not None and not self._spec.scenario.retry_timeouts:
             if not chain.active and not chain.satisfied and not chain.lost:
@@ -652,7 +784,8 @@ class BurstDispatchKernel(DispatchKernel):
 
     def _correlated_event(self) -> None:
         """One correlated infrastructure event: a slice of in-flight
-        instances crash together (rack/AZ blast radius)."""
+        instances crash together (rack/AZ blast radius). An attempt in
+        flight has neither crashed nor timed out: both leave the set."""
         victims = sorted(self._inflight)
         if not victims:
             return
@@ -663,21 +796,19 @@ class BurstDispatchKernel(DispatchKernel):
             entry = self._inflight.get(rid)
             if entry is None:
                 continue
-            event, server, record = entry
-            if record.timed_out or record.failed:
-                continue
+            event, server = entry
             event.cancel()
-            record.correlated = True
-            self._exec_failed(server, record)
+            self._correlated.append(rid)
+            self._exec_failed(server, rid)
 
-    def _exec_failed(self, server: Server, record: InstanceRecord) -> None:
-        self._inflight.pop(record.instance_id, None)
-        record.exec_end = self.sim.now
-        record.failed = True
+    def _exec_failed(self, server: Server, rid: int) -> None:
+        self._inflight.pop(rid, None)
+        self._exec_end[rid] = self.sim.now
+        self._failed.append(rid)
         self._release(server)  # the crash destroys the container
-        chain = self._chain_for(record)
+        chain = self._chains[rid]
         self._refetched_inputs(chain)
-        chain.untrack(record.instance_id)
+        chain.untrack(rid)
         self._retry_or_lose(chain)
 
     def _refetched_inputs(self, chain: AttemptChain) -> None:
@@ -715,40 +846,40 @@ class BurstDispatchKernel(DispatchKernel):
         else:
             self.sim.schedule(delay, self._admit, chain, attempt, delay)
 
-    def _exec_done(self, server: Server, record: InstanceRecord) -> None:
-        self._inflight.pop(record.instance_id, None)
-        record.exec_end = self.sim.now
-        chain = self._chain_for(record)
-        chain.untrack(record.instance_id)
+    def _exec_done(self, server: Server, rid: int) -> None:
+        self._inflight.pop(rid, None)
+        self._exec_end[rid] = self.sim.now
+        chain = self._chains[rid]
+        chain.untrack(rid)
         if chain.satisfied:
             # Lost a hedge race after executing fully; billed, no result.
-            record.cancelled = True
+            self._cancelled.append(rid)
             self._release(server)
             return
         chain.satisfied = True
-        self._cancel_twins(chain, record)
+        self._cancel_twins(chain)
         for app, count in chain.payload.outputs:
             self.store.record_instance(app, count)
         io_mb = self._spec.extra_io_mb_per_function
         if io_mb > 0.0:
-            self.store.usage.transferred_mb += io_mb * record.n_packed
-            self.store.usage.put_requests += record.n_packed
+            self.store.usage.transferred_mb += io_mb * chain.n_packed
+            self.store.usage.put_requests += chain.n_packed
         if self._pending_functions > 0:
             self._reuse_warm(server)
         else:
             self._release(server)
 
-    def _cancel_twins(self, chain: AttemptChain, winner: InstanceRecord) -> None:
+    def _cancel_twins(self, chain: AttemptChain) -> None:
         """Abandon the losing copies of a hedged group (billed for elapsed
         time; copies still in the cold pipeline cancel at execution start)."""
         for rid in sorted(chain.active or ()):
             entry = self._inflight.pop(rid, None)
             if entry is None:
                 continue  # still in the pipeline; cancels in _start_execution
-            event, server, record = entry
+            event, server = entry
             event.cancel()
-            record.cancelled = True
-            record.exec_end = self.sim.now
+            self._cancelled.append(rid)
+            self._exec_end[rid] = self.sim.now
             chain.untrack(rid)
             self._release(server)
 
@@ -756,21 +887,13 @@ class BurstDispatchKernel(DispatchKernel):
         """Run the next functions on a finished instance's warm slot."""
         n_packed = min(self._spec.packing_degree, self._pending_functions)
         self._pending_functions -= n_packed
-        record = InstanceRecord(
-            instance_id=len(self._records),
-            n_packed=n_packed,
-            invoked_at=self.sim.now,
-            provisioned_mb=self._provisioned,
-            warm_start=True,
-        )
-        record.sched_done = self.sim.now
+        now = self.sim.now
         chain = self.new_chain(n_packed=n_packed, payload=self._work_by_degree[n_packed])
-        chain.track(record.instance_id)
-        self._record_chain[record.instance_id] = chain
-        self._records.append(record)
-        self.sim.schedule(self._spec.warm_dispatch_s, self._warm_start, server, record)
+        rid = self._row(chain, now, 1, False, True, 0, 0.0)
+        self._sched[rid] = now
+        self._build_done.append(_NAN)  # a warm start builds nothing
+        self.sim.schedule(self._spec.warm_dispatch_s, self._warm_start, server, rid)
 
-    def _warm_start(self, server: Server, record: InstanceRecord) -> None:
-        record.built_at = self.sim.now
-        record.shipped_at = self.sim.now
-        self._start_execution(server, record)
+    def _warm_start(self, server: Server, rid: int) -> None:
+        self._built[rid] = self._shipped[rid] = self.sim.now
+        self._start_execution(server, rid)

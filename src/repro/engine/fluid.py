@@ -3,11 +3,13 @@
 An eligible burst (no fault scenario, hedging or telemetry, on a fresh
 datacenter) is a *deterministic* pipeline given its RNG draws: placement
 times are a cumulative sum, container builds are a k-slot FIFO
-recursion, and shipping is processor sharing of equal-sized transfers
-(which completes in FIFO order). This module replays that arithmetic directly — float-op for
-float-op, draw for draw, in the same order as the discrete-event path — so
-the result is **byte-identical** to the event-driven kernel while doing
-O(instances) array/loop work instead of O(instances · ~10) heap events.
+recursion (the arithmetic of ``ContainerPipeline.build``, which the event
+loop calls once per attempt, here in bulk), and shipping is processor
+sharing of equal-sized transfers (which completes in FIFO order). This
+module replays that arithmetic directly — float-op for float-op, draw for
+draw, in the same order as the discrete-event path — so the result is
+**byte-identical** to the event-driven kernel while doing O(instances)
+array/loop work instead of several heap events per instance.
 
 The execution phase takes one of two shapes, picked by the burst itself:
 
@@ -35,8 +37,9 @@ on the event loop. The replay writes the burst's records straight into a
 :class:`~repro.platform.metrics.RecordTable` and hands it to
 ``BurstDispatchKernel.collect``, which bills the burst on both paths.
 That table is all the replay leaves: it reads the substrate's parameters
-(scheduler costs, build slots, uplink capacity) but writes nothing back
-into the scheduler, the pipeline, the uplink or the simulator clock.
+(scheduler costs, the build slot count, uplink capacity) but writes nothing
+back into the scheduler, the pipeline's slot heap, the uplink or the
+simulator clock.
 
 The replay shares the kernel's set-up (``_configure``, which derives the
 burst's chain records: one per packing degree, with its modeled execution
@@ -97,7 +100,7 @@ def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Opt
         return "scheduler busy"
     if type(kernel.pipeline) is not ContainerPipeline:
         return "custom container pipeline"
-    if kernel.pipeline.builder.busy_servers or kernel.pipeline.builder.queued_jobs:
+    if kernel.pipeline.busy_at(kernel.sim.now):
         return "builder busy"
     if kernel.pipeline.network.in_flight:
         return "uplink busy"
@@ -167,9 +170,11 @@ def _replay_pipeline(
         scheduler.base_cost_s + scheduler.search_cost_s * np.arange(cold, dtype=np.float64)
     )
 
-    # Build completions: k-slot FIFO recursion over a finish-time heap; the
-    # first ``slots`` builds start at t=0.
-    slots = pipeline.builder.servers
+    # Build completions: ContainerPipeline.build's k-slot FIFO arithmetic in
+    # bulk (a method call per chain would cost more than the loop): the
+    # first ``slots`` builds start at t=0, each later one when the earliest
+    # busy slot frees.
+    slots = pipeline.build_slots
     built_t = works[:]
     if cold > slots:
         finish = works[:slots]

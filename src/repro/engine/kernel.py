@@ -32,7 +32,7 @@ from repro.faults.injector import CrashDecision, FaultInjector
 from repro.faults.retry import ImmediateRetry, RetryPolicy
 from repro.faults.scenario import FaultScenario
 from repro.faults.throttle import TokenBucket
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, StreamHandle, lognormal_draw
 
 
 def resolve_retry_policy(
@@ -157,6 +157,7 @@ class DispatchKernel:
         # (the BufferedGenerator contract), so batching changes a seeded
         # run's speed, never its output.
         rng.enable_batching()
+        self._exec_stream: Optional[StreamHandle] = None  # resolved at first draw
         self.scenario: Optional[FaultScenario] = None
         self.injector: Optional[FaultInjector] = None
         self.bucket: Optional[TokenBucket] = None
@@ -247,7 +248,14 @@ class DispatchKernel:
         return self.scenario.gray_factor(domain, now)
 
     def exec_noise_factor(self, sigma: float) -> float:
-        return self.rng.lognormal_factor("exec", sigma)
+        """``rng.lognormal_factor("exec", sigma)``, on a stream handle
+        resolved once per kernel (after batching is on)."""
+        if sigma <= 0.0:
+            return 1.0
+        stream = self._exec_stream
+        if stream is None:
+            stream = self._exec_stream = self.rng.stream("exec")
+        return lognormal_draw(stream, sigma)
 
     def correlated_event_times(self) -> list[float]:
         return [] if self.injector is None else self.injector.correlated_event_times()

@@ -41,6 +41,12 @@ class FaultInjector:
         self.scenario = scenario
         self.rng = rng
         self.crash_rate = scenario.effective_crash_rate(profile_failure_rate)
+        # Stream handles, resolved once: the kernel that builds the injector
+        # has already switched ``rng`` to batched draws.
+        self._crash = rng.stream("fault.crash")
+        self._straggler = (
+            rng.stream("fault.straggler") if scenario.straggler_rate > 0.0 else None
+        )
         #: Crash verdicts drawn, transient and persistent, and stragglers.
         self.transient_crashes = 0
         self.persistent_crashes = 0
@@ -53,7 +59,7 @@ class FaultInjector:
         ``poisoned`` attempts (persistent fault in the group) always crash;
         otherwise an independent Bernoulli draw at the effective crash rate.
         """
-        stream = self.rng.stream("fault.crash")
+        stream = self._crash
         if poisoned:
             self.persistent_crashes += 1
             return CrashDecision(at_fraction=float(stream.random()), persistent=True)
@@ -74,10 +80,10 @@ class FaultInjector:
 
     def straggler_factor(self) -> float:
         """Multiplicative slowdown for one attempt (1.0 = not a straggler)."""
-        s = self.scenario
-        if s.straggler_rate <= 0.0:
+        stream = self._straggler
+        if stream is None:
             return 1.0
-        stream = self.rng.stream("fault.straggler")
+        s = self.scenario
         if stream.random() >= s.straggler_rate:
             return 1.0
         self.stragglers += 1

@@ -266,15 +266,18 @@ class AzureTraceProcess(ArrivalProcess):
 
     @property
     def mean_rate_per_s(self) -> float:
-        # E[bounded Pareto] ≈ alpha/(alpha-1) for cap >> 1; report the
-        # nominal per-function rate times the population instead of the
-        # seed-dependent realized sum.
-        tail_mean = (
-            self.tail_alpha / (self.tail_alpha - 1.0)
-            if self.tail_alpha > 1.0
-            else math.log(self.tail_cap)
+        # Each function's rate factor is min(X, cap) with X ~ Pareto(alpha, 1)
+        # (RandomStreams.pareto_factors), whose mean is
+        # 1 + (cap**(1 - alpha) - 1) / (1 - alpha), and 1 + ln(cap) at
+        # alpha = 1 (expm1 keeps it exact near 1). Report the nominal rate
+        # times that mean and the population instead of the seed-dependent
+        # realized sum.
+        alpha, log_cap = self.tail_alpha, math.log(self.tail_cap)
+        excess = (
+            log_cap if alpha == 1.0
+            else math.expm1((1.0 - alpha) * log_cap) / (1.0 - alpha)
         )
-        return self.rate_per_function_per_s * self.n_functions * tail_mean
+        return self.rate_per_function_per_s * self.n_functions * (1.0 + excess)
 
     def sample(self, streams: RandomStreams, horizon_s: float) -> np.ndarray:
         check_horizon(horizon_s)

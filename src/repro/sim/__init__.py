@@ -6,7 +6,7 @@ serverless platform model is built from:
 
 * :class:`~repro.sim.engine.Simulator` — the event loop (binary-heap agenda).
 * :class:`~repro.sim.resources.FifoResource` — a multi-server FIFO queue
-  (bounded parallelism; used for container build slots).
+  (bounded parallelism; used for the sharded scheduler's consistency bus).
 * :class:`~repro.sim.resources.ProcessorSharingResource` — an egalitarian
   processor-sharing queue implemented with the classic virtual-time trick
   (O(log n) per event; used for the shipping network uplink).

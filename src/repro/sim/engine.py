@@ -1,8 +1,8 @@
 """Event-loop core of the discrete-event simulator.
 
 The engine is deliberately minimal: a binary heap of timestamped events, each
-carrying a callback. Components (scheduler, builder, network, instances)
-schedule callbacks against a shared :class:`Simulator`. Ties are broken by a
+carrying a callback. Components (scheduler, network, instances) schedule
+callbacks against a shared :class:`Simulator`. Ties are broken by a
 monotonically increasing sequence number so execution order is deterministic
 for a given seed, which the experiment harness relies on.
 
@@ -173,9 +173,23 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past or at NaN (delay={delay})"
             )
-        time = self._now + delay
+        return self._push(self._now + delay, callback, args)
+
+    def _push(self, time: float, callback: Callable[..., None], args: tuple) -> Event:
+        """Put ``callback(*args)`` on the heap at exactly ``time``.
+
+        Every event enters the heap here. Substrate code that knows an
+        absolute instant (a container build's finish, computed when the
+        build was admitted) pushes it directly, so the event runs at that
+        float and not at ``now + (time - now)``. A NaN ``time`` or one
+        before :attr:`now` raises :class:`SimulationError`.
+        """
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule event in the past or at NaN (time={time}, now={self._now})"
+            )
         seq = next(self._seq)
-        event = Event(time, seq, callback, args, _on_cancel=self._cancel_hook)
+        event = Event(time, seq, callback, args, False, self._cancel_hook)
         heapq.heappush(self._heap, (time, seq, event))
         return event
 

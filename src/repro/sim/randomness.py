@@ -206,6 +206,15 @@ class BufferedGenerator:
 StreamHandle = Union[np.random.Generator, BufferedGenerator]
 
 
+def lognormal_draw(stream: StreamHandle, sigma: float) -> float:
+    """One median-1.0 lognormal factor from ``stream`` (``sigma > 0``).
+
+    :meth:`RandomStreams.lognormal_factor` draws through it; a hot loop
+    that resolved its stream handle once calls it directly.
+    """
+    return float(np.exp(stream.normal(0.0, sigma)))
+
+
 class RandomStreams:
     """A family of independent ``numpy`` generators derived from one seed."""
 
@@ -254,7 +263,7 @@ class RandomStreams:
         """
         if sigma <= 0.0:
             return 1.0
-        return float(np.exp(self.stream(label).normal(0.0, sigma)))
+        return lognormal_draw(self.stream(label), sigma)
 
     def pareto_factors(
         self, label: str, alpha: float, size: int, cap: float = 1e6

@@ -1,25 +1,28 @@
 """Queueing resources used by the platform model.
 
-Two disciplines cover every contention point in the serverless substrate:
+Two disciplines cover the contention points the simulator runs as events:
 
 * :class:`FifoResource` — ``k`` identical servers, FIFO queue. Models the
-  image-builder's bounded build parallelism and the sharded scheduler's
-  consistency bus.
+  sharded scheduler's consistency bus. (The image builder is a k-slot FIFO
+  too, but :class:`~repro.platform.container.ContainerPipeline` computes
+  each build's finish when the build is admitted, so it needs no events.)
 * :class:`ProcessorSharingResource` — egalitarian processor sharing of a
   fixed capacity. Models the shipping uplink, where all in-flight container
   transfers share the builder's network bandwidth.
 
 Each keeps only the state its next event needs: busy servers and the
 queue, or the active jobs and the virtual clock. The fluid burst replay
-(:mod:`repro.engine.fluid`) reproduces their arithmetic without touching
-them.
+(:mod:`repro.engine.fluid`) reproduces the uplink's arithmetic without
+touching it.
 
 The PS queue uses the classic *virtual time* formulation: with capacity
 ``R`` shared equally among ``n(t)`` jobs, define ``V(t)`` with
 ``dV/dt = R / n(t)``. A job arriving at ``t0`` with service demand ``w``
 completes when ``V(t) == V(t0) + w``. All jobs advance along the same
 ``V`` axis, so completions pop from a heap keyed by ``V(t0) + w`` —
-O(log n) per event instead of the naive O(n) rescan.
+O(log n) per event instead of the naive O(n) rescan. A job is the tuple
+``(finish_v, seq, callback, args)``: ``seq`` is unique, so heap
+comparisons stop at two numbers and run in C.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -89,15 +92,6 @@ class FifoResource:
         job.callback(*job.args)
 
 
-@dataclass(order=True, slots=True)
-class _PSJob:
-    finish_v: float
-    seq: int
-    callback: Completion = field(compare=False)
-    args: tuple = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-
-
 class ProcessorSharingResource:
     """Egalitarian processor sharing of ``capacity`` units/second.
 
@@ -112,7 +106,8 @@ class ProcessorSharingResource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._jobs: list[_PSJob] = []  # heap keyed by finish virtual time
+        # Heap of (finish virtual time, seq, callback, args).
+        self._jobs: list[tuple[float, int, Completion, tuple]] = []
         self._seq = itertools.count()
         self._vtime = 0.0
         self._vtime_updated_at = 0.0
@@ -125,24 +120,22 @@ class ProcessorSharingResource:
 
     def _advance_vtime(self) -> None:
         """Bring virtual time forward to the simulator's current clock."""
+        now = self.sim.now
         if self._active > 0:
-            elapsed = self.sim.now - self._vtime_updated_at
-            self._vtime += elapsed * (self.capacity / self._active)
-        self._vtime_updated_at = self.sim.now
+            self._vtime += (now - self._vtime_updated_at) * (self.capacity / self._active)
+        self._vtime_updated_at = now
 
     def _reschedule(self) -> None:
         """(Re)schedule the next-completion event after any state change."""
         if self._pending_event is not None:
             self._pending_event.cancel()
             self._pending_event = None
-        while self._jobs and self._jobs[0].cancelled:
-            heapq.heappop(self._jobs)
         if not self._jobs:
             return
-        head = self._jobs[0]
-        remaining_v = head.finish_v - self._vtime
+        remaining_v = self._jobs[0][0] - self._vtime
         # Numerical guard: remaining_v can dip epsilon-negative from float error.
-        remaining_v = max(remaining_v, 0.0)
+        if remaining_v < 0.0:
+            remaining_v = 0.0
         delay = remaining_v * self._active / self.capacity
         self._pending_event = self.sim.schedule(delay, self._complete_head)
 
@@ -152,18 +145,15 @@ class ProcessorSharingResource:
             raise SimulationError(f"{self.name}: negative work {work}")
         self._advance_vtime()
         self._active += 1
-        job = _PSJob(self._vtime + work, next(self._seq), callback, args)
-        heapq.heappush(self._jobs, job)
+        heapq.heappush(self._jobs, (self._vtime + work, next(self._seq), callback, args))
         self._reschedule()
 
     def _complete_head(self) -> None:
         self._advance_vtime()
         self._pending_event = None
-        while self._jobs and self._jobs[0].cancelled:
-            heapq.heappop(self._jobs)
         if not self._jobs:
             return
-        job = heapq.heappop(self._jobs)
+        _, _, callback, args = heapq.heappop(self._jobs)
         self._active -= 1
         self._reschedule()
-        job.callback(*job.args)
+        callback(*args)

@@ -231,10 +231,13 @@ def test_assert_serving_invariants_raises_with_catalog():
 
 def test_burst_violations_catch_planted_defects():
     """A real burst is clean; a record that ends before it starts, a lost
-    first attempt and a negative bill line each show, and only they."""
+    first attempt, a negative bill line and a compute bill below the
+    executed GB-seconds each show, and only they."""
     spec = BurstSpec(app=SORT, concurrency=60, packing_degree=4)
     result = ServerlessPlatform(AWS_LAMBDA, seed=3).run_burst(spec, repetition=0)
+    price = AWS_LAMBDA.gb_second_usd
     assert burst_violations(spec, result) == []
+    assert burst_violations(spec, result, price) == []
 
     records = result.table.to_records()
     records[2].exec_end = records[2].exec_start - 1.0
@@ -253,6 +256,16 @@ def test_burst_violations_catch_planted_defects():
     )
     assert [v.invariant for v in burst_violations(spec, negative)] == [
         "expense-breakdown"
+    ]
+    underbilled = dataclasses.replace(
+        result,
+        expense=dataclasses.replace(
+            result.expense, compute_usd=result.expense.compute_usd * 0.99
+        ),
+    )
+    assert burst_violations(spec, underbilled) == []  # no price, no check
+    assert [v.invariant for v in burst_violations(spec, underbilled, price)] == [
+        "billing-legality"
     ]
 
 

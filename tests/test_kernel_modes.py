@@ -120,7 +120,7 @@ def test_clean_burst_identical_across_all_modes(spec, provider):
     assert replayed == 1
     assert scalar == event_loop == default
     for result in (scalar, event_loop, default):
-        assert burst_violations(spec, result) == []
+        assert burst_violations(spec, result, provider.gb_second_usd) == []
 
 
 def test_faulted_burst_scalar_batched_identical_and_fluid_falls_back():
@@ -138,7 +138,7 @@ def test_faulted_burst_scalar_batched_identical_and_fluid_falls_back():
     assert scalar == event_loop == default
     assert scalar.fault_stats.crashed_attempts > 0  # the scenario bit
     for result in (scalar, event_loop, default):
-        assert burst_violations(spec, result) == []
+        assert burst_violations(spec, result, AWS_LAMBDA.gb_second_usd) == []
 
 
 def test_a_pending_stream_makes_the_simulator_not_fresh():
@@ -173,7 +173,7 @@ def test_hedged_burst_identical_across_modes():
     assert scalar == event_loop == default
     assert scalar.fault_stats.hedged_attempts > 0
     for result in (scalar, event_loop, default):
-        assert burst_violations(spec, result) == []
+        assert burst_violations(spec, result, AWS_LAMBDA.gb_second_usd) == []
 
 
 def test_second_provider_identical_across_modes():
@@ -257,8 +257,9 @@ def test_bigger_fleet_changes_nothing(concurrency, packing_degree):
 def _sampled_bursts(draw):
     """A fault-free burst at the edges the replay handles: C=1, P=C, one
     warm instance, partial last chains, skew, extra I/O, small memory,
-    rounded billing, fleets of one or two servers that may run out, and
-    execution caps that may abort."""
+    rounded billing, fleets of one or two servers that may run out,
+    execution caps that may abort, and one or two build slots, so builds
+    outlast placements and ship from the late-build event."""
     concurrency = draw(st.integers(1, 300))
     # Small random degrees too: a large one mostly outruns the 900 s cap.
     packing = draw(
@@ -289,6 +290,9 @@ def _sampled_bursts(draw):
         search = draw(st.sampled_from([None, 0.3, 0.5, 2.0]))
         if search is not None:
             overrides["sched_search_s"] = search
+    slots = draw(st.sampled_from([None, 1, 2]))
+    if slots is not None:
+        overrides["build_slots"] = slots
     # Most bursts run to the end; some hit a tight execution cap.
     cap = draw(st.sampled_from([None, None, None, 5.0, 30.0, 100.0]))
     if cap is not None:
@@ -334,6 +338,15 @@ TIED_BURST = (TIED, BurstSpec(app=FLAT, concurrency=251, packing_degree=3), 5)
     )
 )
 @example(case=TIED_BURST)
+# One build slot behind a near-free scheduler: every chain's build finishes
+# after its placement, so each ship comes from a late-build event.
+@example(
+    case=(
+        AWS_LAMBDA.with_overrides(build_slots=1, sched_base_s=1e-4, sched_search_s=1e-6),
+        BurstSpec(app=SORT, concurrency=60, wave_size=20),
+        5,
+    )
+)
 def test_replay_equals_event_loop_on_sampled_bursts(case):
     """The replay returns what the event loop returns, or raises what it
     raises: the same exception type and message, and for a billed timeout
@@ -345,7 +358,7 @@ def test_replay_equals_event_loop_on_sampled_bursts(case):
     assert replay == loop
     for result in (loop, replay):
         if not isinstance(result, tuple):  # not an abort
-            assert burst_violations(spec, result) == []
+            assert burst_violations(spec, result, profile.gb_second_usd) == []
 
 
 def test_tied_burst_ends_every_instance_at_once():

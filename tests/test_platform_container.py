@@ -54,21 +54,17 @@ def test_ship_factor_discounts_image_but_not_overhead():
     assert pipeline.ship_size_mb(IMAGE, ship_factor=0.5) == pytest.approx(55.0)
 
 
-def test_build_completion_fires_callback():
-    sim, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
-    done = []
-    pipeline.build(IMAGE, lambda: done.append(sim.now))
-    sim.run()
-    assert done == [pytest.approx(1.0)]
+def test_build_returns_its_finish_instant():
+    _, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
+    assert pipeline.build(IMAGE) == pytest.approx(1.0)
 
 
 def test_builds_queue_on_slots():
-    sim, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
-    done = []
-    pipeline.build(IMAGE, lambda: done.append(sim.now))
-    pipeline.build(IMAGE, lambda: done.append(sim.now))
-    sim.run()
-    assert done == [pytest.approx(1.0), pytest.approx(2.0)]
+    # One slot: the second build starts when the first one finishes.
+    _, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
+    assert [pipeline.build(IMAGE), pipeline.build(IMAGE)] == [
+        pytest.approx(1.0), pytest.approx(2.0),
+    ]
 
 
 def test_ship_uses_network():
@@ -79,13 +75,14 @@ def test_ship_uses_network():
     assert done == [pytest.approx(105.0 / 125.0)]
 
 
-def test_callbacks_receive_args():
+def test_ship_callback_receives_args():
+    # A build schedules nothing; a ship hands its callback the caller's args.
     sim, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
     got = []
-    pipeline.build(IMAGE, lambda tag: got.append(tag), "built-1")
+    assert pipeline.build(IMAGE) == pytest.approx(1.0)
     pipeline.ship(IMAGE, lambda tag: got.append(tag), "shipped-1")
     sim.run()
-    assert set(got) == {"built-1", "shipped-1"}
+    assert got == ["shipped-1"]
 
 
 def test_invalid_parameters_rejected():
@@ -98,9 +95,7 @@ def test_invalid_parameters_rejected():
 
 
 def test_build_noise_perturbs_duration():
-    sim, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0, noise=0.2)
-    done = []
-    pipeline.build(IMAGE, lambda: done.append(sim.now))
-    sim.run()
-    assert done[0] != pytest.approx(1.0)
-    assert 0.3 < done[0] < 3.0
+    _, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0, noise=0.2)
+    done = pipeline.build(IMAGE)
+    assert done != pytest.approx(1.0)
+    assert 0.3 < done < 3.0

@@ -206,6 +206,36 @@ def test_azure_rates_are_heavy_tailed():
     assert process.mean_rate_per_s > 0.01 * 200  # tail mean > 1
 
 
+AZURE_ALPHAS = (0.5, 1.0, 1.01, 1.2, 1.5, 2.5)
+
+
+def _azure(alpha):
+    return AzureTraceProcess(0.05, n_functions=50, tail_alpha=alpha, period_s=3600.0)
+
+
+@pytest.mark.parametrize("alpha", AZURE_ALPHAS)
+def test_azure_mean_rate_is_the_capped_pareto_mean(alpha):
+    # Each rate factor is min(X, cap), X ~ Pareto(alpha, 1): its mean is
+    # 1 + (cap**(1 - alpha) - 1) / (1 - alpha), and 1 + ln(cap) at alpha = 1.
+    cap = 100.0
+    mean = 1.0 + (
+        np.log(cap) if alpha == 1.0 else (cap ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+    )
+    assert _azure(alpha).mean_rate_per_s == pytest.approx(0.05 * 50 * mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.01, 1.5))
+def test_azure_mean_rate_matches_what_it_samples(alpha):
+    # The cap bounds the tail: below alpha = 1 an uncapped mean is infinite,
+    # and just above 1 the uncapped alpha / (alpha - 1) is 101.
+    process = _azure(alpha)
+    realised = np.mean([
+        len(process.sample(RandomStreams(seed).spawn("x"), 3600.0)) / 3600.0
+        for seed in range(20)
+    ])
+    assert realised == pytest.approx(process.mean_rate_per_s, rel=0.2)
+
+
 def test_superposition_merges_components():
     parts = [PoissonProcess(1.0), PoissonProcess(3.0)]
     combined = SuperposedProcess(parts)

@@ -5,6 +5,7 @@ trace of a C=1000 burst must reproduce the paper's scaling time (start of
 the last instance's execution) exactly from the exported spans.
 """
 
+import hashlib
 import json
 from collections import Counter
 
@@ -498,6 +499,48 @@ def test_billed_timeout_abort_reports_the_attempts_that_finished():
         ("instance.timeout", aborting.exec_end, aborting.instance_id)
     ]
     assert check_span_nesting(session.tracer) == []
+
+
+#: sha256 of the Chrome trace (``json.dumps(..., sort_keys=True)``), the
+#: Prometheus text and the JSONL of the aborted burst below, per seed.
+ABORTED_EXPORTS = {
+    1: ("64c9762db8996a3b8004b90e6ffa716686485a2fb8c85f0e39e595d1fe60c826",
+        "47280f925c1f5c0767af14f53f0df7c5e96c36e91476edce8e78596cfb8179bd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    2: ("29e4eb246cd8c4c90bd995bc6a1e632b94111ff95f9c1aaa612e78988857171a",
+        "47280f925c1f5c0767af14f53f0df7c5e96c36e91476edce8e78596cfb8179bd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ABORTED_EXPORTS))
+def test_fleet_abort_exports_every_finished_build(seed):
+    """One server runs out at the 17th placement, while the builds, which
+    need no placement, have run ahead of the slow searches: every attempt
+    whose build finished by the abort exports a ``build`` span, placed or
+    not."""
+    spec = BurstSpec(app=SORT, concurrency=400)
+    profile = AWS_LAMBDA.with_overrides(sched_search_s=0.05)
+    platform = ServerlessPlatform(
+        profile.with_overrides(fleet_servers=1), seed=seed, telemetry=TelemetryConfig()
+    )
+    with pytest.raises(RuntimeError, match="fleet exhausted: 1 servers, 16 instances placed"):
+        platform.run_burst(spec, repetition=0)
+    # Builds do not depend on placement: on a fleet that does not run out,
+    # the same seed builds every container at the same instant, and its
+    # 17th placement is the abort.
+    whole = ServerlessPlatform(profile, seed=seed).run_burst(spec, repetition=0).table
+    abort_at = whole.sched_done[16]
+    built = np.flatnonzero(whole.built_at <= abort_at).tolist()
+    assert len(built) > 16
+    session = platform.telemetry
+    builds = sorted(s.track for s in session.tracer.finished("phase") if s.name == "build")
+    assert builds == built
+    exports = (json.dumps(session.chrome_trace(), sort_keys=True),
+               session.prometheus_text(), session.events_jsonl())
+    assert tuple(hashlib.sha256(e.encode()).hexdigest() for e in exports) == (
+        ABORTED_EXPORTS[seed]
+    )
 
 
 # The serial scheduler's search families, derived from the table: the k-th
