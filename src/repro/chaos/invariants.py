@@ -400,7 +400,7 @@ def check_dispatch_log(result: Any) -> list[Violation]:
 
 
 def burst_violations(
-    spec: Any, result: Any, gb_second_usd: Optional[float] = None
+    spec: Any, result: Any, gb_second_usd: float
 ) -> list[Violation]:
     """Every invariant applicable to one finished burst.
 
@@ -416,11 +416,11 @@ def burst_violations(
       to a final 429 before its first attempt has none; the completed
       attempts' functions plus the lost functions equal C;
     * expense-breakdown: the bill is legal;
-    * billing-legality, when the platform's ``gb_second_usd`` is given: the
-      compute bill, in GB-seconds at that price (with a 1e-9 relative
-      slack for the division), covers the GB-seconds the executed records
-      ran, ``(exec_end - exec_start) * provisioned_mb / 1024`` each; a
-      provider may only round up.
+    * billing-legality: the compute bill, in GB-seconds at the platform's
+      ``gb_second_usd`` (with a 1e-9 relative slack for the division),
+      covers the GB-seconds the executed records ran,
+      ``(exec_end - exec_start) * provisioned_mb / 1024`` each; a provider
+      may only round up.
     """
     out: list[Violation] = []
     table = result.table
@@ -457,12 +457,11 @@ def burst_violations(
     out.extend(
         check_expense_breakdown(result.expense, reported_total=result.expense.total_usd)
     )
-    if gb_second_usd is not None:
-        seconds = table.exec_end - table.exec_start
-        ran = ~np.isnan(seconds)
-        executed = float(np.sum(seconds[ran] * table.provisioned_mb[ran])) / 1024.0
-        billed = result.expense.compute_usd / gb_second_usd
-        out.extend(check_billed_vs_executed(billed * (1.0 + EPS), executed))
+    seconds = table.exec_end - table.exec_start
+    ran = ~np.isnan(seconds)
+    executed = float(np.sum(seconds[ran] * table.provisioned_mb[ran])) / 1024.0
+    billed = result.expense.compute_usd / gb_second_usd
+    out.extend(check_billed_vs_executed(billed * (1.0 + EPS), executed))
     return out
 
 

@@ -412,34 +412,6 @@ class BurstDispatchKernel(DispatchKernel):
             retry_delay_s=self._retry_delay,
         )
 
-    def _record(self, rid: int) -> InstanceRecord:
-        """Attempt ``rid`` as an :class:`InstanceRecord` (an abort's row)."""
-
-        def stamp(value: float) -> Optional[float]:
-            return None if value != value else value
-
-        return InstanceRecord(
-            instance_id=rid,
-            n_packed=self._npacked[rid],
-            invoked_at=self._invoked[rid],
-            sched_done=stamp(self._sched[rid]),
-            built_at=stamp(self._built[rid]),
-            shipped_at=stamp(self._shipped[rid]),
-            exec_start=stamp(self._exec_start[rid]),
-            exec_end=stamp(self._exec_end[rid]),
-            provisioned_mb=self._provisioned,
-            warm_start=self._warm[rid],
-            attempt=self._attempt[rid],
-            failed=rid in self._failed,
-            timed_out=rid in self._timed_out,
-            correlated=rid in self._correlated,
-            persistent_fault=rid in self._persistent,
-            hedged=self._hedged[rid],
-            cancelled=rid in self._cancelled,
-            throttled_attempts=self._throttled[rid],
-            retry_delay_s=self._retry_delay[rid],
-        )
-
     def collect(self, table: Optional[RecordTable] = None) -> RunResult:
         """Bill the burst and assemble its result; every burst ends here.
 
@@ -593,7 +565,7 @@ class BurstDispatchKernel(DispatchKernel):
         # Placement search and container build proceed in parallel: the
         # image server does not need the placement target to build. The
         # build's finish is known now; _placed reads it.
-        self._build_done.append(self.pipeline.build_for(self._cost[rid][_BUILD_S]))
+        self._build_done.append(self.pipeline.build(self._cost[rid][_BUILD_S]))
         self.scheduler.request_placement(
             self.profile.cores_per_instance, self._provisioned, self._placed, rid
         )
@@ -689,7 +661,9 @@ class BurstDispatchKernel(DispatchKernel):
             if self.injector is not None:
                 self._schedule_timeout(server, rid)
                 return
-            error = self._timeout_error(self._record(rid), duration)
+            # The abort's one row, built once per burst at most.
+            record = self._record_table().to_records()[rid]
+            error = self._timeout_error(record, duration)
             self._exec_end[rid] = error.record.exec_end
             self._timed_out.append(rid)
             self._release(server)

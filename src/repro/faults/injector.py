@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.scenario import FaultScenario
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, StreamHandle
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,11 @@ class FaultInjector:
         self.scenario = scenario
         self.rng = rng
         self.crash_rate = scenario.effective_crash_rate(profile_failure_rate)
-        # Stream handles, resolved once: the kernel that builds the injector
-        # has already switched ``rng`` to batched draws.
-        self._crash = rng.stream("fault.crash")
-        self._straggler = (
-            rng.stream("fault.straggler") if scenario.straggler_rate > 0.0 else None
-        )
+        # Stream handles, resolved at first draw (as the kernel's "exec" and
+        # the pipeline's "build" are): by then the kernel that owns ``rng``
+        # has switched it to batched draws.
+        self._crash: Optional[StreamHandle] = None
+        self._straggler: Optional[StreamHandle] = None
         #: Crash verdicts drawn, transient and persistent, and stragglers.
         self.transient_crashes = 0
         self.persistent_crashes = 0
@@ -60,6 +59,8 @@ class FaultInjector:
         otherwise an independent Bernoulli draw at the effective crash rate.
         """
         stream = self._crash
+        if stream is None:
+            stream = self._crash = self.rng.stream("fault.crash")
         if poisoned:
             self.persistent_crashes += 1
             return CrashDecision(at_fraction=float(stream.random()), persistent=True)
@@ -80,10 +81,12 @@ class FaultInjector:
 
     def straggler_factor(self) -> float:
         """Multiplicative slowdown for one attempt (1.0 = not a straggler)."""
+        s = self.scenario
+        if s.straggler_rate <= 0.0:
+            return 1.0
         stream = self._straggler
         if stream is None:
-            return 1.0
-        s = self.scenario
+            stream = self._straggler = self.rng.stream("fault.straggler")
         if stream.random() >= s.straggler_rate:
             return 1.0
         self.stragglers += 1

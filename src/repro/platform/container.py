@@ -19,14 +19,15 @@ build is already done by then).
 Stage 3: "the formed containers are shipped to different servers of the
 datacenter … bounded by the network bandwidth of the server forming the
 containers" — modelled as processor sharing of the builder's uplink
-(:class:`repro.cluster.network.NetworkFabric`). A container ships once it
-is both built *and* placed.
+(:class:`repro.cluster.network.NetworkFabric`, the pipeline's
+``network``), carrying :meth:`ContainerPipeline.ship_size_mb` per
+container. A container ships once it is both built *and* placed.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.cluster.network import NetworkFabric
 from repro.cluster.registry import FunctionImage
@@ -87,13 +88,9 @@ class ContainerPipeline:
         """Whether a build admitted before ``now`` is still running or queued."""
         return any(free > now for free in self._slot_free)
 
-    def build(self, image: FunctionImage, build_factor: float = 1.0) -> float:
-        """Admit one container build now; return the instant it finishes."""
-        return self.build_for(self.build_seconds(image, build_factor))
-
-    def build_for(self, seconds: float) -> float:
-        """Admit one build of ``seconds`` noise-free seconds now; return the
-        instant it finishes.
+    def build(self, seconds: float) -> float:
+        """Admit one container build of ``seconds`` noise-free seconds
+        (:meth:`build_seconds`) now; return the instant it finishes.
 
         The build takes one lognormal draw on the ``"build"`` stream, then
         starts now if a slot is free and otherwise when the earliest busy
@@ -118,14 +115,3 @@ class ContainerPipeline:
             finish = (now if free <= now else free) + work
             heapq.heapreplace(slots, finish)
         return finish
-
-    def ship(
-        self,
-        image: FunctionImage,
-        callback: Callable[..., None],
-        *args: Any,
-        ship_factor: float = 1.0,
-    ) -> None:
-        """Ship one built container to its placement target; ``callback(*args)``
-        fires when it arrives."""
-        self.network.ship(self.ship_size_mb(image, ship_factor), callback, *args)

@@ -236,25 +236,24 @@ def test_burst_violations_catch_planted_defects():
     spec = BurstSpec(app=SORT, concurrency=60, packing_degree=4)
     result = ServerlessPlatform(AWS_LAMBDA, seed=3).run_burst(spec, repetition=0)
     price = AWS_LAMBDA.gb_second_usd
-    assert burst_violations(spec, result) == []
     assert burst_violations(spec, result, price) == []
 
     records = result.table.to_records()
     records[2].exec_end = records[2].exec_start - 1.0
     ends_early = dataclasses.replace(result, table=RecordTable.from_records(records))
-    assert [v.invariant for v in burst_violations(spec, ends_early)] == [
+    assert [v.invariant for v in burst_violations(spec, ends_early, price)] == [
         "burst-phase-order"
     ]
     one_short = dataclasses.replace(
         result, table=RecordTable.from_records(result.table.to_records()[1:])
     )
-    assert [v.invariant for v in burst_violations(spec, one_short)] == [
+    assert [v.invariant for v in burst_violations(spec, one_short, price)] == [
         "burst-conservation", "burst-conservation"
     ]
     negative = dataclasses.replace(
         result, expense=dataclasses.replace(result.expense, storage_usd=-1.0)
     )
-    assert [v.invariant for v in burst_violations(spec, negative)] == [
+    assert [v.invariant for v in burst_violations(spec, negative, price)] == [
         "expense-breakdown"
     ]
     underbilled = dataclasses.replace(
@@ -263,7 +262,6 @@ def test_burst_violations_catch_planted_defects():
             result.expense, compute_usd=result.expense.compute_usd * 0.99
         ),
     )
-    assert burst_violations(spec, underbilled) == []  # no price, no check
     assert [v.invariant for v in burst_violations(spec, underbilled, price)] == [
         "billing-legality"
     ]

@@ -56,13 +56,14 @@ def test_ship_factor_discounts_image_but_not_overhead():
 
 def test_build_returns_its_finish_instant():
     _, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
-    assert pipeline.build(IMAGE) == pytest.approx(1.0)
+    assert pipeline.build(pipeline.build_seconds(IMAGE)) == pytest.approx(1.0)
 
 
 def test_builds_queue_on_slots():
     # One slot: the second build starts when the first one finishes.
     _, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
-    assert [pipeline.build(IMAGE), pipeline.build(IMAGE)] == [
+    seconds = pipeline.build_seconds(IMAGE)
+    assert [pipeline.build(seconds), pipeline.build(seconds)] == [
         pytest.approx(1.0), pytest.approx(2.0),
     ]
 
@@ -70,7 +71,7 @@ def test_builds_queue_on_slots():
 def test_ship_uses_network():
     sim, pipeline = make_pipeline(uplink=1.0)  # 125 MB/s
     done = []
-    pipeline.ship(IMAGE, lambda: done.append(sim.now))
+    pipeline.network.ship(pipeline.ship_size_mb(IMAGE), lambda: done.append(sim.now))
     sim.run()
     assert done == [pytest.approx(105.0 / 125.0)]
 
@@ -79,8 +80,10 @@ def test_ship_callback_receives_args():
     # A build schedules nothing; a ship hands its callback the caller's args.
     sim, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0)
     got = []
-    assert pipeline.build(IMAGE) == pytest.approx(1.0)
-    pipeline.ship(IMAGE, lambda tag: got.append(tag), "shipped-1")
+    assert pipeline.build(pipeline.build_seconds(IMAGE)) == pytest.approx(1.0)
+    pipeline.network.ship(
+        pipeline.ship_size_mb(IMAGE), lambda tag: got.append(tag), "shipped-1"
+    )
     sim.run()
     assert got == ["shipped-1"]
 
@@ -96,6 +99,6 @@ def test_invalid_parameters_rejected():
 
 def test_build_noise_perturbs_duration():
     _, pipeline = make_pipeline(slots=1, rate=90.0, base=0.0, noise=0.2)
-    done = pipeline.build(IMAGE)
+    done = pipeline.build(pipeline.build_seconds(IMAGE))
     assert done != pytest.approx(1.0)
     assert 0.3 < done < 3.0
