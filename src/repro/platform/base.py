@@ -155,7 +155,6 @@ class ServerlessPlatform:
         instrumentation = None
         if self.telemetry is not None:
             instrumentation = self.telemetry.burst_instrumentation(
-                sim,
                 f"{spec.app.name} C={spec.concurrency} "
                 f"P={spec.packing_degree} r{repetition}",
             )

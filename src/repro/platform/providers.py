@@ -88,22 +88,46 @@ class PlatformProfile:
     server_memory_mb: int = 786432
 
     def __post_init__(self) -> None:
-        # Coefficients the replay and the event loop read differently when
-        # out of range (a negative delay, a NaN noise sigma) are rejected
-        # here. NaN passes every comparison, so finiteness is checked
-        # first; zero costs and an infinite build rate stay legal.
-        for name in ("sched_base_s", "sched_search_s", "build_base_s",
-                     "ship_overhead_mb", "exec_noise_sigma"):
+        # Every coefficient is checked here, with a ValueError naming it:
+        # out of range, one would run as another value (a NaN failure rate
+        # as none, a zero shard count as the serial scheduler), bill a
+        # negative or NaN price, or fail only once a burst runs or bills.
+        # NaN passes every comparison, so finiteness is checked first;
+        # zero costs and an infinite build rate stay legal.
+        for name in ("sched_base_s", "sched_search_s", "sched_sync_s",
+                     "build_base_s", "ship_overhead_mb", "exec_noise_sigma",
+                     "isolation_penalty", "concurrency_leak", "gb_second_usd",
+                     "keepalive_gb_second_usd", "per_request_usd",
+                     "storage_put_usd", "storage_get_usd", "egress_usd_per_gb",
+                     "billing_granularity_s", "min_billed_duration_s"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0 (got {value})")
-        if not self.max_execution_seconds > 0.0:  # also false for NaN
+        if not (math.isfinite(self.cpu_throttle_multiplier)
+                and self.cpu_throttle_multiplier >= 1.0):
             raise ValueError(
-                f"max_execution_seconds must be > 0 (got {self.max_execution_seconds})"
+                f"cpu_throttle_multiplier must be finite and >= 1 "
+                f"(got {self.cpu_throttle_multiplier})"
             )
-        for name in ("cores_per_instance", "max_memory_mb"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
+        if not (math.isfinite(self.uplink_gbps) and self.uplink_gbps > 0.0):
+            raise ValueError(f"uplink_gbps must be finite and > 0 (got {self.uplink_gbps})")
+        # The comparisons below are false for NaN.
+        for name in ("max_execution_seconds", "build_rate_mb_s"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
+        if not 0.0 < self.build_cache_factor <= 1.0:
+            raise ValueError(
+                f"build_cache_factor must be in (0, 1] (got {self.build_cache_factor})"
+            )
+        if not 0.0 <= self.failure_rate <= 1.0:
+            raise ValueError(f"failure_rate must be in [0, 1] (got {self.failure_rate})")
+        for name, least in (("cores_per_instance", 1), ("max_memory_mb", 1),
+                            ("scheduler_shards", 1), ("build_slots", 1),
+                            ("max_retries", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"{name} must be >= {least} (got {getattr(self, name)})"
+                )
         # A burst provisions at most max_memory_mb per instance, so these
         # checks let every legal burst's instance fit an empty server.
         if self.fleet_servers < 1:

@@ -37,6 +37,16 @@ Overload and faults (see ``docs/RESILIENCE.md``) compose onto that loop:
 Determinism: one integer seed fixes the arrival schedule, every priority,
 fault, and noise draw, and therefore every reported number, bit for bit —
 ``admitted + shed == arrivals`` holds exactly.
+
+Observation: the loop makes no telemetry call. A run keeps two logs, the
+result's dispatch log (one :class:`DispatchRecord` per dispatch) and a
+moment log (crashes, retries, failed batches, control ticks and
+remediation stages, in order), with or without a telemetry session, and
+counts its fault totals from the moment log when it ends. An attached
+session's spans, instants, bus events and metrics are written from the
+finished result and both logs then
+(:meth:`~repro.telemetry.instruments.ServingInstrumentation.record_run`),
+so an observed run runs the code an unobserved one runs.
 """
 
 from __future__ import annotations
@@ -143,7 +153,9 @@ class ResilienceReport:
     ``admitted == completed + failed + still-queued == completed + failed``
     once the run drains) is bit-exact under one seed; the property and
     golden suites pin it. ``admitted_by_priority`` and ``shed_by_priority``
-    split ``admitted`` and ``shed`` by priority class.
+    split ``admitted`` and ``shed`` by priority class. ``failed_requests``,
+    ``crashes``, ``correlated_kills``, ``retries`` and ``retry_egress_gb``
+    are counted from the run's moment log when it ends.
     """
 
     arrivals: int = 0
@@ -204,7 +216,8 @@ class DispatchRecord(NamedTuple):
     ``"killed"`` (a correlated event killed it). ``exec_s`` is the
     execution billed for the attempt and ``billed_s`` the seconds the
     profile's billing fidelity charged for it (execution plus billed init
-    on a cold start, rounded).
+    on a cold start, rounded). ``domain`` is the fault domain it was
+    routed to (None when the run routes to no domain).
     """
 
     dispatch: int
@@ -215,6 +228,7 @@ class DispatchRecord(NamedTuple):
     warm: bool
     exec_s: float
     billed_s: float
+    domain: Optional[int] = None
 
 
 @dataclass
@@ -381,8 +395,9 @@ class ServingSimulator:
         #: Optional closed-loop auto-remediation (see repro.remediation):
         #: ticks inside sim time, actuating through _RemediationPort.
         self.remediation = remediation
-        #: The run is a process band in the session's trace and writes its
-        #: metric families once it has ended (see docs/OBSERVABILITY.md).
+        #: The run is a process band in the session's trace; its spans,
+        #: instants, events and metric families are written once it has
+        #: ended (see docs/OBSERVABILITY.md).
         self.telemetry = resolve_session(telemetry)
         self._served = False
         self._billing = BillingModel(profile)
@@ -534,15 +549,13 @@ class _ServingRun:
         self._bl_integral = 0.0
         self._bl_over = 0.0
         self._bl_max = 0
-
-        self.tel = None
-        session = owner.telemetry
-        if session is not None:
-            self.tel = session.serving_instrumentation(
-                self.sim,
-                f"serving {owner.app.name} "
-                f"{self.result.policy_name}/{self.result.mode} r{repetition}",
-            )
+        self.repetition = repetition
+        #: What the result does not hold, in the order it happened:
+        #: ``(sim time, kind, *detail)`` for each crash or correlated kill,
+        #: retry scheduled, batch failed, control tick and remediation
+        #: stage. The run counts its faults from it when it ends, and
+        #: telemetry replays it then (see ServingInstrumentation.record_run).
+        self.moments: list[tuple] = []
 
         self.remedy = owner.remediation
         if self.remedy is not None:
@@ -752,8 +765,6 @@ class _ServingRun:
             exec_time=exec_time,
             crashing=crashing,
         )
-        if self.tel is not None:
-            self.tel.on_dispatch(dispatch_id, chain.n_packed, warm, domain)
 
     #: A throttled or retried batch launches again as an event of its own.
     relaunch = _event(launch)
@@ -778,7 +789,7 @@ class _ServingRun:
             self.result.resilience.wasted_gb_seconds += gb_s
         self.result.dispatches.append(DispatchRecord(
             dispatch_id, ad.launched_at, self.sim.now, outcome,
-            ad.chain.n_packed, ad.warm, exec_s, billed_s,
+            ad.chain.n_packed, ad.warm, exec_s, billed_s, ad.domain,
         ))
 
     @_event
@@ -792,8 +803,6 @@ class _ServingRun:
         sojourns = [now - arrived for arrived in ad.chain.payload]
         self.result.digest.add(*sojourns)
         self.result.slo.record(now, *sojourns)
-        if self.tel is not None:
-            self.tel.on_complete(dispatch_id)
         self.requests_in_flight -= ad.chain.n_packed
         self.pump_blocked()
 
@@ -801,13 +810,11 @@ class _ServingRun:
     def on_crash(self, dispatch_id: int, persistent: bool) -> None:
         ad = self.active.pop(dispatch_id)
         now = self.sim.now
-        self.result.resilience.crashes += 1
         if ad.domain is not None:
             self.crashes_by_domain[ad.domain] = (
                 self.crashes_by_domain.get(ad.domain, 0) + 1
             )
-        if self.tel is not None:
-            self.tel.on_crash(dispatch_id, correlated=False, domain=ad.domain)
+        self.moments.append((now, "crash", dispatch_id, False, ad.domain))
         self._end(dispatch_id, ad, "crash", max(0.0, now - ad.exec_start))
         if persistent and ad.domain is not None:
             self.poisoned_at.setdefault(ad.domain, now)
@@ -818,23 +825,17 @@ class _ServingRun:
         self.pump_blocked()
 
     def retry_or_fail(self, chain: AttemptChain) -> None:
-        report = self.result.resilience
         delay = self.kernel.next_retry_delay(chain)
         if delay is None:
             self.fail_batch(chain)
             return
-        report.retries += 1
-        report.retry_egress_gb += self._payload_gb(chain.n_packed)
-        if self.tel is not None:
-            self.tel.on_retry(chain.n_packed, delay)
+        self.moments.append((self.sim.now, "retry", chain.n_packed, delay))
         self.sim.schedule(delay, self.relaunch, chain)
 
     def fail_batch(self, chain: AttemptChain) -> None:
         chain.lost = True
-        self.result.resilience.failed_requests += chain.n_packed
         self.requests_in_flight -= chain.n_packed
-        if self.tel is not None:
-            self.tel.on_fail_batch(chain.n_packed)
+        self.moments.append((self.sim.now, "failed", chain.n_packed))
 
     # ---------------------------------------------------------------- #
     def schedule_pump(self) -> None:
@@ -873,13 +874,11 @@ class _ServingRun:
                 continue
             ad.event.cancel()
             del self.active[dispatch_id]
-            self.result.resilience.correlated_kills += 1
             if ad.domain is not None:
                 self.crashes_by_domain[ad.domain] = (
                     self.crashes_by_domain.get(ad.domain, 0) + 1
                 )
-            if self.tel is not None:
-                self.tel.on_crash(dispatch_id, correlated=True, domain=ad.domain)
+            self.moments.append((now, "crash", dispatch_id, True, ad.domain))
             executed = max(0.0, min(now, ad.exec_start + ad.exec_time) - ad.exec_start)
             self._end(dispatch_id, ad, "killed", executed)
             if ad.domain is not None and self.breakers is not None:
@@ -892,8 +891,7 @@ class _ServingRun:
     def control_tick(self) -> None:
         now = self.sim.now
         violation = self.result.slo.recent_violation_fraction(now)
-        if self.tel is not None:
-            self.tel.on_tick(len(self.waiting), violation)
+        self.moments.append((now, "tick", len(self.waiting), violation))
         if self.owner.controller is not None:
             decision = self.owner.controller.replan(now)
             if decision.changed:
@@ -922,6 +920,23 @@ class _ServingRun:
         while len(self.waiting) >= self._effective_degree():
             self.form_batch()
 
+    def _count_moments(self) -> None:
+        """Count the report's crashes, correlated kills, retries, retry
+        egress and failed requests from the moment log, in its order: the
+        egress is summed in the order the retries were scheduled."""
+        report = self.result.resilience
+        for _, kind, *detail in self.moments:
+            if kind == "crash":
+                if detail[1]:
+                    report.correlated_kills += 1
+                else:
+                    report.crashes += 1
+            elif kind == "retry":
+                report.retries += 1
+                report.retry_egress_gb += self._payload_gb(detail[0])
+            elif kind == "failed":
+                report.failed_requests += detail[0]
+
     # ---------------------------------------------------------------- #
     def execute(self) -> ServingResult:
         result = self.result
@@ -931,8 +946,12 @@ class _ServingRun:
             self._serve()
         if self.remedy is not None:
             result.remediation = self.remedy.report
-        if self.tel is not None:
-            self.tel.record_run(result, self.owner.resilience, self.injector)
+        session = self.owner.telemetry
+        if session is not None:
+            session.serving_instrumentation(
+                f"serving {self.owner.app.name} "
+                f"{result.policy_name}/{result.mode} r{self.repetition}"
+            ).record_run(result, self.moments, self.owner.resilience, self.injector)
         return result
 
     def _serve(self) -> None:
@@ -988,6 +1007,7 @@ class _ServingRun:
         for batch in self.blocked:
             self.fail_batch(batch)
         self.blocked.clear()
+        self._count_moments()
 
         self.stream = None  # its callback is this run: let the run be freed
         result.dispatches.sort()  # written as dispatches end; ids are unique
@@ -1163,7 +1183,7 @@ class _RemediationPort:
     def live_horizon_s(self) -> float:
         return self._run.horizon_s
 
-    # --- telemetry ------------------------------------------------------ #
+    # --- the run's moment log ------------------------------------------- #
     def emit(self, stage: str, **fields) -> None:
-        if self._run.tel is not None:
-            self._run.tel.on_remediation(stage, **fields)
+        run = self._run
+        run.moments.append((run.sim.now, "remediation", stage, fields))

@@ -15,7 +15,10 @@ stream around the anomaly.
 Executed events travel over a :class:`~repro.telemetry.bus.EventBus` as
 ``sim.event`` publications — the recorder is one subscriber among any
 number, so a telemetry session (or a test) can watch the same stream by
-passing a shared bus.
+passing a shared bus. The recorder is the one publisher that runs as the
+simulator does: a burst or serving run publishes its lifecycle events
+(crashes, retries, lost chains, failed batches, remediation stages) when
+it ends, so on a shared bus they follow every ``sim.event`` of that run.
 """
 
 from __future__ import annotations

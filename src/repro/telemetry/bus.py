@@ -1,11 +1,14 @@
 """The telemetry event bus: one publish/subscribe path for everything.
 
-Every observable occurrence in the stack — a simulator event executing, a
-span closing, a retry being scheduled — can be published as a
+Every observable occurrence in the stack — a simulator event executing,
+a dispatch crashing, a retry being scheduled — can be published as a
 :class:`TelemetryEvent` on an :class:`EventBus`. Subscribers (the
 :class:`~repro.sim.trace.TraceRecorder` ring buffer, the JSONL event log,
 ad-hoc debugging hooks) see events in publication order, which is
-deterministic because the simulator itself is.
+deterministic because the simulator itself is. The recorder publishes
+each simulator event as it runs; a burst or serving run publishes its
+lifecycle events when it ends, each stamped with the simulation time it
+happened at.
 
 The bus is intentionally synchronous and allocation-light: ``publish`` is a
 dict lookup plus a loop over subscriber callables, and a bus with no

@@ -1,9 +1,11 @@
 """Telemetry configuration and the per-session runtime bundle.
 
 :class:`TelemetryConfig` is the single switchboard: components accept an
-optional config (or a prebuilt :class:`TelemetrySession`) and do *nothing*
-— not even build span objects — when it is absent or disabled. The
-zero-cost-when-disabled contract is enforced by the
+optional config (or a prebuilt :class:`TelemetrySession`). No simulator
+calls telemetry while it runs: a burst or serving run with a session
+reports once, when it ends, from its finished records and logged
+moments, so with the config absent or disabled no span, metric or event
+is built at all. The zero-cost-when-disabled contract is enforced by the
 ``telemetry_overhead``-marked benchmark: a disabled config must keep the
 perf-primitives burst within 2% of the uninstrumented seed path.
 
@@ -68,18 +70,18 @@ class TelemetrySession:
     # ------------------------------------------------------------------ #
     # instrumentation factories (used by the platform / serving loops)
     # ------------------------------------------------------------------ #
-    def burst_instrumentation(self, sim, name: str) -> BurstInstrumentation:
-        """Instrument one burst: binds the tracer to ``sim``'s clock and
-        opens a new process band named ``name`` in the trace."""
+    def burst_instrumentation(self, name: str) -> BurstInstrumentation:
+        """Instrument one burst: opens a new process band named ``name`` in
+        the trace."""
         return BurstInstrumentation(
-            tracer=self.tracer, registry=self.registry, bus=self.bus,
-            sim=sim, name=name,
+            tracer=self.tracer, registry=self.registry, bus=self.bus, name=name,
         )
 
-    def serving_instrumentation(self, sim, name: str) -> ServingInstrumentation:
+    def serving_instrumentation(self, name: str) -> ServingInstrumentation:
+        """Report one finished serving run, on a new process band named
+        ``name``."""
         return ServingInstrumentation(
-            tracer=self.tracer, registry=self.registry, bus=self.bus,
-            sim=sim, name=name,
+            tracer=self.tracer, registry=self.registry, bus=self.bus, name=name,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,19 +1,17 @@
 """Instrumentation adapters between the simulators and the telemetry core.
 
-The burst kernel and the serving loop stay almost telemetry-free: each
-holds an optional instrumentation object behind an ``is not None`` guard.
-Both report once, when they end, from their finished record: a burst
-from its record table and its chain moments
-(:meth:`BurstInstrumentation.record_burst`), a serving run from its
-result (:meth:`ServingInstrumentation.record_run`). The components a run
-drove — admission, circuit breakers, brownout, the fault injector — hold
-no registry: their families are written at that same moment, from the
-state each component ended the run in. Only the serving loop calls
-hooks as things happen (a burst's event loop calls none), for what its
-result does not hold: spans, instants and bus events. The chaos auditor
-needs none of them: it reads the finished result. All span bookkeeping,
-metric registration, and bus publishing lives here, so the hot paths pay
-exactly one attribute check when telemetry is off.
+The burst kernel and the serving loop make no telemetry call while they
+run. Both report once, when they end, from their finished records and
+the moments they logged: a burst from its record table and its chain
+moments (:meth:`BurstInstrumentation.record_burst`), a serving run from
+its result, whose dispatch log holds every attempt, and its moment log
+(:meth:`ServingInstrumentation.record_run`). The components a run drove
+— admission, circuit breakers, brownout, the fault injector — hold no
+registry: their families are written at that same moment, from the state
+each component ended the run in. The chaos auditor needs none of this:
+it reads the finished result. All span building, metric registration,
+and bus publishing lives here, so a run pays for telemetry only once it
+has ended, and only when a session is attached.
 
 Span model (see ``docs/OBSERVABILITY.md``):
 
@@ -21,7 +19,8 @@ Span model (see ``docs/OBSERVABILITY.md``):
 * one *track* per instance (burst) or dispatch (serving),
 * a root ``instance``/``dispatch`` span per track with child phase spans
   ``sched`` / ``build`` / ``ship`` / ``exec`` (bursts) keyed to sim time,
-* instants for retries, throttle bounces, lost chains, correlated events.
+* instants for retries, throttle bounces, lost chains, control ticks and
+  remediation stages.
 """
 
 from __future__ import annotations
@@ -164,14 +163,12 @@ class BurstInstrumentation:
         tracer: Optional["Tracer"],
         registry: Optional[MetricsRegistry],
         bus: Optional["EventBus"],
-        sim,
         name: str,
     ) -> None:
         self.tracer = tracer
         self.bus = bus
         self.registry = registry
         if tracer is not None:
-            tracer.bind_clock(lambda: sim.now)
             self.pid = tracer.new_process(name)
         self._m: dict[str, object] = {}
         if registry is not None:
@@ -427,10 +424,10 @@ class ServingInstrumentation:
     """Per-run tracing + metrics for
     :class:`~repro.serving.service.ServingSimulator`.
 
-    The serving counters and the sojourn histogram are written once, when
-    the run ends, from its result (:meth:`record_run`). The hooks the loop
-    calls as things happen report spans, instants and bus events, and keep
-    two live metrics: the backlog gauge and the remediation counter.
+    A serving run is reported once, when it ends (:meth:`record_run`):
+    its dispatch spans from the result's dispatch log, its instants, bus
+    events, backlog gauge and remediation counter from its moment log,
+    and its counters and sojourn histogram from the result.
     """
 
     def __init__(
@@ -438,28 +435,24 @@ class ServingInstrumentation:
         tracer: Optional["Tracer"],
         registry: Optional[MetricsRegistry],
         bus: Optional["EventBus"],
-        sim,
         name: str,
     ) -> None:
         self.tracer = tracer
         self.bus = bus
         self._registry = registry
-        self._now = lambda: sim.now  # bus events are published untraced too
         if tracer is not None:
-            tracer.bind_clock(self._now)
             self.pid = tracer.new_process(name)
-        self._dispatches: dict[int, Span] = {}
-        self._backlog = None
-        if registry is not None:
-            self._backlog = registry.gauge(
-                "propack_serving_backlog_depth",
-                help="Dispatch-queue depth at the last control tick.",
-            )
 
     # ------------------------------------------------------------------ #
-    def record_run(self, result, resilience=None, injector=None) -> None:
-        """Write the run's counters from its finished
-        :class:`~repro.serving.service.ServingResult`.
+    def record_run(self, result, moments=(), resilience=None, injector=None) -> None:
+        """Report a finished run: its dispatches, then its moments, then its
+        counts.
+
+        Each :class:`~repro.serving.service.DispatchRecord` of
+        ``result.dispatches`` (in id order) becomes one closed
+        ``dispatch#<id>`` span on its own track; a ``killed`` dispatch
+        reports outcome ``crash``. ``moments`` are replayed in the order
+        they happened (:meth:`_record_moments`).
 
         Each counter is a field of the result or of its
         :class:`~repro.serving.service.ResilienceReport`. The digest keeps
@@ -469,6 +462,9 @@ class ServingInstrumentation:
         read from the run's ``resilience`` policy and fault ``injector``, as
         the run left them.
         """
+        if self.tracer is not None:
+            self._trace(result.dispatches)
+        self._record_moments(moments)
         registry = self._registry
         if registry is None:
             return
@@ -533,68 +529,68 @@ class ServingInstrumentation:
         if injector is not None:
             _record_faults(registry, injector)
 
-    def on_dispatch(
-        self, dispatch_id: int, batch_size: int, warm: bool, domain: Optional[int]
-    ) -> None:
-        if self.tracer is None:
-            return
-        self._dispatches[dispatch_id] = self.tracer.start_span(
-            f"dispatch#{dispatch_id}",
-            category="dispatch",
-            track=dispatch_id,
-            batch=batch_size,
-            warm=warm,
-            domain=-1 if domain is None else domain,
-        )
+    def _trace(self, dispatches) -> None:
+        """One closed ``dispatch`` span per dispatch record, in id order."""
+        sid, pid = self.tracer.reserve_ids(len(dispatches)), self.pid
+        self.tracer.spans += [
+            Span(sid + i, f"dispatch#{d.dispatch}", d.launched_at, "dispatch",
+                 d.ended_at, None, pid, d.dispatch,
+                 {"batch": d.batch, "warm": d.warm,
+                  "domain": -1 if d.domain is None else d.domain,
+                  "outcome": "ok" if d.outcome == "ok" else "crash"})
+            for i, d in enumerate(dispatches)
+        ]
 
-    def _end_dispatch(self, dispatch_id: int, outcome: str) -> None:
-        span = self._dispatches.pop(dispatch_id, None)
-        if span is not None:
-            self.tracer.end_span(span, outcome=outcome)
+    def _record_moments(self, moments) -> None:
+        """Replay a serving run's moments, ``(time, kind, *detail)``, in the
+        order they happened. A ``crash`` (dispatch id, correlated, domain)
+        publishes ``dispatch.crash`` and a ``failed`` batch ``batch.failed``;
+        a ``retry`` (batch, delay) and a ``tick`` (backlog, violation
+        fraction) are instants, and the last tick sets the backlog gauge; a
+        ``remediation`` stage (stage, fields) is an instant, an event and a
+        count. Instants go to track 0 of the run's band, and every event is
+        stamped with its moment's time."""
+        tracer, bus, registry = self.tracer, self.bus, self._registry
 
-    def on_complete(self, dispatch_id: int) -> None:
-        if self.tracer is not None:
-            self._end_dispatch(dispatch_id, "ok")
+        def mark(name, t, category, /, **attrs):
+            if tracer is not None:
+                tracer.instants.append(Instant(
+                    name, t, category, self.pid, 0, tuple(sorted(attrs.items()))
+                ))
 
-    def on_crash(
-        self, dispatch_id: int, correlated: bool, domain: Optional[int] = None
-    ) -> None:
-        if self.tracer is not None:
-            self._end_dispatch(dispatch_id, "crash")
-        if self.bus is not None:
-            self.bus.publish(
-                "dispatch.crash", self._now(),
-                dispatch=dispatch_id, correlated=correlated,
-                domain=-1 if domain is None else domain,
+        def publish(kind, t, /, **fields):
+            if bus is not None:
+                bus.publish(kind, t, **fields)
+
+        backlog = None
+        for t, kind, *detail in moments:
+            if kind == "crash":
+                dispatch, correlated, domain = detail
+                publish("dispatch.crash", t, dispatch=dispatch, correlated=correlated,
+                        domain=-1 if domain is None else domain)
+            elif kind == "failed":
+                publish("batch.failed", t, batch=detail[0])
+            elif kind == "retry":
+                batch, delay = detail
+                mark("retry", t, "fault", batch=batch, delay_s=delay)
+            elif kind == "tick":
+                backlog, violation = detail
+                mark("control-tick", t, "control",
+                     backlog=backlog, violation=round(violation, 9))
+            else:  # remediation
+                stage, fields = detail
+                if registry is not None:
+                    registry.counter(
+                        "propack_remediation_events_total",
+                        help="Remediation-loop pipeline events, by stage.",
+                        stage=stage,
+                    ).inc()
+                mark(f"remediation-{stage}", t, "remediation", **fields)
+                publish(f"remediation.{stage}", t, **fields)
+        if registry is not None:
+            gauge = registry.gauge(
+                "propack_serving_backlog_depth",
+                help="Dispatch-queue depth at the last control tick.",
             )
-
-    def on_retry(self, batch_size: int, delay: float) -> None:
-        if self.tracer is not None:
-            self.tracer.instant("retry", "fault", batch=batch_size, delay_s=delay)
-
-    def on_fail_batch(self, batch_size: int) -> None:
-        if self.bus is not None:
-            self.bus.publish("batch.failed", self._now(), batch=batch_size)
-
-    def on_tick(self, backlog: int, violation_fraction: float) -> None:
-        if self._backlog is not None:
-            self._backlog.set(backlog)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "control-tick", "control",
-                backlog=backlog, violation=round(violation_fraction, 9),
-            )
-
-    def on_remediation(self, stage: str, **fields) -> None:
-        """One remediation-loop event: ``stage`` is 'detection', 'proposal',
-        'verdict', 'apply', or 'rollback'; ``fields`` are stage-specific."""
-        if self._registry is not None:
-            self._registry.counter(
-                "propack_remediation_events_total",
-                help="Remediation-loop pipeline events, by stage.",
-                stage=stage,
-            ).inc()
-        if self.tracer is not None:
-            self.tracer.instant(f"remediation-{stage}", "remediation", **fields)
-        if self.bus is not None:
-            self.bus.publish(f"remediation.{stage}", self._now(), **fields)
+            if backlog is not None:
+                gauge.set(backlog)

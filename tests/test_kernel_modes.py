@@ -257,9 +257,10 @@ def test_bigger_fleet_changes_nothing(concurrency, packing_degree):
 def _sampled_bursts(draw):
     """A fault-free burst at the edges the replay handles: C=1, P=C, one
     warm instance, partial last chains, skew, extra I/O, small memory,
-    rounded billing, fleets of one or two servers that may run out,
-    execution caps that may abort, and one or two build slots, so builds
-    outlast placements and ship from the late-build event."""
+    billing rounded to a millisecond up to a minute, fleets of one or two
+    servers that may run out, execution caps that may abort, and one or
+    two build slots, so builds outlast placements and ship from the
+    late-build event."""
     concurrency = draw(st.integers(1, 300))
     # Small random degrees too: a large one mostly outruns the 900 s cap.
     packing = draw(
@@ -279,9 +280,11 @@ def _sampled_bursts(draw):
     )
     overrides = {}
     if draw(st.booleans()):
+        # From a millisecond tick to a one-minute one, with a minimum up to
+        # a minute: a short attempt bills many times what it ran.
         overrides.update(
-            billing_granularity_s=0.1,
-            min_billed_duration_s=0.1,
+            billing_granularity_s=draw(st.sampled_from([0.001, 0.1, 1.0, 60.0])),
+            min_billed_duration_s=draw(st.sampled_from([0.0, 0.1, 60.0])),
             cpu_throttle_multiplier=1.25,
         )
     fleet = draw(st.sampled_from([None, 1, 2]))
@@ -338,6 +341,18 @@ TIED_BURST = (TIED, BurstSpec(app=FLAT, concurrency=251, packing_degree=3), 5)
     )
 )
 @example(case=TIED_BURST)
+# One-minute rounding and a one-minute minimum: each two-minute attempt,
+# stretched to two and a half by the throttle multiplier, bills three.
+@example(
+    case=(
+        GOOGLE_CLOUD_FUNCTIONS.with_overrides(
+            billing_granularity_s=60.0, min_billed_duration_s=60.0,
+            cpu_throttle_multiplier=1.25,
+        ),
+        BurstSpec(app=SORT, concurrency=120, packing_degree=4, wave_size=10),
+        5,
+    )
+)
 # One build slot behind a near-free scheduler: every chain's build finishes
 # after its placement, so each ship comes from a late-build event.
 @example(

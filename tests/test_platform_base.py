@@ -77,15 +77,39 @@ def test_profile_whose_servers_cannot_host_an_instance_is_rejected(overrides, fi
         ("max_execution_seconds", float("nan")),
         ("cores_per_instance", 0),
         ("max_memory_mb", 0),
+        ("gb_second_usd", -1.0),
+        ("keepalive_gb_second_usd", float("nan")),
+        ("per_request_usd", -2.0e-7),
+        ("storage_put_usd", float("inf")),
+        ("storage_get_usd", -1.0),
+        ("egress_usd_per_gb", float("nan")),
+        ("failure_rate", 1.5),
+        ("max_retries", -1),
+        ("scheduler_shards", 0),
+        ("build_slots", 0),
+        ("uplink_gbps", 0.0),
+        ("build_rate_mb_s", float("nan")),
+        ("build_cache_factor", -1.0),
+        ("sched_sync_s", float("nan")),
+        ("isolation_penalty", -1.0),
+        ("concurrency_leak", float("nan")),
+        ("billing_granularity_s", -0.1),
+        ("min_billed_duration_s", float("inf")),
+        ("cpu_throttle_multiplier", 0.5),
     ],
 )
 def test_profile_coefficient_out_of_range_is_rejected(field, value):
-    """A coefficient the fluid replay and the event loop would read
-    differently fails at construction, naming the field: a negative
-    placement or build cost returns a result on the replay but cannot be
-    scheduled on the event loop, a NaN noise sigma runs noise-free on one
-    path and never executes on the other, a NaN cap silently disables the
-    timeout, and an instance with no cores or memory divides by zero."""
+    """An out-of-range coefficient fails at construction, naming the field.
+    Before, the replay and the event loop read some differently: a
+    negative placement or build cost returns a result on the replay but
+    cannot be scheduled on the event loop, a NaN noise sigma runs
+    noise-free on one path and never executes on the other. A NaN cap
+    silently disabled the timeout, and an instance with no cores or memory
+    divided by zero. A negative price billed a negative expense, a NaN
+    failure rate ran fault-free, a rate above 1 ran as 1, a negative retry
+    count as none and a zero shard count as the serial scheduler; no build
+    slot, a NaN build rate, a zero uplink or a negative cache factor failed
+    only once a burst ran, and a bad billing field only at billing."""
     with pytest.raises(ValueError, match=field):
         AWS_LAMBDA.with_overrides(**{field: value})
     fields = dataclasses.asdict(AWS_LAMBDA) | {field: value}

@@ -10,6 +10,7 @@ from repro.telemetry import (
     EventBus,
     EventLog,
     MetricsRegistry,
+    Span,
     TelemetryConfig,
     TelemetrySession,
     Tracer,
@@ -66,46 +67,33 @@ def test_event_log_bounded():
 # --------------------------------------------------------------------- #
 # Tracer
 # --------------------------------------------------------------------- #
-def test_tracer_parent_child_links_and_track_inheritance():
-    clock = [0.0]
-    tracer = Tracer(clock=lambda: clock[0])
-    tracer.new_process("burst")
-    root = tracer.start_span("instance#0", category="instance", track=7)
-    child = tracer.start_span("sched", category="phase", parent=root)
-    assert child.parent_id == root.span_id
-    assert child.track == 7  # children inherit the parent's track
-    clock[0] = 2.5
-    tracer.end_span(child)
-    tracer.end_span(root, outcome="ok")
-    assert child.duration == 2.5
-    assert root.attrs["outcome"] == "ok"
-
-
-def test_tracer_double_end_raises():
+def test_tracer_finished_filter():
+    """``finished`` keeps the closed spans, optionally of one category."""
     tracer = Tracer()
-    span = tracer.start_span("s")
-    tracer.end_span(span)
-    with pytest.raises(ValueError):
-        tracer.end_span(span)
-
-
-def test_tracer_context_manager_and_finished_filter():
-    clock = [1.0]
-    tracer = Tracer(clock=lambda: clock[0])
-    with tracer.span("work", category="phase"):
-        clock[0] = 4.0
-    open_span = tracer.start_span("dangling", category="phase")
+    pid = tracer.new_process("run")
+    sid = tracer.reserve_ids(3)
+    tracer.spans += [
+        Span(sid, "work", 1.0, "phase", 4.0, None, pid),
+        Span(sid + 1, "dangling", 2.0, "phase", None, None, pid),
+        Span(sid + 2, "root", 0.0, "instance", 5.0, None, pid),
+    ]
     finished = tracer.finished("phase")
     assert [s.name for s in finished] == ["work"]
     assert finished[0].duration == 3.0
-    assert not open_span.closed
+    assert [s.name for s in tracer.finished()] == ["work", "root"]
+    assert not tracer.spans[1].closed
+    with pytest.raises(ValueError, match="still open"):
+        tracer.spans[1].duration
 
 
 def test_tracer_span_ids_reset_on_clear():
     tracer = Tracer()
-    first = tracer.start_span("a").span_id
+    first = tracer.reserve_ids(2)
+    assert tracer.reserve_ids(1) == first + 2
+    tracer.new_process("run")
     tracer.clear()
-    assert tracer.start_span("b").span_id == first == 1
+    assert (first, tracer.reserve_ids(1)) == (1, 1)
+    assert tracer.new_process("next") == 1
 
 
 # --------------------------------------------------------------------- #

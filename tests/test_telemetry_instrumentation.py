@@ -327,7 +327,7 @@ def test_event_loop_makes_no_telemetry_call():
     does: every chain moment reaches telemetry through that report."""
     platform = ServerlessPlatform(AWS_LAMBDA, seed=7, telemetry=TelemetryConfig())
     report = _ReportOnly()
-    platform.telemetry.burst_instrumentation = lambda sim, name: report
+    platform.telemetry.burst_instrumentation = lambda name: report
     observed = platform.run_burst(THROTTLED, repetition=0)
     bare = ServerlessPlatform(AWS_LAMBDA, seed=7).run_burst(THROTTLED, repetition=0)
     assert observed.kernel_path == "event"
@@ -408,19 +408,27 @@ def test_aborted_burst_reports_its_chain_moments():
     assert kinds[35:] == ["instance.crash"] * 35
 
 
-def test_chain_events_follow_a_shared_trace_recorder():
+def _recorded_simulator(monkeypatch, module, bus):
+    """Make ``module`` build simulators that publish each event they run
+    on ``bus``, through a TraceRecorder."""
+
+    def recorded():
+        sim = Simulator()
+        TraceRecorder(sim, bus=bus).install()
+        return sim
+
+    monkeypatch.setattr(module, "Simulator", recorded)
+
+
+def test_chain_events_follow_a_shared_trace_recorder(monkeypatch):
     """A TraceRecorder on the session bus publishes each simulator event
     as it runs; a burst's chain and instance events are published when it
     ends, so they follow its last ``sim.event``."""
+    import repro.platform.base
+
     platform = ServerlessPlatform(AWS_LAMBDA, seed=SEED, telemetry=TelemetryConfig())
     session = platform.telemetry
-    instrument = session.burst_instrumentation
-
-    def recorded(sim, name):
-        TraceRecorder(sim, bus=session.bus).install()
-        return instrument(sim, name)
-
-    session.burst_instrumentation = recorded
+    _recorded_simulator(monkeypatch, repro.platform.base, session.bus)
     platform.run_burst(
         BurstSpec(app=SORT, concurrency=200, packing_degree=2, scenario=CHAOS),
         repetition=0,
@@ -814,7 +822,7 @@ STORM_FAULT_DRAWS = {
 }
 
 
-def _storm(seed):
+def _storm(seed, telemetry=TelemetryConfig()):
     config = ServingConfig(qos_sojourn_s=20.0)
     scenario = FaultScenario(
         name="storm", crash_rate=0.08, persistent_fraction=0.05,
@@ -843,7 +851,7 @@ def _storm(seed):
         ),
         scenario=scenario,
         retry_policy=ExponentialBackoffRetry(max_retries=3),
-        seed=seed, telemetry=TelemetryConfig(),
+        seed=seed, telemetry=telemetry,
     )
     run = sim.run(
         PoissonProcess(4.0), StreamingPolicy(degree=6, batch_timeout_s=4.0),
@@ -1052,3 +1060,129 @@ def test_serving_bus_events_do_not_depend_on_tracing():
     assert untraced.telemetry.events_jsonl() == traced.telemetry.events_jsonl()
     kinds = {e.kind for e in untraced_events}
     assert {"dispatch.crash", "batch.failed", "remediation.apply"} <= kinds
+
+
+# --------------------------------------------------------------------- #
+# A serving run reports once, when it ends
+# --------------------------------------------------------------------- #
+class _RunReportOnly:
+    """Serving telemetry that has nothing but the end-of-run report."""
+
+    def __init__(self):
+        self.moments = []
+
+    def record_run(self, result, moments=(), resilience=None, injector=None):
+        self.moments.append(list(moments))
+
+
+@pytest.mark.parametrize("run", ["storm", "remediated"])
+def test_serving_loop_makes_no_telemetry_call(monkeypatch, run):
+    """A faulted, protected (and remediated) serving run returns what an
+    unobserved one does, with telemetry that only takes the final report:
+    every crash, retry, failed batch, control tick and remediation stage
+    reaches telemetry through that report's moments."""
+    report = _RunReportOnly()
+    monkeypatch.setattr(
+        TelemetrySession, "serving_instrumentation", lambda self, name: report
+    )
+    if run == "storm":
+        (_, observed), (_, bare) = _storm(7), _storm(7, telemetry=None)
+    else:
+        (_, observed, _), (_, bare, _) = (
+            _remediated_serving(TelemetryConfig(), SEED), _remediated_serving(None, SEED)
+        )
+    assert observed.signature() == bare.signature()
+    assert vars(observed.resilience) == vars(bare.resilience)
+    assert observed.dispatches == bare.dispatches
+    (moments,) = report.moments
+    assert [m[0] for m in moments] == sorted(m[0] for m in moments)
+    by_kind = {kind: [m[2:] for m in moments if m[1] == kind]
+               for kind in ("crash", "retry", "failed", "tick", "remediation")}
+    assert sorted(by_kind["crash"]) == [
+        (d.dispatch, d.outcome == "killed", d.domain)
+        for d in observed.dispatches if d.outcome != "ok"
+    ]
+    rep = observed.resilience
+    assert len(by_kind["retry"]) == rep.retries > 0
+    assert sum(batch for batch, in by_kind["failed"]) == rep.failed_requests > 0
+    assert len(by_kind["tick"]) == 15  # 900 s at the default 60 s interval
+    stages = Counter(stage for stage, _ in by_kind["remediation"])
+    if run == "storm":
+        assert observed.remediation is None and not stages
+    else:
+        remedy = observed.remediation
+        assert remedy.signature() == bare.remediation.signature()
+        assert stages == {
+            stage: n for stage, n in (
+                ("detection", len(remedy.detections)),
+                ("proposal", len(remedy.proposals)),
+                ("verdict", len(remedy.verdicts)),
+                ("apply", len(remedy.applications)),
+                ("rollback", len(remedy.rollbacks)),
+            ) if n
+        }
+
+
+def test_serving_events_follow_a_shared_trace_recorder(monkeypatch):
+    """A serving run publishes its bus events when it ends, stamped with
+    their moments' times, after every ``sim.event`` of its own."""
+    import repro.serving.service
+
+    session = TelemetrySession(TelemetryConfig())
+    _recorded_simulator(monkeypatch, repro.serving.service, session.bus)
+    _, _, events = _remediated_serving(session, SEED)
+    kinds = [e.kind for e in events]
+    n_sim = kinds.count("sim.event")
+    assert n_sim > 0 and set(kinds[:n_sim]) == {"sim.event"}
+    lifecycle = events[n_sim:]
+    assert {e.kind for e in lifecycle} >= {"dispatch.crash", "batch.failed"}
+    assert [e.time for e in lifecycle] == sorted(e.time for e in lifecycle)
+
+
+def _serving_exports(case):
+    """The telemetry session of one pinned serving case."""
+    if case == "storm-7":
+        return _storm(7)[0].telemetry
+    if case == "remediated-2023":
+        return _remediated_serving(TelemetryConfig(), SEED)[0].telemetry
+    # One session shared by a faulted burst, two remediated runs and a
+    # second burst.
+    session = TelemetrySession(TelemetryConfig())
+    platform = ServerlessPlatform(AWS_LAMBDA, seed=SEED, telemetry=session)
+    platform.run_burst(
+        BurstSpec(app=SORT, concurrency=300, packing_degree=2, scenario=CHAOS,
+                  retry_policy=ExponentialBackoffRetry(max_retries=3)),
+        repetition=0,
+    )
+    for seed in (7, SEED):
+        _remediated_serving(session, seed)
+    platform.run_burst(BurstSpec(app=SORT, concurrency=200), repetition=1)
+    return session
+
+
+#: sha256 of the Chrome trace (``json.dumps(..., sort_keys=True)``), the
+#: Prometheus text and the JSONL of each serving case above.
+SERVING_EXPORTS = {
+    "storm-7": ("51bfdd990208b69104fa88246a9081a9bf6384d62a797f3684196a86ca18ab87",
+                "065a7d004e8bc5d0117e2ae8b78a21164a3621df4163defa5282dae10d3672b0",
+                "3595c4ceb2116c05ae92ffdee8a3f206ea42aadd3882bcac2dd01ddd8475e255"),
+    "remediated-2023": (
+        "096899ff0199c9f99c38d100f2fcc735557a6dbed31d4ed5912417afadbc8c7e",
+        "3033f950ba4ab168558445950f3fad053e2fd9cdf9ba2c40c98a640925b604c0",
+        "46e98387eabfffb5a9766fd3e48bc682d280ad4406f74fb013f7381cac57afc0"),
+    "shared": ("4bfdc1dedd74e342de9048a1f0e3b9937c06fe88b376163d1263399579e2e7be",
+               "b0572f9a019c3be27d5116b596e404b4b90ce528cd9d4f2e87eb7ed78f06865e",
+               "cf43de9d33f1dfaeecc2424eded61bfff0ec13a073d071806c52bfd08823a91a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERVING_EXPORTS))
+def test_serving_exports_are_pinned(case):
+    """Spans from the dispatch log, instants and events from the moment
+    log, counts from the result: all three exports, to the byte."""
+    session = _serving_exports(case)
+    exports = (json.dumps(session.chrome_trace(), sort_keys=True),
+               session.prometheus_text(), session.events_jsonl())
+    assert tuple(hashlib.sha256(e.encode()).hexdigest() for e in exports) == (
+        SERVING_EXPORTS[case]
+    )
