@@ -34,12 +34,12 @@ def test_ch1_same_seed_reproduces(ctx):
 
 @pytest.mark.telemetry_overhead
 def test_perf_auditor_disabled_is_free():
-    """The zero-cost-when-disabled contract for a bus-only session: a
-    serving run whose session has no tracer, registry or event log must
-    stay within 2% of a fully untelemetered run. Its hooks run once per
-    dispatch, completion, crash, retry and tick, and find nothing to
-    record but a crash's or a failed batch's bus event; no hook runs per
-    arrival. The auditor needs no session: it reads the finished run.
+    """The zero-cost-when-disabled contract for a session with tracing,
+    metrics and events all off: a serving run with such a session must
+    stay within 2% of a fully untelemetered run. The run makes no
+    telemetry call while it runs; its one report, when it ends, finds no
+    tracer, registry or event bus and writes nothing. The auditor needs
+    no session: it reads the finished run.
 
     Timing-sensitive, so it carries the ``telemetry_overhead`` marker and
     runs in the benchmarks CI job, not the tier-1 suite.

@@ -104,7 +104,7 @@ def fluid_ineligibility(kernel: "BurstDispatchKernel", spec: "BurstSpec") -> Opt
         return "builder busy"
     if kernel.pipeline.network.in_flight:
         return "uplink busy"
-    if kernel.sim._now != 0.0 or kernel.sim._heap or kernel.sim._streams:
+    if kernel.sim._now != 0.0 or kernel.sim._heap or kernel.sim._stream is not None:
         return "simulator not fresh"
     pool = kernel.scheduler.pool
     if pool.total_instances != 0:

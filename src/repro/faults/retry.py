@@ -25,10 +25,21 @@ abandoned work).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 import numpy as np
+
+
+def _require(ok: bool, name: str, rule: str, value: Any) -> None:
+    """Raise a ``ValueError`` naming field ``name`` unless ``ok``.
+
+    The delay rules test finiteness first: NaN passes every comparison, so
+    a NaN delay would fail only once a run scheduled it.
+    """
+    if not ok:
+        raise ValueError(f"{name} must be {rule} (got {value!r})")
 
 
 class RetryPolicy(abc.ABC):
@@ -59,6 +70,9 @@ class ImmediateRetry(RetryPolicy):
 
     max_retries: int = 2
 
+    def __post_init__(self) -> None:
+        _require(self.max_retries >= 0, "max_retries", ">= 0", self.max_retries)
+
     def next_delay(
         self, failed_attempt: int, prev_delay: float, rng: np.random.Generator
     ) -> Optional[float]:
@@ -73,8 +87,9 @@ class FixedDelayRetry(RetryPolicy):
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0.0:
-            raise ValueError("delay_s must be non-negative")
+        _require(math.isfinite(self.delay_s) and self.delay_s >= 0.0,
+                 "delay_s", "finite and >= 0", self.delay_s)
+        _require(self.max_retries >= 0, "max_retries", ">= 0", self.max_retries)
 
     def next_delay(
         self, failed_attempt: int, prev_delay: float, rng: np.random.Generator
@@ -97,10 +112,11 @@ class ExponentialBackoffRetry(RetryPolicy):
     max_retries: int = 4
 
     def __post_init__(self) -> None:
-        if self.base_s <= 0.0:
-            raise ValueError("base_s must be positive")
-        if self.cap_s < self.base_s:
-            raise ValueError("cap_s must be >= base_s")
+        _require(math.isfinite(self.base_s) and self.base_s > 0.0,
+                 "base_s", "finite and positive", self.base_s)
+        _require(math.isfinite(self.cap_s) and self.cap_s >= self.base_s,
+                 "cap_s", "finite and >= base_s", self.cap_s)
+        _require(self.max_retries >= 0, "max_retries", ">= 0", self.max_retries)
 
     def next_delay(
         self, failed_attempt: int, prev_delay: float, rng: np.random.Generator
@@ -218,8 +234,8 @@ class HedgePolicy:
     max_hedges_per_group: int = 1
 
     def __post_init__(self) -> None:
-        if self.trigger_factor <= 1.0:
-            raise ValueError("trigger_factor must exceed 1.0")
+        _require(math.isfinite(self.trigger_factor) and self.trigger_factor > 1.0,
+                 "trigger_factor", "finite and > 1", self.trigger_factor)
         if self.max_hedges_per_group < 1:
             raise ValueError("max_hedges_per_group must be >= 1")
 

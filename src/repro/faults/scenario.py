@@ -37,6 +37,7 @@ Scenarios round-trip through validated JSON (:meth:`FaultScenario.to_dict`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
@@ -96,6 +97,13 @@ class FaultScenario:
                                            # onset (None = never heals)
 
     def __post_init__(self) -> None:
+        # Every float field is finite: NaN passes each range check below,
+        # and a NaN or infinite window, backoff or heal time fails (or is
+        # silently ignored) only once a run draws from it.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite (got {value})")
         if self.crash_rate is not None and not 0.0 <= self.crash_rate < 1.0:
             raise ValueError("crash_rate must be in [0, 1)")
         if not 0.0 <= self.persistent_fraction <= 1.0:
@@ -109,7 +117,7 @@ class FaultScenario:
         if self.throttle_capacity is not None and self.throttle_capacity < 1:
             raise ValueError("throttle_capacity must be >= 1")
         if self.throttle_capacity is not None and self.throttle_refill_per_s <= 0.0:
-            raise ValueError("throttling needs a positive refill rate")
+            raise ValueError("throttle_refill_per_s must be positive when throttled")
         if self.throttle_max_retries < 0:
             raise ValueError("throttle_max_retries must be non-negative")
         if self.throttle_backoff_s < 0.0:

@@ -186,7 +186,7 @@ class BurstTarget(CampaignTarget):
             for r in result.records
         ]
         metrics = "".join(line + "\n" for line in lines)
-        if platform.telemetry is not None and platform.telemetry.event_log is not None:
+        if platform.telemetry is not None and platform.telemetry.bus is not None:
             metrics += platform.telemetry.events_jsonl()
         return RunOutput(summary=summary, metrics_jsonl=metrics)
 

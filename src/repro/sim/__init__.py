@@ -1,10 +1,12 @@
 """Discrete-event simulation engine.
 
-This package is the lowest substrate of the reproduction: a deterministic,
-seedable discrete-event simulator with the two queueing resources the
-serverless platform model is built from:
+This package is the lowest substrate of the reproduction, and imports no
+other ``repro`` package: a deterministic, seedable discrete-event simulator
+with the two queueing resources the serverless platform model is built
+from:
 
-* :class:`~repro.sim.engine.Simulator` — the event loop (binary-heap agenda).
+* :class:`~repro.sim.engine.Simulator` — the event loop (binary-heap agenda,
+  plus at most one pre-sorted stream beside it).
 * :class:`~repro.sim.resources.FifoResource` — a multi-server FIFO queue
   (bounded parallelism; used for the sharded scheduler's consistency bus).
 * :class:`~repro.sim.resources.ProcessorSharingResource` — an egalitarian
@@ -19,7 +21,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.resources import FifoResource, ProcessorSharingResource
 from repro.sim.stats import SummaryStats, percentile, summarize
-from repro.sim.trace import TraceEntry, TraceRecorder
 
 __all__ = [
     "Event",
@@ -30,6 +31,4 @@ __all__ = [
     "SummaryStats",
     "percentile",
     "summarize",
-    "TraceEntry",
-    "TraceRecorder",
 ]

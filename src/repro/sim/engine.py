@@ -12,13 +12,16 @@ object and every heap operation compares plain floats/ints in C. At a
 million-event agenda that removes the single hottest Python frame of the
 dispatch profile (the dataclass-generated ``Event.__lt__``).
 
-A long pre-sorted stream (a serving run's arrivals) goes on the agenda
-through :meth:`Simulator.schedule_sorted` and never enters the heap: the
-simulator keeps the column beside it and merges the column's head with the
-heap's top on every step, so the heap holds only the live events and an
+One long pre-sorted stream (a serving run's arrivals) may go on the
+agenda through :meth:`Simulator.schedule_sorted` and never enters the heap:
+the simulator keeps the column beside it and merges the column's head with
+the heap's top on every step, so the heap holds only the live events and an
 entry costs no heap push or pop. The stream's owner may pick which entry
 runs next (:meth:`Simulator.seek_stream`); the entries it skips never run,
 and the ones it picks still run at their exact times and sequence numbers.
+
+Nothing observes the loop while it runs: :meth:`Simulator.run` drains the
+agenda, and a run reports what it did once it ends.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, seq)`` so the heap pops them in timestamp
-    order with FIFO tie-breaking (the ordering itself lives in the heap's
-    tuple keys; the comparison operators here exist for tests and direct
-    users). ``cancelled`` implements lazy deletion: cancelled events stay
-    in the heap but are skipped when popped (the owning simulator is
-    notified so it can bound the garbage — see :meth:`Simulator._compact`).
+    The heap pops events in ``(time, seq)`` order, FIFO among ties; the
+    ordering lives in the heap's tuple keys. ``cancelled`` implements lazy
+    deletion: cancelled events stay in the heap but are skipped when popped
+    (the owning simulator is notified so it can bound the garbage — see
+    :meth:`Simulator._compact`).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_on_cancel")
@@ -67,14 +69,6 @@ class Event:
         self.cancelled = cancelled
         self._on_cancel = _on_cancel
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
-
     def __repr__(self) -> str:
         return (
             f"Event(time={self.time!r}, seq={self.seq!r}, "
@@ -90,7 +84,7 @@ class Event:
 
 
 class _Stream:
-    """One :meth:`Simulator.schedule_sorted` column, and its handle.
+    """The :meth:`Simulator.schedule_sorted` column, and its handle.
 
     Entry ``i`` runs ``callback(times[i])`` with sequence number
     ``first + i``; ``cursor`` is the index of the next entry to run, and
@@ -129,10 +123,11 @@ class Simulator:
     #: compaction is ~60% slower at 1e6. The garbage-ratio trigger itself
     #: (rebuild once dead > live) is scale-free and beat both 1/4 and 2/3
     #: at every size — see the compaction micro-benchmark in
-    #: benchmarks/test_perf_primitives.py and docs/PERFORMANCE.md.
+    #: benchmarks/test_perf_primitives.py and docs/PERFORMANCE.md. Set
+    #: on an instance, it moves that simulator's floor alone.
     COMPACT_MIN_EVENTS = 1024
 
-    def __init__(self, compact_min_events: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
@@ -141,13 +136,11 @@ class Simulator:
         self._cancelled_live = 0  # cancelled events still sitting in the heap
         self.compactions = 0      # heap rebuilds performed (observability)
         self._cancel_hook = self._note_cancelled  # one bound method, shared
-        self._compact_min = (
-            self.COMPACT_MIN_EVENTS if compact_min_events is None else compact_min_events
-        )
-        # Pending schedule_sorted streams, and the one whose head runs next
-        # with that head's (time, seq); (inf, inf) when none is pending, so
-        # step() compares the heap's top against it without a None check.
-        self._streams: list[_Stream] = []
+        # The schedule_sorted stream, and its pending entry: the stream
+        # again while an entry is pending (else None), with the entry's
+        # (time, seq), (inf, inf) when none is, so step() compares the
+        # heap's top against it without a None check.
+        self._sorted: Optional[_Stream] = None
         self._stream: Optional[_Stream] = None
         self._stream_time = math.inf
         self._stream_seq = math.inf
@@ -202,7 +195,7 @@ class Simulator:
     def _note_cancelled(self) -> None:
         self._cancelled_live += 1
         if (
-            len(self._heap) >= self._compact_min
+            len(self._heap) >= self.COMPACT_MIN_EVENTS
             and self._cancelled_live > len(self._heap) // 2
         ):
             self._compact()
@@ -236,12 +229,15 @@ class Simulator:
         the call reserves ``len(times)`` consecutive sequence numbers, and
         :meth:`step` runs the stream's next entry whenever its
         ``(time, seq)`` comes before the heap's top. No entry ever enters
-        the heap. Any number of streams may be pending at once. The entries
-        cannot be cancelled, but the stream's owner may skip them with
-        :meth:`seek_stream`, which takes the handle returned here (``None``
-        for an empty ``times``). ``times`` must be non-decreasing and start
-        no earlier than :attr:`now`.
+        the heap. A simulator takes one stream: a second call raises
+        :class:`SimulationError`. The entries cannot be cancelled, but the
+        stream's owner may skip them with :meth:`seek_stream`, which takes
+        the handle returned here (``None`` for an empty ``times``, which
+        schedules nothing). ``times`` must be non-decreasing and start no
+        earlier than :attr:`now`.
         """
+        if self._sorted is not None:
+            raise SimulationError("a simulator takes one schedule_sorted stream")
         column = np.asarray(times, dtype=float)
         if column.size == 0:
             return None
@@ -253,9 +249,9 @@ class Simulator:
             raise SimulationError("schedule_sorted needs non-decreasing times")
         first = next(self._seq)
         self._seq = itertools.count(first + column.size)
-        stream = _Stream(column.tolist(), first, callback)
-        self._streams.append(stream)
-        self._select_stream()
+        stream = self._sorted = self._stream = _Stream(column.tolist(), first, callback)
+        self._stream_time = stream.times[0]
+        self._stream_seq = first
         return stream
 
     def seek_stream(self, stream: _Stream, index: int) -> None:
@@ -269,8 +265,11 @@ class Simulator:
         :meth:`schedule_sorted` promised; only an entry due at :attr:`now`
         whose turn the running event has already passed runs right after
         it. A move to or before an entry that ran, past the end, or to an
-        entry due before :attr:`now` raises :class:`SimulationError`.
+        entry due before :attr:`now` raises :class:`SimulationError`, as
+        does a handle from another simulator.
         """
+        if stream is not self._sorted:
+            raise SimulationError("cannot seek a stream this simulator does not run")
         times = stream.times
         n = len(times)
         if index <= stream.ran or index > n or (index < n and times[index] < self._now):
@@ -279,52 +278,13 @@ class Simulator:
                 f"{stream.ran} already ran, and it has {n} entries"
             )
         stream.cursor = index
-        if index < n and self._stream is stream and len(self._streams) == 1:
+        if index < n:
+            self._stream = stream
             self._stream_time = times[index]
             self._stream_seq = stream.first + index
-            return
-        if stream not in self._streams:  # a seek to its end had dropped it
-            self._streams.append(stream)
-        self._select_stream()
-
-    def _select_stream(self) -> None:
-        """Drop exhausted streams and cache the one whose head runs next."""
-        self._streams = [s for s in self._streams if s.cursor < len(s.times)]
-        heads = [(s.times[s.cursor], s.first + s.cursor, s) for s in self._streams]
-        if heads:
-            self._stream_time, self._stream_seq, self._stream = min(
-                heads, key=lambda head: head[:2]
-            )
         else:
             self._stream = None
             self._stream_time = self._stream_seq = math.inf
-
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if the agenda is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_live -= 1
-        if heap and (self._stream is None or heap[0][0] <= self._stream_time):
-            return heap[0][0]
-        return None if self._stream is None else self._stream_time
-
-    def next_entry(self) -> Optional[tuple[float, int, Callable[..., None]]]:
-        """``(time, seq, callback)`` of the entry :meth:`step` runs next.
-
-        ``None`` when the agenda is empty. A stream entry reports the
-        callback given to :meth:`schedule_sorted`.
-        """
-        if self.peek() is None:
-            return None
-        heap = self._heap
-        if heap and (
-            self._stream is None
-            or heap[0][:2] < (self._stream_time, self._stream_seq)
-        ):
-            time, seq, event = heap[0]
-            return time, seq, event.callback
-        return self._stream_time, self._stream_seq, self._stream.callback
 
     def step(self) -> bool:
         """Execute the next event. Returns ``False`` when the agenda is empty."""
@@ -354,45 +314,26 @@ class Simulator:
         # Advance before the callback runs, so it sees the stream's successor.
         stream.ran = stream.cursor
         i = stream.cursor = stream.ran + 1
-        if i < len(stream.times) and len(self._streams) == 1:
+        if i < len(stream.times):
             self._stream_time = stream.times[i]
             self._stream_seq = stream.first + i
         else:
-            self._select_stream()
+            self._stream = None
+            self._stream_time = self._stream_seq = math.inf
         stream.callback(time)
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the agenda drains, ``until`` is reached, or ``max_events``.
+    def run(self) -> None:
+        """Run events until the agenda drains.
 
-        ``until`` leaves the clock at exactly ``until`` if the agenda outlives
-        it; events at precisely ``until`` are executed. An ``until`` before
-        :attr:`now` (or NaN) raises :class:`SimulationError`: the clock never
-        moves back.
+        Not re-entrant: a callback that calls :meth:`run` raises
+        :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if until is not None and not until >= self._now:
-            raise SimulationError(
-                f"cannot run until {until}: the clock is already at {self._now}"
-            )
         self._running = True
         try:
-            if until is None and max_events is None:
-                while self.step():
-                    pass
-                return
-            executed = 0
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
-                    self._now = until
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                self.step()
-                executed += 1
+            while self.step():
+                pass
         finally:
             self._running = False

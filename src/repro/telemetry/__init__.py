@@ -10,8 +10,8 @@ concurrency scales. This package makes that decomposition first-class:
 * :mod:`~repro.telemetry.metrics` — a registry of counters, gauges, and
   fixed-bucket histograms that platform, serving, fault, and resilience
   components register into;
-* :mod:`~repro.telemetry.bus` — the pub/sub event path shared with
-  :class:`~repro.sim.trace.TraceRecorder`;
+* :mod:`~repro.telemetry.bus` — the session's event log: lifecycle events
+  published when a run ends, in publication order;
 * :mod:`~repro.telemetry.exporters` — Chrome ``trace_event`` JSON (view
   the Fig. 1 scaling staircase in Perfetto), Prometheus text exposition,
   and a JSONL event log, all byte-deterministic per seed;
@@ -23,7 +23,7 @@ See ``docs/OBSERVABILITY.md`` for the span model, metric naming
 conventions, exporter formats, and overhead numbers.
 """
 
-from repro.telemetry.bus import EventBus, EventLog, TelemetryEvent
+from repro.telemetry.bus import EventBus, TelemetryEvent
 from repro.telemetry.config import TelemetryConfig, TelemetrySession, resolve_session
 from repro.telemetry.exporters import (
     chrome_trace,
@@ -45,7 +45,6 @@ from repro.telemetry.tracer import Instant, Span, Tracer
 
 __all__ = [
     "EventBus",
-    "EventLog",
     "TelemetryEvent",
     "TelemetryConfig",
     "TelemetrySession",

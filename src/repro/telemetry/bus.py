@@ -1,27 +1,18 @@
-"""The telemetry event bus: one publish/subscribe path for everything.
+"""The session's event log: every lifecycle event, in publication order.
 
-Every observable occurrence in the stack — a simulator event executing,
-a dispatch crashing, a retry being scheduled — can be published as a
-:class:`TelemetryEvent` on an :class:`EventBus`. Subscribers (the
-:class:`~repro.sim.trace.TraceRecorder` ring buffer, the JSONL event log,
-ad-hoc debugging hooks) see events in publication order, which is
-deterministic because the simulator itself is. The recorder publishes
-each simulator event as it runs; a burst or serving run publishes its
-lifecycle events when it ends, each stamped with the simulation time it
-happened at.
-
-The bus is intentionally synchronous and allocation-light: ``publish`` is a
-dict lookup plus a loop over subscriber callables, and a bus with no
-subscribers for a kind does no work beyond building the event.
+A burst or serving run with a session publishes its lifecycle events (a
+crash, a retry, a lost chain, a failed batch, a remediation stage) on the
+session's :class:`EventBus` when the run ends, each a
+:class:`TelemetryEvent` stamped with the simulation time it happened at.
+The bus keeps them, in publication order, up to a bound; the JSONL
+exporter reads them. Publication order is deterministic because the runs
+are. Nothing subscribes: the bus exists only when the session's
+``events`` switch is on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
-
-#: Subscribers receive the event object itself.
-Subscriber = Callable[["TelemetryEvent"], None]
+from typing import Any, NamedTuple, Optional
 
 
 class TelemetryEvent(NamedTuple):
@@ -49,57 +40,22 @@ class TelemetryEvent(NamedTuple):
 
 
 class EventBus:
-    """Synchronous pub/sub with per-kind and catch-all subscriptions."""
+    """A bounded log of published events, in publication order.
 
-    def __init__(self) -> None:
-        self._by_kind: dict[str, list[Subscriber]] = {}
-        self._all: list[Subscriber] = []
+    ``events`` keeps the first ``capacity`` events published (all of them
+    when ``capacity`` is ``None``); ``dropped`` counts the rest.
+    """
 
-    def subscribe(
-        self, fn: Subscriber, kind: Optional[str] = None
-    ) -> Callable[[], None]:
-        """Register ``fn`` for one ``kind`` (or every kind when ``None``).
-
-        Returns an unsubscribe callable (idempotent).
-        """
-        listing = self._all if kind is None else self._by_kind.setdefault(kind, [])
-        listing.append(fn)
-
-        def unsubscribe() -> None:
-            try:
-                listing.remove(fn)
-            except ValueError:
-                pass
-
-        return unsubscribe
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        self.capacity = capacity
+        self.events: list[TelemetryEvent] = []
+        self.dropped = 0
 
     def publish(self, kind: str, time: float, **fields: Any) -> TelemetryEvent:
-        """Build and dispatch one event; returns it for chaining/testing."""
+        """Build one event and log it; returns it for chaining/testing."""
         event = TelemetryEvent(kind, time, tuple(sorted(fields.items())))
-        for fn in self._by_kind.get(kind, ()):
-            fn(event)
-        for fn in self._all:
-            fn(event)
-        return event
-
-
-@dataclass
-class EventLog:
-    """A bounded catch-all subscriber backing the JSONL exporter."""
-
-    capacity: Optional[int] = None
-    events: list[TelemetryEvent] = field(default_factory=list)
-    dropped: int = 0
-
-    def __call__(self, event: TelemetryEvent) -> None:
         if self.capacity is not None and len(self.events) >= self.capacity:
             self.dropped += 1
-            return
-        self.events.append(event)
-
-    def attach(self, bus: EventBus) -> "EventLog":
-        bus.subscribe(self)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.events)
+        else:
+            self.events.append(event)
+        return event

@@ -10,16 +10,18 @@ is built at all. The zero-cost-when-disabled contract is enforced by the
 perf-primitives burst within 2% of the uninstrumented seed path.
 
 A :class:`TelemetrySession` owns the tracer, the metrics registry, and the
-event bus for one observation window (typically one platform object's
-lifetime, spanning many bursts), plus the export conveniences.
+event bus (the session's event log) for one observation window (typically
+one platform object's lifetime, spanning many bursts), plus the export
+conveniences. Each of the three exists only when its switch is on.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import IO, Optional, Union
 
-from repro.telemetry.bus import EventBus, EventLog
+from repro.telemetry.bus import EventBus
 from repro.telemetry.exporters import (
     chrome_trace,
     events_jsonl,
@@ -39,8 +41,14 @@ class TelemetryConfig:
     enabled: bool = True
     tracing: bool = True          # span tracer (Chrome trace export)
     metrics: bool = True          # counters / gauges / histograms
-    events: bool = True           # JSONL event log fed from the bus
+    events: bool = True           # the event bus (JSONL event log)
     max_events: Optional[int] = 1_000_000  # event-log bound (None = unbounded)
+
+    def __post_init__(self) -> None:
+        # A bound below 1 keeps no event: events=False under another name.
+        bound = self.max_events
+        if bound is not None and (not isinstance(bound, numbers.Integral) or bound < 1):
+            raise ValueError(f"max_events must be None or an integer >= 1 (got {bound!r})")
 
     @classmethod
     def off(cls) -> "TelemetryConfig":
@@ -54,7 +62,7 @@ class TelemetryConfig:
 
 
 class TelemetrySession:
-    """The live tracer + registry + bus for one observation window."""
+    """The tracer + registry + bus for one observation window."""
 
     def __init__(self, config: TelemetryConfig = TelemetryConfig()) -> None:
         self.config = config
@@ -62,10 +70,9 @@ class TelemetrySession:
         self.registry: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics else None
         )
-        self.bus = EventBus()
-        self.event_log: Optional[EventLog] = None
-        if config.events:
-            self.event_log = EventLog(capacity=config.max_events).attach(self.bus)
+        self.bus: Optional[EventBus] = (
+            EventBus(config.max_events) if config.events else None
+        )
 
     # ------------------------------------------------------------------ #
     # instrumentation factories (used by the platform / serving loops)
@@ -103,9 +110,9 @@ class TelemetrySession:
         return prometheus_text(self.registry)
 
     def events_jsonl(self) -> str:
-        if self.event_log is None:
+        if self.bus is None:
             raise ValueError("the event log is disabled in this session")
-        return events_jsonl(self.event_log.events)
+        return events_jsonl(self.bus.events)
 
 
 def resolve_session(

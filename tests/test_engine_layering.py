@@ -1,4 +1,5 @@
-"""Import-layering gate: ``repro.engine`` never imports its consumers.
+"""Import-layering gate: ``repro.engine`` never imports its consumers,
+and ``repro.sim`` imports no other ``repro`` package.
 
 The engine is the bottom of the dispatch stack (docs/ARCHITECTURE.md):
 ``serving``, ``extensions``, ``resilience``, ``remediation``, and the
@@ -64,6 +65,23 @@ def test_engine_modules_have_no_consumer_imports():
                 offenders.append(f"{path.name}: {module}")
     assert not offenders, (
         "repro.engine must not import serving/extensions/resilience "
+        f"(see docs/ARCHITECTURE.md): {offenders}"
+    )
+
+
+def test_sim_is_the_bottom_layer():
+    # Every package builds on repro.sim's event loop, RNG streams and
+    # queues, so an import of any other repro package from it is a cycle
+    # waiting to happen, and would let an observer reach into the loop.
+    sim_dir = ENGINE_DIR.parent / "sim"
+    offenders = []
+    for path in sorted(sim_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module in _imported_modules(tree):
+            if module.split(".")[0] == "repro" and module.split(".")[:2] != ["repro", "sim"]:
+                offenders.append(f"{path.name}: {module}")
+    assert not offenders, (
+        "repro.sim is the bottom layer and imports no other repro package "
         f"(see docs/ARCHITECTURE.md): {offenders}"
     )
 

@@ -124,6 +124,30 @@ def test_hedge_validates():
         HedgePolicy(max_hedges_per_group=-1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls, kwargs, field", [
+    (ImmediateRetry, {"max_retries": -3}, "max_retries"),
+    (FixedDelayRetry, {"delay_s": NAN}, "delay_s"),
+    (FixedDelayRetry, {"delay_s": INF}, "delay_s"),
+    (FixedDelayRetry, {"max_retries": -1}, "max_retries"),
+    (ExponentialBackoffRetry, {"base_s": NAN}, "base_s"),
+    (ExponentialBackoffRetry, {"base_s": INF, "cap_s": INF}, "base_s"),
+    (ExponentialBackoffRetry, {"cap_s": NAN}, "cap_s"),
+    (ExponentialBackoffRetry, {"cap_s": INF}, "cap_s"),
+    (ExponentialBackoffRetry, {"max_retries": -1}, "max_retries"),
+    (HedgePolicy, {"trigger_factor": NAN}, "trigger_factor"),
+    (HedgePolicy, {"trigger_factor": INF}, "trigger_factor"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_bad_policy_fails_at_construction(cls, kwargs, field):
+    """Each of these used to construct. Mid-burst, a NaN base waited the
+    cap on every retry, a NaN cap, delay or trigger factor ended the burst
+    with ``SimulationError``, and a negative retry count ran as 0."""
+    with pytest.raises(ValueError, match=field):
+        cls(**kwargs)
+
+
 # --------------------------------------------------------------------- #
 # Token bucket
 # --------------------------------------------------------------------- #
@@ -221,6 +245,10 @@ class TestRetrySerialization:
             retry_policy_from_dict({"kind": "budget", "budget": -1,
                                     "inner": {"kind": "immediate",
                                               "max_retries": 2}})
+        with pytest.raises(ValueError, match="base_s"):
+            retry_policy_from_dict({"kind": "exponential-backoff",
+                                    "base_s": float("nan"), "cap_s": 20.0,
+                                    "max_retries": 2})
 
     def test_unserializable_policy_rejected(self):
         class Odd:

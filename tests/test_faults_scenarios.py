@@ -277,6 +277,27 @@ def test_stateless_app_supports_scenarios():
     assert completed_functions(result) + result.lost_functions == 150
 
 
+@pytest.mark.parametrize("field", [
+    "correlated_window_s", "throttle_refill_per_s", "throttle_backoff_s",
+    "poison_heal_s", "straggler_mu", "straggler_sigma", "gray_slowdown",
+    "gray_onset_s", "gray_heal_s",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_fields_fail_at_construction(field, value):
+    """Each of these used to construct. An infinite or NaN window ended a
+    burst with ``OverflowError``, a NaN refill ran it unthrottled, a NaN
+    backoff or straggler parameter ended it with ``SimulationError``, an
+    infinite straggler mean lost functions, and a NaN slowdown, onset or
+    heal time served as another value."""
+    kwargs = {field: value}
+    if field.startswith("throttle_"):
+        kwargs["throttle_capacity"] = 5
+    with pytest.raises(ValueError, match=field):
+        FaultScenario(name="bad", **kwargs)
+    with pytest.raises(ValueError, match=field):  # a manifest builds through it
+        FaultScenario.from_dict({**SCENARIOS["calm"].to_dict(), **kwargs})
+
+
 # --------------------------------------------------------------------- #
 # gray failures (slow-but-alive fault domains)
 # --------------------------------------------------------------------- #

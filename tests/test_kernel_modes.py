@@ -16,30 +16,50 @@ not approximate agreement. The references exist only here:
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import InvariantAuditor, burst_violations
+from repro.chaos import InvariantAuditor, burst_violations, serving_violations
 from repro.core.models import ExecutionTimeModel
 from repro.engine import DispatchKernel, fluid
 from repro.extensions.mixed import MixedPacker
 from repro.extensions.mixed_sim import MixedBurstSimulator
-from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy, ImmediateRetry
+from repro.faults.retry import (
+    ExponentialBackoffRetry,
+    FixedDelayRetry,
+    HedgePolicy,
+    ImmediateRetry,
+    RetryBudget,
+)
 from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
 from repro.platform.invoker import BurstSpec, FunctionTimeoutError
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS, PROVIDERS
+from repro.resilience import (
+    BrownoutController,
+    CircuitBreakerBank,
+    ConcurrencyLimitAdmission,
+    ResiliencePolicy,
+)
 from repro.serving import (
+    DiurnalProcess,
     FixedTTL,
+    HybridHistogram,
+    NoKeepAlive,
+    OnlineReplanner,
     PoissonProcess,
+    ServingConfig,
     ServingSimulator,
     StreamingPolicy,
     WarmPool,
 )
 from repro.sim.randomness import RandomStreams
+from repro.telemetry import TelemetryConfig
 from repro.workloads import SORT, VIDEO, XAPIAN
 from repro.workloads.synthetic import make_synthetic
+from tests.test_serving_ties import GridArrivals, fingerprint
 
 PATHS = ("scalar", "event-loop", "default")
 
@@ -549,3 +569,120 @@ def test_mixed_sim_scalar_batched_identical():
     ]
     assert results[0].run == results[1].run
     assert results[0].storage == results[1].storage
+
+
+# --------------------------------------------------------------------- #
+# Sampled serving configurations
+# --------------------------------------------------------------------- #
+SERVING_PROFILES = {
+    "aws": AWS_LAMBDA,
+    "gcf": GOOGLE_CLOUD_FUNCTIONS,
+    "gcf-rounded": GOOGLE_CLOUD_FUNCTIONS.with_overrides(
+        billing_granularity_s=0.1, min_billed_duration_s=0.1,
+        cpu_throttle_multiplier=1.25,
+    ),
+}
+
+#: One scenario per fault model a serving run takes.
+SERVING_FAULTS = {
+    "none": None,
+    "poison": FaultScenario(name="poison", crash_rate=0.08, persistent_fraction=0.3,
+                            poison_heal_s=120.0),
+    "throttle": FaultScenario(name="throttle", throttle_capacity=20,
+                              throttle_refill_per_s=2.0, throttle_max_retries=2),
+    "correlated": FaultScenario(name="correlated", correlated_bursts=2,
+                                correlated_fraction=0.5, correlated_window_s=200.0),
+    "straggler": FaultScenario(name="straggler", straggler_rate=0.1),
+    "gray": FaultScenario(name="gray", gray_domains=(0, 2), gray_slowdown=3.0,
+                          gray_onset_s=30.0, gray_heal_s=150.0),
+}
+
+SERVING_RETRIES = {
+    "none": lambda: None,
+    "immediate": lambda: ImmediateRetry(max_retries=2),
+    "fixed": lambda: FixedDelayRetry(delay_s=1.0, max_retries=2),
+    "backoff": lambda: ExponentialBackoffRetry(max_retries=3),
+    "budget": lambda: RetryBudget(ExponentialBackoffRetry(max_retries=3), budget=5),
+}
+
+SERVING_POOLS = {
+    "none": NoKeepAlive,
+    "ttl": lambda: FixedTTL(60.0),
+    "hybrid": lambda: HybridHistogram(min_observations=5),
+}
+
+
+@st.composite
+def _serving_cases(draw):
+    """One serving configuration, as names and numbers: every run of it
+    builds its own components."""
+    return {
+        "profile": draw(st.sampled_from(sorted(SERVING_PROFILES))),
+        "arrivals": draw(st.sampled_from(["poisson", "diurnal", "grid"])),
+        "rate": draw(st.sampled_from([0.5, 2.0, 6.0])),
+        "degree": draw(st.integers(min_value=1, max_value=12)),
+        "timeout": draw(st.sampled_from([0.0, 0.5, 2.0, 5.0])),
+        "faults": draw(st.sampled_from(sorted(SERVING_FAULTS))),
+        "resilience": draw(st.sampled_from(["none", "admission", "full"])),
+        "pool": draw(st.sampled_from(sorted(SERVING_POOLS))),
+        "replan": draw(st.booleans()),
+        "retry": draw(st.sampled_from(sorted(SERVING_RETRIES))),
+        "horizon": draw(st.sampled_from([60.0, 150.0, 300.0])),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+    }
+
+
+def _serve(case, telemetry=None):
+    """Run ``case`` on fresh components: (result, breaker bank or None)."""
+    profile = SERVING_PROFILES[case["profile"]]
+    degree, seed = case["degree"], case["seed"]
+    config = ServingConfig(qos_sojourn_s=30.0, backlog_threshold=6)
+    resilience = None
+    if case["resilience"] != "none":
+        full = case["resilience"] == "full"
+        resilience = ResiliencePolicy(
+            admission=ConcurrencyLimitAdmission(limit=8 * degree),
+            breakers=CircuitBreakerBank(
+                n_domains=config.fault_domains, rng=np.random.default_rng(seed),
+                failure_threshold=3, recovery_s=60.0,
+            ) if full else None,
+            brownout=BrownoutController(
+                violation_threshold=0.02, backlog_threshold=config.backlog_threshold,
+                degree_boost=1.25,
+            ) if full else None,
+        )
+    controller = None
+    if case["replan"]:
+        controller = OnlineReplanner(profile, XAPIAN, _EXEC, config.qos_sojourn_s,
+                                     window_s=60.0, cooldown_s=60.0)
+    rate = case["rate"]
+    if case["arrivals"] == "poisson":
+        process = PoissonProcess(rate)
+    elif case["arrivals"] == "diurnal":
+        process = DiurnalProcess(rate, period_s=case["horizon"])
+    else:  # ties with each other, the control ticks and the batch timers
+        process = GridArrivals(rate)
+    sim = ServingSimulator(
+        profile, XAPIAN, _EXEC, pool=WarmPool(SERVING_POOLS[case["pool"]]()),
+        config=config, controller=controller, resilience=resilience,
+        scenario=SERVING_FAULTS[case["faults"]],
+        retry_policy=SERVING_RETRIES[case["retry"]](), seed=seed, telemetry=telemetry,
+    )
+    result = sim.run(process, StreamingPolicy(degree=degree, batch_timeout_s=case["timeout"]),
+                     case["horizon"])
+    return result, None if resilience is None else resilience.breakers
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_serving_cases())
+def test_sampled_serving_runs_agree_on_every_path(case):
+    """A serving run returns the same result, to the last bit, and the
+    same dispatch log with unbuffered draws, with buffered ones and with a
+    full telemetry session, and breaks no serving invariant."""
+    (scalar, _), (default, breakers) = (
+        _on_path(path, lambda: _serve(case))[0] for path in ("scalar", "default")
+    )
+    observed, _ = _serve(case, telemetry=TelemetryConfig())
+    assert fingerprint(scalar) == fingerprint(default) == fingerprint(observed)
+    assert scalar.dispatches == default.dispatches == observed.dispatches
+    assert serving_violations(default, breakers=breakers) == []

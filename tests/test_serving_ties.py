@@ -206,15 +206,19 @@ def test_tied_arrivals_pinned(name):
 def test_every_serving_event_absorbs_the_arrivals_due(monkeypatch):
     """Every callback a run puts on its simulator is wrapped by ``_event``:
     it absorbs the arrivals due before its body runs and re-picks the
-    wake-up after, so a handler cannot skip either step."""
+    wake-up after, so a handler cannot skip either step. Each callback is
+    recorded where it is scheduled: every heap event enters through
+    ``_push``, and the arrival column through ``schedule_sorted``."""
     callbacks = set()
 
     class Recording(Simulator):
-        def step(self):
-            head = self.next_entry()
-            if head is not None:
-                callbacks.add(head[2])
-            return super().step()
+        def _push(self, time, callback, args):
+            callbacks.add(callback)
+            return super()._push(time, callback, args)
+
+        def schedule_sorted(self, times, callback):
+            callbacks.add(callback)
+            return super().schedule_sorted(times, callback)
 
     monkeypatch.setattr(service, "Simulator", Recording)
     for name in ("storm-d8-t2", "remedied-d8-t2", "replan-d8-t0"):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.trace import TraceRecorder
+from repro.sim.engine import SimulationError, Simulator
 
 
 def test_initial_clock_is_zero():
@@ -61,25 +60,6 @@ def test_nan_delay_or_time_rejected():
     assert sim.events_processed == 1
 
 
-def test_run_until_in_the_past_rejected():
-    """The clock never moves back: ``run(until=u)`` with ``u < now`` raises
-    (before this check it left ``now == u``), ``until == now`` is a no-op."""
-    sim = Simulator()
-    hits = []
-    sim.schedule(5.0, hits.append, "later")
-    sim.run(until=3.0)
-    with pytest.raises(SimulationError):
-        sim.run(until=1.0)
-    with pytest.raises(SimulationError):
-        sim.run(until=float("nan"))
-    assert sim.now == 3.0
-    sim.run(until=3.0)
-    assert sim.now == 3.0 and hits == []
-    sim.schedule(0.5, hits.append, "next")  # lands at 3.5, not before 3.0
-    sim.run()
-    assert hits == ["next", "later"] and sim.now == 5.0
-
-
 def test_schedule_at_absolute_time():
     sim = Simulator()
     hits = []
@@ -103,26 +83,6 @@ def test_schedule_during_event_execution():
     assert sim.now == 3.0
 
 
-def test_run_until_stops_clock_exactly():
-    sim = Simulator()
-    hits = []
-    sim.schedule(1.0, hits.append, "a")
-    sim.schedule(5.0, hits.append, "b")
-    sim.run(until=2.0)
-    assert hits == ["a"]
-    assert sim.now == 2.0
-    sim.run()
-    assert hits == ["a", "b"]
-
-
-def test_event_at_exactly_until_executes():
-    sim = Simulator()
-    hits = []
-    sim.schedule(2.0, hits.append, "edge")
-    sim.run(until=2.0)
-    assert hits == ["edge"]
-
-
 def test_cancelled_event_is_skipped():
     sim = Simulator()
     hits = []
@@ -133,32 +93,11 @@ def test_cancelled_event_is_skipped():
     assert hits == ["keep"]
 
 
-def test_peek_skips_cancelled_events():
-    sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    event.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_returns_none():
-    assert Simulator().peek() is None
-
-
 def test_step_returns_false_when_drained():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     assert sim.step() is True
     assert sim.step() is False
-
-
-def test_max_events_limit():
-    sim = Simulator()
-    hits = []
-    for i in range(5):
-        sim.schedule(float(i), hits.append, i)
-    sim.run(max_events=2)
-    assert hits == [0, 1]
 
 
 def test_events_processed_counter():
@@ -182,12 +121,6 @@ def test_run_not_reentrant():
     sim.schedule(1.0, reenter)
     sim.run()
     assert "raised" in error
-
-
-def test_event_ordering_dataclass():
-    early = Event(1.0, 0, lambda: None)
-    late = Event(2.0, 1, lambda: None)
-    assert early < late
 
 
 def test_compaction_shrinks_heap_when_garbage_dominates():
@@ -243,29 +176,22 @@ def test_small_agenda_never_compacts():
 # schedule_sorted: a pre-sorted stream merged beside the heap
 # --------------------------------------------------------------------- #
 
-#: Times on a coarse grid, so streams, pre-scheduled events and zero-delay
-#: children tie often.
+#: Times on a coarse grid, so the stream, pre-scheduled events and
+#: zero-delay children tie often.
 _GRID = st.integers(min_value=0, max_value=12)
 
-#: One run segment: ``run(until=g / 4)`` (odd g stops between grid
-#: points, even g on them) or ``run(max_events=k)``.
-_STOP = st.one_of(
-    st.tuples(st.just("until"), st.integers(min_value=0, max_value=26)),
-    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=8)),
-)
 
-
-#: Cursor moves of the first stream, made by the callback of its entry
-#: ``k``: each offset ``o`` seeks to entry ``k + 1 + o`` (clamped to the
-#: end), so a list of several moves goes forward and back.
+#: Cursor moves of the stream, made by the callback of its entry ``k``:
+#: each offset ``o`` seeks to entry ``k + 1 + o`` (clamped to the end), so
+#: a list of several moves goes forward and back.
 _MOVES = st.dictionaries(
     st.integers(min_value=0, max_value=24),
     st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
     max_size=6,
 )
 
-#: Heap events that move the first stream's cursor forward: at grid time
-#: ``g``, to the ``o``-th entry due after the clock (or further on).
+#: Heap events that move the stream's cursor forward: at grid time ``g``,
+#: to the ``o``-th entry due after the clock (or further on).
 _SEEKERS = st.lists(
     st.tuples(_GRID, st.integers(min_value=0, max_value=4)), max_size=4
 )
@@ -273,45 +199,36 @@ _SEEKERS = st.lists(
 
 @given(
     stream=st.lists(_GRID, max_size=25).map(sorted),
-    second=st.lists(_GRID, max_size=8).map(sorted),
-    late=st.lists(_GRID, max_size=8).map(sorted),
-    late_at=st.integers(min_value=0, max_value=24),
     before=st.lists(_GRID, max_size=6),
     after=st.lists(_GRID, max_size=6),
     doomed=st.lists(_GRID, max_size=8),
     spawning=st.sets(st.integers(min_value=0, max_value=24)),
-    stops=st.lists(_STOP, max_size=4),
     moves=_MOVES,
     seekers=_SEEKERS,
 )
 @settings(max_examples=200, deadline=None)
 def test_schedule_sorted_runs_as_if_scheduled_up_front(
-    stream, second, late, late_at, before, after, doomed, spawning, stops,
-    moves, seekers,
+    stream, before, after, doomed, spawning, moves, seekers,
 ):
-    """Two streams pending at once, a third scheduled mid-run by the first
-    one's ``late_at``-th entry, and the run cut into ``until`` and
-    ``max_events`` segments: every entry, clock reading and ``peek()``
-    must match scheduling each entry with ``schedule_at``.
+    """A stream among heap events that tie with it, zero-delay children
+    and cancelled events: every callback and clock reading, and the
+    number of events run, must match scheduling each entry with
+    ``schedule_at``.
 
-    The first stream's cursor also moves (``seek_stream``), from its own
-    entries and from heap events. Up front, an entry the moves skip is
-    cancelled once the event that skipped it ends. Exactly the entries
-    picked must run, each at its exact time, in ``(time, seq)`` order
-    against the heap events."""
+    The stream's cursor moves (``seek_stream``), from its own entries and
+    from heap events. Up front, an entry the moves skip is cancelled once
+    the event that skipped it ends. Exactly the entries picked must run,
+    each at its exact time, in ``(time, seq)`` order against the heap
+    events."""
 
     def execute(up_front):
-        # With no compaction floor, cancelling the doomed events rebuilds
-        # the heap while the streams are still pending.
-        sim = Simulator(compact_min_events=0)
+        sim = Simulator()
+        # With no compaction floor, every cancellation past half the agenda
+        # rebuilds the heap, also while the stream is pending.
+        sim.COMPACT_MIN_EVENTS = 0
         log = []
         times = [g * 0.5 for g in stream]
-        picked = [0]  # the first stream's next entry
-
-        def sorted_stream(times, callback):
-            if up_front:
-                return [sim.schedule_at(t, callback, t) for t in times]
-            return sim.schedule_sorted(times, callback)
+        picked = [0]  # the stream's next entry
 
         def seek(index):
             picked[0] = index = min(index, len(times))
@@ -337,8 +254,6 @@ def test_schedule_sorted_runs_as_if_scheduled_up_front(
             if k == 0:
                 for event in victims:
                     event.cancel()
-            if k == late_at:
-                sorted_stream([sim.now + g * 0.5 for g in late], on_late)
             for offset in moves.get(k, ()):
                 seek(k + 1 + offset)
             skip_from(k + 1)
@@ -349,35 +264,40 @@ def test_schedule_sorted_runs_as_if_scheduled_up_front(
             log.append((sim.now, f"seeker{j}->{picked[0]}"))
             skip_from(start)
 
-        def on_second(t):
-            log.append((sim.now, f"second@{t}"))
-
-        def on_late(t):
-            log.append((sim.now, f"late@{t}"))
-
         for k, g in enumerate(before):
             sim.schedule_at(g * 0.5, note, f"before{k}")
-        handle = sorted_stream(times, on_stream)
+        if up_front:
+            handle = [sim.schedule_at(t, on_stream, t) for t in times]
+        else:
+            handle = sim.schedule_sorted(times, on_stream)
         for k, g in enumerate(after):
             sim.schedule_at(g * 0.5, note, f"after{k}")
-        sorted_stream([g * 0.5 for g in second], on_second)
         for j, (g, offset) in enumerate(seekers):
             sim.schedule_at(g * 0.5, on_seeker, j, offset)
         victims = [
             sim.schedule_at(100.0 + g, note, f"doomed{k}") for k, g in enumerate(doomed)
         ]
-        with TraceRecorder(sim) as recorder:
-            for kind, value in stops:
-                if kind == "until":
-                    sim.run(until=max(sim.now, value * 0.25))
-                else:
-                    sim.run(max_events=value)
-                log.append(("stop", sim.now, sim.peek(), sim.events_processed))
-            sim.run()
-        executed = [(e.time, e.seq, e.callback) for e in recorder.entries]
-        return log, executed, sim.events_processed
+        sim.run()
+        return log, sim.events_processed
 
     assert execute(up_front=False) == execute(up_front=True)
+
+
+def test_a_simulator_takes_one_stream():
+    """A second ``schedule_sorted`` raises, also once the first stream ran
+    out (a seek may revive it); so does a seek with another simulator's
+    handle."""
+    sim = Simulator()
+    hits = []
+    handle = sim.schedule_sorted([1.0, 2.0], hits.append)
+    with pytest.raises(SimulationError):
+        sim.schedule_sorted([1.5], hits.append)
+    with pytest.raises(SimulationError):
+        Simulator().seek_stream(handle, 1)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_sorted([3.0], hits.append)
+    assert hits == [1.0, 2.0] and sim.events_processed == 2
 
 
 def test_seek_stream_refuses_entries_that_ran_or_are_due_before_now():
@@ -416,12 +336,18 @@ def test_a_seek_back_revives_a_stream_sought_to_its_end():
         if t == 1.0:
             sim.seek_stream(handle, 3)  # the end: nothing more runs...
 
+    def seek_back():
+        hits.append((sim.now, "seek"))
+        sim.seek_stream(handle, 2)
+
     handle = sim.schedule_sorted([1.0, 2.0, 3.0], on_stream)
-    sim.schedule_at(1.5, lambda: sim.seek_stream(handle, 2))  # ...until this
-    with TraceRecorder(sim) as recorder:
-        sim.run()
-    assert hits == [(1.0, 1.0), (3.0, 3.0)]  # entry 1 never runs
-    assert [(e.time, e.seq) for e in recorder.entries] == [(1.0, 0), (1.5, 3), (3.0, 2)]
+    sim.schedule_at(1.5, seek_back)  # ...until this
+    sim.schedule_at(3.0, hits.append, (3.0, "heap"))
+    sim.run()
+    # Entry 1 never runs, and entry 2 keeps its sequence number, so it runs
+    # before the heap event due at the same time.
+    assert hits == [(1.0, 1.0), (1.5, "seek"), (3.0, 3.0), (3.0, "heap")]
+    assert sim.events_processed == 4
 
 
 def test_stream_entries_run_at_their_exact_time():
@@ -459,26 +385,11 @@ def test_schedule_sorted_keeps_stream_entries_off_the_heap():
     assert sim.events_processed == 8
 
 
-def test_next_entry_names_the_stream_callback():
-    sim = Simulator()
-    hits = []
-    sim.schedule_at(2.0, hits.append, "heap")
-    sim.schedule_sorted([1.0, 2.0], hits.append)
-    assert sim.next_entry() == (1.0, 1, hits.append)
-    sim.step()
-    assert sim.next_entry() == (2.0, 0, hits.append)  # the heap event's seq is lower
-    sim.step()
-    assert sim.next_entry() == (2.0, 2, hits.append)
-    sim.step()
-    assert sim.next_entry() is None
-    assert hits == [1.0, "heap", 2.0]
-
-
 def test_schedule_sorted_rejects_decreasing_times():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_sorted([1.0, 3.0, 2.0], lambda t: None)
-    assert sim.peek() is None
+    assert sim.step() is False
 
 
 def test_schedule_sorted_rejects_a_start_in_the_past():
@@ -496,5 +407,5 @@ def test_schedule_sorted_rejects_a_start_in_the_past():
 def test_schedule_sorted_empty_is_a_no_op():
     sim = Simulator()
     sim.schedule_sorted([], lambda t: None)
-    assert sim.peek() is None
+    assert sim.step() is False
     assert sim.schedule(1.0, lambda: None).seq == 0

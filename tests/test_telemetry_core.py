@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.telemetry import (
     EventBus,
-    EventLog,
     MetricsRegistry,
     Span,
     TelemetryConfig,
@@ -23,26 +22,13 @@ from repro.telemetry.metrics import Histogram
 # --------------------------------------------------------------------- #
 # EventBus
 # --------------------------------------------------------------------- #
-def test_bus_kind_and_catchall_subscriptions():
+def test_bus_logs_events_in_publication_order():
     bus = EventBus()
-    kinds, everything = [], []
-    bus.subscribe(lambda e: kinds.append(e), kind="retry")
-    bus.subscribe(lambda e: everything.append(e))
-    bus.publish("retry", 1.0, attempt=2)
-    bus.publish("crash", 2.0)
-    assert [e.kind for e in kinds] == ["retry"]
-    assert [e.kind for e in everything] == ["retry", "crash"]
-
-
-def test_bus_unsubscribe_is_idempotent():
-    bus = EventBus()
-    seen = []
-    unsubscribe = bus.subscribe(seen.append, kind="x")
-    bus.publish("x", 0.0)
-    unsubscribe()
-    unsubscribe()  # second call is a no-op
-    bus.publish("x", 1.0)
-    assert len(seen) == 1
+    retry = bus.publish("retry", 1.0, attempt=2)
+    crash = bus.publish("crash", 0.5)
+    assert bus.events == [retry, crash]
+    assert [(e.kind, e.time) for e in bus.events] == [("retry", 1.0), ("crash", 0.5)]
+    assert bus.dropped == 0
 
 
 def test_event_fields_sorted_and_accessible():
@@ -55,13 +41,12 @@ def test_event_fields_sorted_and_accessible():
 
 
 def test_event_log_bounded():
-    bus = EventBus()
-    log = EventLog(capacity=2).attach(bus)
+    bus = EventBus(capacity=2)
     for i in range(5):
         bus.publish("e", float(i))
-    assert len(log) == 2
-    assert log.dropped == 3
-    assert [e.time for e in log.events] == [0.0, 1.0]
+    assert len(bus.events) == 2
+    assert bus.dropped == 3
+    assert [e.time for e in bus.events] == [0.0, 1.0]
 
 
 # --------------------------------------------------------------------- #
@@ -209,9 +194,19 @@ def test_disabled_config_yields_no_session():
     assert resolve_session(TelemetryConfig.off()) is None
 
 
+@pytest.mark.parametrize("bound", [0, -1, 2.5, "10"])
+def test_max_events_is_none_or_a_positive_integer(bound):
+    """A bound below 1 used to keep no event and say nothing: a faulted
+    burst exported no JSONL line and counted every event dropped."""
+    with pytest.raises(ValueError, match="max_events"):
+        TelemetryConfig(max_events=bound)
+    assert TelemetryConfig(max_events=None).max_events is None
+    assert TelemetryConfig(max_events=1).session().bus.capacity == 1
+
+
 def test_session_subsystem_toggles():
     session = TelemetryConfig(tracing=False, events=False).session()
-    assert session.tracer is None and session.event_log is None
+    assert session.tracer is None and session.bus is None
     assert session.registry is not None
     with pytest.raises(ValueError):
         session.chrome_trace()

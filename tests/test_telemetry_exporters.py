@@ -8,7 +8,6 @@ from repro.platform.invoker import BurstSpec
 from repro.platform.providers import AWS_LAMBDA
 from repro.telemetry import (
     EventBus,
-    EventLog,
     MetricsRegistry,
     TelemetryConfig,
     Tracer,
@@ -117,10 +116,9 @@ def test_prometheus_histogram_buckets_are_cumulative():
 # --------------------------------------------------------------------- #
 def test_events_jsonl_round_trip():
     bus = EventBus()
-    log = EventLog().attach(bus)
     bus.publish("retry", 1.5, chain=3, delay=0.25)
     bus.publish("crash", 2.0, correlated=False)
-    text = events_jsonl(log.events)
+    text = events_jsonl(bus.events)
     parsed = parse_events_jsonl(text)
     assert parsed == [
         {"kind": "retry", "time": 1.5, "chain": 3, "delay": 0.25},

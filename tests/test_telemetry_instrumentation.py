@@ -40,10 +40,7 @@ from repro.serving import (
     ServingSimulator,
     WarmPool,
 )
-from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import (
-    EventBus,
     TelemetryConfig,
     TelemetrySession,
     parse_prometheus_text,
@@ -243,7 +240,7 @@ def test_faulted_hedged_waved_burst_reports_every_attempt():
     crashed = np.flatnonzero(table.failed)
     crashed = crashed[np.lexsort((crashed, table.exec_end[crashed]))]
     events = [
-        e for e in session.event_log.events if e.kind == "instance.crash"
+        e for e in session.bus.events if e.kind == "instance.crash"
     ]
     assert [(e.time, e.get("instance"), e.get("attempt"), e.get("correlated"))
             for e in events] == list(zip(
@@ -367,7 +364,7 @@ def test_chain_samples_instants_and_events_are_the_fault_stats(
     assert {(i.process, i.category) for i in instants} == {(1, "fault")}
     delays = [dict(i.attrs)["delay_s"] for i in instants if i.name == "retry"]
     assert sequential_sum(np.array(delays, dtype=float)) == stats.retry_delay_s_total
-    events = session.event_log.events
+    events = session.bus.events
     assert Counter(e.kind for e in events if e.kind.startswith("chain.")) == Counter(
         {"chain.retry": retries, "chain.lost": lost_chains}
     )
@@ -403,42 +400,9 @@ def test_aborted_burst_reports_its_chain_moments():
     assert Counter(i.name for i in session.tracer.instants) == {
         "retry": 34, "hedge": 11, "lost": 1,
     }
-    kinds = [e.kind for e in session.event_log.events]
+    kinds = [e.kind for e in session.bus.events]
     assert Counter(kinds[:35]) == {"chain.retry": 34, "chain.lost": 1}
     assert kinds[35:] == ["instance.crash"] * 35
-
-
-def _recorded_simulator(monkeypatch, module, bus):
-    """Make ``module`` build simulators that publish each event they run
-    on ``bus``, through a TraceRecorder."""
-
-    def recorded():
-        sim = Simulator()
-        TraceRecorder(sim, bus=bus).install()
-        return sim
-
-    monkeypatch.setattr(module, "Simulator", recorded)
-
-
-def test_chain_events_follow_a_shared_trace_recorder(monkeypatch):
-    """A TraceRecorder on the session bus publishes each simulator event
-    as it runs; a burst's chain and instance events are published when it
-    ends, so they follow its last ``sim.event``."""
-    import repro.platform.base
-
-    platform = ServerlessPlatform(AWS_LAMBDA, seed=SEED, telemetry=TelemetryConfig())
-    session = platform.telemetry
-    _recorded_simulator(monkeypatch, repro.platform.base, session.bus)
-    platform.run_burst(
-        BurstSpec(app=SORT, concurrency=200, packing_degree=2, scenario=CHAOS),
-        repetition=0,
-    )
-    kinds = [e.kind for e in session.event_log.events]
-    n_sim = kinds.count("sim.event")
-    assert n_sim > 0 and set(kinds[:n_sim]) == {"sim.event"}
-    lifecycle = kinds[n_sim:]
-    assert set(lifecycle) == {"chain.retry", "chain.lost", "instance.crash"}
-    assert lifecycle == sorted(lifecycle, key=lambda kind: kind.startswith("instance."))
 
 
 def test_attempt_cancelled_before_it_ran_has_no_phase_observations():
@@ -503,7 +467,7 @@ def test_billed_timeout_abort_reports_the_attempts_that_finished():
     launched = sum(v for k, v in samples.items()
                    if k.startswith("propack_burst_instances_total"))
     assert launched > len(roots)
-    assert [(e.kind, e.time, e.get("instance")) for e in session.event_log.events] == [
+    assert [(e.kind, e.time, e.get("instance")) for e in session.bus.events] == [
         ("instance.timeout", aborting.exec_end, aborting.instance_id)
     ]
     assert check_span_nesting(session.tracer) == []
@@ -881,44 +845,6 @@ def test_serving_samples_are_the_result_under_a_storm():
     assert banks == [(5, 2, 1), (0, 0, 0)]
 
 
-# --------------------------------------------------------------------- #
-# TraceRecorder on the event bus
-# --------------------------------------------------------------------- #
-def test_trace_recorder_publishes_on_shared_bus():
-    sim = Simulator()
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append, kind="sim.event")
-    recorder = TraceRecorder(sim, bus=bus)
-    fired = []
-    with recorder:
-        for i in range(5):
-            sim.schedule(float(i), fired.append, i)
-        sim.run()
-    assert fired == [0, 1, 2, 3, 4]
-    assert len(recorder) == len(seen) == 5
-    # the ring buffer and the bus subscriber saw the identical stream
-    assert [e.time for e in seen] == [entry.time for entry in recorder.entries]
-    # uninstalling detaches the subscriber: further sim events are silent
-    sim.schedule(9.0, fired.append, 9)
-    sim.run()
-    assert len(recorder) == len(seen) == 5
-
-
-def test_trace_recorder_public_api_preserved():
-    sim = Simulator()
-    recorder = TraceRecorder(sim, capacity=3)
-    with recorder:
-        for i in range(5):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-    assert len(recorder) == 3  # bounded ring
-    assert recorder.dropped == 2
-    assert recorder.window(3.0, 4.0)
-    assert recorder.by_callback("lambda")
-    assert sum(recorder.summary().values()) == 3
-
-
 def _remediated_serving(telemetry, seed=SEED):
     """A faulted serving run under the remediation loop."""
     from repro.remediation import RemediationConfig, RemediationLoop
@@ -951,14 +877,14 @@ def _remediated_serving(telemetry, seed=SEED):
             tick_interval_s=60.0, shadow_horizon_s=120.0
         )),
     )
-    events = []
-    if sim.telemetry is not None:
-        sim.telemetry.bus.subscribe(events.append)
+    bus = None if sim.telemetry is None else sim.telemetry.bus
+    logged = 0 if bus is None else len(bus.events)
     run = sim.run(
         PoissonProcess(1.5), StreamingPolicy(degree=4, batch_timeout_s=2.0),
         900.0,
     )
-    return sim, run, events
+    # The events this run published, on a session other runs may share.
+    return sim, run, [] if bus is None else bus.events[logged:]
 
 
 def test_remediation_loop_instrumented():
@@ -1121,22 +1047,6 @@ def test_serving_loop_makes_no_telemetry_call(monkeypatch, run):
                 ("rollback", len(remedy.rollbacks)),
             ) if n
         }
-
-
-def test_serving_events_follow_a_shared_trace_recorder(monkeypatch):
-    """A serving run publishes its bus events when it ends, stamped with
-    their moments' times, after every ``sim.event`` of its own."""
-    import repro.serving.service
-
-    session = TelemetrySession(TelemetryConfig())
-    _recorded_simulator(monkeypatch, repro.serving.service, session.bus)
-    _, _, events = _remediated_serving(session, SEED)
-    kinds = [e.kind for e in events]
-    n_sim = kinds.count("sim.event")
-    assert n_sim > 0 and set(kinds[:n_sim]) == {"sim.event"}
-    lifecycle = events[n_sim:]
-    assert {e.kind for e in lifecycle} >= {"dispatch.crash", "batch.failed"}
-    assert [e.time for e in lifecycle] == sorted(e.time for e in lifecycle)
 
 
 def _serving_exports(case):
