@@ -116,8 +116,9 @@ class _CountingEnv:
 def test_perf_dispatch_kernel_chain_throughput(benchmark):
     """Attempt-chain arbitration rate of ``run_synchronous_chain``.
 
-    Walks 2k faulted chains one at a time — the walk streaming runs for
-    every batch. This is the ``chains_per_s`` the CI perf gate tracks.
+    Walks 2k faulted chains one at a time on an arithmetic clock. No
+    production dispatch path walks chains this way (docs/ARCHITECTURE.md);
+    this is the ``chains_per_s`` the CI perf gate tracks.
     """
     from repro.engine import DispatchKernel
     from repro.faults.retry import ImmediateRetry
@@ -127,9 +128,8 @@ def test_perf_dispatch_kernel_chain_throughput(benchmark):
 
     def run():
         rng = RandomStreams(17).spawn("kernel-bench")
-        kernel = DispatchKernel(
-            rng, scenario=scenario, retry_policy=ImmediateRetry(3)
-        )
+        kernel = DispatchKernel(rng)
+        kernel.bind(None, scenario, ImmediateRetry(3))
         env = _CountingEnv(kernel)
         for i in range(2_000):
             chain = kernel.new_chain(n_packed=4)

@@ -11,9 +11,11 @@ owns that lifecycle *once*:
 * :class:`~repro.engine.chain.AttemptChain` — the state of one logical
   work unit (a packed function group or a request batch) across all its
   attempts, retries, and hedges;
-* :class:`~repro.engine.kernel.DispatchKernel` — the arbitration core:
-  fault/straggler draws, token-bucket admission verdicts, retry-delay
-  resolution, and correlated-kill fan-out, all on dedicated RNG streams;
+* :class:`~repro.engine.kernel.DispatchKernel` — the arbitration core: it
+  binds a run's profile, fault scenario and retry policy once
+  (:meth:`~repro.engine.kernel.DispatchKernel.bind`) and draws every
+  crash, straggler and correlated kill, gives token-bucket admission
+  verdicts and resolves retry delays, all on dedicated RNG streams;
 * :class:`~repro.engine.burst.BurstDispatchKernel` — the event-driven
   cold-start pipeline (placement ∥ build → ship → execute) driven by the
   :class:`~repro.sim.engine.Simulator`, with wave-mode warm reuse,
@@ -30,20 +32,20 @@ layering gate).
 from repro.engine.burst import BurstDispatchKernel, ChainWork
 from repro.engine.chain import AttemptChain
 from repro.engine.kernel import (
+    CrashDecision,
     DispatchCosts,
     DispatchKernel,
     SyncAttemptEnv,
     ThrottleVerdict,
-    resolve_retry_policy,
 )
 
 __all__ = [
     "AttemptChain",
     "BurstDispatchKernel",
     "ChainWork",
+    "CrashDecision",
     "DispatchCosts",
     "DispatchKernel",
     "SyncAttemptEnv",
     "ThrottleVerdict",
-    "resolve_retry_policy",
 ]

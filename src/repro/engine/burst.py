@@ -39,8 +39,8 @@ import numpy as np
 from repro.cluster.registry import FunctionImage
 from repro.cluster.server import Server
 from repro.engine.chain import AttemptChain
-from repro.engine.kernel import DispatchKernel, resolve_retry_policy
-from repro.faults.retry import HedgePolicy, ImmediateRetry, RetryPolicy
+from repro.engine.kernel import DispatchKernel
+from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.faults.scenario import FaultScenario
 from repro.interference.model import InterferenceModel
 from repro.platform.billing import BillingModel
@@ -227,7 +227,7 @@ class BurstDispatchKernel(DispatchKernel):
         """Bind ``spec`` to this kernel and return its cold-chain count.
 
         Every burst is set up here — by :meth:`begin` and by the fluid
-        replay: the retry policy, the fault scenario, the provisioned-memory
+        replay: the fault environment (:meth:`bind`), the provisioned-memory
         check and the number of chains provisioned cold (every instance, or
         at most ``wave_size``). A homogeneous burst (``image`` given) also
         gets its chain records, one per packing degree: an instance packs
@@ -239,12 +239,7 @@ class BurstDispatchKernel(DispatchKernel):
         cold = n_inst if spec.wave_size is None else min(n_inst, spec.wave_size)
         self._invoked_at = self.sim.now
 
-        self.retry_policy = resolve_retry_policy(
-            spec.retry_policy,
-            spec.scenario,
-            platform_default=ImmediateRetry(self.profile.max_retries),
-        ).fresh()
-        self.configure_faults(spec.scenario, self.profile.failure_rate)
+        self.bind(self.profile, spec.scenario, spec.retry_policy)
 
         provisioned = spec.provisioned_mb or self.profile.max_memory_mb
         if provisioned > self.profile.max_memory_mb:
@@ -432,7 +427,7 @@ class BurstDispatchKernel(DispatchKernel):
         if self._tel is not None:
             self._tel.record_burst(
                 table, invoked_at, kernel_path, self._fallback_reason,
-                self._search_costs(), self.injector, self._moments,
+                self._search_costs(), self, self._moments,
             )
         return RunResult(
             platform_name=self.profile.name,
@@ -522,7 +517,7 @@ class BurstDispatchKernel(DispatchKernel):
                 # Records still on the simulator clock: no offset to add.
                 self._tel.record_burst(
                     self._record_table(), 0.0, "event",
-                    self._fallback_reason, self._search_costs(), self.injector,
+                    self._fallback_reason, self._search_costs(), self,
                     self._moments,
                 )
             raise
@@ -658,7 +653,7 @@ class BurstDispatchKernel(DispatchKernel):
         )
         duration *= self.straggler_factor()
         if self.enforce_timeout and duration > self.profile.max_execution_seconds:
-            if self.injector is not None:
+            if self.scenario is not None:
                 self._schedule_timeout(server, rid)
                 return
             # The abort's one row, built once per burst at most.
@@ -668,21 +663,14 @@ class BurstDispatchKernel(DispatchKernel):
             self._timed_out.append(rid)
             self._release(server)
             raise error
-        if self.injector is not None:
+        if self.crash_rate > 0.0:  # else no attempt crashes, so none is poisoned
             decision = self.chain_crash_decision(chain)
             if decision is not None:
                 if chain.poisoned:
                     self._persistent.append(rid)
-                crash_after = duration * decision.at_fraction
-                event = self.sim.schedule(crash_after, self._exec_failed, server, rid)
-                self._inflight[rid] = (event, server)
-                return
-        elif self.profile.failure_rate > 0.0:
-            fail_stream = self.rng.stream("failure")
-            if fail_stream.random() < self.profile.failure_rate:
                 # Crash at a uniform point of the execution; the partial run
                 # is billed (providers charge failed attempts), then retried.
-                crash_after = duration * float(fail_stream.random())
+                crash_after = duration * decision.at_fraction
                 event = self.sim.schedule(crash_after, self._exec_failed, server, rid)
                 self._inflight[rid] = (event, server)
                 return

@@ -1,15 +1,16 @@
-"""The dispatch kernel: fault, throttle, and retry arbitration in one place.
+"""The dispatch kernel: every fault draw, throttle verdict and retry decision
+of one run, in one place.
 
-Every consumer loop used to wire :class:`~repro.faults.injector.FaultInjector`,
-:class:`~repro.faults.throttle.TokenBucket`, and
-:class:`~repro.faults.retry.RetryPolicy` by hand. The kernel owns those
-decisions now:
+A run binds its fault environment once, with :meth:`DispatchKernel.bind`,
+and every path asks the kernel:
 
 * :meth:`DispatchKernel.throttle_gate` — one admission verdict per attempt,
   with the scenario's linear-backoff schedule and final-rejection cutoff;
-* :meth:`DispatchKernel.chain_crash_decision` — crash draws that poison the
-  chain on persistent faults;
-* :meth:`DispatchKernel.next_retry_delay` — retry arbitration that advances
+* :meth:`DispatchKernel.chain_crash_decision` — one crash model for every
+  run (the scenario's ``crash_rate``, or else the profile's
+  ``failure_rate``), poisoning the chain on a persistent fault;
+* :meth:`DispatchKernel.next_retry_delay` — one retry rule (the explicit
+  policy, or else ``ImmediateRetry(profile.max_retries)``) that advances
   the chain's attempt counter and decorrelated-jitter feedback state;
 * :meth:`DispatchKernel.run_synchronous_chain` — the full attempt walk on
   an arithmetic clock (throttle → warm check → execute → crash → retry),
@@ -17,42 +18,34 @@ decisions now:
   dispatch path calls it; the kernel identity tests and the
   ``chains_per_s`` micro-benchmark do.
 
-All randomness flows through the dedicated ``RandomStreams`` labels the
-consumers already used (``exec``, ``retry``, ``fault.*``), in the same draw
-order — a seeded run produces bit-identical output through the kernel.
+All randomness flows through dedicated ``RandomStreams`` labels, each
+independent of the execution-noise streams: ``exec``, ``retry``,
+``failure`` (a crash without a scenario) and, under a scenario,
+``fault.crash``, ``fault.straggler`` and ``fault.correlated``. The kernel
+counts its crash and straggler draws, read once the run has ended.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 from repro.engine.chain import AttemptChain
-from repro.faults.injector import CrashDecision, FaultInjector
 from repro.faults.retry import ImmediateRetry, RetryPolicy
 from repro.faults.scenario import FaultScenario
 from repro.faults.throttle import TokenBucket
 from repro.sim.randomness import RandomStreams, StreamHandle, lognormal_draw
 
+if TYPE_CHECKING:  # annotation-only: the kernel reads two profile fields
+    from repro.platform.providers import PlatformProfile
 
-def resolve_retry_policy(
-    policy: Optional[RetryPolicy],
-    scenario: Optional[FaultScenario],
-    platform_default: Optional[RetryPolicy] = None,
-) -> Optional[RetryPolicy]:
-    """The one retry-resolution rule every consumer previously re-derived.
 
-    Explicit policy wins; otherwise the platform default (bursts pass the
-    profile's immediate-retry budget); otherwise retries are enabled only
-    when a fault scenario makes them meaningful.
-    """
-    if policy is not None:
-        return policy
-    if platform_default is not None:
-        return platform_default
-    if scenario is not None:
-        return ImmediateRetry()
-    return None
+@dataclass(frozen=True)
+class CrashDecision:
+    """One attempt's crash verdict."""
+
+    at_fraction: float     # crash point as a fraction of the execution
+    persistent: bool       # poisons the function group (retries crash too)
 
 
 @dataclass(frozen=True)
@@ -136,54 +129,63 @@ class SyncAttemptEnv(Protocol):
 class DispatchKernel:
     """Arbitration core shared by every dispatch path.
 
-    One kernel serves one run (burst / serving horizon / stream): it binds
-    the fault scenario to the run's RNG streams once, then hands out
-    throttle verdicts, crash decisions, and retry delays to whichever
-    driver (event-driven or synchronous) walks the attempt chains.
-    :attr:`retry_policy` is the run's own ``fresh()`` copy of the resolved
-    policy, so a :class:`~repro.faults.retry.RetryBudget` caps the retries
-    of the whole run.
+    One kernel serves one run (a burst or a serving horizon): :meth:`bind`
+    fixes the run's fault environment on its RNG streams once, then the
+    kernel hands out throttle verdicts, crash and straggler draws, and
+    retry delays to whichever driver (event-driven or synchronous) walks
+    the attempt chains. :attr:`retry_policy` is the run's own ``fresh()``
+    copy of the bound policy, so a :class:`~repro.faults.retry.RetryBudget`
+    caps the retries of the whole run.
     """
 
-    def __init__(
-        self,
-        rng: RandomStreams,
-        scenario: Optional[FaultScenario] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        profile_failure_rate: float = 0.0,
-    ) -> None:
+    def __init__(self, rng: RandomStreams) -> None:
         self.rng = rng
         # Buffered draws are byte-identical to unbuffered draws per stream
         # (the BufferedGenerator contract), so batching changes a seeded
         # run's speed, never its output.
         rng.enable_batching()
         self._exec_stream: Optional[StreamHandle] = None  # resolved at first draw
-        self.scenario: Optional[FaultScenario] = None
-        self.injector: Optional[FaultInjector] = None
-        self.bucket: Optional[TokenBucket] = None
-        self.retry_policy = None if retry_policy is None else retry_policy.fresh()
-        self.profile_failure_rate = profile_failure_rate
         self._next_chain_id = 0
-        self.configure_faults(scenario, profile_failure_rate)
+        self.bind(None)
 
     # ------------------------------------------------------------------ #
     # Configuration
     # ------------------------------------------------------------------ #
-    def configure_faults(
+    def bind(
         self,
-        scenario: Optional[FaultScenario],
-        profile_failure_rate: float = 0.0,
+        profile: Optional["PlatformProfile"],
+        scenario: Optional[FaultScenario] = None,
+        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        """(Re)bind the fault scenario; used by bursts that configure at
-        ``begin`` time rather than construction."""
+        """Bind one run's fault environment, and zero the draw counts.
+
+        The crash rate is the scenario's ``crash_rate``, or else the
+        profile's ``failure_rate``; the retry policy is ``retry_policy``,
+        or else ``ImmediateRetry(profile.max_retries)``. Without a
+        profile, the profile's rate is 0 and only an explicit policy
+        retries.
+        """
         self.scenario = scenario
-        self.profile_failure_rate = profile_failure_rate
+        rate = 0.0 if profile is None else profile.failure_rate
         if scenario is not None:
-            self.injector = scenario.build_injector(self.rng, profile_failure_rate)
-            self.bucket = scenario.build_throttle()
-        else:
-            self.injector = None
-            self.bucket = None
+            rate = scenario.effective_crash_rate(rate)
+        self.crash_rate = rate
+        if retry_policy is None and profile is not None:
+            retry_policy = ImmediateRetry(profile.max_retries)
+        self.retry_policy = None if retry_policy is None else retry_policy.fresh()
+        self.bucket: Optional[TokenBucket] = None
+        if scenario is not None and scenario.throttled:
+            self.bucket = TokenBucket(
+                scenario.throttle_capacity, scenario.throttle_refill_per_s
+            )
+        # Stream handles, resolved at first draw (as "exec" is): by then
+        # batching is on.
+        self._crash: Optional[StreamHandle] = None
+        self._straggler: Optional[StreamHandle] = None
+        #: Crash verdicts drawn, transient and persistent, and stragglers.
+        self.transient_crashes = 0
+        self.persistent_crashes = 0
+        self.stragglers = 0
 
     # ------------------------------------------------------------------ #
     # Chain management
@@ -221,10 +223,37 @@ class DispatchKernel:
     # Fault draws
     # ------------------------------------------------------------------ #
     def crash_decision(self, poisoned: bool = False) -> Optional[CrashDecision]:
-        """Raw crash draw (no chain side effects); None without an injector."""
-        if self.injector is None:
+        """Whether one attempt crashes, and where (no chain side effects).
+
+        A ``poisoned`` attempt (a persistent fault in its group or domain)
+        always crashes. Any other crashes with probability
+        :attr:`crash_rate`, at a uniform point of its execution; under a
+        scenario, a crash is persistent with the scenario's
+        ``persistent_fraction``.
+        """
+        if not poisoned and self.crash_rate <= 0.0:
             return None
-        return self.injector.crash_decision(poisoned=poisoned)
+        s = self.scenario
+        stream = self._crash
+        if stream is None:
+            label = "failure" if s is None else "fault.crash"
+            stream = self._crash = self.rng.stream(label)
+        if poisoned:
+            self.persistent_crashes += 1
+            return CrashDecision(at_fraction=float(stream.random()), persistent=True)
+        if stream.random() >= self.crash_rate:
+            return None
+        at = float(stream.random())
+        persistent = (
+            s is not None
+            and s.persistent_fraction > 0.0
+            and stream.random() < s.persistent_fraction
+        )
+        if persistent:
+            self.persistent_crashes += 1
+        else:
+            self.transient_crashes += 1
+        return CrashDecision(at_fraction=at, persistent=persistent)
 
     def chain_crash_decision(self, chain: AttemptChain) -> Optional[CrashDecision]:
         """Crash draw for one attempt of ``chain``, poisoning it on a
@@ -235,7 +264,18 @@ class DispatchKernel:
         return decision
 
     def straggler_factor(self) -> float:
-        return 1.0 if self.injector is None else self.injector.straggler_factor()
+        """Multiplicative slowdown for one attempt (1.0 = not a straggler)."""
+        s = self.scenario
+        if s is None or s.straggler_rate <= 0.0:
+            return 1.0
+        stream = self._straggler
+        if stream is None:
+            stream = self._straggler = self.rng.stream("fault.straggler")
+        if stream.random() >= s.straggler_rate:
+            return 1.0
+        self.stragglers += 1
+        # 1 + lognormal so a straggler is always strictly slower.
+        return 1.0 + float(stream.lognormal(s.straggler_mu, s.straggler_sigma))
 
     def gray_factor(self, domain: Optional[int], now: float) -> float:
         """Gray-failure slowdown for a dispatch at ``domain`` (1.0 = healthy).
@@ -258,10 +298,18 @@ class DispatchKernel:
         return lognormal_draw(stream, sigma)
 
     def correlated_event_times(self) -> list[float]:
-        return [] if self.injector is None else self.injector.correlated_event_times()
+        """Relative times of the scenario's correlated crash events, sorted."""
+        s = self.scenario
+        if s is None or s.correlated_bursts <= 0 or s.correlated_fraction <= 0.0:
+            return []
+        stream = self.rng.stream("fault.correlated")
+        times = stream.uniform(0.0, s.correlated_window_s, s.correlated_bursts)
+        return sorted(float(t) for t in times)
 
     def correlated_kills(self, victims: int) -> list[bool]:
-        return self.injector.correlated_kills(victims)
+        """Per-victim kill verdicts for one correlated event."""
+        draws = self.rng.stream("fault.correlated").random(victims)
+        return [bool(d < self.scenario.correlated_fraction) for d in draws]
 
     # ------------------------------------------------------------------ #
     # Retry arbitration

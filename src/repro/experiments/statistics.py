@@ -2,8 +2,9 @@
 
 The paper repeats each experiment "multiple times for statistical
 significance"; these helpers summarize repeated measurements with
-Student-t confidence intervals and a Welch two-sample test used by the
-harness when comparing techniques.
+Student-t confidence intervals and compare two techniques with a Welch
+two-sample test. They are a library for callers that repeat runs: no
+figure and no harness stage calls them.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
-"""Fault injection and resilience for the platform simulation.
+"""Fault configuration for the platform simulation.
 
 * :mod:`~repro.faults.scenario` — declarative fault environments
   (correlated crash bursts, throttling, stragglers, persistent faults,
   billed timeouts) with presets.
-* :mod:`~repro.faults.injector` — deterministic per-burst fault draws on
-  dedicated RNG streams.
 * :mod:`~repro.faults.retry` — pluggable retry policies (immediate, fixed
   delay, exponential backoff with decorrelated jitter, burst-wide retry
   budgets) and straggler hedging.
 * :mod:`~repro.faults.throttle` — token-bucket admission control.
+
+This package is configuration and arithmetic only: it imports no other
+``repro`` package. The draws a fault environment implies are made by
+:class:`~repro.engine.kernel.DispatchKernel`, which binds a run's profile,
+scenario and retry policy once and draws every crash, straggler and
+correlated kill on dedicated RNG streams.
 """
 
-from repro.faults.injector import CrashDecision, FaultInjector
 from repro.faults.retry import (
     ExponentialBackoffRetry,
     FixedDelayRetry,
@@ -34,8 +37,6 @@ from repro.faults.throttle import TokenBucket
 
 __all__ = [
     "FaultScenario",
-    "FaultInjector",
-    "CrashDecision",
     "RetryPolicy",
     "ImmediateRetry",
     "FixedDelayRetry",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -40,6 +41,14 @@ def _require(ok: bool, name: str, rule: str, value: Any) -> None:
     """
     if not ok:
         raise ValueError(f"{name} must be {rule} (got {value!r})")
+
+
+def _require_count(value: Any, name: str, least: int) -> None:
+    """Raise a ``ValueError`` naming field ``name`` unless ``value`` is an
+    integer (``numbers.Integral``) ``>= least``: a NaN count passes every
+    comparison, and a fractional one rounds up where it is compared."""
+    _require(isinstance(value, numbers.Integral) and value >= least,
+             name, f"an integer >= {least}", value)
 
 
 class RetryPolicy(abc.ABC):
@@ -71,7 +80,7 @@ class ImmediateRetry(RetryPolicy):
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        _require(self.max_retries >= 0, "max_retries", ">= 0", self.max_retries)
+        _require_count(self.max_retries, "max_retries", 0)
 
     def next_delay(
         self, failed_attempt: int, prev_delay: float, rng: np.random.Generator
@@ -89,7 +98,7 @@ class FixedDelayRetry(RetryPolicy):
     def __post_init__(self) -> None:
         _require(math.isfinite(self.delay_s) and self.delay_s >= 0.0,
                  "delay_s", "finite and >= 0", self.delay_s)
-        _require(self.max_retries >= 0, "max_retries", ">= 0", self.max_retries)
+        _require_count(self.max_retries, "max_retries", 0)
 
     def next_delay(
         self, failed_attempt: int, prev_delay: float, rng: np.random.Generator
@@ -116,7 +125,7 @@ class ExponentialBackoffRetry(RetryPolicy):
                  "base_s", "finite and positive", self.base_s)
         _require(math.isfinite(self.cap_s) and self.cap_s >= self.base_s,
                  "cap_s", "finite and >= base_s", self.cap_s)
-        _require(self.max_retries >= 0, "max_retries", ">= 0", self.max_retries)
+        _require_count(self.max_retries, "max_retries", 0)
 
     def next_delay(
         self, failed_attempt: int, prev_delay: float, rng: np.random.Generator
@@ -137,8 +146,7 @@ class RetryBudget(RetryPolicy):
     """
 
     def __init__(self, inner: RetryPolicy, budget: int) -> None:
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
+        _require_count(budget, "budget", 0)
         self.inner = inner
         self.budget = budget
         self._spent = 0
@@ -207,7 +215,7 @@ def retry_policy_from_dict(payload: Mapping[str, Any]) -> RetryPolicy:
             raise ValueError(f"budget retry policy: unknown keys {sorted(data)}")
         if not isinstance(inner, Mapping) or budget is None:
             raise ValueError("budget retry policy needs 'inner' and 'budget'")
-        return RetryBudget(retry_policy_from_dict(inner), int(budget))
+        return RetryBudget(retry_policy_from_dict(inner), budget)
     if kind not in _RETRY_KINDS:
         raise ValueError(
             f"unknown retry policy kind {kind!r} "
@@ -236,8 +244,7 @@ class HedgePolicy:
     def __post_init__(self) -> None:
         _require(math.isfinite(self.trigger_factor) and self.trigger_factor > 1.0,
                  "trigger_factor", "finite and > 1", self.trigger_factor)
-        if self.max_hedges_per_group < 1:
-            raise ValueError("max_hedges_per_group must be >= 1")
+        _require_count(self.max_hedges_per_group, "max_hedges_per_group", 1)
 
     def trigger_seconds(self, reference_seconds: float) -> float:
         return self.trigger_factor * reference_seconds

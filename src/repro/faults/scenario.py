@@ -39,12 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Mapping, Optional
-
-if TYPE_CHECKING:  # annotation-only imports (runtime would be cyclic)
-    from repro.faults.injector import FaultInjector
-    from repro.faults.throttle import TokenBucket
-    from repro.sim.randomness import RandomStreams
+from typing import Any, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -174,27 +169,6 @@ class FaultScenario:
         ):
             return 1.0
         return self.gray_slowdown
-
-    def build_injector(
-        self, streams: "RandomStreams", profile_failure_rate: float = 0.0
-    ) -> "FaultInjector":
-        """Bind this scenario to a run's RNG streams.
-
-        The one construction site for :class:`~repro.faults.injector.FaultInjector`
-        (previously copy-pasted by every dispatch loop; now called by
-        :class:`~repro.engine.kernel.DispatchKernel`).
-        """
-        from repro.faults.injector import FaultInjector  # avoid import cycle
-
-        return FaultInjector(self, streams, profile_failure_rate)
-
-    def build_throttle(self) -> "Optional[TokenBucket]":
-        """The scenario's 429 admission bucket, or None when not throttled."""
-        from repro.faults.throttle import TokenBucket  # avoid import cycle
-
-        if not self.throttled:
-            return None
-        return TokenBucket(self.throttle_capacity, self.throttle_refill_per_s)
 
     def describe(self) -> str:
         """One line per active fault model (for experiment logs)."""

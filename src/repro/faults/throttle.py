@@ -9,15 +9,21 @@ events of its own and stays bit-deterministic.
 
 from __future__ import annotations
 
+import math
+
 
 class TokenBucket:
     """A continuous-refill token bucket keyed to an external clock."""
 
     def __init__(self, capacity: int, refill_per_s: float) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if refill_per_s <= 0.0:
-            raise ValueError("refill rate must be positive")
+        # NaN passes every comparison, so finiteness is checked first: a
+        # NaN refill would refill the bucket to full on every call.
+        if not (math.isfinite(capacity) and capacity >= 1):
+            raise ValueError(f"capacity must be finite and >= 1 (got {capacity})")
+        if not (math.isfinite(refill_per_s) and refill_per_s > 0.0):
+            raise ValueError(
+                f"refill_per_s must be finite and positive (got {refill_per_s})"
+            )
         self.capacity = capacity
         self.refill_per_s = refill_per_s
         self._tokens = float(capacity)

@@ -3,8 +3,9 @@
 As of the ``repro.engine`` extraction the entire per-instance lifecycle —
 placement scheduling → container build → shipping → execution, plus wave
 reuse, retries, hedging, throttling, billed timeouts, and fault draws —
-lives in :class:`~repro.engine.burst.BurstDispatchKernel`, shared with the
-serving and streaming dispatch paths. This module keeps the platform
+lives in :class:`~repro.engine.burst.BurstDispatchKernel`, whose fault,
+throttle and retry arbitration (:class:`~repro.engine.kernel.DispatchKernel`)
+the serving loop shares. This module keeps the platform
 layer's public API: :class:`BurstSpec`, :class:`FunctionTimeoutError`, and
 :class:`BurstInvoker` (the kernel under its historical name, constructed
 by :class:`~repro.platform.base.ServerlessPlatform` and

@@ -223,8 +223,10 @@ class AIMDAdmission(AdmissionController):
     ) -> None:
         if not 1 <= min_limit <= initial_limit <= max_limit:
             raise ValueError("need 1 <= min_limit <= initial_limit <= max_limit")
-        if additive_step <= 0.0:
-            raise ValueError("additive_step must be positive")
+        if not (math.isfinite(additive_step) and additive_step > 0.0):
+            raise ValueError(
+                f"additive_step must be finite and positive (got {additive_step})"
+            )
         if not 0.0 < decrease_factor < 1.0:
             raise ValueError("decrease_factor must be in (0, 1)")
         if not 0.0 <= breach_threshold < 1.0:

@@ -19,6 +19,7 @@ for the regression goldens.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,13 @@ class CircuitBreaker:
         jitter: float = 0.2,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        # NaN passes every comparison below, so finiteness is checked
+        # first: a NaN pause would half-open an open breaker at once.
+        for name, value in (("recovery_s", recovery_s),
+                            ("max_recovery_s", max_recovery_s),
+                            ("backoff_factor", backoff_factor), ("jitter", jitter)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if recovery_s <= 0.0 or max_recovery_s < recovery_s:

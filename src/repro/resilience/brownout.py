@@ -25,6 +25,7 @@ whatever policy is live.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.resilience.admission import LOW
@@ -46,10 +47,14 @@ class BrownoutController:
     ) -> None:
         if not 0.0 <= violation_threshold < 1.0:
             raise ValueError("violation_threshold must be in [0, 1)")
-        if backlog_threshold is not None and backlog_threshold < 1:
-            raise ValueError("backlog_threshold must be >= 1 (or None)")
-        if degree_boost < 1.0:
-            raise ValueError("degree_boost must be >= 1.0")
+        if backlog_threshold is not None and not backlog_threshold >= 1:
+            raise ValueError(
+                f"backlog_threshold must be >= 1 or None (got {backlog_threshold})"
+            )
+        if not (math.isfinite(degree_boost) and degree_boost >= 1.0):
+            raise ValueError(
+                f"degree_boost must be finite and >= 1.0 (got {degree_boost})"
+            )
         if recover_ticks < 1:
             raise ValueError("recover_ticks must be >= 1")
         if not 0 <= max_level < len(LEVEL_NAMES):

@@ -27,12 +27,14 @@ Overload and faults (see ``docs/RESILIENCE.md``) compose onto that loop:
   circuit breakers around instance dispatch, and a brownout controller
   that boosts the packing degree and then sheds low-priority traffic
   while the windowed SLO is breached;
-* a :class:`~repro.faults.scenario.FaultScenario` injects crashes,
-  stragglers, 429 throttling, poisoned domains, and correlated kill
-  events into the dispatch path, with any
-  :class:`~repro.faults.retry.RetryPolicy` governing re-execution; failed
-  attempts are billed (and counted as wasted), retries re-pay payload
-  egress.
+* every dispatch crashes at the profile's ``failure_rate``, as a burst's
+  attempts do, unless a :class:`~repro.faults.scenario.FaultScenario`
+  sets the crash rate; a scenario also injects stragglers, 429
+  throttling, poisoned domains, and correlated kill events into the
+  dispatch path. The run's :class:`~repro.faults.retry.RetryPolicy`, or
+  else ``ImmediateRetry(profile.max_retries)``, governs re-execution
+  (:meth:`~repro.engine.kernel.DispatchKernel.bind`); failed attempts are
+  billed (and counted as wasted), retries re-pay payload egress.
 
 Determinism: one integer seed fixes the arrival schedule, every priority,
 fault, and noise draw, and therefore every reported number, bit for bit —
@@ -58,12 +60,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from repro.core.models import ExecutionTimeModel
-from repro.engine import (
-    AttemptChain,
-    DispatchCosts,
-    DispatchKernel,
-    resolve_retry_policy,
-)
+from repro.engine import AttemptChain, DispatchCosts, DispatchKernel
 from repro.faults.retry import RetryPolicy
 from repro.faults.scenario import FaultScenario
 from repro.platform.billing import BillingModel
@@ -514,16 +511,11 @@ class _ServingRun:
 
         scenario = owner.scenario
         # All fault/throttle/retry arbitration is delegated to the shared
-        # dispatch kernel; serving keeps only its own concerns (batching,
-        # domain routing, breakers, brownout) around the kernel's verdicts.
-        self.kernel = DispatchKernel(
-            self.rng,
-            scenario=scenario,
-            retry_policy=resolve_retry_policy(owner.retry_policy, scenario),
-            profile_failure_rate=owner.profile.failure_rate,
-        )
-        self.injector = self.kernel.injector
-        self.throttle = self.kernel.bucket
+        # dispatch kernel, bound as a burst's is; serving keeps only its own
+        # concerns (batching, domain routing, breakers, brownout) around
+        # the kernel's verdicts.
+        self.kernel = DispatchKernel(self.rng)
+        self.kernel.bind(owner.profile, scenario, owner.retry_policy)
         # A scenario may start with domains already poisoned (shadow replays
         # seed this with the live run's state; experiments can use it too).
         if scenario is not None:
@@ -689,7 +681,7 @@ class _ServingRun:
         now = self.sim.now
         report = self.result.resilience
         # 429-style platform throttling: back off, retry, eventually drop.
-        if self.throttle is not None:
+        if self.kernel.bucket is not None:
             verdict = self.kernel.throttle_gate(chain, now)
             if not verdict.admitted:
                 report.throttled_attempts += 1
@@ -714,7 +706,7 @@ class _ServingRun:
                 self.blocked.append(chain)
                 self.schedule_pump()
                 return
-        elif self.injector is not None:
+        elif self.owner.scenario is not None:
             domain = self._rotor % self.cfg.fault_domains
             self._rotor += 1
         warm = self.pool.acquire(now)
@@ -733,13 +725,11 @@ class _ServingRun:
         else:
             self.result.cold_dispatches += 1
         exec_start = now + start_latency
-        crash = None
-        if self.injector is not None:
-            # Poisoning is per fault *domain* here (the dispatch target),
-            # not per chain — a poisoned domain dooms whichever batch lands
-            # on it until the domain heals.
-            poisoned = domain is not None and self._domain_poisoned(domain, now)
-            crash = self.kernel.crash_decision(poisoned=poisoned)
+        # Poisoning is per fault *domain* here (the dispatch target), not
+        # per chain — a poisoned domain dooms whichever batch lands on it
+        # until the domain heals.
+        poisoned = domain is not None and self._domain_poisoned(domain, now)
+        crash = self.kernel.crash_decision(poisoned=poisoned)
         dispatch_id = self._next_dispatch_id
         self._next_dispatch_id += 1
         if crash is None:
@@ -951,7 +941,7 @@ class _ServingRun:
             session.serving_instrumentation(
                 f"serving {self.owner.app.name} "
                 f"{result.policy_name}/{result.mode} r{self.repetition}"
-            ).record_run(result, self.moments, self.owner.resilience, self.injector)
+            ).record_run(result, self.moments, self.owner.resilience, self.kernel)
         return result
 
     def _serve(self) -> None:
@@ -987,7 +977,7 @@ class _ServingRun:
             interval = self.remedy.config.tick_interval_s
             for k in range(1, int(math.floor(self.horizon_s / interval)) + 1):
                 self.sim.schedule_at(k * interval, self.remediation_tick)
-        if self.injector is not None and owner.scenario.correlated_bursts > 0:
+        if owner.scenario is not None and owner.scenario.correlated_bursts > 0:
             times = self.rng.stream("fault.correlated.times").uniform(
                 0.0, self.horizon_s, owner.scenario.correlated_bursts
             )

@@ -63,8 +63,10 @@ class FixedTTL(KeepAlivePolicy):
     """Keep every idle instance warm for a fixed TTL (Lambda-style)."""
 
     def __init__(self, ttl_s: float) -> None:
-        if ttl_s < 0.0:
-            raise ValueError("TTL must be non-negative")
+        # An infinite TTL keeps every idle instance warm for good; a NaN
+        # one passes the comparison and would do the same, silently.
+        if not ttl_s >= 0.0:
+            raise ValueError(f"ttl_s must be >= 0 (got {ttl_s})")
         self.ttl_s = float(ttl_s)
         self.name = f"fixed-ttl-{ttl_s:g}s"
 
@@ -95,6 +97,12 @@ class HybridHistogram(KeepAlivePolicy):
         default_ttl_s: float = 30.0,
         min_observations: int = 20,
     ) -> None:
+        # NaN passes every comparison below, so finiteness is checked first.
+        for name, value in (("bucket_s", bucket_s), ("margin", margin),
+                            ("ttl_min_s", ttl_min_s), ("ttl_max_s", ttl_max_s),
+                            ("default_ttl_s", default_ttl_s)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if bucket_s <= 0.0 or n_buckets < 2:
             raise ValueError("need bucket_s > 0 and n_buckets >= 2")
         if not 0.0 < percentile < 1.0:

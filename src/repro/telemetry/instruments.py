@@ -6,12 +6,13 @@ the moments they logged: a burst from its record table and its chain
 moments (:meth:`BurstInstrumentation.record_burst`), a serving run from
 its result, whose dispatch log holds every attempt, and its moment log
 (:meth:`ServingInstrumentation.record_run`). The components a run drove
-— admission, circuit breakers, brownout, the fault injector — hold no
-registry: their families are written at that same moment, from the state
-each component ended the run in. The chaos auditor needs none of this:
-it reads the finished result. All span building, metric registration,
-and bus publishing lives here, so a run pays for telemetry only once it
-has ended, and only when a session is attached.
+— admission, circuit breakers, brownout, the dispatch kernel's fault
+draws — hold no registry: their families are written at that same
+moment, from the state each component ended the run in. The chaos
+auditor needs none of this: it reads the finished result. All span
+building, metric registration, and bus publishing lives here, so a run
+pays for telemetry only once it has ended, and only when a session is
+attached.
 
 Span model (see ``docs/OBSERVABILITY.md``):
 
@@ -70,21 +71,22 @@ PRIORITY_LABELS: tuple[str, ...] = ("high", "normal", "low")
 BREAKER_STATES: tuple[str, ...] = ("closed", "open", "half-open")
 
 
-def _record_faults(registry: MetricsRegistry, injector) -> None:
-    """The fault injector's draws, one sample per non-zero count."""
+def _record_faults(registry: MetricsRegistry, faults) -> None:
+    """The fault draws of a run's dispatch kernel, one sample per non-zero
+    count."""
     for persistent, n in (
-        ("false", injector.transient_crashes), ("true", injector.persistent_crashes)
+        ("false", faults.transient_crashes), ("true", faults.persistent_crashes)
     ):
         if n:
             registry.counter(
                 "propack_fault_crashes_total", persistent=persistent,
                 help="Crash decisions drawn by the fault injector.",
             ).inc(n)
-    if injector.stragglers:
+    if faults.stragglers:
         registry.counter(
             "propack_fault_stragglers_total",
             help="Straggler slowdowns drawn by the fault injector.",
-        ).inc(injector.stragglers)
+        ).inc(faults.stragglers)
 
 
 def _record_admission(registry: MetricsRegistry, report) -> None:
@@ -227,7 +229,7 @@ class BurstInstrumentation:
         kernel_path: str,
         fallback_reason: Optional[str],
         search_costs: Optional[tuple[float, float]] = None,
-        injector=None,
+        faults=None,
         moments=(),
     ) -> None:
         """Report a burst's chain moments, then its attempts from its
@@ -261,8 +263,9 @@ class BurstInstrumentation:
         set counts as a placement; on an aborted burst the first unplaced
         cold record was being searched for, and counts as a search too.
 
-        ``injector`` is the burst's fault injector (None without a fault
-        scenario); its draws become the ``propack_fault_*`` samples.
+        ``faults`` is the burst's
+        :class:`~repro.engine.kernel.DispatchKernel`; its crash and
+        straggler draw counts become the ``propack_fault_*`` samples.
 
         ``moments`` are the burst's chain moments, in the order they
         happened, on the simulator clock. They are replayed first
@@ -316,8 +319,8 @@ class BurstInstrumentation:
                     "propack_sched_placements_total",
                     help="Placements completed by the scheduling loop.",
                 ).inc(placed)
-            if injector is not None:
-                _record_faults(registry, injector)
+            if faults is not None:
+                _record_faults(registry, faults)
         if self.bus is not None:
             failed = np.flatnonzero(table.failed | table.timed_out)
             failed = failed[np.lexsort((rid[failed], end[failed]))]
@@ -444,7 +447,7 @@ class ServingInstrumentation:
             self.pid = tracer.new_process(name)
 
     # ------------------------------------------------------------------ #
-    def record_run(self, result, moments=(), resilience=None, injector=None) -> None:
+    def record_run(self, result, moments=(), resilience=None, faults=None) -> None:
         """Report a finished run: its dispatches, then its moments, then its
         counts.
 
@@ -458,9 +461,10 @@ class ServingInstrumentation:
         :class:`~repro.serving.service.ResilienceReport`. The digest keeps
         every sojourn in completion order, so one ``observe_many`` over its
         column equals one ``observe`` per completed request, to the last bit
-        of the sum. The admission, breaker, brownout and fault families are
-        read from the run's ``resilience`` policy and fault ``injector``, as
-        the run left them.
+        of the sum. The admission, breaker and brownout families are read
+        from the run's ``resilience`` policy, and the fault families from
+        ``faults``, the run's
+        :class:`~repro.engine.kernel.DispatchKernel`, as the run left them.
         """
         if self.tracer is not None:
             self._trace(result.dispatches)
@@ -526,8 +530,8 @@ class ServingInstrumentation:
                 _record_breakers(registry, resilience.breakers)
             if resilience.brownout is not None:
                 _record_brownout(registry, resilience.brownout)
-        if injector is not None:
-            _record_faults(registry, injector)
+        if faults is not None:
+            _record_faults(registry, faults)
 
     def _trace(self, dispatches) -> None:
         """One closed ``dispatch`` span per dispatch record, in id order."""

@@ -1,5 +1,5 @@
 """Import-layering gate: ``repro.engine`` never imports its consumers,
-and ``repro.sim`` imports no other ``repro`` package.
+and ``repro.sim`` and ``repro.faults`` import no other ``repro`` package.
 
 The engine is the bottom of the dispatch stack (docs/ARCHITECTURE.md):
 ``serving``, ``extensions``, ``resilience``, ``remediation``, and the
@@ -86,6 +86,25 @@ def test_sim_is_the_bottom_layer():
     )
 
 
+def test_faults_is_configuration_only():
+    # Scenarios, retry policies and the token bucket are configuration
+    # and arithmetic; the draws they imply are the dispatch kernel's. An
+    # import of another repro package (even an annotation-only one) would
+    # let a fault model reach into a run again.
+    faults_dir = ENGINE_DIR.parent / "faults"
+    offenders = []
+    for path in sorted(faults_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module in _imported_modules(tree):
+            parts = module.split(".")
+            if parts[0] == "repro" and parts[:2] != ["repro", "faults"]:
+                offenders.append(f"{path.name}: {module}")
+    assert not offenders, (
+        "repro.faults is configuration and imports no other repro package "
+        f"(see docs/ARCHITECTURE.md): {offenders}"
+    )
+
+
 def test_no_lower_layer_imports_chaos():
     src_root = ENGINE_DIR.parent
     offenders = []
@@ -123,7 +142,7 @@ def test_no_lower_layer_imports_fusion():
 
 
 def test_run_components_do_not_import_telemetry():
-    # Admission, breakers, brownout and the fault injector hold no metrics
+    # Admission, breakers, brownout and the fault models hold no metrics
     # registry: a run's telemetry writes their families from the state the
     # run left them in (repro.telemetry.instruments), so turning metrics on
     # runs no extra code inside them.

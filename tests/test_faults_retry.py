@@ -139,11 +139,20 @@ NAN, INF = float("nan"), float("inf")
     (ExponentialBackoffRetry, {"max_retries": -1}, "max_retries"),
     (HedgePolicy, {"trigger_factor": NAN}, "trigger_factor"),
     (HedgePolicy, {"trigger_factor": INF}, "trigger_factor"),
+    (ImmediateRetry, {"max_retries": 2.5}, "max_retries"),
+    (FixedDelayRetry, {"max_retries": 1.5}, "max_retries"),
+    (ExponentialBackoffRetry, {"max_retries": 3.5}, "max_retries"),
+    (RetryBudget, {"inner": ImmediateRetry(max_retries=5), "budget": NAN}, "budget"),
+    (RetryBudget, {"inner": ImmediateRetry(max_retries=5), "budget": 2.5}, "budget"),
+    (HedgePolicy, {"max_hedges_per_group": NAN}, "max_hedges_per_group"),
+    (HedgePolicy, {"max_hedges_per_group": 1.5}, "max_hedges_per_group"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_bad_policy_fails_at_construction(cls, kwargs, field):
     """Each of these used to construct. Mid-burst, a NaN base waited the
     cap on every retry, a NaN cap, delay or trigger factor ended the burst
-    with ``SimulationError``, and a negative retry count ran as 0."""
+    with ``SimulationError``, and a negative retry count ran as 0. A count
+    is an integer: a NaN budget capped nothing, a budget of 2.5 granted 3
+    retries, and a NaN hedge cap never hedged."""
     with pytest.raises(ValueError, match=field):
         cls(**kwargs)
 
@@ -185,6 +194,19 @@ def test_bucket_validates():
         TokenBucket(capacity=0, refill_per_s=1.0)
     with pytest.raises(ValueError):
         TokenBucket(capacity=1, refill_per_s=0.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"capacity": NAN, "refill_per_s": 1.0}, "capacity"),
+    ({"capacity": INF, "refill_per_s": 1.0}, "capacity"),
+    ({"capacity": 5, "refill_per_s": NAN}, "refill_per_s"),
+    ({"capacity": 5, "refill_per_s": INF}, "refill_per_s"),
+])
+def test_bucket_rejects_non_finite_values(kwargs, field):
+    """These used to construct: ``min(capacity, nan)`` refilled a NaN-rate
+    bucket to full on every call."""
+    with pytest.raises(ValueError, match=field):
+        TokenBucket(**kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -249,6 +271,14 @@ class TestRetrySerialization:
             retry_policy_from_dict({"kind": "exponential-backoff",
                                     "base_s": float("nan"), "cap_s": 20.0,
                                     "max_retries": 2})
+
+    @pytest.mark.parametrize("budget", [2.5, NAN])
+    def test_budget_reaches_the_constructor_unconverted(self, budget):
+        """2.5 used to be truncated to 2, and NaN failed naming no field."""
+        with pytest.raises(ValueError, match="budget"):
+            retry_policy_from_dict({"kind": "budget", "budget": budget,
+                                    "inner": {"kind": "immediate",
+                                              "max_retries": 2}})
 
     def test_unserializable_policy_rejected(self):
         class Odd:

@@ -465,11 +465,8 @@ class _ChainEnv:
 
 
 def _walk(scenario, n_chains, n_packed, spacing_s):
-    kernel = DispatchKernel(
-        RandomStreams(17).spawn("kernel-bench"),
-        scenario=scenario,
-        retry_policy=ImmediateRetry(3),
-    )
+    kernel = DispatchKernel(RandomStreams(17).spawn("kernel-bench"))
+    kernel.bind(None, scenario, ImmediateRetry(3))
     env = _ChainEnv(kernel)
     chains = []
     for i in range(n_chains):
@@ -618,6 +615,10 @@ def _serving_cases(draw):
     builds its own components."""
     return {
         "profile": draw(st.sampled_from(sorted(SERVING_PROFILES))),
+        # The profile's own crash model: a run without a scenario crashes
+        # at this rate and retries this often when it has no policy.
+        "failure_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
+        "max_retries": draw(st.sampled_from([0, 2, 4])),
         "arrivals": draw(st.sampled_from(["poisson", "diurnal", "grid"])),
         "rate": draw(st.sampled_from([0.5, 2.0, 6.0])),
         "degree": draw(st.integers(min_value=1, max_value=12)),
@@ -634,7 +635,9 @@ def _serving_cases(draw):
 
 def _serve(case, telemetry=None):
     """Run ``case`` on fresh components: (result, breaker bank or None)."""
-    profile = SERVING_PROFILES[case["profile"]]
+    profile = SERVING_PROFILES[case["profile"]].with_overrides(
+        failure_rate=case["failure_rate"], max_retries=case["max_retries"]
+    )
     degree, seed = case["degree"], case["seed"]
     config = ServingConfig(qos_sojourn_s=30.0, backlog_threshold=6)
     resilience = None

@@ -280,6 +280,43 @@ def test_golden_audited_serving_exact():
     assert (run.backlog.max_depth, run.backlog.mean_depth) == (12, 2.529576248650328)
 
 
+def test_golden_flaky_profile_burst_exact():
+    """A burst on a flaky profile with no fault scenario, pinned exactly.
+
+    Without a scenario the dispatch kernel draws each attempt's crash from
+    the ``failure`` stream at the profile's ``failure_rate`` (a uniform per
+    attempt, and one more for a crash's point; no persistence draw) and
+    retries under ``ImmediateRetry(profile.max_retries)``. Any drift in
+    that stream, its draw order or the retry rule lands here.
+    """
+    import hashlib
+
+    from repro.platform.invoker import BurstSpec
+    from repro.platform.metrics import RECORD_FIELDS
+
+    flaky = AWS_LAMBDA.with_overrides(failure_rate=0.2)
+    run = ServerlessPlatform(flaky, seed=3).run_burst(
+        BurstSpec(app=SORT, concurrency=200), repetition=0
+    )
+    stats = run.fault_stats
+    assert (len(run.table), stats.crashed_attempts, stats.retries_scheduled,
+            run.lost_functions) == (244, 45, 44, 1)
+    assert (stats.wasted_billed_gb_seconds, stats.total_billed_gb_seconds) == (
+        20077.45322505268, 205169.77603694957
+    )
+    expense = run.expense
+    assert (
+        expense.compute_usd, expense.requests_usd, expense.storage_usd,
+        expense.egress_usd, expense.keepalive_usd,
+    ) == (3.4195031062750263, 4.88e-05, 0.0010926, 0.0, 0.0)
+    columns = hashlib.sha256()
+    for name in RECORD_FIELDS:
+        columns.update(getattr(run.table, name).tobytes())
+    assert columns.hexdigest() == (
+        "bbc5a1346f5b40bcc30aa13f1bf88a5ba3b907ec8bb0b4af73dfd308fbfd0679"
+    )
+
+
 def test_golden_fusion_exact():
     """One seeded fused-fleet run, pinned to the last bit.
 

@@ -123,6 +123,12 @@ class TestTokenBucket:
             TokenBucketAdmission(capacity=10, refill_per_s=1.0,
                                  reserve_fractions=(0.25, 0.1, 0.0))
 
+    def test_nan_refill_rejected(self):
+        """It used to construct and admit every arrival: a NaN refill
+        topped the bucket up to full on every call."""
+        with pytest.raises(ValueError, match="refill_per_s"):
+            TokenBucketAdmission(capacity=10, refill_per_s=math.nan)
+
 
 class TestAIMD:
     def test_healthy_windows_grow_limit(self):
@@ -162,3 +168,10 @@ class TestAIMD:
             AIMDAdmission(initial_limit=2, min_limit=4)
         with pytest.raises(ValueError):
             AIMDAdmission(decrease_factor=1.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_additive_step_rejected(self, step):
+        """Both used to construct, and one healthy window sent the limit
+        straight to ``max_limit``."""
+        with pytest.raises(ValueError, match="additive_step"):
+            AIMDAdmission(additive_step=step)

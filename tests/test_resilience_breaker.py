@@ -12,6 +12,9 @@ from repro.resilience import (
 )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def trip(breaker, now=0.0):
     for _ in range(breaker.failure_threshold):
         breaker.record_failure(now)
@@ -116,6 +119,24 @@ class TestCircuitBreaker:
             CircuitBreaker(recovery_s=10.0, max_recovery_s=5.0)
         with pytest.raises(ValueError):
             CircuitBreaker(backoff_factor=0.5)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"recovery_s": NAN}, "recovery_s"),
+        ({"recovery_s": INF, "max_recovery_s": INF}, "recovery_s"),
+        ({"max_recovery_s": NAN}, "max_recovery_s"),
+        ({"max_recovery_s": INF}, "max_recovery_s"),
+        ({"backoff_factor": NAN}, "backoff_factor"),
+        ({"backoff_factor": INF}, "backoff_factor"),
+        ({"jitter": NAN}, "jitter"),
+        ({"jitter": INF}, "jitter"),
+    ])
+    def test_non_finite_parameters_rejected(self, kwargs, field):
+        """These used to construct. An open breaker with a NaN pause
+        half-opened at once, so a bank of them never paused a domain."""
+        with pytest.raises(ValueError, match=field):
+            CircuitBreaker(**kwargs)
+        with pytest.raises(ValueError, match=field):
+            CircuitBreakerBank(n_domains=2, **kwargs)
 
 
 class TestCircuitBreakerBank:

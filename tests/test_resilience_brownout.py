@@ -84,6 +84,18 @@ class TestBrownoutController:
         with pytest.raises(ValueError):
             BrownoutController(max_level=3)
 
+    @pytest.mark.parametrize("boost", [float("nan"), float("inf")])
+    def test_non_finite_degree_boost_rejected(self, boost):
+        """Both used to construct; a NaN boost fails only once a batch's
+        boosted degree is rounded."""
+        with pytest.raises(ValueError, match="degree_boost"):
+            BrownoutController(degree_boost=boost)
+
+    def test_nan_backlog_threshold_rejected(self):
+        """It used to construct, and no backlog ever breached it."""
+        with pytest.raises(ValueError, match="backlog_threshold"):
+            BrownoutController(backlog_threshold=float("nan"))
+
 
 class TestResiliencePolicy:
     def test_empty_policy_is_inactive(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import assert_serving_invariants
+from repro.chaos import assert_serving_invariants, serving_violations
 from repro.core.models import ExecutionTimeModel
 from repro.extensions.streaming import StreamingPolicy
 from repro.faults.retry import ExponentialBackoffRetry, ImmediateRetry, RetryBudget
@@ -74,6 +74,24 @@ def test_empty_resilience_policy_matches_legacy_bit_for_bit():
     )
     assert legacy.signature() == empty.signature()
     assert legacy.expense.total_usd == empty.expense.total_usd
+
+
+@pytest.mark.parametrize("max_retries", [2, 0])
+def test_a_flaky_profile_crashes_serving_without_a_scenario(max_retries):
+    """A serving run crashes at the profile's own ``failure_rate``, as a
+    burst on that profile does, and retries under
+    ``ImmediateRetry(profile.max_retries)``."""
+    flaky = AWS_LAMBDA.with_overrides(failure_rate=0.2, max_retries=max_retries)
+    result = make_simulator(profile=flaky, seed=3).run(
+        PoissonProcess(2.0), StreamingPolicy(degree=4, batch_timeout_s=2.0), 600.0
+    )
+    rep = result.resilience
+    assert rep.crashes > 0
+    if max_retries:
+        assert (rep.crashes, rep.retries, rep.failed_requests) == (83, 80, 10)
+    else:
+        assert rep.retries == 0 and rep.failed_requests > 0
+    assert serving_violations(result) == []
 
 
 def test_faulted_run_conserves_requests():

@@ -1,5 +1,7 @@
 """Tests for the warm pool and its keep-alive/eviction policies."""
 
+import math
+
 import pytest
 
 from repro.serving.warmpool import (
@@ -36,6 +38,35 @@ def test_policy_validation():
         HybridHistogram(percentile=1.0)
     with pytest.raises(ValueError):
         HybridHistogram(ttl_min_s=10.0, ttl_max_s=5.0)
+
+
+def test_ttl_may_be_infinite_but_not_nan():
+    """An infinite TTL means "never evict"; a NaN one used to construct
+    and did the same, silently."""
+    assert FixedTTL(math.inf).keep_alive_s() == math.inf
+    assert GreedyLRUCap(2, ttl_s=math.inf).keep_alive_s() == math.inf
+    with pytest.raises(ValueError, match="ttl_s"):
+        FixedTTL(math.nan)
+    with pytest.raises(ValueError, match="ttl_s"):
+        GreedyLRUCap(2, ttl_s=math.nan)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"bucket_s": math.nan}, "bucket_s"),
+    ({"bucket_s": math.inf}, "bucket_s"),
+    ({"margin": math.nan}, "margin"),
+    ({"margin": math.inf}, "margin"),
+    ({"ttl_min_s": math.nan}, "ttl_min_s"),
+    ({"ttl_min_s": math.inf, "ttl_max_s": math.inf}, "ttl_min_s"),
+    ({"ttl_max_s": math.nan}, "ttl_max_s"),
+    ({"ttl_max_s": math.inf}, "ttl_max_s"),
+    ({"default_ttl_s": math.nan}, "default_ttl_s"),
+    ({"default_ttl_s": math.inf}, "default_ttl_s"),
+])
+def test_hybrid_histogram_rejects_non_finite_values(kwargs, field):
+    """Each used to construct, and a NaN one granted NaN TTLs."""
+    with pytest.raises(ValueError, match=field):
+        HybridHistogram(**kwargs)
 
 
 def test_policy_names():

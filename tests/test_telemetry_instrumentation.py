@@ -250,7 +250,7 @@ def test_faulted_hedged_waved_burst_reports_every_attempt():
     assert check_span_nesting(session.tracer) == []
     assert result.kernel_path == "event"
     assert result.fallback_reason == "fault scenario active"
-    # The injector's draws, written when the burst ended. Every crash drawn
+    # The kernel's fault draws, written when the burst ended. Every crash drawn
     # here ended its attempt, so the crashes are the failed rows.
     assert _samples(session, "propack_fault_") == {
         'propack_fault_crashes_total{persistent="false"}': 110,
@@ -314,7 +314,7 @@ class _ReportOnly:
         self.moments = []
 
     def record_burst(self, table, invoked_at, kernel_path, fallback_reason,
-                     search_costs=None, injector=None, moments=()):
+                     search_costs=None, faults=None, moments=()):
         self.moments.append(list(moments))
 
 
@@ -653,7 +653,7 @@ def _assert_serving_samples_are_the_result(session, run, resilience, faults):
     The admission samples are the report's per-priority counts, less
     brownout's sheds (all low priority); the breaker and brownout samples
     are the final state of the run's components; the fault samples are
-    ``faults``, the injector's draws (pinned)."""
+    ``faults``, the dispatch kernel's draws (pinned)."""
     rep = run.resilience
     samples = _samples(session, "propack_serving_")
     del samples["propack_serving_backlog_depth"]
@@ -997,7 +997,7 @@ class _RunReportOnly:
     def __init__(self):
         self.moments = []
 
-    def record_run(self, result, moments=(), resilience=None, injector=None):
+    def record_run(self, result, moments=(), resilience=None, faults=None):
         self.moments.append(list(moments))
 
 
